@@ -19,7 +19,6 @@ from .network import (
     NetworkError,
     Region,
     ValidationError,
-    enumerate_simple_paths,
     load_network,
     parse_document,
     serialize,
@@ -63,7 +62,6 @@ from .milp import (
     VariableMap,
     big_m,
     build_tep_model,
-    generate_valid_inequalities,
 )
 from .mps import MpsFormatError, export_lp, export_mps, import_mps
 from .solver import (

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import click
 
-from .milp import build_tep_model, generate_valid_inequalities
+from .milp import build_tep_model
 from .model import model_stats
 from .mps import export_lp, export_mps
 from .network import (
@@ -33,11 +33,13 @@ from .scenario import (
     ScenarioCode,
     ScenarioConfig,
     DemandElasticityConfig,
+    _f_to_c,
     enumerate_scenarios,
     load_scenario_config,
     realize_scenario,
 )
-from .solver import SolveOptions, Solution, format_solution, solve_milp
+from .simplex import SimplexError
+from .solver import SolveOptions, SolverError, format_solution, solve_milp
 from . import thermal
 
 _MICRO = Decimal("0.000001")
@@ -77,10 +79,6 @@ def _load_config(path: str | None) -> ScenarioConfig:
         return load_scenario_config(_read_text(path))
     except ValueError as exc:
         _fail(f"{path}: {exc}")
-
-
-def _f_to_c(t_f: float) -> float:
-    return (t_f - 32.0) * 5.0 / 9.0
 
 
 def _micro(value: float) -> Decimal:
@@ -221,13 +219,9 @@ def cmd_fit(temps_path: str, k: int, units: str, base_year: int | None,
 # --------------------------------------------------------------------------
 
 def _assemble(net: Network, code: ScenarioCode, config: ScenarioConfig,
-              sigma_hours: float, enable_vis: bool, max_path_edges: int):
+              sigma_hours: float):
     params = realize_scenario(code, net, config.elasticity, config.conductors)
-    model, vmap = build_tep_model(net, params, sigma_hours)
-    if enable_vis:
-        cuts = generate_valid_inequalities(net, params, max_path_edges)
-        model = model.with_constraints(cuts)
-    return model, vmap, params
+    return build_tep_model(net, params, sigma_hours)
 
 
 def _model_options(fn):
@@ -236,10 +230,6 @@ def _model_options(fn):
     fn = click.option("--scenarios", "config_path", default=None,
                       type=click.Path(exists=True, dir_okay=False),
                       help="Scenario configuration JSON.")(fn)
-    fn = click.option("--enable-vis/--no-vis", "enable_vis", default=True,
-                      show_default=True,
-                      help="Add path-based strengthening cuts.")(fn)
-    fn = click.option("--max-path-edges", default=3, show_default=True)(fn)
     fn = click.option("--sigma-hours", default=8760.0, show_default=True,
                       help="Operating hours weighting generation cost.")(fn)
     return fn
@@ -264,16 +254,14 @@ def _solver_options(fn):
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", default="mps", show_default=True,
               type=click.Choice(["mps", "lp"]))
-def cmd_build(network_path: str, config_path: str | None, enable_vis: bool,
-              max_path_edges: int, sigma_hours: float, scenario_code: str,
-              out_path: str, fmt: str) -> None:
+def cmd_build(network_path: str, config_path: str | None, sigma_hours: float,
+              scenario_code: str, out_path: str, fmt: str) -> None:
     """Write one scenario's optimization model to an MPS or LP file."""
     net = _load_net(network_path)
     config = _load_config(config_path)
     try:
         code = ScenarioCode.parse(scenario_code)
-        model, _, _ = _assemble(net, code, config, sigma_hours,
-                                enable_vis, max_path_edges)
+        model, _ = _assemble(net, code, config, sigma_hours)
     except ValueError as exc:
         _fail(str(exc))
     text = export_mps(model) if fmt == "mps" else export_lp(model)
@@ -297,22 +285,25 @@ def cmd_build(network_path: str, config_path: str | None, enable_vis: bool,
               help='Scenario code, e.g. "H,L".')
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
               help="Also write the solution vector to this file.")
-def cmd_solve(network_path: str, config_path: str | None, enable_vis: bool,
-              max_path_edges: int, sigma_hours: float, gap: float,
-              time_limit: float | None, scenario_code: str,
+def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
+              gap: float, time_limit: float | None, scenario_code: str,
               out_path: str | None) -> None:
-    """Solve one scenario and print the solution summary."""
+    """Solve one scenario and print the solution summary.
+
+    Exits 0 when optimal, 1 for any other solver status, and 2 when the
+    engine fails."""
     net = _load_net(network_path)
     config = _load_config(config_path)
     try:
         code = ScenarioCode.parse(scenario_code)
-        model, vmap, _ = _assemble(net, code, config, sigma_hours,
-                                   enable_vis, max_path_edges)
-        options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit,
-                               enable_vis=enable_vis)
+        model, vmap = _assemble(net, code, config, sigma_hours)
+        options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
         sol = solve_milp(model, options)
     except ValueError as exc:
         _fail(str(exc))
+    except (SimplexError, SolverError) as exc:
+        click.echo(f"status     error: {exc}")
+        raise SystemExit(2)
 
     click.echo(f"status     {sol.status}")
     if sol.objective is not None:
@@ -371,15 +362,15 @@ class SweepReportRow:
 
 
 def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
-               sigma_hours: float, enable_vis: bool, max_path_edges: int,
-               options: SolveOptions) -> tuple[SweepReportRow, Solution]:
-    model, vmap, _ = _assemble(net, code, config, sigma_hours,
-                               enable_vis, max_path_edges)
-    sol = solve_milp(model, options)
+               sigma_hours: float, options: SolveOptions) -> SweepReportRow:
+    model, vmap = _assemble(net, code, config, sigma_hours)
+    try:
+        sol = solve_milp(model, options)
+    except (SimplexError, SolverError) as exc:
+        click.echo(f"error: scenario {code}: {exc}", err=True)
+        return SweepReportRow(str(code), "error", *[None] * 7)
     if not sol.values:
-        row = SweepReportRow(str(code), sol.status, None, None, None, None,
-                             None, None, None)
-        return row, sol
+        return SweepReportRow(str(code), sol.status, *[None] * 7)
 
     built = [l for l in net.candidate_lines() if sol.values[vmap.build(l.id)] >= 0.5]
     expanded = [l for l in net.expandable_lines()
@@ -392,14 +383,13 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
     ) * sigma_hours
     gen_cost = _micro(gen_mwh_cost)
     total_exp = new_line_cost + cap_exp_cost
-    row = SweepReportRow(
+    return SweepReportRow(
         scenario=str(code), status=sol.status,
         new_lines_built=len(built), cap_exp_built=len(expanded),
         new_line_cost=new_line_cost, cap_exp_cost=cap_exp_cost,
         total_exp_cost=total_exp, gen_cost=gen_cost,
         total_cost=total_exp + gen_cost,
     )
-    return row, sol
 
 
 @main.command("sweep")
@@ -409,15 +399,18 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
               help="Concurrent scenario solves.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Delimited report file.")
-def cmd_sweep(network_path: str, config_path: str | None, enable_vis: bool,
-              max_path_edges: int, sigma_hours: float, gap: float,
-              time_limit: float | None, workers: int, out_path: str) -> None:
-    """Solve every temperature scenario and emit the report table."""
+def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
+              gap: float, time_limit: float | None, workers: int,
+              out_path: str) -> None:
+    """Solve every temperature scenario and emit the report table.
+
+    Exits 0 when every scenario is optimal, 1 when some scenario ends with
+    another solver status, and 2 when the engine fails on some scenario;
+    a failed scenario's row keeps its place with status error."""
     net = _load_net(network_path)
     config = _load_config(config_path)
     codes = enumerate_scenarios(len(net.regions))
-    options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit,
-                           enable_vis=enable_vis)
+    options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
 
     header = [
         f"# network={network_path}",
@@ -425,20 +418,18 @@ def cmd_sweep(network_path: str, config_path: str | None, enable_vis: bool,
         f"# regions={len(net.regions)} scenario_count={len(codes)}",
         f"# gamma_low={config.elasticity.gamma_low!r} "
         f"gamma_high={config.elasticity.gamma_high!r}",
-        f"# sigma_hours={sigma_hours!r} enable_vis={enable_vis} "
-        f"max_path_edges={max_path_edges}",
+        f"# sigma_hours={sigma_hours!r}",
         f"# gap={gap!r} time_limit={time_limit!r} workers={workers}",
     ]
 
-    def job(code: ScenarioCode) -> tuple[SweepReportRow, Solution]:
-        return _sweep_row(net, code, config, sigma_hours, enable_vis,
-                          max_path_edges, options)
+    def job(code: ScenarioCode) -> SweepReportRow:
+        return _sweep_row(net, code, config, sigma_hours, options)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, codes))
+            rows = list(pool.map(job, codes))
     else:
-        outcomes = [job(code) for code in codes]
+        rows = [job(code) for code in codes]
 
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -446,7 +437,7 @@ def cmd_sweep(network_path: str, config_path: str | None, enable_vis: bool,
                 fh.write(line + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_REPORT_COLUMNS)
-            for row, _ in outcomes:
+            for row in rows:
                 writer.writerow(row.csv_cells())
     except OSError as exc:
         _fail(str(exc))
@@ -457,10 +448,7 @@ def cmd_sweep(network_path: str, config_path: str | None, enable_vis: bool,
     titles = ("scenario", "lines built", "cap exp", "new line cost",
               "cap exp cost", "total exp cost", "gen cost", "total cost")
     click.echo("  ".join(t.ljust(w) for t, w in zip(titles, widths)))
-    all_optimal = True
-    for row, sol in outcomes:
-        if sol.status != "optimal":
-            all_optimal = False
+    for row in rows:
         if row.new_line_cost is None:
             cells = (row.scenario, "-", "-", "-", "-", "-", "-",
                      f"({row.status})")
@@ -473,7 +461,10 @@ def cmd_sweep(network_path: str, config_path: str | None, enable_vis: bool,
             )
         click.echo("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     click.echo(f"wrote report to {out_path}")
-    raise SystemExit(0 if all_optimal else 1)
+    statuses = {row.status for row in rows}
+    if "error" in statuses:
+        raise SystemExit(2)
+    raise SystemExit(0 if statuses == {"optimal"} else 1)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,7 @@ annualized build and reconductoring costs plus scenario-weighted
 generation cost, flow balance, thermally derated line capacities,
 angle-flow coupling (exact on existing lines, big-M on candidates),
 angle-difference limits, and corridor-level mutual exclusion between
-reconductoring and new construction. A separate generator emits
-path-based strengthening cuts that compose per-line angle bounds along
-simple paths.
+reconductoring and new construction.
 
 All flow quantities are per-unit on the network's MVA base; investment
 costs stay in dollars, and generation cost is weighted by sigma_hours so
@@ -26,20 +24,18 @@ from .model import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
-    VI_NAME_PREFIX,
     Variable,
     check_model,
     model_stats,
 )
 from .mps import export_lp, export_mps, import_mps
-from .network import LINE_CANDIDATE, Network, enumerate_simple_paths, validate
+from .network import LINE_CANDIDATE, Network, validate
 from .scenario import ScenarioParams
 
 __all__ = [
     "VariableMap",
     "build_tep_model",
     "big_m",
-    "generate_valid_inequalities",
     "export_mps",
     "import_mps",
     "export_lp",
@@ -310,100 +306,3 @@ def build_tep_model(
     )
     check_model(model)
     return model, vmap
-
-
-def _angle_cap(theta_max: float, eta: float, capacity_mw: float, line, base: float) -> float:
-    return min(theta_max, eta * capacity_mw / (base * line.susceptance_pu))
-
-
-def generate_valid_inequalities(
-    net: Network,
-    params: ScenarioParams,
-    max_path_edges: int,
-) -> list[Constraint]:
-    """Path-based strengthening cuts.
-
-    Along a simple path the endpoint angle spread is at most the sum of
-    per-line angle limits. Each line's limit follows from its capacity
-    constraint composed with its angle-flow coupling, intersected with
-    the corridor angle bound:
-
-      existing line                min(t, eta*base_cap/b)
-      expandable line (generic)    min(t, eta*(base+expansion)/b)
-      expandable line (highlight)  affine in z between the two values
-      candidate line               affine in y between t (unbuilt, the
-                                   corridor bound is all that holds) and
-                                   min(t, eta*cap/b) (built)
-
-    with t the network angle bound and b the susceptance. One pair of
-    <= constraints (the two signs of the endpoint difference) is emitted
-    per (path, expandable line on it); paths carrying no expandable line
-    get a single z-free pair. Cuts are satisfied by every integer point
-    of the base model, so the optimum never moves; they tighten only the
-    relaxation."""
-    if max_path_edges < 2:
-        raise ValueError("max_path_edges must be at least 2")
-    _require_regions(net, params)
-    base = net.base_mva
-    theta_max = net.max_angle_rad
-    line_by_id = {line.id: line for line in net.lines}
-
-    emitted: list[Constraint] = []
-    seen: set[tuple] = set()
-    counter = 0
-
-    def contribution(line, highlight_expandable: bool):
-        """(constant, z_coef or None, y_coef or None) for one line."""
-        eta = _line_eta(line, net, params)
-        if line.kind == LINE_CANDIDATE:
-            built = _angle_cap(theta_max, eta, line.base_capacity_mw, line, base)
-            return theta_max, None, built - theta_max
-        if line.expandable:
-            lo = _angle_cap(theta_max, eta, line.base_capacity_mw, line, base)
-            hi = _angle_cap(
-                theta_max, eta, line.base_capacity_mw + line.expansion_capacity_mw, line, base
-            )
-            if highlight_expandable:
-                return lo, hi - lo, None
-            return hi, None, None
-        return _angle_cap(theta_max, eta, line.base_capacity_mw, line, base), None, None
-
-    def emit(path, highlight_id: int | None):
-        nonlocal counter
-        key = (path.endpoints, frozenset(path.line_ids), highlight_id)
-        if key in seen:
-            return
-        seen.add(key)
-        rhs = 0.0
-        terms_z: list[tuple[str, float]] = []
-        terms_y: list[tuple[str, float]] = []
-        for line_id in path.line_ids:
-            line = line_by_id[line_id]
-            const, z_coef, y_coef = contribution(line, line_id == highlight_id)
-            rhs += const
-            if z_coef is not None:
-                terms_z.append((_expand_name(line_id), -z_coef))
-            if y_coef is not None:
-                terms_y.append((_build_name(line_id), -y_coef))
-        start, end = path.endpoints
-        spread = ((_angle_name(start), 1.0), (_angle_name(end), -1.0))
-        flipped = ((_angle_name(start), -1.0), (_angle_name(end), 1.0))
-        extra = tuple(terms_z) + tuple(terms_y)
-        emitted.append(
-            Constraint(f"{VI_NAME_PREFIX}u{counter}", spread + extra, SENSE_LE, rhs)
-        )
-        emitted.append(
-            Constraint(f"{VI_NAME_PREFIX}l{counter}", flipped + extra, SENSE_LE, rhs)
-        )
-        counter += 1
-
-    for path in enumerate_simple_paths(net, max_path_edges):
-        on_path_expandables = [
-            line_id for line_id in sorted(path.line_ids) if line_by_id[line_id].expandable
-        ]
-        if on_path_expandables:
-            for line_id in on_path_expandables:
-                emit(path, line_id)
-        else:
-            emit(path, None)
-    return emitted

@@ -17,11 +17,6 @@ SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
 
-# Constraints whose names start with this prefix are treated as optional
-# strengthening cuts: solvers may drop them without changing the integer
-# optimum (see SolveOptions.enable_vis).
-VI_NAME_PREFIX = "vi"
-
 
 @dataclass(frozen=True)
 class Variable:
@@ -56,10 +51,6 @@ class Model:
 
     def with_constraints(self, extra: list[Constraint]) -> "Model":
         return replace(self, constraints=self.constraints + tuple(extra))
-
-    def without_vi_constraints(self) -> "Model":
-        kept = tuple(c for c in self.constraints if not c.name.startswith(VI_NAME_PREFIX))
-        return replace(self, constraints=kept)
 
 
 class ModelError(ValueError):
@@ -142,7 +133,6 @@ def models_equivalent(a: Model, b: Model, tol: float = 1e-12) -> bool:
 def model_stats(model: Model) -> str:
     """Plain-text statistics block, stable across runs, for CI diffing."""
     n_bin = sum(1 for v in model.variables if v.kind == BINARY)
-    n_vi = sum(1 for c in model.constraints if c.name.startswith(VI_NAME_PREFIX))
     by_sense = {SENSE_LE: 0, SENSE_EQ: 0, SENSE_GE: 0}
     for c in model.constraints:
         by_sense[c.sense] += 1
@@ -151,7 +141,6 @@ def model_stats(model: Model) -> str:
         f"model {model.name}",
         f"variables {len(model.variables)} (binary {n_bin}, continuous {len(model.variables) - n_bin})",
         f"constraints {len(model.constraints)} (<= {by_sense[SENSE_LE]}, = {by_sense[SENSE_EQ]}, >= {by_sense[SENSE_GE]})",
-        f"strengthening-cuts {n_vi}",
         f"nonzeros {nnz}",
         f"objective-terms {len(model.objective_terms)}",
     ]

@@ -1,5 +1,4 @@
-"""Typed power-network data model, document I/O, validation, and simple-path
-enumeration.
+"""Typed power-network data model, document I/O and validation.
 
 The network document is a JSON object with top-level arrays ``regions``,
 ``buses``, ``generators``, ``lines`` and scalars ``base_mva``,
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterator
 
 FUEL_CLASSES = ("natural_gas", "coal", "petroleum", "hydro", "wind", "solar")
 
@@ -455,60 +453,3 @@ def to_document(net: Network) -> dict:
 def serialize(net: Network) -> str:
     """Serialize to the document format; deterministic byte-for-byte."""
     return json.dumps(to_document(net), indent=2, sort_keys=True) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Simple paths
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Path:
-    """A simple path: ordered line ids plus the bus sequence they traverse."""
-    line_ids: tuple[int, ...]
-    bus_ids: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.bus_ids[0], self.bus_ids[-1]
-
-
-def enumerate_simple_paths(net: Network, max_edges: int = 3) -> list[Path]:
-    """All simple paths over existing and candidate lines with 2..max_edges
-    edges, reported once per unordered endpoint pair and edge sequence.
-
-    Paths are emitted with the lower-id endpoint first and sorted
-    deterministically.
-    """
-    if max_edges < 2:
-        raise ValueError("max_edges must be >= 2")
-
-    adjacency: dict[int, list[tuple[int, int]]] = {b.id: [] for b in net.buses}
-    for l in net.lines:
-        adjacency[l.from_bus].append((l.id, l.to_bus))
-        adjacency[l.to_bus].append((l.id, l.from_bus))
-    for lst in adjacency.values():
-        lst.sort()
-
-    out: list[Path] = []
-
-    def extend(bus_seq: list[int], line_seq: list[int]) -> None:
-        here = bus_seq[-1]
-        if len(line_seq) >= 2 and bus_seq[0] < here:
-            out.append(Path(tuple(line_seq), tuple(bus_seq)))
-        if len(line_seq) == max_edges:
-            return
-        visited = set(bus_seq)
-        for line_id, nxt in adjacency[here]:
-            if nxt in visited:
-                continue
-            bus_seq.append(nxt)
-            line_seq.append(line_id)
-            extend(bus_seq, line_seq)
-            bus_seq.pop()
-            line_seq.pop()
-
-    for start in sorted(adjacency):
-        extend([start], [])
-
-    out.sort(key=lambda p: (p.bus_ids[0], p.bus_ids[-1], p.line_ids))
-    return out

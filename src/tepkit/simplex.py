@@ -118,24 +118,6 @@ class PreparedLp:
         run = _SimplexRun(self, lower, upper, feas_tol, max_iterations)
         return run.solve()
 
-    def evaluate_objective(self, values: dict[str, float]) -> float:
-        total = self.model.objective_constant
-        for name, coef in self.model.objective_terms:
-            total += coef * values[name]
-        return total
-
-
-def solve_linear_program(
-    model: Model,
-    bound_overrides: dict[str, tuple[float, float]] | None = None,
-    *,
-    feas_tol: float = 1e-7,
-    max_iterations: int = 20000,
-) -> LpResult:
-    return PreparedLp(model).solve(
-        bound_overrides, feas_tol=feas_tol, max_iterations=max_iterations
-    )
-
 
 class _SimplexRun:
     def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations):

@@ -43,7 +43,6 @@ class SolveOptions:
     feas_tol: float = 1e-7
     time_limit_s: float | None = None
     node_limit: int | None = None
-    enable_vis: bool = True
 
     def __post_init__(self):
         if self.rel_gap_tol < 0.0:
@@ -298,11 +297,10 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     after every branching. Exact objective ties are resolved to the
     lexicographically smallest binary vector, matching brute_force_solve."""
     opts = options or SolveOptions()
-    working = model if opts.enable_vis else model.without_vi_constraints()
-    if not any(v.kind == BINARY for v in working.variables):
-        return solve_lp(working, opts)
-    solution = _BranchAndBound(working, opts).run()
-    return _verified(model if opts.enable_vis else working, solution, opts.feas_tol)
+    if not any(v.kind == BINARY for v in model.variables):
+        return solve_lp(model, opts)
+    solution = _BranchAndBound(model, opts).run()
+    return _verified(model, solution, opts.feas_tol)
 
 
 def brute_force_solve(model: Model) -> Solution:

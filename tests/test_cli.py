@@ -1,10 +1,13 @@
 import csv
 import json
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tepkit.cli
 from tepkit.cli import main
 from tepkit.instance import builtin_garver
 from tepkit.milp import build_tep_model
@@ -14,7 +17,8 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.solver import check_solution, parse_solution, solve_milp
+from tepkit.simplex import SimplexError
+from tepkit.solver import SolverError, check_solution, parse_solution, solve_milp
 
 from conftest import two_bus_net
 
@@ -133,6 +137,7 @@ def test_build_is_deterministic(garver_doc, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert "model tepHL" in r1.output
     assert "variables 34 (binary 11, continuous 23)" in r1.output
+    assert "constraints 76 (<= 33, = 12, >= 31)" in r1.output
     assert f"wrote mps model to {out1}" in r1.output
 
     lp = tmp_path / "m.lp"
@@ -152,7 +157,7 @@ def test_build_rejects_bad_scenario_code(garver_doc, tmp_path):
 def test_solve_matches_library(garver_doc, tmp_path):
     sol_path = tmp_path / "plan.sol"
     result = run("solve", "--network", garver_doc, "--scenario", "L,L",
-                 "--no-vis", "--sigma-hours", "1.0", "--out", str(sol_path))
+                 "--sigma-hours", "1.0", "--out", str(sol_path))
     assert result.exit_code == 0
     lines = dict(
         (l.split(maxsplit=1)[0], l.split(maxsplit=1)[1].strip())
@@ -174,10 +179,10 @@ def test_solve_matches_library(garver_doc, tmp_path):
 
 def test_solve_exit_code_tracks_status(tight_doc):
     ok = run("solve", "--network", tight_doc, "--scenario", "L",
-             "--no-vis", "--sigma-hours", "1.0")
+             "--sigma-hours", "1.0")
     assert ok.exit_code == 0
     bad = run("solve", "--network", tight_doc, "--scenario", "H",
-              "--no-vis", "--sigma-hours", "1.0")
+              "--sigma-hours", "1.0")
     assert bad.exit_code == 1
     assert "status     infeasible" in bad.output
 
@@ -193,7 +198,7 @@ def sweep_rows(path):
 
 def test_sweep_garver_table(garver_doc, tmp_path):
     out = tmp_path / "sweep.csv"
-    result = run("sweep", "--network", garver_doc, "--no-vis",
+    result = run("sweep", "--network", garver_doc,
                  "--sigma-hours", "1.0", "--out", str(out))
     assert result.exit_code == 0
     assert f"# network={garver_doc}" in result.output
@@ -216,16 +221,16 @@ def test_sweep_garver_table(garver_doc, tmp_path):
 def test_sweep_parallel_matches_serial(garver_doc, tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    run("sweep", "--network", garver_doc, "--no-vis", "--sigma-hours", "1.0",
+    run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
         "--out", str(serial))
-    run("sweep", "--network", garver_doc, "--no-vis", "--sigma-hours", "1.0",
+    run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
         "--workers", "3", "--out", str(parallel))
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     out = tmp_path / "tight.csv"
-    result = run("sweep", "--network", tight_doc, "--no-vis",
+    result = run("sweep", "--network", tight_doc,
                  "--sigma-hours", "1.0", "--out", str(out))
     assert result.exit_code == 1
     rows = sweep_rows(out)
@@ -234,3 +239,60 @@ def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     assert Decimal(rows[0][-1]) > 0
     assert rows[1] == ["H", "", "", "", "", "", "", ""]
     assert "(infeasible)" in result.output
+
+
+def test_solve_engine_failure_is_one_line_and_exit_2(garver_doc, monkeypatch):
+    def broken(model, options=None):
+        raise SimplexError("basis matrix became singular")
+
+    monkeypatch.setattr(tepkit.cli, "solve_milp", broken)
+    result = run("solve", "--network", garver_doc, "--scenario", "L,L")
+    assert result.exit_code == 2
+    assert result.output == "status     error: basis matrix became singular\n"
+
+
+def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
+                                               monkeypatch):
+    def fails_on_lh(model, options=None):
+        if model.name == "tepLH":
+            raise SolverError("solution failed independent verification")
+        return solve_milp(model, options)
+
+    monkeypatch.setattr(tepkit.cli, "solve_milp", fails_on_lh)
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
+                 "--out", str(out))
+    assert result.exit_code == 2
+    assert "error: scenario L,H: solution failed independent verification" \
+        in result.output
+    assert "(error)" in result.output
+    rows = sweep_rows(out)
+    assert [r[0] for r in rows] == ["L,L", "L,H", "H,L", "H,H"]
+    assert rows[1] == ["L,H", "", "", "", "", "", "", ""]
+    assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+COMMANDS = ("validate", "fit", "derate", "build", "solve", "sweep")
+
+
+def test_readme_options_exist_in_help():
+    # An option belongs to the last command named before it on its README
+    # line; an option in inline code with no command before it must exist
+    # in some command.
+    helps = {cmd: run(cmd, "--help").output for cmd in COMMANDS}
+    checked = 0
+    for line in README.read_text(encoding="utf-8").splitlines():
+        for match in re.finditer(r"(?<![\w-])--[a-z][a-z-]*", line):
+            option = match.group()
+            named = re.findall(rf"\b({'|'.join(COMMANDS)}) ", line[:match.start()])
+            if named:
+                owners = named[-1:]
+            elif line[match.start() - 1:match.start()] == "`":
+                owners = list(COMMANDS)
+            else:
+                continue  # not a tepkit option (e.g. a pip flag)
+            assert any(re.search(rf"{option}\b", helps[c]) for c in owners), \
+                f"README names {option} for {owners}: {line.strip()}"
+            checked += 1
+    assert checked >= 8

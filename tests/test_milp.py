@@ -2,12 +2,11 @@ import dataclasses
 
 import pytest
 
-from tepkit.milp import big_m, build_tep_model, generate_valid_inequalities
+from tepkit.milp import big_m, build_tep_model
 from tepkit.model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE
 from tepkit.network import LINE_EXISTING, Line
 from tepkit.scenario import RegionParams, ScenarioCode, ScenarioParams
-from tepkit.simplex import PreparedLp, STATUS_OPTIMAL
-from tepkit.solver import brute_force_solve, solve_lp, solve_milp
+from tepkit.solver import brute_force_solve, solve_milp
 
 from conftest import three_bus_net, two_bus_net, unit_params
 
@@ -193,57 +192,6 @@ def test_cross_region_line_takes_the_hotter_eta():
     assert rows["exu1"].rhs == pytest.approx(0.8)
 
 
-def test_vi_rows_hold_at_every_integer_point():
-    net = three_bus_net()
-    params = unit_params(net)
-    model, vmap = build_tep_model(net, params, 1.0)
-    cuts = generate_valid_inequalities(net, params, 3)
-    assert cuts
-    assert all(c.name.startswith(("viu", "vil")) for c in cuts)
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    prep = PreparedLp(model)
-    checked = 0
-    for mask in range(2 ** len(binaries)):
-        fixing = {nm: (float((mask >> i) & 1), float((mask >> i) & 1))
-                  for i, nm in enumerate(binaries)}
-        result = prep.solve(bound_overrides=fixing)
-        if result.status != STATUS_OPTIMAL:
-            continue
-        checked += 1
-        for cut in cuts:
-            activity = sum(coef * result.values[nm] for nm, coef in cut.terms)
-            slack = cut.rhs - activity
-            if cut.sense == SENSE_GE:
-                slack = -slack
-            assert slack >= -1e-7 * max(1.0, abs(cut.rhs)), (mask, cut.name)
-    assert checked >= 4
-
-
-def test_vis_never_cut_the_optimum_and_never_loosen_the_root():
-    net = three_bus_net()
-    params = unit_params(net)
-    model, _ = build_tep_model(net, params, 1.0)
-    cuts = generate_valid_inequalities(net, params, 3)
-    cut_model = model.with_constraints(cuts)
-    plain_root = solve_lp(model)
-    cut_root = solve_lp(cut_model)
-    assert cut_root.objective >= plain_root.objective - 1e-9
-    plain = solve_milp(model)
-    strengthened = solve_milp(cut_model)
-    assert strengthened.objective == pytest.approx(plain.objective, rel=1e-6)
-
-
-def test_vi_generator_bounds_and_counting():
-    net = three_bus_net()
-    params = unit_params(net)
-    with pytest.raises(ValueError, match="at least 2"):
-        generate_valid_inequalities(net, params, 1)
-    cuts = generate_valid_inequalities(net, params, 2)
-    names = [c.name for c in cuts]
-    assert len(names) == len(set(names))
-    assert len(cuts) % 2 == 0  # emitted in <=/>= pairs
-
-
 def test_garver_model_shape(garver):
     params = unit_params(garver)
     model, vmap = build_tep_model(garver, params, 1.0)
@@ -256,5 +204,3 @@ def test_garver_model_shape(garver):
     assert all(dict(c.terms)["z6"] == 1.0 for c in mx)
     assert {next(nm for nm, _ in c.terms if nm.startswith("y")) for c in mx} \
         == {"y10", "y11"}
-    cuts = generate_valid_inequalities(garver, params, 3)
-    assert len(cuts) == 276

@@ -106,16 +106,6 @@ def test_with_constraints_appends():
     assert [c.name for c in m.constraints] == ["c1", "c2"]
 
 
-def test_without_vi_constraints_strips_prefix():
-    m = small_model()
-    cuts = (Constraint("viu0", (("x", 1.0),), SENSE_LE, 99.0),
-            Constraint("vil0", (("x", -1.0),), SENSE_LE, 99.0))
-    m2 = m.with_constraints(cuts)
-    assert m2.without_vi_constraints().constraints == m.constraints
-    # a non-cut row whose name merely starts differently survives
-    assert m.without_vi_constraints() == m
-
-
 def test_models_equivalent_ignores_term_grouping():
     m = small_model()
     regrouped = Model(
@@ -157,12 +147,5 @@ def test_model_stats_shape():
     assert lines[0] == "model m"
     assert "variables 2 (binary 1, continuous 1)" in stats
     assert "constraints 2 (<= 1, = 0, >= 1)" in stats
-    assert "strengthening-cuts 0" in stats
     assert "nonzeros 3" in stats
     assert "objective-terms 2" in stats
-
-
-def test_model_stats_counts_cuts():
-    m = small_model().with_constraints(
-        (Constraint("viu7", (("x", 1.0),), SENSE_LE, 1.0),))
-    assert "strengthening-cuts 1" in model_stats(m)

@@ -14,14 +14,13 @@ from tepkit.network import (
     Network,
     Region,
     ValidationError,
-    enumerate_simple_paths,
     load_network,
     parse_document,
     serialize,
     to_document,
     validate,
 )
-from conftest import two_bus_net, three_bus_net
+from conftest import two_bus_net
 
 
 def test_accessors(garver):
@@ -182,43 +181,3 @@ def test_load_network_surfaces_violations():
         load_network(serialize(broken))
     assert any("generator" in v for v in err.value.violations)
 
-
-def test_simple_paths_three_bus():
-    net = three_bus_net()
-    paths = enumerate_simple_paths(net, max_edges=3)
-    as_tuples = [(p.endpoints, p.line_ids) for p in paths]
-    # single-edge paths are excluded (corridor bounds already cover them);
-    # every multi-circuit combination appears once, endpoints low->high
-    assert as_tuples == [
-        ((1, 2), (4, 2)),   # 1-3 candidate, then 3-2 existing
-        ((1, 2), (4, 3)),   # 1-3 candidate, then 3-2 candidate
-        ((1, 3), (1, 2)),
-        ((1, 3), (1, 3)),
-        ((2, 3), (1, 4)),
-    ]
-    for p in paths:
-        assert p.endpoints[0] < p.endpoints[1]
-        assert len(set(p.bus_ids)) == len(p.bus_ids)
-        assert 2 <= len(p.line_ids) <= 3
-    assert paths == enumerate_simple_paths(net, max_edges=3)
-    assert as_tuples == sorted(as_tuples)
-
-
-def test_simple_paths_respects_edge_budget():
-    net = three_bus_net()
-    short = enumerate_simple_paths(net, max_edges=2)
-    long = enumerate_simple_paths(net, max_edges=3)
-    assert set((p.endpoints, p.line_ids) for p in short) <= \
-        set((p.endpoints, p.line_ids) for p in long)
-    assert all(len(p.line_ids) <= 2 for p in short)
-
-
-def test_simple_paths_garver_counts(garver):
-    paths = enumerate_simple_paths(garver, max_edges=2)
-    # no repeated corridors inside one path, all pairs covered both ways once
-    seen = set()
-    for p in paths:
-        key = (p.endpoints, p.line_ids)
-        assert key not in seen
-        seen.add(key)
-    assert len(paths) == len(seen)

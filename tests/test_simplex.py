@@ -12,7 +12,7 @@ from tepkit.model import (
     Model,
     Variable,
 )
-from tepkit.simplex import PreparedLp, SimplexError, solve_linear_program
+from tepkit.simplex import PreparedLp, SimplexError
 
 
 def lp(variables, constraints, objective, constant=0.0, name="lp"):
@@ -29,7 +29,7 @@ def test_two_variable_optimum():
         [Constraint("c", (("x", 1.0), ("y", 1.0)), SENSE_LE, 4.0)],
         [("x", -1.0), ("y", -2.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(-6.0, abs=1e-9)
     assert r.values["x"] == pytest.approx(2.0, abs=1e-9)
@@ -43,7 +43,7 @@ def test_equality_and_free_variable():
         [Constraint("fix", (("x", 2.0), ("y", 1.0)), SENSE_EQ, 6.0)],
         [("x", 1.0), ("y", 1.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(3.0, abs=1e-8)
     assert r.values["x"] == pytest.approx(3.0, abs=1e-8)
@@ -56,7 +56,7 @@ def test_negative_lower_bounds():
         [Constraint("c", (("x", 1.0),), SENSE_GE, -3.0)],
         [("x", 1.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.values["x"] == pytest.approx(-3.0, abs=1e-9)
 
@@ -67,7 +67,7 @@ def test_fixed_variables_are_respected():
         [Constraint("c", (("x", 1.0), ("y", 1.0)), SENSE_LE, 5.0)],
         [("y", -1.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.values["x"] == pytest.approx(2.0, abs=1e-12)
     assert r.values["y"] == pytest.approx(3.0, abs=1e-9)
@@ -79,7 +79,7 @@ def test_infeasible_detection():
         [Constraint("hi", (("x", 1.0),), SENSE_GE, 2.0)],
         [("x", 1.0)],
     )
-    assert solve_linear_program(m).status == "infeasible"
+    assert PreparedLp(m).solve().status == "infeasible"
 
 
 def test_infeasible_equality_pair():
@@ -89,7 +89,7 @@ def test_infeasible_equality_pair():
          Constraint("b", (("x", 1.0),), SENSE_EQ, 4.0)],
         [("x", 1.0)],
     )
-    assert solve_linear_program(m).status == "infeasible"
+    assert PreparedLp(m).solve().status == "infeasible"
 
 
 def test_unbounded_detection():
@@ -98,7 +98,7 @@ def test_unbounded_detection():
         [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0)],
         [("x", -1.0)],
     )
-    assert solve_linear_program(m).status == "unbounded"
+    assert PreparedLp(m).solve().status == "unbounded"
 
 
 def test_no_constraints_bound_assignment():
@@ -109,19 +109,19 @@ def test_no_constraints_bound_assignment():
         [("x", 1.0), ("y", -2.0)],  # z has no cost: sits at a bound or zero
         constant=10.0,
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(10.0 - 1.0 - 4.0, abs=1e-12)
 
 
 def test_no_constraints_unbounded():
     m = lp([Variable("x", CONTINUOUS, 0.0, math.inf)], [], [("x", -1.0)])
-    assert solve_linear_program(m).status == "unbounded"
+    assert PreparedLp(m).solve().status == "unbounded"
 
 
 def test_objective_constant_carried():
     m = lp([Variable("x", CONTINUOUS, 1.0, 2.0)], [], [("x", 1.0)], constant=5.0)
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.objective == pytest.approx(6.0, abs=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_beale_cycling_example_terminates():
          Constraint("r3", (("x3", 1.0),), SENSE_LE, 1.0)],
         [("x1", -0.75), ("x2", 150.0), ("x3", -0.02), ("x4", 6.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     # optimum (1, 0, 1, 0): row2 pins x1 <= x3 <= 1
     assert r.objective == pytest.approx(-0.77, abs=1e-9)
@@ -190,15 +190,9 @@ def test_degenerate_rhs_zero():
          Constraint("cap", (("x", 1.0), ("y", 1.0)), SENSE_LE, 2.0)],
         [("x", -1.0), ("y", -1.0)],
     )
-    r = solve_linear_program(m)
+    r = PreparedLp(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(-2.0, abs=1e-9)
-
-
-def test_evaluate_objective_helper():
-    m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)], [], [("x", 2.5)], constant=1.0)
-    prep = PreparedLp(m)
-    assert prep.evaluate_objective({"x": 2.0}) == pytest.approx(6.0)
 
 
 def _random_lp(rng):
@@ -256,7 +250,7 @@ def test_randomized_against_scipy():
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for trial in range(150):
         model = _random_lp(rng)
-        mine = solve_linear_program(model)
+        mine = PreparedLp(model).solve()
         ref = scipy_solve(model)
         statuses[mine.status] += 1
         if mine.status == "optimal":

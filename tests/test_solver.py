@@ -169,19 +169,6 @@ def test_exact_ties_resolve_to_lex_smallest_reachable():
     assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
 
 
-def test_enable_vis_toggle_strips_marked_rows():
-    # a deliberately wrong "cut" that forbids the true optimum
-    m = milp(
-        [Variable("y", BINARY, 0.0, 1.0)],
-        [Constraint("viu0", (("y", -1.0),), SENSE_LE, -1.0)],  # forces y = 1
-        [("y", 1.0)],
-    )
-    with_cut = solve_milp(m, SolveOptions(enable_vis=True))
-    assert with_cut.objective == pytest.approx(1.0)
-    without = solve_milp(m, SolveOptions(enable_vis=False))
-    assert without.objective == pytest.approx(0.0)
-
-
 def test_brute_force_refuses_too_many_binaries():
     m = milp([Variable(f"y{i}", BINARY, 0.0, 1.0) for i in range(25)], [],
              [(f"y{i}", 1.0) for i in range(25)])
