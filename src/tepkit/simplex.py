@@ -118,6 +118,12 @@ class PreparedLp:
         run = _SimplexRun(self, lower, upper, feas_tol, max_iterations)
         return run.solve()
 
+    def evaluate_objective(self, values: dict[str, float]) -> float:
+        total = self.model.objective_constant
+        for name, coef in self.model.objective_terms:
+            total += coef * values[name]
+        return total
+
 
 class _SimplexRun:
     def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations):

@@ -195,6 +195,12 @@ def test_degenerate_rhs_zero():
     assert r.objective == pytest.approx(-2.0, abs=1e-9)
 
 
+def test_evaluate_objective_helper():
+    m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)], [], [("x", 2.5)], constant=1.0)
+    prep = PreparedLp(m)
+    assert prep.evaluate_objective({"x": 2.0}) == pytest.approx(6.0)
+
+
 def _random_lp(rng):
     n = int(rng.integers(2, 7))
     m_rows = int(rng.integers(1, 6))
