@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -395,13 +394,10 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
 @main.command("sweep")
 @_model_options
 @_solver_options
-@click.option("--workers", default=1, show_default=True,
-              help="Concurrent scenario solves.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
               help="Delimited report file.")
 def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
-              gap: float, time_limit: float | None, workers: int,
-              out_path: str) -> None:
+              gap: float, time_limit: float | None, out_path: str) -> None:
     """Solve every temperature scenario and emit the report table.
 
     Exits 0 when every scenario is optimal, 1 when some scenario ends with
@@ -419,17 +415,9 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
         f"# gamma_low={config.elasticity.gamma_low!r} "
         f"gamma_high={config.elasticity.gamma_high!r}",
         f"# sigma_hours={sigma_hours!r}",
-        f"# gap={gap!r} time_limit={time_limit!r} workers={workers}",
+        f"# gap={gap!r} time_limit={time_limit!r}",
     ]
-
-    def job(code: ScenarioCode) -> SweepReportRow:
-        return _sweep_row(net, code, config, sigma_hours, options)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, codes))
-    else:
-        rows = [job(code) for code in codes]
+    rows = [_sweep_row(net, code, config, sigma_hours, options) for code in codes]
 
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -129,15 +129,13 @@ def build_tep_model(
     params: ScenarioParams,
     sigma_hours: float,
     *,
-    strict_paper_capacity: bool = False,
     big_m_scale: float = 1.0,
 ) -> tuple[Model, VariableMap]:
     """Assemble the expansion MILP for one realized scenario.
 
-    strict_paper_capacity switches the reverse existing-line capacity to
-    the asymmetric form -eta*(base - expansion*z), in which reconductoring
-    shrinks reverse capacity; the default keeps expansion symmetric in
-    both directions. big_m_scale inflates the disjunctive constant for
+    Capacity expansion adds the same headroom in both flow directions,
+    since a reconductored line's thermal rating does not depend on which
+    way power flows. big_m_scale inflates the disjunctive constant for
     perturbation experiments and must be >= 1.
     """
     problems = validate(net)
@@ -220,11 +218,9 @@ def build_tep_model(
             constraints.append(
                 Constraint(f"exu{line.id}", ((flow, 1.0), (z, -cap1)), SENSE_LE, cap0)
             )
-            if strict_paper_capacity:
-                lo_terms = ((flow, 1.0), (z, -cap1))
-            else:
-                lo_terms = ((flow, 1.0), (z, cap1))
-            constraints.append(Constraint(f"exl{line.id}", lo_terms, SENSE_GE, -cap0))
+            constraints.append(
+                Constraint(f"exl{line.id}", ((flow, 1.0), (z, cap1)), SENSE_GE, -cap0)
+            )
         else:
             constraints.append(Constraint(f"exu{line.id}", ((flow, 1.0),), SENSE_LE, cap0))
             constraints.append(Constraint(f"exl{line.id}", ((flow, 1.0),), SENSE_GE, -cap0))

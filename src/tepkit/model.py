@@ -8,7 +8,7 @@ exported and solved externally without rebuilding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -48,9 +48,6 @@ class Model:
 
     def binaries(self) -> list[Variable]:
         return [v for v in self.variables if v.kind == BINARY]
-
-    def with_constraints(self, extra: list[Constraint]) -> "Model":
-        return replace(self, constraints=self.constraints + tuple(extra))
 
 
 class ModelError(ValueError):

@@ -2,9 +2,12 @@
 
 The engine solves  minimize c'x  subject to row constraints and variable
 bounds, with no third-party solver behind it. Rows are turned into
-equalities with one slack each (bounded by the row sense), an initial
-basis is crashed from the slacks, and rows whose slack value starts out
-of range get a signed artificial driven out in phase 1.
+equalities with one slack each (bounded by the row sense) and the slacks
+form the starting basis, even where a slack starts outside its bounds.
+Phase 1 then minimizes the total bound violation of the basic variables,
+re-pricing after every step; a violating variable may move further out
+and blocks only at the bound it violates (the composite phase 1 of
+Maros, Computational Techniques of the Simplex Method, 2003).
 
 The tableau B^-1*A is kept dense and updated by rank-1 pivots; it is
 refactorized from the original columns periodically and again before an
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, SENSE_EQ, SENSE_GE, SENSE_LE, check_model
+from .model import Model, SENSE_GE, SENSE_LE, check_model
 
 # Column states. A nonbasic column sits at one of its bounds (or at zero
 # when it has none); basic columns take whatever value balances the rows.
@@ -28,6 +31,7 @@ _AT_FREE = 2
 _BASIC = 3
 
 _PIVOT_TOL = 1e-9
+_PRIMAL_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
 _RATIO_TIE = 1e-12
 _BLAND_AFTER = 40
@@ -64,9 +68,7 @@ class PreparedLp:
         m = len(model.constraints)
         self.n = n
         self.m = m
-        cols = n + 2 * m  # structurals, slacks, artificials
-        self.slack0 = n
-        self.art0 = n + m
+        cols = n + m  # structurals, then one slack per row
 
         a = np.zeros((m, cols))
         b = np.zeros(m)
@@ -79,7 +81,7 @@ class PreparedLp:
             for name, coef in con.terms:
                 a[i, self.var_index[name]] += coef
             b[i] = con.rhs
-            s = self.slack0 + i
+            s = n + i
             a[i, s] = 1.0
             if con.sense == SENSE_LE:
                 lower[s], upper[s] = 0.0, math.inf
@@ -87,8 +89,6 @@ class PreparedLp:
                 lower[s], upper[s] = -math.inf, 0.0
             else:
                 lower[s], upper[s] = 0.0, 0.0
-        # Artificial columns are filled in per solve; their sign depends on
-        # the starting residual of the row they repair.
         cost = np.zeros(cols)
         for name, coef in model.objective_terms:
             cost[self.var_index[name]] += coef
@@ -118,20 +118,17 @@ class PreparedLp:
         run = _SimplexRun(self, lower, upper, feas_tol, max_iterations)
         return run.solve()
 
-    def evaluate_objective(self, values: dict[str, float]) -> float:
-        total = self.model.objective_constant
-        for name, coef in self.model.objective_terms:
-            total += coef * values[name]
-        return total
-
 
 class _SimplexRun:
     def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations):
         self.prep = prep
         self.m = prep.m
-        self.cols = prep._a.shape[1]
+        self.cols = prep.n + prep.m
+        self.a = prep._a
+        self.b = prep._b
         self.lower = lower
         self.upper = upper
+        self.fixed = upper - lower <= 0.0
         self.feas_tol = feas_tol
         self.max_iterations = max_iterations
         self.iterations = 0
@@ -141,60 +138,17 @@ class _SimplexRun:
     # -- setup ------------------------------------------------------------
 
     def _crash(self) -> None:
-        """Start from the slack basis; rows whose slack value falls outside
-        its bounds get a basic signed artificial instead."""
-        prep = self.prep
-        m, cols = self.m, self.cols
-        self.a = prep._a.copy()
-        self.b = prep._b
-
-        status = np.empty(cols, dtype=np.int8)
-        for j in range(cols):
-            if math.isfinite(self.lower[j]):
-                status[j] = _AT_LOWER
-            elif math.isfinite(self.upper[j]):
-                status[j] = _AT_UPPER
-            else:
-                status[j] = _AT_FREE
-        self.status = status
-
-        residual = self.b - self.a @ self._nonbasic_values()
-        basis = np.empty(m, dtype=np.int64)
-        x_basic = np.empty(m)
-        art_rows = []
-        for i in range(m):
-            s = prep.slack0 + i
-            if self.lower[s] <= residual[i] <= self.upper[s]:
-                basis[i] = s
-                x_basic[i] = residual[i]
-            else:
-                # slack stays nonbasic at zero; the artificial absorbs the
-                # residual with a positive value
-                r = prep.art0 + i
-                sign = 1.0 if residual[i] >= 0.0 else -1.0
-                self.a[i, r] = sign
-                self.lower[r] = 0.0
-                self.upper[r] = math.inf
-                basis[i] = r
-                x_basic[i] = abs(residual[i])
-                art_rows.append(i)
-        # unused artificials stay pinned at zero
-        for i in range(m):
-            r = prep.art0 + i
-            if basis[i] != r:
-                self.lower[r] = 0.0
-                self.upper[r] = 0.0
-        self.status[prep.art0 :] = _AT_LOWER
-        for i in range(m):
-            self.status[basis[i]] = _BASIC
-
-        self.basis = basis
-        self.x_basic = x_basic
+        """Start from the slack basis, whether or not each slack's starting
+        value lies within its bounds; phase 1 repairs the ones that do not."""
+        self.status = np.where(
+            np.isfinite(self.lower),
+            _AT_LOWER,
+            np.where(np.isfinite(self.upper), _AT_UPPER, _AT_FREE),
+        ).astype(np.int8)
+        self.basis = np.arange(self.prep.n, self.cols)
+        self.status[self.basis] = _BASIC
+        self.x_basic = self.b - self.a @ self._nonbasic_values()
         self.tableau = self.a.copy()
-        for i in art_rows:
-            if self.a[i, prep.art0 + i] < 0.0:
-                self.tableau[i] *= -1.0
-        self.has_artificials = bool(art_rows)
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.cols)
@@ -203,6 +157,17 @@ class _SimplexRun:
         v[at_lo] = self.lower[at_lo]
         v[at_up] = self.upper[at_up]
         return v
+
+    def _violations(self):
+        """Masks of the basic variables below their lower and above their
+        upper bound, and the total violation."""
+        x = self.x_basic
+        shortfall = self.lower[self.basis] - x
+        excess = x - self.upper[self.basis]
+        below = shortfall > _PRIMAL_TOL
+        above = excess > _PRIMAL_TOL
+        total = float(shortfall[below].sum() + excess[above].sum())
+        return below, above, total
 
     # -- linear algebra ---------------------------------------------------
 
@@ -224,11 +189,10 @@ class _SimplexRun:
     # -- pivoting ---------------------------------------------------------
 
     def _choose_entering(self, z: np.ndarray, dtol: float, bland: bool):
-        fixed = self.upper - self.lower <= 0.0
         up_ok = (self.status == _AT_LOWER) & (z < -dtol)
         dn_ok = (self.status == _AT_UPPER) & (z > dtol)
         fr_ok = (self.status == _AT_FREE) & (np.abs(z) > dtol)
-        eligible = (up_ok | dn_ok | fr_ok) & ~fixed
+        eligible = (up_ok | dn_ok | fr_ok) & ~self.fixed
         if not eligible.any():
             return None
         if bland:
@@ -239,25 +203,29 @@ class _SimplexRun:
         direction = 1.0 if z[q] < 0.0 else -1.0
         return q, direction
 
-    def _ratio_test(self, q: int, direction: float, bland: bool):
+    def _ratio_test(self, q: int, direction: float, bland: bool, below, above):
+        """Longest step the entering column can take. A basic variable
+        moving down stops at its lower bound, or at its upper bound when it
+        starts above it; moving up, symmetrically. One that violates a
+        bound and moves further out does not block."""
         e = direction * self.tableau[:, q]
-        lo_b = self.lower[self.basis]
-        up_b = self.upper[self.basis]
+        down = e > _PIVOT_TOL
+        up = e < -_PIVOT_TOL
+        to_upper = (down & above) | (up & ~below)
+        target = np.where(to_upper, self.upper[self.basis], self.lower[self.basis])
+        blocks = ((down & ~below) | (up & ~above)) & np.isfinite(target)
         ratios = np.full(self.m, math.inf)
-        dec = (e > _PIVOT_TOL) & np.isfinite(lo_b)
-        inc = (e < -_PIVOT_TOL) & np.isfinite(up_b)
-        ratios[dec] = (self.x_basic[dec] - lo_b[dec]) / e[dec]
-        ratios[inc] = (self.x_basic[inc] - up_b[inc]) / e[inc]
+        ratios[blocks] = (self.x_basic[blocks] - target[blocks]) / e[blocks]
         np.maximum(ratios, 0.0, out=ratios)
 
         row_min = ratios.min() if self.m else math.inf
         own_range = self.upper[q] - self.lower[q]
         if own_range <= row_min:
             if math.isinf(own_range):
-                return None, math.inf, e
-            return -1, own_range, e  # bound flip, no basis change
+                return None, math.inf, e, None
+            return -1, own_range, e, None  # bound flip, no basis change
         if math.isinf(row_min):
-            return None, math.inf, e
+            return None, math.inf, e, None
         near = np.flatnonzero(ratios <= row_min + _RATIO_TIE)
         if bland:
             best = near[np.argmin(self.basis[near])]
@@ -266,7 +234,8 @@ class _SimplexRun:
             ties = near[np.abs(e[near]) >= abs(e[best]) - _RATIO_TIE]
             if len(ties) > 1:
                 best = ties[np.argmin(self.basis[ties])]
-        return int(best), row_min, e
+        leaves_at = _AT_UPPER if to_upper[best] else _AT_LOWER
+        return int(best), row_min, e, leaves_at
 
     def _entering_value(self, q: int) -> float:
         st = self.status[q]
@@ -276,16 +245,10 @@ class _SimplexRun:
             return self.upper[q]
         return 0.0
 
-    def _pivot(self, q: int, direction: float, row: int, step: float, e, z):
+    def _pivot(self, q: int, direction: float, row: int, step: float, e, z, leaves_at):
         new_value = self._entering_value(q) + direction * step
         self.x_basic -= step * e
-        leaving = self.basis[row]
-        self.status[leaving] = _AT_LOWER if e[row] > 0.0 else _AT_UPPER
-        if leaving >= self.prep.art0:
-            # a departed artificial must never re-enter
-            self.lower[leaving] = 0.0
-            self.upper[leaving] = 0.0
-            self.status[leaving] = _AT_LOWER
+        self.status[self.basis[row]] = leaves_at
 
         alpha = self.tableau[row, q]
         if abs(alpha) <= _PIVOT_TOL:
@@ -305,12 +268,31 @@ class _SimplexRun:
 
     # -- phases -----------------------------------------------------------
 
-    def _run_phase(self, cost: np.ndarray, dtol: float) -> str:
-        z = self._reduced_costs(cost)
+    def _run_phase(self, phase1: bool) -> str:
+        """Iterate to optimality. Phase 1 prices the current violations,
+        so its cost is rebuilt after every step and it stops as soon as no
+        basic variable violates a bound; phase 2 prices the objective."""
+        if phase1:
+            dtol = 1e-9
+        else:
+            cost = self.prep._cost
+            dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
+            below = above = np.zeros(self.m, dtype=bool)
+        z = None
         retries = 0
         while True:
             if self.iterations >= self.max_iterations:
                 raise SimplexError(f"iteration limit {self.max_iterations} exceeded")
+            if phase1:
+                below, above, _ = self._violations()
+                if not (below.any() or above.any()):
+                    return STATUS_OPTIMAL
+                cost = np.zeros(self.cols)
+                cost[self.basis[below]] = -1.0
+                cost[self.basis[above]] = 1.0
+                z = None
+            if z is None:
+                z = self._reduced_costs(cost)
             bland = self.degenerate_streak >= _BLAND_AFTER
             pick = self._choose_entering(z, dtol, bland)
             if pick is None:
@@ -318,11 +300,11 @@ class _SimplexRun:
                 if self.pivots_since_refactor == 0 or retries >= _OPTIMALITY_RETRIES:
                     return STATUS_OPTIMAL
                 self._refactorize()
-                z = self._reduced_costs(cost)
+                z = None
                 retries += 1
                 continue
             q, direction = pick
-            row, step, e = self._ratio_test(q, direction, bland)
+            row, step, e, leaves_at = self._ratio_test(q, direction, bland, below, above)
             if row is None:
                 return STATUS_UNBOUNDED
             self.iterations += 1
@@ -334,80 +316,28 @@ class _SimplexRun:
                 self.x_basic -= step * e
                 self.status[q] = _AT_UPPER if direction > 0.0 else _AT_LOWER
             else:
-                self._pivot(q, direction, row, step, e, z)
+                self._pivot(q, direction, row, step, e, z, leaves_at)
                 if self.pivots_since_refactor >= _REFACTOR_EVERY:
                     self._refactorize()
-                    z = self._reduced_costs(cost)
-
-    def _drive_out_artificials(self) -> None:
-        """Pivot basic artificials onto real columns where possible, then
-        pin every artificial at zero so phase 2 cannot touch them."""
-        art0 = self.prep.art0
-        for row in range(self.m):
-            if self.basis[row] < art0:
-                continue
-            candidates = np.abs(self.tableau[row, :art0])
-            candidates[self.status[:art0] == _BASIC] = 0.0
-            candidates[self.upper[:art0] - self.lower[:art0] <= 0.0] = 0.0
-            q = int(np.argmax(candidates))
-            if candidates[q] > _PIVOT_TOL:
-                z = np.zeros(self.cols)
-                e = self.tableau[:, q].copy()
-                self._pivot(q, 1.0, row, 0.0, e, z)
-        self.lower[art0:] = 0.0
-        self.upper[art0:] = 0.0
+                    z = None
 
     # -- driver -----------------------------------------------------------
 
     def solve(self) -> LpResult:
-        if self.m == 0:
-            return self._solve_without_rows()
         self._crash()
-
-        if self.has_artificials:
-            cost1 = np.zeros(self.cols)
-            cost1[self.prep.art0 :] = 1.0
-            status = self._run_phase(cost1, 1e-9)
-            if status == STATUS_UNBOUNDED:
-                raise SimplexError("phase 1 reported unbounded")
-            art_total = float(cost1[self.basis] @ self.x_basic)
-            scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
-            if art_total > self.feas_tol * scale:
-                return LpResult(STATUS_INFEASIBLE, None, {}, self.iterations)
-            self._drive_out_artificials()
-
-        cost = np.zeros(self.cols)
-        cost[: self.prep.n] = self.prep._cost[: self.prep.n]
-        dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
-        status = self._run_phase(cost, dtol)
-        if status == STATUS_UNBOUNDED:
+        if self._run_phase(phase1=True) == STATUS_UNBOUNDED:
+            raise SimplexError("phase 1 reported unbounded")
+        scale = max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0
+        if self._violations()[2] > self.feas_tol * scale:
+            return LpResult(STATUS_INFEASIBLE, None, {}, self.iterations)
+        if self._run_phase(phase1=False) == STATUS_UNBOUNDED:
             return LpResult(STATUS_UNBOUNDED, None, {}, self.iterations)
-        return self._finish(cost)
+        return self._finish()
 
-    def _finish(self, cost: np.ndarray) -> LpResult:
+    def _finish(self) -> LpResult:
         values_all = self._nonbasic_values()
         values_all[self.basis] = self.x_basic
         names = self.prep.names
         values = {names[j]: float(values_all[j]) for j in range(self.prep.n)}
-        objective = float(cost @ values_all) + self.prep.model.objective_constant
+        objective = float(self.prep._cost @ values_all) + self.prep.model.objective_constant
         return LpResult(STATUS_OPTIMAL, objective, values, self.iterations)
-
-    def _solve_without_rows(self) -> LpResult:
-        values: dict[str, float] = {}
-        objective = self.prep.model.objective_constant
-        for j, name in enumerate(self.prep.names):
-            c = self.prep._cost[j]
-            lo, up = self.lower[j], self.upper[j]
-            if lo > up:
-                return LpResult(STATUS_INFEASIBLE, None, {}, 0)
-            if c > 0.0:
-                x = lo
-            elif c < 0.0:
-                x = up
-            else:
-                x = lo if math.isfinite(lo) else (up if math.isfinite(up) else 0.0)
-            if not math.isfinite(x):
-                return LpResult(STATUS_UNBOUNDED, None, {}, 0)
-            values[name] = float(x)
-            objective += c * x
-        return LpResult(STATUS_OPTIMAL, float(objective), values, 0)

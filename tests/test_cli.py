@@ -218,16 +218,6 @@ def test_sweep_garver_table(garver_doc, tmp_path):
     assert "$ " in result.output  # human table renders in billions
 
 
-def test_sweep_parallel_matches_serial(garver_doc, tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
-        "--out", str(serial))
-    run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
-        "--workers", "3", "--out", str(parallel))
-    assert sweep_rows(serial) == sweep_rows(parallel)
-
-
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     out = tmp_path / "tight.csv"
     result = run("sweep", "--network", tight_doc,

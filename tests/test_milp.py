@@ -120,15 +120,6 @@ def test_conservation_at_optimum():
     assert total_gen == pytest.approx(total_demand, abs=1e-6)
 
 
-def test_strict_capacity_flips_reverse_expansion_sign():
-    default, _ = build_three_bus()
-    strict, _ = build_three_bus(strict_paper_capacity=True)
-    assert dict(row_by_name(default)["exl1"].terms)["z1"] == pytest.approx(0.4)
-    assert dict(row_by_name(strict)["exl1"].terms)["z1"] == pytest.approx(-0.4)
-    # everything else is identical
-    assert row_by_name(strict)["exu1"] == row_by_name(default)["exu1"]
-
-
 def test_big_m_scale_does_not_move_the_optimum():
     base, _ = build_three_bus()
     inflated, _ = build_three_bus(big_m_scale=2.0)

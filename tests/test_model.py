@@ -98,14 +98,6 @@ def test_variable_index_and_binaries():
     assert [v.name for v in m.binaries()] == ["y"]
 
 
-def test_with_constraints_appends():
-    m = small_model()
-    extra = Constraint("c3", (("y", 1.0),), SENSE_LE, 1.0)
-    m2 = m.with_constraints([extra])
-    assert [c.name for c in m2.constraints] == ["c1", "c2", "c3"]
-    assert [c.name for c in m.constraints] == ["c1", "c2"]
-
-
 def test_models_equivalent_ignores_term_grouping():
     m = small_model()
     regrouped = Model(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,12 +196,6 @@ def test_degenerate_rhs_zero():
     assert r.objective == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_evaluate_objective_helper():
-    m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)], [], [("x", 2.5)], constant=1.0)
-    prep = PreparedLp(m)
-    assert prep.evaluate_objective({"x": 2.0}) == pytest.approx(6.0)
-
-
 def _random_lp(rng):
     n = int(rng.integers(2, 7))
     m_rows = int(rng.integers(1, 6))
@@ -252,13 +247,8 @@ def test_randomized_against_scipy():
             b_eq=np.array(b_eq) if b_eq else None,
             bounds=bounds, method="highs")
 
-    rng = np.random.default_rng(2024)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for trial in range(150):
-        model = _random_lp(rng)
-        mine = PreparedLp(model).solve()
+    def check(mine, model, trial):
         ref = scipy_solve(model)
-        statuses[mine.status] += 1
         if mine.status == "optimal":
             assert ref.status == 0, f"trial {trial}: scipy disagrees ({ref.status})"
             assert mine.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7), \
@@ -271,10 +261,49 @@ def test_randomized_against_scipy():
         else:
             feas = scipy_solve(replace_objective(model))
             assert feas.status == 2, f"trial {trial}: scipy found a point"
+
+    rng = np.random.default_rng(2024)
+    # a separate stream, so the base instances do not depend on the overrides
+    override_rng = np.random.default_rng(7)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    resolved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for trial in range(150):
+        model = _random_lp(rng)
+        prep = PreparedLp(model)
+        mine = prep.solve()
+        statuses[mine.status] += 1
+        check(mine, model, trial)
+        # re-solve through the same compiled LP with some bounds replaced,
+        # as branch and bound does at every node
+        overrides = _random_overrides(override_rng, model)
+        again = prep.solve(bound_overrides=overrides)
+        resolved[again.status] += 1
+        check(again, with_bounds(model, overrides), f"{trial} {overrides}")
     # the generator must exercise every outcome for this test to mean much
     assert min(statuses.values()) >= 5, statuses
+    assert min(resolved.values()) >= 5, resolved
+
+
+def _random_overrides(rng, model):
+    picked = rng.choice(len(model.variables),
+                        size=int(rng.integers(1, min(3, len(model.variables)) + 1)),
+                        replace=False)
+    overrides = {}
+    for j in picked:
+        lo = float(rng.uniform(-4, 2))
+        # half of the overrides fix the variable, as a branching decision does
+        up = lo if rng.random() < 0.5 else lo + float(rng.uniform(0, 4))
+        overrides[model.variables[j].name] = (lo, up)
+    return overrides
+
+
+def with_bounds(model, overrides):
+    variables = tuple(
+        dataclasses.replace(v, lower=overrides[v.name][0], upper=overrides[v.name][1])
+        if v.name in overrides else v
+        for v in model.variables)
+    return dataclasses.replace(model, variables=variables)
 
 
 def replace_objective(model):
-    import dataclasses
     return dataclasses.replace(model, objective_terms=())
