@@ -37,7 +37,7 @@ from .scenario import (
     load_scenario_config,
     realize_scenario,
 )
-from .simplex import SimplexError
+from .simplex import Basis, SimplexError
 from .solver import SolveOptions, SolverError, format_solution, solve_milp
 from . import thermal
 
@@ -361,15 +361,18 @@ class SweepReportRow:
 
 
 def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
-               sigma_hours: float, options: SolveOptions) -> SweepReportRow:
+               sigma_hours: float, options: SolveOptions,
+               start: Basis | None) -> tuple[SweepReportRow, Basis | None]:
+    """Solve one scenario with its root LP started from `start`; return its
+    row and its root LP's final basis (`start` again if the engine fails)."""
     model, vmap = _assemble(net, code, config, sigma_hours)
     try:
-        sol = solve_milp(model, options)
+        sol = solve_milp(model, options, start=start)
     except (SimplexError, SolverError) as exc:
         click.echo(f"error: scenario {code}: {exc}", err=True)
-        return SweepReportRow(str(code), "error", *[None] * 7)
+        return SweepReportRow(str(code), "error", *[None] * 7), start
     if not sol.values:
-        return SweepReportRow(str(code), sol.status, *[None] * 7)
+        return SweepReportRow(str(code), sol.status, *[None] * 7), sol.root_basis
 
     built = [l for l in net.candidate_lines() if sol.values[vmap.build(l.id)] >= 0.5]
     expanded = [l for l in net.expandable_lines()
@@ -382,13 +385,14 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
     ) * sigma_hours
     gen_cost = _micro(gen_mwh_cost)
     total_exp = new_line_cost + cap_exp_cost
-    return SweepReportRow(
+    row = SweepReportRow(
         scenario=str(code), status=sol.status,
         new_lines_built=len(built), cap_exp_built=len(expanded),
         new_line_cost=new_line_cost, cap_exp_cost=cap_exp_cost,
         total_exp_cost=total_exp, gen_cost=gen_cost,
         total_cost=total_exp + gen_cost,
     )
+    return row, sol.root_basis
 
 
 @main.command("sweep")
@@ -417,7 +421,13 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
         f"# sigma_hours={sigma_hours!r}",
         f"# gap={gap!r} time_limit={time_limit!r}",
     ]
-    rows = [_sweep_row(net, code, config, sigma_hours, options) for code in codes]
+    # Every scenario model of one network has the same columns and rows,
+    # so each root LP starts from the previous scenario's root basis.
+    rows = []
+    start = None
+    for code in codes:
+        row, start = _sweep_row(net, code, config, sigma_hours, options, start)
+        rows.append(row)
 
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

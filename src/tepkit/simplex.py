@@ -9,14 +9,23 @@ re-pricing after every step; a violating variable may move further out
 and blocks only at the bound it violates (the composite phase 1 of
 Maros, Computational Techniques of the Simplex Method, 2003).
 
+A solve may start from any basis, such as the final basis of a related
+LP (a branch-and-bound parent, the previous brute-force assignment, or a
+neighbouring scenario); the slack basis is the default start. Each
+nonbasic column keeps its bound status where the new bounds allow it, and
+the same phase 1 repairs any basic variable the new bounds put out of
+range.
+
 The tableau B^-1*A is kept dense and updated by rank-1 pivots; it is
-refactorized from the original columns periodically and again before an
-optimality claim, so accumulated drift cannot produce a false optimum.
+refactorized from the original columns at the start, periodically, and
+again before an optimality claim, so accumulated drift cannot produce a
+false optimum.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +50,21 @@ _OPTIMALITY_RETRIES = 5
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
+STATUS_TIME_LIMIT = "time_limit"
 
 
 class SimplexError(RuntimeError):
     """Iteration limit hit or the basis became numerically unusable."""
+
+
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis: the basic column of each row and the bound status of
+    every column (structurals, then one slack per row). It holds no
+    factorization, so it is cheap to keep for many open nodes."""
+
+    columns: tuple[int, ...]
+    status: bytes
 
 
 @dataclass(frozen=True)
@@ -53,6 +73,7 @@ class LpResult:
     objective: float | None
     values: dict[str, float]
     iterations: int
+    basis: Basis  # the final basis, whatever the status
 
 
 class PreparedLp:
@@ -98,6 +119,9 @@ class PreparedLp:
         self._lower = lower
         self._upper = upper
         self._cost = cost
+        status = np.full(cols, _AT_LOWER, dtype=np.int8)
+        status[n:] = _BASIC
+        self.slack_basis = Basis(tuple(range(n, cols)), status.tobytes())
 
     def solve(
         self,
@@ -105,7 +129,20 @@ class PreparedLp:
         *,
         feas_tol: float = 1e-7,
         max_iterations: int = 20000,
+        start: Basis | None = None,
+        deadline: float | None = None,
     ) -> LpResult:
+        """Solve under the model's bounds with `bound_overrides` applied,
+        starting from `start` (the slack basis by default). A start whose
+        basis matrix is singular here falls back to the slack basis. When
+        `time.monotonic()` passes `deadline`, the solve stops with status
+        time_limit."""
+        if start is None:
+            start = self.slack_basis
+        elif len(start.columns) != self.m or len(start.status) != self.n + self.m:
+            raise ValueError(
+                f"start basis has {len(start.columns)} rows and {len(start.status)} "
+                f"columns; this LP has {self.m} and {self.n + self.m}")
         lower = self._lower.copy()
         upper = self._upper.copy()
         if bound_overrides:
@@ -115,12 +152,12 @@ class PreparedLp:
                 upper[j] = up
                 if lo > up:
                     raise ValueError(f"override for {name!r} has lower > upper")
-        run = _SimplexRun(self, lower, upper, feas_tol, max_iterations)
-        return run.solve()
+        run = _SimplexRun(self, lower, upper, feas_tol, max_iterations, deadline)
+        return run.solve(start)
 
 
 class _SimplexRun:
-    def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations):
+    def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations, deadline):
         self.prep = prep
         self.m = prep.m
         self.cols = prep.n + prep.m
@@ -131,24 +168,28 @@ class _SimplexRun:
         self.fixed = upper - lower <= 0.0
         self.feas_tol = feas_tol
         self.max_iterations = max_iterations
+        self.deadline = deadline
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.degenerate_streak = 0
 
     # -- setup ------------------------------------------------------------
 
-    def _crash(self) -> None:
-        """Start from the slack basis, whether or not each slack's starting
-        value lies within its bounds; phase 1 repairs the ones that do not."""
+    def _load(self, start: Basis) -> None:
+        """Take the start's basis, whether or not each basic value lies
+        within its bounds (phase 1 repairs the ones that do not). A nonbasic
+        column keeps its bound where that bound is finite, else takes the
+        other finite bound, else sits free at zero."""
+        status = np.frombuffer(start.status, dtype=np.int8)
+        has_lo = np.isfinite(self.lower)
+        has_up = np.isfinite(self.upper)
+        want_up = ((status == _AT_UPPER) & has_up) | ~has_lo
         self.status = np.where(
-            np.isfinite(self.lower),
-            _AT_LOWER,
-            np.where(np.isfinite(self.upper), _AT_UPPER, _AT_FREE),
+            want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER
         ).astype(np.int8)
-        self.basis = np.arange(self.prep.n, self.cols)
+        self.basis = np.array(start.columns, dtype=np.intp)
         self.status[self.basis] = _BASIC
-        self.x_basic = self.b - self.a @ self._nonbasic_values()
-        self.tableau = self.a.copy()
+        self._refactorize()
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.cols)
@@ -172,13 +213,21 @@ class _SimplexRun:
     # -- linear algebra ---------------------------------------------------
 
     def _refactorize(self) -> None:
-        basis_cols = self.a[:, self.basis]
+        """Recompute B^-1*A and the basic values from the original columns,
+        with one LAPACK solve on [A_N | b - A_N*x_N]; the basic columns of
+        B^-1*A are the identity."""
+        nonbasic = np.flatnonzero(self.status != _BASIC)
+        residual = self.b - self.a @ self._nonbasic_values()
         try:
-            self.tableau = np.linalg.solve(basis_cols, self.a)
-            residual = self.b - self.a @ self._nonbasic_values()
-            self.x_basic = np.linalg.solve(basis_cols, residual)
+            solved = np.linalg.solve(
+                self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
+            )
         except np.linalg.LinAlgError as exc:
             raise SimplexError("basis matrix became singular") from exc
+        self.tableau = np.zeros((self.m, self.cols))
+        self.tableau[:, nonbasic] = solved[:, :-1]
+        self.tableau[np.arange(self.m), self.basis] = 1.0
+        self.x_basic = solved[:, -1].copy()
         self.pivots_since_refactor = 0
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
@@ -283,6 +332,8 @@ class _SimplexRun:
         while True:
             if self.iterations >= self.max_iterations:
                 raise SimplexError(f"iteration limit {self.max_iterations} exceeded")
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return STATUS_TIME_LIMIT
             if phase1:
                 below, above, _ = self._violations()
                 if not (below.any() or above.any()):
@@ -323,16 +374,26 @@ class _SimplexRun:
 
     # -- driver -----------------------------------------------------------
 
-    def solve(self) -> LpResult:
-        self._crash()
-        if self._run_phase(phase1=True) == STATUS_UNBOUNDED:
+    def solve(self, start: Basis) -> LpResult:
+        try:
+            self._load(start)
+        except SimplexError:  # singular here: B = I never is
+            self._load(self.prep.slack_basis)
+        status = self._run_phase(phase1=True)
+        if status == STATUS_UNBOUNDED:
             raise SimplexError("phase 1 reported unbounded")
-        scale = max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0
-        if self._violations()[2] > self.feas_tol * scale:
-            return LpResult(STATUS_INFEASIBLE, None, {}, self.iterations)
-        if self._run_phase(phase1=False) == STATUS_UNBOUNDED:
-            return LpResult(STATUS_UNBOUNDED, None, {}, self.iterations)
+        if status == STATUS_OPTIMAL:
+            scale = max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0
+            if self._violations()[2] > self.feas_tol * scale:
+                status = STATUS_INFEASIBLE
+            else:
+                status = self._run_phase(phase1=False)
+        if status != STATUS_OPTIMAL:
+            return LpResult(status, None, {}, self.iterations, self._final_basis())
         return self._finish()
+
+    def _final_basis(self) -> Basis:
+        return Basis(tuple(self.basis.tolist()), self.status.tobytes())
 
     def _finish(self) -> LpResult:
         values_all = self._nonbasic_values()
@@ -340,4 +401,5 @@ class _SimplexRun:
         names = self.prep.names
         values = {names[j]: float(values_all[j]) for j in range(self.prep.n)}
         objective = float(self.prep._cost @ values_all) + self.prep.model.objective_constant
-        return LpResult(STATUS_OPTIMAL, objective, values, self.iterations)
+        return LpResult(STATUS_OPTIMAL, objective, values, self.iterations,
+                        self._final_basis())

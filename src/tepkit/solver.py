@@ -15,9 +15,11 @@ from dataclasses import dataclass, field, replace
 
 from .model import BINARY, CONTINUOUS, Model, SENSE_EQ, SENSE_GE, SENSE_LE
 from .simplex import (
+    Basis,
     PreparedLp,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
 )
 
@@ -62,6 +64,9 @@ class Solution:
     best_bound: float | None
     values: dict[str, float] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
+    # final basis of the root LP: a start for a model with the same columns
+    # and rows, such as another scenario of the same network
+    root_basis: Basis | None = None
 
 
 @dataclass(frozen=True)
@@ -135,18 +140,33 @@ def _tie_tol(reference: float) -> float:
     return 1e-9 * max(1.0, abs(reference))
 
 
-def solve_lp(model: Model, options: SolveOptions | None = None) -> Solution:
+def _deadline(started: float, options: SolveOptions) -> float | None:
+    if options.time_limit_s is None:
+        return None
+    return started + options.time_limit_s
+
+
+def solve_lp(
+    model: Model, options: SolveOptions | None = None, *, start: Basis | None = None
+) -> Solution:
     """Solve the continuous relaxation (binaries become their [0, 1] box)."""
     opts = options or SolveOptions()
-    start = time.monotonic()
-    result = PreparedLp(model).solve(feas_tol=opts.feas_tol)
-    wall = time.monotonic() - start
+    started = time.monotonic()
+    result = PreparedLp(model).solve(
+        feas_tol=opts.feas_tol, start=start, deadline=_deadline(started, opts)
+    )
+    wall = time.monotonic() - started
     stats = {"nodes": 0, "simplex_iterations": result.iterations, "wall_s": wall}
-    if result.status == STATUS_INFEASIBLE:
-        return Solution(INFEASIBLE, None, None, {}, stats)
-    if result.status == STATUS_UNBOUNDED:
-        return Solution(UNBOUNDED, None, None, {}, stats)
-    sol = Solution(OPTIMAL, result.objective, result.objective, result.values, stats)
+    status = {
+        STATUS_INFEASIBLE: INFEASIBLE,
+        STATUS_UNBOUNDED: UNBOUNDED,
+        STATUS_TIME_LIMIT: TIME_LIMIT,
+    }.get(result.status)
+    if status is not None:
+        return Solution(status, None, None, {}, stats, result.basis)
+    sol = Solution(
+        OPTIMAL, result.objective, result.objective, result.values, stats, result.basis
+    )
     relaxed = replace(
         model,
         variables=tuple(
@@ -157,12 +177,30 @@ def solve_lp(model: Model, options: SolveOptions | None = None) -> Solution:
 
 
 class _StopSearch(Exception):
-    def __init__(self, status: str):
+    """A limit ended the search while the node with this bound was open."""
+
+    def __init__(self, status: str, bound: float):
         self.status = status
+        self.bound = bound
 
 
 class _Unbounded(Exception):
     pass
+
+
+_Fixings = tuple[tuple[str, int], ...]
+
+
+def _better(objective: float, vec: tuple[int, ...], best_obj: float | None,
+            best_vec: tuple[int, ...] | None) -> bool:
+    """Whether a point beats the best so far; exact objective ties go to the
+    lexicographically smallest binary vector."""
+    if best_obj is None:
+        return True
+    tol = _tie_tol(best_obj)
+    if objective < best_obj - tol:
+        return True
+    return objective <= best_obj + tol and vec < best_vec
 
 
 class _BranchAndBound:
@@ -171,42 +209,35 @@ class _BranchAndBound:
         self.options = options
         self.prep = PreparedLp(model)
         self.binary_names = [v.name for v in model.binaries()]
-        self.heap: list[tuple[float, int, tuple[tuple[str, int], ...]]] = []
+        # open nodes: (bound, push order, fixings, the parent's final basis)
+        self.heap: list[tuple[float, int, _Fixings, Basis | None]] = []
         self.push_count = 0
+        self.root_basis: Basis | None = None
         self.incumbent_obj: float | None = None
         self.incumbent_vec: tuple[int, ...] | None = None
         self.incumbent_values: dict[str, float] = {}
         self.nodes = 0
         self.iterations = 0
         self.start = time.monotonic()
+        self.deadline = _deadline(self.start, options)
         self.stop_bound: float | None = None
+        self.interrupted_bound = math.inf
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _check_limits(self) -> None:
-        opts = self.options
-        if opts.time_limit_s is not None and time.monotonic() - self.start > opts.time_limit_s:
-            raise _StopSearch(TIME_LIMIT)
-        if opts.node_limit is not None and self.nodes >= opts.node_limit:
-            raise _StopSearch(NODE_LIMIT)
+    def _check_limits(self, bound: float) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _StopSearch(TIME_LIMIT, bound)
+        if self.options.node_limit is not None and self.nodes >= self.options.node_limit:
+            raise _StopSearch(NODE_LIMIT, bound)
 
-    def _push(self, bound: float, fixings: tuple[tuple[str, int], ...]) -> None:
-        heapq.heappush(self.heap, (bound, self.push_count, fixings))
+    def _push(self, bound: float, fixings: _Fixings, basis: Basis | None) -> None:
+        heapq.heappush(self.heap, (bound, self.push_count, fixings, basis))
         self.push_count += 1
 
     def _offer_incumbent(self, objective: float, values: dict[str, float]) -> None:
         vec = tuple(int(round(values[name])) for name in self.binary_names)
-        if self.incumbent_obj is None:
-            accept = True
-        else:
-            tol = _tie_tol(self.incumbent_obj)
-            if objective < self.incumbent_obj - tol:
-                accept = True
-            elif objective <= self.incumbent_obj + tol:
-                accept = vec < self.incumbent_vec  # exact ties: smallest vector wins
-            else:
-                accept = False
-        if accept:
+        if _better(objective, vec, self.incumbent_obj, self.incumbent_vec):
             self.incumbent_obj = objective
             self.incumbent_vec = vec
             self.incumbent_values = values
@@ -223,15 +254,22 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------------
 
-    def _dive(self, fixings: tuple[tuple[str, int], ...], bound: float) -> None:
-        """Solve the node, then plunge depth-first on the rounded child,
-        pushing the sibling, until the dive dies or yields an incumbent."""
+    def _dive(self, fixings: _Fixings, bound: float, basis: Basis | None) -> None:
+        """Solve the node from `basis`, then plunge depth-first on the
+        rounded child, pushing the sibling, until the dive dies or yields an
+        incumbent. Each LP starts from its parent's final basis."""
         while True:
-            self._check_limits()
+            self._check_limits(bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
-            result = self.prep.solve(overrides, feas_tol=self.options.feas_tol)
+            result = self.prep.solve(
+                overrides, feas_tol=self.options.feas_tol, start=basis, deadline=self.deadline
+            )
             self.nodes += 1
             self.iterations += result.iterations
+            if not fixings:
+                self.root_basis = result.basis
+            if result.status == STATUS_TIME_LIMIT:
+                raise _StopSearch(TIME_LIMIT, bound)
             if result.status == STATUS_INFEASIBLE:
                 return
             if result.status == STATUS_UNBOUNDED:
@@ -247,15 +285,16 @@ class _BranchAndBound:
                 self._offer_incumbent(objective, result.values)
                 return
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
-            self._push(bound, fixings + ((branch_name, 1 - preferred),))
+            basis = result.basis
+            self._push(bound, fixings + ((branch_name, 1 - preferred),), basis)
             fixings = fixings + ((branch_name, preferred),)
 
-    def run(self) -> Solution:
+    def run(self, start: Basis | None) -> Solution:
         status = OPTIMAL
         try:
-            self._push(-math.inf, ())
+            self._push(-math.inf, (), start)
             while self.heap:
-                bound, _, fixings = heapq.heappop(self.heap)
+                bound, _, fixings, basis = heapq.heappop(self.heap)
                 if self.incumbent_obj is not None:
                     tol = _tie_tol(self.incumbent_obj)
                     if bound > self.incumbent_obj + tol:
@@ -266,47 +305,63 @@ class _BranchAndBound:
                         # exact ties are never abandoned this way
                         self.stop_bound = bound
                         break
-                self._dive(fixings, bound)
+                self._dive(fixings, bound, basis)
         except _StopSearch as stop:
             status = stop.status
+            self.interrupted_bound = stop.bound
         except _Unbounded:
             return self._finish(UNBOUNDED)
         return self._finish(status)
 
+    def _open_bound(self) -> float:
+        """Lowest bound over the open nodes, the interrupted one included."""
+        return min([b for b, _, _, _ in self.heap] + [self.interrupted_bound])
+
     def _finish(self, status: str) -> Solution:
         wall = time.monotonic() - self.start
         stats = {"nodes": self.nodes, "simplex_iterations": self.iterations, "wall_s": wall}
+        basis = self.root_basis
         if status == UNBOUNDED:
-            return Solution(UNBOUNDED, None, None, {}, stats)
+            return Solution(UNBOUNDED, None, None, {}, stats, basis)
         if self.incumbent_obj is None:
             if status == OPTIMAL:
-                return Solution(INFEASIBLE, None, None, {}, stats)
-            open_bound = min((b for b, _, _ in self.heap), default=None)
-            return Solution(status, None, open_bound, {}, stats)
+                return Solution(INFEASIBLE, None, None, {}, stats, basis)
+            open_bound = self._open_bound()
+            # the root has no bound until its LP is solved
+            open_bound = open_bound if math.isfinite(open_bound) else None
+            return Solution(status, None, open_bound, {}, stats, basis)
         if status == OPTIMAL:
             best_bound = self.stop_bound if self.stop_bound is not None else self.incumbent_obj
         else:
-            open_bound = min((b for b, _, _ in self.heap), default=math.inf)
-            best_bound = min(self.incumbent_obj, open_bound)
-        return Solution(status, self.incumbent_obj, best_bound, self.incumbent_values, stats)
+            best_bound = min(self.incumbent_obj, self._open_bound())
+        return Solution(
+            status, self.incumbent_obj, best_bound, self.incumbent_values, stats, basis
+        )
 
 
-def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
+def solve_milp(
+    model: Model, options: SolveOptions | None = None, *, start: Basis | None = None
+) -> Solution:
     """Branch and bound with best-bound node selection, most-fractional
     branching (ties to the lowest variable index), and a depth-first plunge
     after every branching. Exact objective ties are resolved to the
-    lexicographically smallest binary vector, matching brute_force_solve."""
+    lexicographically smallest binary vector, matching brute_force_solve.
+
+    The root LP starts from `start`, for example the `root_basis` of another
+    scenario of the same network (the slack basis by default); every other
+    node starts from its parent's final basis."""
     opts = options or SolveOptions()
     if not any(v.kind == BINARY for v in model.variables):
-        return solve_lp(model, opts)
-    solution = _BranchAndBound(model, opts).run()
+        return solve_lp(model, opts, start=start)
+    solution = _BranchAndBound(model, opts).run(start)
     return _verified(model, solution, opts.feas_tol)
 
 
 def brute_force_solve(model: Model) -> Solution:
-    """Enumerate every binary assignment in lexicographic order, solve the
-    LP for each, and keep the best; exact ties keep the first (and therefore
-    lexicographically smallest) assignment. Verification oracle only."""
+    """Enumerate every binary assignment in Gray-code order, so that each
+    differs from the one before in one binary and its LP starts from the
+    previous LP's final basis, and keep the best; exact ties go to the
+    lexicographically smallest assignment. Verification oracle only."""
     binaries = [v.name for v in model.binaries()]
     k = len(binaries)
     if k > _BRUTE_FORCE_MAX_BINARIES:
@@ -316,18 +371,22 @@ def brute_force_solve(model: Model) -> Solution:
         return solve_lp(model)
     prep = PreparedLp(model)
     best_obj: float | None = None
+    best_vec: tuple[int, ...] | None = None
     best_values: dict[str, float] = {}
     iterations = 0
     feasible = 0
-    for mask in range(1 << k):
-        bits = tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
+    basis = None
+    for i in range(1 << k):
+        gray = i ^ (i >> 1)
+        bits = tuple((gray >> (k - 1 - j)) & 1 for j in range(k))
         overrides = {name: (float(b), float(b)) for name, b in zip(binaries, bits)}
-        result = prep.solve(overrides)
+        result = prep.solve(overrides, start=basis)
+        basis = result.basis
         iterations += result.iterations
         if result.status == STATUS_UNBOUNDED:
             wall = time.monotonic() - start
             stats = {
-                "nodes": mask + 1,
+                "nodes": i + 1,
                 "simplex_iterations": iterations,
                 "wall_s": wall,
             }
@@ -335,8 +394,9 @@ def brute_force_solve(model: Model) -> Solution:
         if result.status != STATUS_OPTIMAL:
             continue
         feasible += 1
-        if best_obj is None or result.objective < best_obj - _tie_tol(best_obj):
+        if _better(result.objective, bits, best_obj, best_vec):
             best_obj = result.objective
+            best_vec = bits
             best_values = result.values
     wall = time.monotonic() - start
     stats = {

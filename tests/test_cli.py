@@ -218,6 +218,25 @@ def test_sweep_garver_table(garver_doc, tmp_path):
     assert "$ " in result.output  # human table renders in billions
 
 
+GARVER_SWEEP_ROWS = [
+    '"L,L",3,2,91000000.000000,20800000.000000,111800000.000000,115451333.477120,227251333.477120',
+    '"L,H",3,2,93600000.000000,20800000.000000,114400000.000000,116918001.679693,231318001.679693',
+    '"H,L",3,2,93600000.000000,20800000.000000,114400000.000000,116500302.751648,230900302.751648',
+    '"H,H",4,1,121800000.000000,11700000.000000,133500000.000000,111924473.691441,245424473.691441',
+]
+
+
+def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
+    # byte-for-byte at the default --sigma-hours, so that a change in how
+    # the scenarios are solved (such as warm starts) cannot move a plan or
+    # the last printed digit of a cost
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", garver_doc, "--out", str(out))
+    assert result.exit_code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[1:] == GARVER_SWEEP_ROWS
+
+
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     out = tmp_path / "tight.csv"
     result = run("sweep", "--network", tight_doc,
@@ -243,10 +262,10 @@ def test_solve_engine_failure_is_one_line_and_exit_2(garver_doc, monkeypatch):
 
 def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
                                                monkeypatch):
-    def fails_on_lh(model, options=None):
+    def fails_on_lh(model, options=None, *, start=None):
         if model.name == "tepLH":
             raise SolverError("solution failed independent verification")
-        return solve_milp(model, options)
+        return solve_milp(model, options, start=start)
 
     monkeypatch.setattr(tepkit.cli, "solve_milp", fails_on_lh)
     out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_prepared_lp_bound_overrides():
         prep.solve(bound_overrides={"x": (2.0, 1.0)})
 
 
-def test_iteration_limit_raises():
+def dense_lp():
     rng = np.random.default_rng(5)
     variables = [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(12)]
     rows = [
@@ -176,9 +177,50 @@ def test_iteration_limit_raises():
                    SENSE_LE, float(rng.uniform(5, 20)))
         for i in range(10)
     ]
-    m = lp(variables, rows, [(f"x{j}", -1.0) for j in range(12)])
+    return lp(variables, rows, [(f"x{j}", -1.0) for j in range(12)])
+
+
+def test_iteration_limit_raises():
     with pytest.raises(SimplexError, match="iteration limit"):
-        PreparedLp(m).solve(max_iterations=1)
+        PreparedLp(dense_lp()).solve(max_iterations=1)
+
+
+def test_start_of_wrong_size_raises():
+    small = PreparedLp(lp([Variable("x", CONTINUOUS, 0.0, 1.0)],
+                          [Constraint("c", (("x", 1.0),), SENSE_LE, 1.0)],
+                          [("x", -1.0)]))
+    big = PreparedLp(lp([Variable("x", CONTINUOUS, 0.0, 1.0),
+                         Variable("y", CONTINUOUS, 0.0, 1.0)],
+                        [Constraint("c", (("x", 1.0), ("y", 1.0)), SENSE_LE, 1.0)],
+                        [("x", -1.0)]))
+    with pytest.raises(ValueError, match="start basis"):
+        big.solve(start=small.solve().basis)
+
+
+def test_singular_start_falls_back_to_slack_basis():
+    # x and y have identical columns, so a basis holding both is singular
+    m = lp(
+        [Variable("x", CONTINUOUS, 0.0, 3.0), Variable("y", CONTINUOUS, 0.0, 3.0),
+         Variable("z", CONTINUOUS, 0.0, 3.0)],
+        [Constraint("a", (("x", 1.0), ("y", 1.0), ("z", 1.0)), SENSE_LE, 4.0),
+         Constraint("b", (("x", 2.0), ("y", 2.0), ("z", -1.0)), SENSE_LE, 2.0)],
+        [("x", -1.0), ("y", -2.0), ("z", -1.0)],
+    )
+    prep = PreparedLp(m)
+    singular = dataclasses.replace(prep.slack_basis, columns=(0, 1))
+    cold = prep.solve()
+    assert cold.status == "optimal"
+    assert prep.solve(start=singular) == cold
+
+
+def test_deadline_stops_the_solve():
+    prep = PreparedLp(dense_lp())
+    assert prep.solve(deadline=time.monotonic() + 60.0).status == "optimal"
+    stopped = prep.solve(deadline=time.monotonic() - 1.0)
+    assert stopped.status == "time_limit"
+    assert stopped.iterations == 0 and stopped.objective is None
+    # the basis it stopped at is a valid start
+    assert prep.solve(start=stopped.basis).status == "optimal"
 
 
 def test_degenerate_rhs_zero():
@@ -274,11 +316,21 @@ def test_randomized_against_scipy():
         statuses[mine.status] += 1
         check(mine, model, trial)
         # re-solve through the same compiled LP with some bounds replaced,
-        # as branch and bound does at every node
+        # as branch and bound does at every node: cold, and from the base
+        # solve's final basis, as a child node starts from its parent's
         overrides = _random_overrides(override_rng, model)
         again = prep.solve(bound_overrides=overrides)
         resolved[again.status] += 1
         check(again, with_bounds(model, overrides), f"{trial} {overrides}")
+        warm = prep.solve(bound_overrides=overrides, start=mine.basis)
+        check(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
+        # and back: the original bounds from the overridden solve's basis
+        check(prep.solve(start=again.basis), model, f"{trial} back")
+        if mine.status == "optimal":
+            # an optimal basis under unchanged bounds needs no pivot
+            same = prep.solve(start=mine.basis)
+            assert same.iterations == 0, f"trial {trial}"
+            assert same.objective == pytest.approx(mine.objective, rel=1e-12, abs=1e-12)
     # the generator must exercise every outcome for this test to mean much
     assert min(statuses.values()) >= 5, statuses
     assert min(resolved.values()) >= 5, resolved

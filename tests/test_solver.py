@@ -1,8 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+import tepkit.simplex
+import tepkit.solver
+from tepkit.instance import builtin_garver
+from tepkit.milp import build_tep_model
 from tepkit.model import (
     BINARY,
     CONTINUOUS,
@@ -13,6 +18,7 @@ from tepkit.model import (
     Model,
     Variable,
 )
+from tepkit.scenario import ScenarioCode, realize_scenario
 from tepkit.solver import (
     SolveOptions,
     SolverError,
@@ -135,6 +141,73 @@ def test_time_limit_is_honored():
     assert sol.stats["nodes"] == 0
 
 
+def garver_model(code="H,H"):
+    net = builtin_garver()
+    return build_tep_model(net, realize_scenario(ScenarioCode.parse(code), net), 8760.0)[0]
+
+
+def tick_clock(monkeypatch):
+    """Replace the solver's and the simplex's clock with one that advances
+    one second per reading, so a time limit falls at a fixed step."""
+    now = [0.0]
+
+    def monotonic():
+        now[0] += 1.0
+        return now[0]
+
+    fake = types.SimpleNamespace(monotonic=monotonic)
+    monkeypatch.setattr(tepkit.simplex, "time", fake)
+    monkeypatch.setattr(tepkit.solver, "time", fake)
+
+
+def test_time_limit_holds_inside_the_root_lp(monkeypatch):
+    model = garver_model()
+    root = solve_lp(model)
+    assert root.stats["simplex_iterations"] >= 30
+    tick_clock(monkeypatch)
+    sol = solve_milp(model, SolveOptions(time_limit_s=5.0))
+    assert sol.status == "time_limit"
+    assert sol.stats["nodes"] == 1  # the interrupted root counts as a node
+    assert sol.stats["simplex_iterations"] <= 5
+    assert sol.objective is None and sol.best_bound is None
+    lp = solve_lp(model, SolveOptions(time_limit_s=5.0))
+    assert lp.status == "time_limit" and lp.stats["simplex_iterations"] <= 5
+
+
+def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
+    # the node being solved when time runs out is still open: its bound
+    # must count, or the reported bound can exceed the optimum
+    rng = np.random.default_rng(99)
+    cases = [_random_milp(rng) for _ in range(120)]
+    optima = [brute_force_solve(m) for m in cases]
+    tick_clock(monkeypatch)
+    stopped = 0
+    for trial, (m, ref) in enumerate(zip(cases, optima)):
+        if ref.status != "optimal":
+            continue
+        scale = 1e-9 * max(1.0, abs(ref.objective))
+        for limit in range(3, 60, 2):
+            sol = solve_milp(m, SolveOptions(time_limit_s=float(limit)))
+            if sol.best_bound is not None:
+                assert sol.best_bound <= ref.objective + scale, (trial, limit)
+            if sol.status == "optimal":
+                break
+            assert sol.status == "time_limit"
+            stopped += 1
+    assert stopped >= 100
+
+
+def test_root_basis_warm_starts_a_related_model():
+    cold = solve_milp(garver_model("L,L"))
+    other = garver_model("H,H")
+    warm = solve_milp(other, start=cold.root_basis)
+    again = solve_milp(other)
+    assert warm.objective == pytest.approx(again.objective, rel=1e-9)
+    plan = [v.name for v in other.binaries()]
+    assert [round(warm.values[n]) for n in plan] == [round(again.values[n]) for n in plan]
+    assert warm.stats["simplex_iterations"] < again.stats["simplex_iterations"]
+
+
 def test_gap_limit_is_reported_as_optimal_within_gap():
     rng = np.random.default_rng(11)
     n = 10
@@ -167,6 +240,19 @@ def test_exact_ties_resolve_to_lex_smallest_reachable():
     assert (round(ref.values["a"]), round(ref.values["b"])) == (0, 1)
     sol = solve_milp(m)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+
+
+def test_brute_force_ties_go_to_lex_smallest_whatever_the_visit_order():
+    # (1, 1, 0) and (1, 0, 1) both cost 5; the Gray-code walk meets
+    # (1, 1, 0) first, yet the lexicographically smaller one must win
+    m = milp(
+        [Variable(n, BINARY, 0.0, 1.0) for n in "abc"],
+        [Constraint("two", (("a", 1.0), ("b", 1.0), ("c", 1.0)), SENSE_EQ, 2.0),
+         Constraint("a_on", (("a", 1.0),), SENSE_GE, 1.0)],
+        [("a", 1.0), ("b", 4.0), ("c", 4.0)],
+    )
+    ref = brute_force_solve(m)
+    assert tuple(round(ref.values[n]) for n in "abc") == (1, 0, 1)
 
 
 def test_brute_force_refuses_too_many_binaries():
