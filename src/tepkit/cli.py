@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import click
@@ -21,9 +21,9 @@ from .model import model_stats
 from .mps import export_lp, export_mps
 from .network import (
     DRAKE_ACSR,
-    ConductorParams,
     Network,
     NetworkError,
+    conductor,
     parse_document,
     validate as validate_network,
     load_network,
@@ -132,15 +132,8 @@ def cmd_derate(t_base_f: float, t_future_f: float,
     cond = DRAKE_ACSR
     if conductor_json is not None:
         try:
-            obj = json.loads(_read_text(conductor_json))
-            merged = {f.name: getattr(DRAKE_ACSR, f.name)
-                      for f in dc_fields(ConductorParams)}
-            unknown = set(obj) - set(merged)
-            if unknown:
-                raise ValueError(f"unknown conductor field(s) {sorted(unknown)}")
-            merged.update({k: float(v) for k, v in obj.items()})
-            cond = ConductorParams(**merged)
-        except (ValueError, TypeError) as exc:
+            cond = conductor(json.loads(_read_text(conductor_json)), "conductor")
+        except ValueError as exc:
             _fail(f"{conductor_json}: {exc}")
     try:
         eta = thermal.derating_factor(cond, _f_to_c(t_base_f), _f_to_c(t_future_f))
@@ -364,8 +357,12 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
                sigma_hours: float, options: SolveOptions,
                start: Basis | None) -> tuple[SweepReportRow, Basis | None]:
     """Solve one scenario with its root LP started from `start`; return its
-    row and its root LP's final basis (`start` again if the engine fails)."""
-    model, vmap = _assemble(net, code, config, sigma_hours)
+    row and its root LP's final basis (`start` again if the engine fails).
+    A scenario that cannot be realized or built ends the sweep with exit 1."""
+    try:
+        model, vmap = _assemble(net, code, config, sigma_hours)
+    except ValueError as exc:
+        _fail(f"scenario {code}: {exc}")
     try:
         sol = solve_milp(model, options, start=start)
     except (SimplexError, SolverError) as exc:
@@ -405,8 +402,9 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
     """Solve every temperature scenario and emit the report table.
 
     Exits 0 when every scenario is optimal, 1 when some scenario ends with
-    another solver status, and 2 when the engine fails on some scenario;
-    a failed scenario's row keeps its place with status error."""
+    another solver status or cannot be realized (then no report is
+    written), and 2 when the engine fails on some scenario; a failed
+    scenario's row keeps its place with status error."""
     net = _load_net(network_path)
     config = _load_config(config_path)
     codes = enumerate_scenarios(len(net.regions))

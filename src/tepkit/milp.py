@@ -26,9 +26,7 @@ from .model import (
     SENSE_LE,
     Variable,
     check_model,
-    model_stats,
 )
-from .mps import export_lp, export_mps, import_mps
 from .network import LINE_CANDIDATE, Network, validate
 from .scenario import ScenarioParams
 
@@ -36,10 +34,6 @@ __all__ = [
     "VariableMap",
     "build_tep_model",
     "big_m",
-    "export_mps",
-    "import_mps",
-    "export_lp",
-    "model_stats",
 ]
 
 

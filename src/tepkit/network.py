@@ -8,8 +8,10 @@ unknown fields are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 FUEL_CLASSES = ("natural_gas", "coal", "petroleum", "hydro", "wind", "solar")
 
@@ -21,7 +23,7 @@ class NetworkError(Exception):
     """Base error for network loading and validation."""
 
 
-class DocumentError(NetworkError):
+class DocumentError(NetworkError, ValueError):
     """The document text is malformed or violates the schema."""
 
 
@@ -288,38 +290,71 @@ def _connectivity_violations(net: Network, bus_ids: set[int]) -> list[str]:
 # Document I/O
 # --------------------------------------------------------------------------
 
-_SCALAR_DEFAULTS = {"base_mva": 100.0, "max_angle_rad": 0.6}
+# Field types resolved from their annotations, once per record class.
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _coerce_obj(cls, obj: dict, entity: str, defaults: dict | None = None):
+def decode(cls, obj, entity: str, base=None):
+    """Build a ``cls`` record from a JSON object, typed by its dataclass fields.
+
+    Unknown fields are rejected.  An omitted field takes its value from
+    ``base`` when one is given, else the field's default; with neither it is
+    an error.  ``int``/``float`` fields need JSON numbers (never booleans or
+    strings), ``bool`` fields need booleans, ``str`` fields are coerced with
+    ``str()``, a ``ConductorParams`` field is an object whose omitted fields
+    keep ``DRAKE_ACSR``'s values, and a ``tuple[Record, ...]`` field is an
+    array of record objects.  ``entity`` names the object in error messages.
+    """
     if not isinstance(obj, dict):
-        raise DocumentError(f"{entity}: expected an object, got {type(obj).__name__}")
-    defaults = defaults or {}
-    spec_fields = {f.name: f for f in fields(cls)}
-    unknown = set(obj) - set(spec_fields)
+        raise DocumentError(f"{entity} must be an object, got {type(obj).__name__}")
+    spec = fields(cls)
+    unknown = set(obj) - {f.name for f in spec}
     if unknown:
-        raise DocumentError(f"{entity}: unknown field(s) {sorted(unknown)}")
+        raise DocumentError(f"unknown {entity} field(s) {sorted(unknown)}")
+    hints = _hints(cls)
     kwargs = {}
-    for name, f in spec_fields.items():
-        if name in obj:
-            kwargs[name] = obj[name]
-        elif name in defaults:
-            kwargs[name] = defaults[name]
-        else:
-            raise DocumentError(f"{entity}: missing required field {name!r}")
+    for f in spec:
+        if f.name in obj:
+            kwargs[f.name] = _decode_value(hints[f.name], obj[f.name], entity, f.name)
+        elif base is not None:
+            kwargs[f.name] = getattr(base, f.name)
+        elif f.default is MISSING:
+            raise DocumentError(f"{entity} is missing required field {f.name!r}")
     return cls(**kwargs)
 
 
-def _check_number(entity: str, name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DocumentError(f"{entity}: field {name!r} must be a number")
-    return float(value)
+def _decode_value(tp, value, entity: str, name: str):
+    if tp is str:
+        return str(value)
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise DocumentError(f"{entity} field {name!r} must be a boolean")
+        return value
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DocumentError(f"{entity} field {name!r} must be an integer")
+        return value
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DocumentError(f"{entity} field {name!r} must be a number")
+        return float(value)
+    if tp is ConductorParams:
+        return decode(tp, value, f"{entity}.{name}", DRAKE_ACSR)
+    item = typing.get_args(tp)[0]
+    if not isinstance(value, list):
+        raise DocumentError(f"{entity} field {name!r} must be an array")
+    return tuple(decode(item, obj, f"{name}[{i}]") for i, obj in enumerate(value))
 
 
-def _check_int(entity: str, name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{entity}: field {name!r} must be an integer")
-    return value
+def conductor(obj, entity: str) -> ConductorParams:
+    """A conductor object as validated ``ConductorParams``; omitted fields
+    keep ``DRAKE_ACSR``'s values.  Raises DocumentError on any violation."""
+    params = decode(ConductorParams, obj, entity, DRAKE_ACSR)
+    violations: list[str] = []
+    _validate_conductor(violations, entity, params)
+    if violations:
+        raise DocumentError("; ".join(violations))
+    return params
 
 
 def parse_document(text: str) -> Network:
@@ -328,90 +363,7 @@ def parse_document(text: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DocumentError("document root must be an object")
-
-    expected = {"regions", "buses", "generators", "lines", "base_mva", "max_angle_rad"}
-    unknown = set(doc) - expected
-    if unknown:
-        raise DocumentError(f"document: unknown top-level field(s) {sorted(unknown)}")
-    for key in ("regions", "buses", "generators", "lines"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise DocumentError(f"document: {key!r} must be present and an array")
-
-    regions = []
-    for i, obj in enumerate(doc["regions"]):
-        r = _coerce_obj(Region, obj, f"regions[{i}]")
-        regions.append(Region(
-            id=_check_int("region", "id", r.id),
-            name=str(r.name),
-            base_peak_temp_f=_check_number("region", "base_peak_temp_f", r.base_peak_temp_f),
-            projected_increase_low_f=_check_number("region", "projected_increase_low_f", r.projected_increase_low_f),
-            projected_increase_high_f=_check_number("region", "projected_increase_high_f", r.projected_increase_high_f),
-        ))
-
-    buses = []
-    for i, obj in enumerate(doc["buses"]):
-        b = _coerce_obj(Bus, obj, f"buses[{i}]", {"population_weight": 0.0})
-        buses.append(Bus(
-            id=_check_int("bus", "id", b.id),
-            name=str(b.name),
-            region_id=_check_int("bus", "region_id", b.region_id),
-            demand_mw=_check_number("bus", "demand_mw", b.demand_mw),
-            population_weight=_check_number("bus", "population_weight", b.population_weight),
-        ))
-
-    gens = []
-    for i, obj in enumerate(doc["generators"]):
-        g = _coerce_obj(Generator, obj, f"generators[{i}]")
-        gens.append(Generator(
-            id=_check_int("generator", "id", g.id),
-            bus_id=_check_int("generator", "bus_id", g.bus_id),
-            capacity_mw=_check_number("generator", "capacity_mw", g.capacity_mw),
-            cost_per_mwh=_check_number("generator", "cost_per_mwh", g.cost_per_mwh),
-            fuel_class=str(g.fuel_class),
-        ))
-
-    lines = []
-    line_defaults = {
-        "expandable": False, "expansion_capacity_mw": 0.0,
-        "build_cost": 0.0, "expand_cost": 0.0, "conductor": None,
-    }
-    for i, obj in enumerate(doc["lines"]):
-        l = _coerce_obj(Line, obj, f"lines[{i}]", line_defaults)
-        if l.conductor is None:
-            cond = DRAKE_ACSR
-        else:
-            cond = _coerce_obj(ConductorParams, l.conductor, f"lines[{i}].conductor")
-            cond = ConductorParams(*(
-                _check_number("conductor", f.name, getattr(cond, f.name))
-                for f in fields(ConductorParams)))
-        if not isinstance(l.expandable, bool):
-            raise DocumentError(f"lines[{i}]: field 'expandable' must be a boolean")
-        lines.append(Line(
-            id=_check_int("line", "id", l.id),
-            from_bus=_check_int("line", "from_bus", l.from_bus),
-            to_bus=_check_int("line", "to_bus", l.to_bus),
-            kind=str(l.kind),
-            susceptance_pu=_check_number("line", "susceptance_pu", l.susceptance_pu),
-            base_capacity_mw=_check_number("line", "base_capacity_mw", l.base_capacity_mw),
-            voltage_kv=_check_number("line", "voltage_kv", l.voltage_kv),
-            length_km=_check_number("line", "length_km", l.length_km),
-            expandable=l.expandable,
-            expansion_capacity_mw=_check_number("line", "expansion_capacity_mw", l.expansion_capacity_mw),
-            build_cost=_check_number("line", "build_cost", l.build_cost),
-            expand_cost=_check_number("line", "expand_cost", l.expand_cost),
-            conductor=cond,
-        ))
-
-    return Network(
-        buses=tuple(buses),
-        regions=tuple(regions),
-        generators=tuple(gens),
-        lines=tuple(lines),
-        base_mva=_check_number("network", "base_mva", doc.get("base_mva", _SCALAR_DEFAULTS["base_mva"])),
-        max_angle_rad=_check_number("network", "max_angle_rad", doc.get("max_angle_rad", _SCALAR_DEFAULTS["max_angle_rad"])),
-    )
+    return decode(Network, doc, "top-level")
 
 
 def load_network(text: str) -> Network:
@@ -429,15 +381,10 @@ def load_network(text: str) -> Network:
 
 def to_document(net: Network) -> dict:
     def line_obj(l: Line) -> dict:
-        obj = {
-            "id": l.id, "from_bus": l.from_bus, "to_bus": l.to_bus, "kind": l.kind,
-            "susceptance_pu": l.susceptance_pu, "base_capacity_mw": l.base_capacity_mw,
-            "voltage_kv": l.voltage_kv, "length_km": l.length_km,
-            "expandable": l.expandable, "expansion_capacity_mw": l.expansion_capacity_mw,
-            "build_cost": l.build_cost, "expand_cost": l.expand_cost,
-        }
-        if l.conductor != DRAKE_ACSR:
-            obj["conductor"] = {f.name: getattr(l.conductor, f.name) for f in fields(ConductorParams)}
+        obj = vars(l).copy()
+        cond = obj.pop("conductor")
+        if cond != DRAKE_ACSR:
+            obj["conductor"] = vars(cond).copy()
         return obj
 
     return {

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import thermal
-from .network import ConductorParams, DRAKE_ACSR, Network
+from .network import ConductorParams, DRAKE_ACSR, Network, conductor, decode
 
 MARK_LOW = "L"
 MARK_HIGH = "H"
@@ -140,16 +140,14 @@ def realize_scenario(
 class ScenarioConfig:
     elasticity: DemandElasticityConfig
     conductors: dict[int, ConductorParams]
-    base_year: int | None = None
-    horizon_year: int | None = None
 
 
 def load_scenario_config(text: str) -> ScenarioConfig:
     """Parse a scenario configuration document (JSON object).
 
-    Recognized fields: ``elasticity`` {gamma_low, gamma_high}, optional
-    ``conductor_overrides`` mapping region id to conductor parameters, and
-    optional ``base_year`` / ``horizon_year`` integers.
+    Recognized fields: ``elasticity`` {gamma_low, gamma_high} and optional
+    ``conductor_overrides`` mapping region id to a conductor object, read by
+    ``network.conductor``.
     """
     try:
         doc = json.loads(text)
@@ -157,41 +155,14 @@ def load_scenario_config(text: str) -> ScenarioConfig:
         raise ValueError(f"malformed scenario config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("scenario config root must be an object")
-    unknown = set(doc) - {"elasticity", "conductor_overrides", "base_year", "horizon_year"}
+    unknown = set(doc) - {"elasticity", "conductor_overrides"}
     if unknown:
         raise ValueError(f"scenario config: unknown field(s) {sorted(unknown)}")
 
-    elas_obj = doc.get("elasticity", {})
-    if not isinstance(elas_obj, dict) or set(elas_obj) - {"gamma_low", "gamma_high"}:
-        raise ValueError("scenario config: elasticity must be an object with gamma_low/gamma_high")
-    elasticity = DemandElasticityConfig(
-        gamma_low=float(elas_obj.get("gamma_low", DemandElasticityConfig.gamma_low)),
-        gamma_high=float(elas_obj.get("gamma_high", DemandElasticityConfig.gamma_high)),
-    )
-
-    conductors: dict[int, ConductorParams] = {}
+    elasticity = decode(DemandElasticityConfig, doc.get("elasticity", {}), "elasticity")
     overrides = doc.get("conductor_overrides", {})
     if not isinstance(overrides, dict):
         raise ValueError("scenario config: conductor_overrides must be an object")
-    cond_fields = {f.name for f in fields(ConductorParams)}
-    for key, obj in overrides.items():
-        if not isinstance(obj, dict) or set(obj) - cond_fields:
-            raise ValueError(f"scenario config: bad conductor override for region {key}")
-        merged = {f.name: getattr(DRAKE_ACSR, f.name) for f in fields(ConductorParams)}
-        merged.update({k: float(v) for k, v in obj.items()})
-        conductors[int(key)] = ConductorParams(**merged)
-
-    def _opt_year(name: str):
-        value = doc.get(name)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"scenario config: {name} must be an integer")
-        return value
-
-    return ScenarioConfig(
-        elasticity=elasticity,
-        conductors=conductors,
-        base_year=_opt_year("base_year"),
-        horizon_year=_opt_year("horizon_year"),
-    )
+    conductors = {int(key): conductor(obj, f"conductor override for region {key}")
+                  for key, obj in overrides.items()}
+    return ScenarioConfig(elasticity=elasticity, conductors=conductors)

@@ -344,8 +344,11 @@ def solve_milp(
 ) -> Solution:
     """Branch and bound with best-bound node selection, most-fractional
     branching (ties to the lowest variable index), and a depth-first plunge
-    after every branching. Exact objective ties are resolved to the
-    lexicographically smallest binary vector, matching brute_force_solve.
+    after every branching. Among the incumbents the search finds, exact
+    objective ties go to the lexicographically smaller binary vector; the
+    objective equals brute_force_solve's, but a tied optimum the search
+    never reaches is not considered, so the vector can differ from the
+    oracle's.
 
     The root LP starts from `start`, for example the `root_basis` of another
     scenario of the same network (the slack basis by default); every other

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import shlex
 from decimal import Decimal
 from pathlib import Path
 
@@ -80,6 +81,12 @@ def test_derate_identity_and_override(tmp_path):
               "--conductor-json", str(override))
     assert bad.exit_code == 1
     assert "unknown conductor field" in bad.output
+
+    override.write_text(json.dumps({"emissivity": 1.5}))
+    unphysical = run("derate", "--t-base-f", "100", "--t-future-f", "110",
+                     "--conductor-json", str(override))
+    assert unphysical.exit_code == 1
+    assert "conductor.emissivity must be in (0, 1] (got 1.5)" in unphysical.output
 
 
 def fake_ghcn(tmp_path) -> str:
@@ -281,6 +288,22 @@ def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
     assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
 
 
+def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
+    # a conductor limit below region 1's ambient cannot be derated
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps(
+        {"conductor_overrides": {"1": {"max_conductor_temp_c": 30.0}}}))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--network", garver_doc, "--scenarios", str(config),
+        "--out", str(out)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert re.fullmatch(r"error: scenario L,L: ambient \S+ C must be below "
+                        r"the conductor limit 30\.0 C\n", result.output)
+    assert not out.exists()
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 COMMANDS = ("validate", "fit", "derate", "build", "solve", "sweep")
 
@@ -305,3 +328,41 @@ def test_readme_options_exist_in_help():
                 f"README names {option} for {owners}: {line.strip()}"
             checked += 1
     assert checked >= 8
+
+
+def readme_block(heading: str, fence: str) -> str:
+    """Body of the first fenced block opened by `fence` after `heading`."""
+    text = README.read_text(encoding="utf-8")
+    rest = text[text.index(heading):]
+    start = rest.index(fence + "\n") + len(fence) + 1
+    return rest[start:rest.index("```", start)]
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    code = readme_block("## Library", "```python")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    expected = re.findall(r"  # (.+)", code)
+    assert len(printed) == len(expected) >= 2
+    for got, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert got.startswith(want[:-3]), (got, want)
+        else:
+            assert got == want
+
+
+def test_readme_session_prints_its_sweep_table(tmp_path, monkeypatch):
+    session = readme_block("A typical session", "```sh").splitlines()
+    begin = next(i for i, l in enumerate(session) if "<<'PY'" in l)
+    end = session.index("PY", begin)
+    monkeypatch.chdir(tmp_path)
+    exec("\n".join(session[begin + 1:end]), {})
+    commands = [l for l in session[end + 1:] if l.startswith("tepkit ")]
+    assert [c.split()[1] for c in commands] == ["validate", "solve", "sweep"]
+    for command in commands:
+        result = run(*shlex.split(command)[1:])
+        assert result.exit_code == 0, result.output
+    console = [l.rstrip() for l in result.output.splitlines()]
+    table = readme_block("The sweep prints one row per scenario", "```").splitlines()
+    first = console.index(table[0])
+    assert console[first:first + len(table)] == table

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -172,6 +173,23 @@ def test_document_defaults_and_rejections():
 
     with pytest.raises(DocumentError, match="malformed"):
         parse_document("{not json")
+    assert issubclass(DocumentError, ValueError)
+
+
+def test_line_conductor_omitted_fields_keep_drake_values(garver):
+    doc = to_document(garver)
+    doc["lines"][0]["conductor"] = {"emissivity": 0.5}
+    cond = load_network(json.dumps(doc)).lines[0].conductor
+    assert cond == replace(DRAKE_ACSR, emissivity=0.5)
+
+
+def test_line_conductor_violations_are_listed_by_validate(garver):
+    doc = to_document(garver)
+    doc["lines"][0]["conductor"] = {"emissivity": 1.5}
+    doc["lines"][1]["conductor"] = {"diameter_m": 0.0}
+    violations = validate(parse_document(json.dumps(doc)))
+    assert any("conductor.emissivity" in v for v in violations)
+    assert any("conductor.diameter_m" in v for v in violations)
 
 
 def test_load_network_surfaces_violations():

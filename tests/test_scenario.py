@@ -106,15 +106,12 @@ def test_load_scenario_config():
     text = json.dumps({
         "elasticity": {"gamma_low": 1.01, "gamma_high": 1.07},
         "conductor_overrides": {"2": {"max_conductor_temp_c": 90.0}},
-        "base_year": 2005,
-        "horizon_year": 2055,
     })
     cfg = load_scenario_config(text)
     assert cfg.elasticity.gamma_low == 1.01
     assert cfg.elasticity.gamma_high == 1.07
     assert cfg.conductors[2].max_conductor_temp_c == 90.0
     assert cfg.conductors[2].diameter_m == DRAKE_ACSR.diameter_m
-    assert cfg.base_year == 2005 and cfg.horizon_year == 2055
 
 
 def test_load_scenario_config_defaults_and_errors():
@@ -127,3 +124,18 @@ def test_load_scenario_config_defaults_and_errors():
         load_scenario_config("{")
     with pytest.raises(ValueError, match="conductor override"):
         load_scenario_config('{"conductor_overrides": {"1": {"nope": 2}}}')
+    with pytest.raises(ValueError, match=r"unknown field\(s\) \['base_year'\]"):
+        load_scenario_config('{"base_year": 2005}')
+    with pytest.raises(ValueError, match="must be a number"):
+        load_scenario_config('{"elasticity": {"gamma_low": "1.03"}}')
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"emissivity": True}, "must be a number"),
+    ({"diameter_m": "0.03"}, "must be a number"),
+    ({"diameter_m": -0.03}, "diameter_m must be > 0"),
+])
+def test_conductor_override_is_checked_like_a_line_conductor(override, message):
+    text = json.dumps({"conductor_overrides": {"1": override}})
+    with pytest.raises(ValueError, match=message):
+        load_scenario_config(text)
