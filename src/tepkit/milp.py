@@ -104,9 +104,8 @@ def big_m(line, net: Network) -> float:
     return net.max_angle_rad
 
 
-def _line_eta(line, net: Network, params: ScenarioParams) -> float:
+def _line_eta(line, buses: dict, params: ScenarioParams) -> float:
     # a line spanning two regions is limited by its hotter (lower-eta) end
-    buses = net.bus_by_id()
     r_from = buses[line.from_bus].region_id
     r_to = buses[line.to_bus].region_id
     return min(params.eta(r_from), params.eta(r_to))
@@ -143,7 +142,8 @@ def build_tep_model(
 
     base = net.base_mva
     theta_max = net.max_angle_rad
-    ref_bus = min(b.id for b in net.buses)
+    buses = net.bus_by_id()
+    ref_bus = min(buses)
 
     variables: list[Variable] = []
     vmap = VariableMap({}, {}, {}, {}, {}, {})
@@ -181,29 +181,27 @@ def build_tep_model(
 
     constraints: list[Constraint] = []
 
-    # flow balance: generation plus net inflow equals scaled demand
+    # flow balance: generation plus net inflow equals scaled demand; each
+    # bus lists its generators, then its existing and its candidate lines
+    # in id order
+    balance: dict[int, list[tuple[str, float]]] = {bus_id: [] for bus_id in buses}
+    for gen in net.generators:
+        balance[gen.bus_id].append((vmap.gen(gen.id), 1.0))
+    for lines, flows in ((existing, vmap.flows_existing), (candidates, vmap.flows_candidate)):
+        for line in lines:
+            balance[line.to_bus].append((flows[line.id], 1.0))
+            if line.from_bus != line.to_bus:
+                balance[line.from_bus].append((flows[line.id], -1.0))
     for bus in sorted(net.buses, key=lambda b: b.id):
-        terms: list[tuple[str, float]] = []
-        for gen in net.generators_at(bus.id):
-            terms.append((vmap.gen(gen.id), 1.0))
-        for line in existing:
-            if line.to_bus == bus.id:
-                terms.append((vmap.flow_existing(line.id), 1.0))
-            elif line.from_bus == bus.id:
-                terms.append((vmap.flow_existing(line.id), -1.0))
-        for line in candidates:
-            if line.to_bus == bus.id:
-                terms.append((vmap.flow_candidate(line.id), 1.0))
-            elif line.from_bus == bus.id:
-                terms.append((vmap.flow_candidate(line.id), -1.0))
         gamma = params.gamma(bus.region_id)
         constraints.append(
-            Constraint(f"bal{bus.id}", tuple(terms), SENSE_EQ, gamma * bus.demand_mw / base)
+            Constraint(f"bal{bus.id}", tuple(balance[bus.id]), SENSE_EQ,
+                       gamma * bus.demand_mw / base)
         )
 
     # existing-line capacity, derated, expansion adds headroom when z=1
     for line in existing:
-        eta = _line_eta(line, net, params)
+        eta = _line_eta(line, buses, params)
         cap0 = eta * line.base_capacity_mw / base
         flow = vmap.flow_existing(line.id)
         if line.expandable:
@@ -221,7 +219,7 @@ def build_tep_model(
 
     # candidate capacity: zero until built
     for line in candidates:
-        eta = _line_eta(line, net, params)
+        eta = _line_eta(line, buses, params)
         cap = eta * line.base_capacity_mw / base
         flow = vmap.flow_candidate(line.id)
         y = vmap.build(line.id)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from . import thermal
@@ -108,13 +109,18 @@ def realize_scenario(
 
     Marks are matched to regions in ascending region-id order.  ``conductors``
     optionally overrides the representative conductor per region id; the
-    repository default is used otherwise.
+    repository default is used otherwise, and an id naming no region of the
+    network is rejected.
     """
     regions = sorted(net.regions, key=lambda r: r.id)
     if len(code.marks) != len(regions):
         raise ValueError(
             f"scenario has {len(code.marks)} marks but the network has {len(regions)} regions")
     conductors = conductors or {}
+    unknown = sorted(set(conductors) - {region.id for region in regions})
+    if unknown:
+        raise ValueError(
+            f"conductor override for region {unknown[0]}: the network has no such region")
 
     by_region: dict[int, RegionParams] = {}
     for region, mark in zip(regions, code.marks):
@@ -146,8 +152,8 @@ def load_scenario_config(text: str) -> ScenarioConfig:
     """Parse a scenario configuration document (JSON object).
 
     Recognized fields: ``elasticity`` {gamma_low, gamma_high} and optional
-    ``conductor_overrides`` mapping region id to a conductor object, read by
-    ``network.conductor``.
+    ``conductor_overrides`` mapping region id (a key such as ``"2"``) to a
+    conductor object, read by ``network.conductor``.
     """
     try:
         doc = json.loads(text)
@@ -163,6 +169,11 @@ def load_scenario_config(text: str) -> ScenarioConfig:
     overrides = doc.get("conductor_overrides", {})
     if not isinstance(overrides, dict):
         raise ValueError("scenario config: conductor_overrides must be an object")
-    conductors = {int(key): conductor(obj, f"conductor override for region {key}")
-                  for key, obj in overrides.items()}
+    conductors = {}
+    for key, obj in overrides.items():
+        # canonical digits only, so "1" and "01" cannot both name region 1
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ValueError(f"conductor override for region {key!r}: "
+                             f"the key is not an integer region id")
+        conductors[int(key)] = conductor(obj, f"conductor override for region {key}")
     return ScenarioConfig(elasticity=elasticity, conductors=conductors)

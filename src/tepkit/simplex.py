@@ -10,23 +10,30 @@ and blocks only at the bound it violates (the composite phase 1 of
 Maros, Computational Techniques of the Simplex Method, 2003).
 
 A solve may start from any basis, such as the final basis of a related
-LP (a branch-and-bound parent, the previous brute-force assignment, or a
-neighbouring scenario); the slack basis is the default start. Each
-nonbasic column keeps its bound status where the new bounds allow it, and
-the same phase 1 repairs any basic variable the new bounds put out of
-range.
+LP (a neighbouring scenario, or an open branch-and-bound node); the slack
+basis is the default start. It may also start from the live final
+tableau of an earlier solve of the same compiled LP (a branch-and-bound
+parent, or the previous brute-force assignment): only bounds differ, so
+the solve continues on that B^-1*A in place and computes the basic values
+as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
+column keeps its bound status where the new bounds allow it, and the same
+phase 1 repairs any basic variable the new bounds put out of range.
 
-The tableau B^-1*A is kept dense and updated by rank-1 pivots; it is
-refactorized from the original columns at the start, periodically, and
-again before an optimality claim, so accumulated drift cannot produce a
-false optimum.
+The tableau B^-1*A is kept dense and updated by rank-1 pivots. It is
+refactorized from the original columns when a start gives only a basis,
+every 128 pivots, and before phase 1 declares an LP infeasible. An
+optimality claim is not refactorized but certified on the original rows:
+the point must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price
+every column with the sign its bound status needs (weak duality), so
+accumulated drift cannot produce a false optimum; only a failed
+certificate refactorizes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +74,29 @@ class Basis:
     status: bytes
 
 
+class Tableau:
+    """A solve's final B^-1*A (`matrix`, m x (n+m)) with its basis and
+    column statuses. As the start of another solve of the same PreparedLp it
+    replaces the refactorization; that solve continues on these arrays in
+    place, so a Tableau serves as a start once only."""
+
+    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int):
+        self.prep = prep
+        self.matrix = matrix
+        self._columns = columns
+        self._status = status
+        self._pivots = pivots  # rank-1 updates since the last refactorization
+
+    def _take(self, prep: PreparedLp):
+        if prep is not self.prep:
+            raise ValueError("start tableau belongs to another PreparedLp")
+        if self.matrix is None:
+            raise ValueError("start tableau was already used")
+        state = (self.matrix, self._columns, self._status, self._pivots)
+        self.matrix = self._columns = self._status = None
+        return state
+
+
 @dataclass(frozen=True)
 class LpResult:
     status: str
@@ -74,6 +104,9 @@ class LpResult:
     values: dict[str, float]
     iterations: int
     basis: Basis  # the final basis, whatever the status
+    refactorizations: int  # LAPACK factorizations of the basis matrix
+    # the final tableau, a one-use start for the next solve of this LP
+    tableau: Tableau = field(compare=False, repr=False)
 
 
 class PreparedLp:
@@ -129,17 +162,19 @@ class PreparedLp:
         *,
         feas_tol: float = 1e-7,
         max_iterations: int = 20000,
-        start: Basis | None = None,
+        start: Basis | Tableau | None = None,
         deadline: float | None = None,
     ) -> LpResult:
         """Solve under the model's bounds with `bound_overrides` applied,
-        starting from `start` (the slack basis by default). A start whose
-        basis matrix is singular here falls back to the slack basis. When
-        `time.monotonic()` passes `deadline`, the solve stops with status
-        time_limit."""
+        starting from `start`: a basis (the slack basis by default), or the
+        live tableau of an earlier solve of this LP, which the solve takes
+        over. A start basis whose matrix is singular here falls back to the
+        slack basis. When `time.monotonic()` passes `deadline`, the solve
+        stops with status time_limit."""
         if start is None:
             start = self.slack_basis
-        elif len(start.columns) != self.m or len(start.status) != self.n + self.m:
+        elif isinstance(start, Basis) and (
+                len(start.columns) != self.m or len(start.status) != self.n + self.m):
             raise ValueError(
                 f"start basis has {len(start.columns)} rows and {len(start.status)} "
                 f"columns; this LP has {self.m} and {self.n + self.m}")
@@ -166,30 +201,42 @@ class _SimplexRun:
         self.lower = lower
         self.upper = upper
         self.fixed = upper - lower <= 0.0
-        self.feas_tol = feas_tol
+        # the primal tolerance of the infeasibility verdict and the certificate
+        self.primal_tol = feas_tol * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
         self.max_iterations = max_iterations
         self.deadline = deadline
         self.iterations = 0
         self.pivots_since_refactor = 0
+        self.refactorizations = 0
+        self.fresh = False  # the tableau is a factorization no pivot has touched
         self.degenerate_streak = 0
 
     # -- setup ------------------------------------------------------------
 
-    def _load(self, start: Basis) -> None:
+    def _load(self, start: Basis | Tableau) -> None:
         """Take the start's basis, whether or not each basic value lies
         within its bounds (phase 1 repairs the ones that do not). A nonbasic
         column keeps its bound where that bound is finite, else takes the
-        other finite bound, else sits free at zero."""
-        status = np.frombuffer(start.status, dtype=np.int8)
+        other finite bound, else sits free at zero. A basis is refactorized;
+        a taken-over tableau gives x_B = B^-1*(b - A_N*x_N) directly."""
+        if isinstance(start, Tableau):
+            self.tableau, basis, status, self.pivots_since_refactor = start._take(self.prep)
+        else:
+            basis = np.array(start.columns, dtype=np.intp)
+            status = np.frombuffer(start.status, dtype=np.int8)
         has_lo = np.isfinite(self.lower)
         has_up = np.isfinite(self.upper)
         want_up = ((status == _AT_UPPER) & has_up) | ~has_lo
         self.status = np.where(
             want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER
         ).astype(np.int8)
-        self.basis = np.array(start.columns, dtype=np.intp)
+        self.basis = basis
         self.status[self.basis] = _BASIC
-        self._refactorize()
+        if isinstance(start, Tableau):
+            residual = self.b - self.a @ self._nonbasic_values()
+            self.x_basic = self.tableau[:, self.prep.n:] @ residual
+        else:
+            self._refactorize()
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.cols)
@@ -229,6 +276,8 @@ class _SimplexRun:
         self.tableau[np.arange(self.m), self.basis] = 1.0
         self.x_basic = solved[:, -1].copy()
         self.pivots_since_refactor = 0
+        self.refactorizations += 1
+        self.fresh = True
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         z = cost - cost[self.basis] @ self.tableau
@@ -314,6 +363,7 @@ class _SimplexRun:
         z -= zq * piv_row
         z[self.basis] = 0.0
         self.pivots_since_refactor += 1
+        self.fresh = False
 
     # -- phases -----------------------------------------------------------
 
@@ -347,8 +397,10 @@ class _SimplexRun:
             bland = self.degenerate_streak >= _BLAND_AFTER
             pick = self._choose_entering(z, dtol, bland)
             if pick is None:
-                # claim optimality only against a fresh factorization
-                if self.pivots_since_refactor == 0 or retries >= _OPTIMALITY_RETRIES:
+                # a phase-1 dead end is an infeasibility verdict, made only on
+                # a fresh factorization; a phase-2 optimum needs the certificate
+                if (self.fresh or retries >= _OPTIMALITY_RETRIES
+                        or (not phase1 and self._certified(cost, dtol))):
                     return STATUS_OPTIMAL
                 self._refactorize()
                 z = None
@@ -372,9 +424,29 @@ class _SimplexRun:
                     self._refactorize()
                     z = None
 
+    def _certified(self, cost: np.ndarray, dtol: float) -> bool:
+        """Whether the current point is optimal on the original rows,
+        however far the tableau has drifted: x meets Ax = b and the bounds,
+        and the duals y = c_B*B^-1 (the tableau's slack block) give every
+        basic column a zero reduced cost and every nonbasic one the sign its
+        bound status needs. O(m*(n+m))."""
+        x = self._nonbasic_values()
+        x[self.basis] = self.x_basic
+        if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
+            return False
+        if self._violations()[2] > self.primal_tol:
+            return False
+        y = cost[self.basis] @ self.tableau[:, self.prep.n:]
+        d = cost - y @ self.a
+        st = self.status
+        wrong = np.where(st == _AT_LOWER, d < -dtol,
+                         np.where(st == _AT_UPPER, d > dtol, np.abs(d) > dtol))
+        wrong &= (st == _BASIC) | ~self.fixed  # a fixed nonbasic column may not move
+        return not wrong.any()
+
     # -- driver -----------------------------------------------------------
 
-    def solve(self, start: Basis) -> LpResult:
+    def solve(self, start: Basis | Tableau) -> LpResult:
         try:
             self._load(start)
         except SimplexError:  # singular here: B = I never is
@@ -383,17 +455,20 @@ class _SimplexRun:
         if status == STATUS_UNBOUNDED:
             raise SimplexError("phase 1 reported unbounded")
         if status == STATUS_OPTIMAL:
-            scale = max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0
-            if self._violations()[2] > self.feas_tol * scale:
+            if self._violations()[2] > self.primal_tol:
                 status = STATUS_INFEASIBLE
             else:
                 status = self._run_phase(phase1=False)
         if status != STATUS_OPTIMAL:
-            return LpResult(status, None, {}, self.iterations, self._final_basis())
+            return self._result(status, None, {})
         return self._finish()
 
-    def _final_basis(self) -> Basis:
-        return Basis(tuple(self.basis.tolist()), self.status.tobytes())
+    def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
+        basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
+        live = Tableau(self.prep, self.tableau, self.basis, self.status,
+                       self.pivots_since_refactor)
+        return LpResult(status, objective, values, self.iterations, basis,
+                        self.refactorizations, live)
 
     def _finish(self) -> LpResult:
         values_all = self._nonbasic_values()
@@ -401,5 +476,4 @@ class _SimplexRun:
         names = self.prep.names
         values = {names[j]: float(values_all[j]) for j in range(self.prep.n)}
         objective = float(self.prep._cost @ values_all) + self.prep.model.objective_constant
-        return LpResult(STATUS_OPTIMAL, objective, values, self.iterations,
-                        self._final_basis())
+        return self._result(STATUS_OPTIMAL, objective, values)

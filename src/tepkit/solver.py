@@ -21,6 +21,7 @@ from .simplex import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
+    Tableau,
 )
 
 OPTIMAL = "optimal"
@@ -156,7 +157,8 @@ def solve_lp(
         feas_tol=opts.feas_tol, start=start, deadline=_deadline(started, opts)
     )
     wall = time.monotonic() - started
-    stats = {"nodes": 0, "simplex_iterations": result.iterations, "wall_s": wall}
+    stats = {"nodes": 0, "simplex_iterations": result.iterations,
+             "refactorizations": result.refactorizations, "wall_s": wall}
     status = {
         STATUS_INFEASIBLE: INFEASIBLE,
         STATUS_UNBOUNDED: UNBOUNDED,
@@ -218,6 +220,7 @@ class _BranchAndBound:
         self.incumbent_values: dict[str, float] = {}
         self.nodes = 0
         self.iterations = 0
+        self.refactorizations = 0
         self.start = time.monotonic()
         self.deadline = _deadline(self.start, options)
         self.stop_bound: float | None = None
@@ -254,18 +257,20 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------------
 
-    def _dive(self, fixings: _Fixings, bound: float, basis: Basis | None) -> None:
-        """Solve the node from `basis`, then plunge depth-first on the
+    def _dive(self, fixings: _Fixings, bound: float, start: Basis | Tableau | None) -> None:
+        """Solve the node from `start`, then plunge depth-first on the
         rounded child, pushing the sibling, until the dive dies or yields an
-        incumbent. Each LP starts from its parent's final basis."""
+        incumbent. The rounded child continues on its parent's live tableau;
+        the sibling stores only the parent's final basis."""
         while True:
             self._check_limits(bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
             result = self.prep.solve(
-                overrides, feas_tol=self.options.feas_tol, start=basis, deadline=self.deadline
+                overrides, feas_tol=self.options.feas_tol, start=start, deadline=self.deadline
             )
             self.nodes += 1
             self.iterations += result.iterations
+            self.refactorizations += result.refactorizations
             if not fixings:
                 self.root_basis = result.basis
             if result.status == STATUS_TIME_LIMIT:
@@ -285,9 +290,9 @@ class _BranchAndBound:
                 self._offer_incumbent(objective, result.values)
                 return
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
-            basis = result.basis
-            self._push(bound, fixings + ((branch_name, 1 - preferred),), basis)
+            self._push(bound, fixings + ((branch_name, 1 - preferred),), result.basis)
             fixings = fixings + ((branch_name, preferred),)
+            start = result.tableau
 
     def run(self, start: Basis | None) -> Solution:
         status = OPTIMAL
@@ -319,7 +324,8 @@ class _BranchAndBound:
 
     def _finish(self, status: str) -> Solution:
         wall = time.monotonic() - self.start
-        stats = {"nodes": self.nodes, "simplex_iterations": self.iterations, "wall_s": wall}
+        stats = {"nodes": self.nodes, "simplex_iterations": self.iterations,
+                 "refactorizations": self.refactorizations, "wall_s": wall}
         basis = self.root_basis
         if status == UNBOUNDED:
             return Solution(UNBOUNDED, None, None, {}, stats, basis)
@@ -351,8 +357,9 @@ def solve_milp(
     oracle's.
 
     The root LP starts from `start`, for example the `root_basis` of another
-    scenario of the same network (the slack basis by default); every other
-    node starts from its parent's final basis."""
+    scenario of the same network (the slack basis by default). The child a
+    dive plunges into continues on its parent's live tableau; a node taken
+    from the open list starts from its parent's final basis."""
     opts = options or SolveOptions()
     if not any(v.kind == BINARY for v in model.variables):
         return solve_lp(model, opts, start=start)
@@ -362,8 +369,8 @@ def solve_milp(
 
 def brute_force_solve(model: Model) -> Solution:
     """Enumerate every binary assignment in Gray-code order, so that each
-    differs from the one before in one binary and its LP starts from the
-    previous LP's final basis, and keep the best; exact ties go to the
+    differs from the one before in one binary and its LP continues on the
+    previous LP's live tableau, and keep the best; exact ties go to the
     lexicographically smallest assignment. Verification oracle only."""
     binaries = [v.name for v in model.binaries()]
     k = len(binaries)
@@ -377,20 +384,23 @@ def brute_force_solve(model: Model) -> Solution:
     best_vec: tuple[int, ...] | None = None
     best_values: dict[str, float] = {}
     iterations = 0
+    refactorizations = 0
     feasible = 0
-    basis = None
+    tableau: Tableau | None = None
     for i in range(1 << k):
         gray = i ^ (i >> 1)
         bits = tuple((gray >> (k - 1 - j)) & 1 for j in range(k))
         overrides = {name: (float(b), float(b)) for name, b in zip(binaries, bits)}
-        result = prep.solve(overrides, start=basis)
-        basis = result.basis
+        result = prep.solve(overrides, start=tableau)
+        tableau = result.tableau
         iterations += result.iterations
+        refactorizations += result.refactorizations
         if result.status == STATUS_UNBOUNDED:
             wall = time.monotonic() - start
             stats = {
                 "nodes": i + 1,
                 "simplex_iterations": iterations,
+                "refactorizations": refactorizations,
                 "wall_s": wall,
             }
             return Solution(UNBOUNDED, None, None, {}, stats)
@@ -405,6 +415,7 @@ def brute_force_solve(model: Model) -> Solution:
     stats = {
         "nodes": 1 << k,
         "simplex_iterations": iterations,
+        "refactorizations": refactorizations,
         "wall_s": wall,
         "feasible_assignments": feasible,
     }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -154,6 +155,18 @@ def test_build_is_deterministic(garver_doc, tmp_path):
     assert lp.read_text().startswith("\\ model tepHL")
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("mps", "999f8c92282a6bb12fcd59158181f1a206812bce9d3bfb289cb217f469f43e78"),
+    ("lp", "0e7637969e38d0fe3a3c7c5f72bc54c5ad40cedfbf0c20c488786ded287cd1f1"),
+])
+def test_build_bytes_are_pinned(garver_doc, tmp_path, fmt, digest):
+    out = tmp_path / f"garver.{fmt}"
+    result = run("build", "--network", garver_doc, "--scenario", "H,L",
+                 "--format", fmt, "--out", str(out))
+    assert result.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_build_rejects_bad_scenario_code(garver_doc, tmp_path):
     result = run("build", "--network", garver_doc, "--scenario", "X,Y",
                  "--out", str(tmp_path / "x.mps"))
@@ -301,6 +314,25 @@ def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
     assert result.exit_code == 1
     assert re.fullmatch(r"error: scenario L,L: ambient \S+ C must be below "
                         r"the conductor limit 30\.0 C\n", result.output)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("x", "conductor override for region 'x': the key is not an integer region id"),
+    ("01", "conductor override for region '01': the key is not an integer region id"),
+    ("9", "conductor override for region 9: the network has no such region"),
+])
+def test_conductor_override_key_must_name_a_region(garver_doc, tmp_path, key, message):
+    config = tmp_path / "keys.json"
+    config.write_text(json.dumps({"conductor_overrides": {key: {}}}))
+    out = tmp_path / "sweep.csv"
+    for command in (["solve", "--scenario", "H,L"], ["sweep", "--out", str(out)]):
+        result = CliRunner().invoke(main, command + [
+            "--network", garver_doc, "--scenarios", str(config)])
+        assert result.exit_code == 1, command
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), command
+        assert lines[0].endswith(message), command
     assert not out.exists()
 
 

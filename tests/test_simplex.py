@@ -223,6 +223,41 @@ def test_deadline_stops_the_solve():
     assert prep.solve(start=stopped.basis).status == "optimal"
 
 
+def test_tableau_start_skips_the_refactorization_once():
+    prep = PreparedLp(dense_lp())
+    base = prep.solve()
+    assert base.status == "optimal" and base.refactorizations == 1
+    squeezed = {"x0": (0.0, 1.0), "x3": (2.0, 2.0)}
+    cold = prep.solve(bound_overrides=squeezed)
+    live = prep.solve(bound_overrides=squeezed, start=base.tableau)
+    assert live.refactorizations == 0
+    assert live.objective == pytest.approx(cold.objective, rel=1e-12)
+    with pytest.raises(ValueError, match="already used"):
+        prep.solve(start=base.tableau)
+    with pytest.raises(ValueError, match="another PreparedLp"):
+        PreparedLp(dense_lp()).solve(start=live.tableau)
+    # an infeasibility verdict is made on a fresh factorization
+    impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
+    dead = prep.solve(bound_overrides=impossible, start=live.tableau)
+    assert dead.status == "infeasible" and dead.refactorizations >= 1
+
+
+def test_drifted_tableau_start_still_reaches_the_optimum():
+    # entries off by about 1e-6 give a wrong point that only the
+    # certificate on the original rows can reject
+    prep = PreparedLp(dense_lp())
+    cold = prep.solve()
+    start = prep.solve().tableau
+    rng = np.random.default_rng(11)
+    start.matrix += rng.uniform(-1e-6, 1e-6, start.matrix.shape)
+    drifted = prep.solve(start=start)
+    assert drifted.status == "optimal"
+    assert drifted.refactorizations >= 1
+    assert drifted.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+    for name, value in cold.values.items():
+        assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
 def test_degenerate_rhs_zero():
     # many rows active at the origin: stalls then escapes via Bland's rule
     m = lp(
@@ -324,6 +359,9 @@ def test_randomized_against_scipy():
         check(again, with_bounds(model, overrides), f"{trial} {overrides}")
         warm = prep.solve(bound_overrides=overrides, start=mine.basis)
         check(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
+        # and from the base solve's live tableau, as a dive child continues
+        live = prep.solve(bound_overrides=overrides, start=mine.tableau)
+        check(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         # and back: the original bounds from the overridden solve's basis
         check(prep.solve(start=again.basis), model, f"{trial} back")
         if mine.status == "optimal":

@@ -208,6 +208,18 @@ def test_root_basis_warm_starts_a_related_model():
     assert warm.stats["simplex_iterations"] < again.stats["simplex_iterations"]
 
 
+def test_dive_children_and_gray_code_steps_skip_the_refactorization():
+    # a dive child continues on its parent's live tableau, and so does each
+    # brute-force LP on the previous one's; refactorizing every node's start
+    # and every optimality claim would take 102 here
+    sol = solve_milp(garver_model("H,H"))
+    assert sol.stats["nodes"] == 51
+    assert 0 < sol.stats["refactorizations"] < sol.stats["nodes"]
+    assert solve_lp(garver_model("H,H")).stats["refactorizations"] == 1
+    oracle = brute_force_solve(knapsack())
+    assert 0 < oracle.stats["refactorizations"] < oracle.stats["nodes"]
+
+
 def test_gap_limit_is_reported_as_optimal_within_gap():
     rng = np.random.default_rng(11)
     n = 10
