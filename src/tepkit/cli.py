@@ -37,7 +37,7 @@ from .scenario import (
     load_scenario_config,
     realize_scenario,
 )
-from .simplex import Basis, SimplexError
+from .simplex import Basis, SimplexError, Tableau
 from .solver import SolveOptions, SolverError, format_solution, solve_milp
 from . import thermal
 
@@ -353,11 +353,13 @@ class SweepReportRow:
         return cells
 
 
-def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
-               sigma_hours: float, options: SolveOptions,
-               start: Basis | None) -> tuple[SweepReportRow, Basis | None]:
+def _sweep_row(
+    net: Network, code: ScenarioCode, config: ScenarioConfig, sigma_hours: float,
+    options: SolveOptions, start: Basis | Tableau | None,
+) -> tuple[SweepReportRow, Basis | Tableau | None]:
     """Solve one scenario with its root LP started from `start`; return its
-    row and its root LP's final basis (`start` again if the engine fails).
+    row and its root LP's final tableau. If the engine fails, possibly after
+    taking a tableau start, the next start is that tableau's basis instead.
     A scenario that cannot be realized or built ends the sweep with exit 1."""
     try:
         model, vmap = _assemble(net, code, config, sigma_hours)
@@ -367,9 +369,11 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
         sol = solve_milp(model, options, start=start)
     except (SimplexError, SolverError) as exc:
         click.echo(f"error: scenario {code}: {exc}", err=True)
+        if isinstance(start, Tableau):
+            start = start.basis
         return SweepReportRow(str(code), "error", *[None] * 7), start
     if not sol.values:
-        return SweepReportRow(str(code), sol.status, *[None] * 7), sol.root_basis
+        return SweepReportRow(str(code), sol.status, *[None] * 7), sol.root_tableau
 
     built = [l for l in net.candidate_lines() if sol.values[vmap.build(l.id)] >= 0.5]
     expanded = [l for l in net.expandable_lines()
@@ -389,7 +393,7 @@ def _sweep_row(net: Network, code: ScenarioCode, config: ScenarioConfig,
         total_exp_cost=total_exp, gen_cost=gen_cost,
         total_cost=total_exp + gen_cost,
     )
-    return row, sol.root_basis
+    return row, sol.root_tableau
 
 
 @main.command("sweep")
@@ -420,7 +424,7 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
         f"# gap={gap!r} time_limit={time_limit!r}",
     ]
     # Every scenario model of one network has the same columns and rows,
-    # so each root LP starts from the previous scenario's root basis.
+    # so each root LP continues on the previous scenario's root tableau.
     rows = []
     start = None
     for code in codes:

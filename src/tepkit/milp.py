@@ -25,7 +25,6 @@ from .model import (
     SENSE_GE,
     SENSE_LE,
     Variable,
-    check_model,
 )
 from .network import LINE_CANDIDATE, Network, validate
 from .scenario import ScenarioParams
@@ -292,5 +291,4 @@ def build_tep_model(
         constraints=tuple(constraints),
         objective_terms=tuple(objective),
     )
-    check_model(model)
     return model, vmap

@@ -19,12 +19,23 @@ as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
 column keeps its bound status where the new bounds allow it, and the same
 phase 1 repairs any basic variable the new bounds put out of range.
 
+A copy of a final tableau (`Tableau.copy`) may also start a solve of
+another compile with the same variable and row names, such as the next
+scenario of a sweep, whose right-hand sides, bounds, costs and some
+columns of A differ. Each column j whose entries differ is recomputed as
+B^-1*a'_j from the slack block; a basic one is then pivoted back into its
+own row, which replaces a_j by a'_j in the basis with one rank-1 update
+(a column replacement, Maros 2003). Where that pivot is no larger
+than the pivot tolerance the new basis is singular or nearly so, and the
+start falls back to refactorizing it from the new columns.
+
 The tableau B^-1*A is kept dense and updated by rank-1 pivots. It is
-refactorized from the original columns when a start gives only a basis,
-every 128 pivots, and before phase 1 declares an LP infeasible. An
-optimality claim is not refactorized but certified on the original rows:
-the point must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price
-every column with the sign its bound status needs (weak duality), so
+refactorized from the original columns when a start gives only a basis
+(or a column replacement fails), every 128 pivots (column replacements
+count), and before phase 1 declares an LP infeasible. An optimality
+claim is not refactorized but certified on the original rows: the point
+must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price every
+column with the sign its bound status needs (weak duality), so
 accumulated drift cannot produce a false optimum; only a failed
 certificate refactorizes.
 """
@@ -78,18 +89,33 @@ class Tableau:
     """A solve's final B^-1*A (`matrix`, m x (n+m)) with its basis and
     column statuses. As the start of another solve of the same PreparedLp it
     replaces the refactorization; that solve continues on these arrays in
-    place, so a Tableau serves as a start once only."""
+    place, so a Tableau serves as a start once only. `basis` stays readable
+    after that, a fallback start for whoever handed the tableau on."""
 
-    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int):
+    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
+                 basis: Basis, *, portable: bool = False):
         self.prep = prep
         self.matrix = matrix
+        self.basis = basis
         self._columns = columns
         self._status = status
         self._pivots = pivots  # rank-1 updates since the last refactorization
+        self._portable = portable
+
+    def copy(self) -> Tableau:
+        """An independent copy that may also start a solve of another
+        compile with the same variable and row names."""
+        if self.matrix is None:
+            raise ValueError("start tableau was already used")
+        return Tableau(self.prep, self.matrix.copy(), self._columns.copy(),
+                       self._status.copy(), self._pivots, self.basis, portable=True)
 
     def _take(self, prep: PreparedLp):
         if prep is not self.prep:
-            raise ValueError("start tableau belongs to another PreparedLp")
+            if not self._portable:
+                raise ValueError("start tableau belongs to another PreparedLp")
+            if prep.names != self.prep.names or prep.rows != self.prep.rows:
+                raise ValueError("start tableau belongs to an LP with other variables or rows")
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         state = (self.matrix, self._columns, self._status, self._pivots)
@@ -117,6 +143,7 @@ class PreparedLp:
         check_model(model)
         self.model = model
         self.names = [v.name for v in model.variables]
+        self.rows = [c.name for c in model.constraints]
         self.var_index = model.variable_index()
         n = len(model.variables)
         m = len(model.constraints)
@@ -166,10 +193,11 @@ class PreparedLp:
         deadline: float | None = None,
     ) -> LpResult:
         """Solve under the model's bounds with `bound_overrides` applied,
-        starting from `start`: a basis (the slack basis by default), or the
-        live tableau of an earlier solve of this LP, which the solve takes
-        over. A start basis whose matrix is singular here falls back to the
-        slack basis. When `time.monotonic()` passes `deadline`, the solve
+        starting from `start`: a basis (the slack basis by default), the
+        live tableau of an earlier solve of this LP, or a copy of one from a
+        compile with the same variable and row names; the solve takes a
+        tableau over. A start whose basis matrix is singular here falls back
+        to the slack basis. When `time.monotonic()` passes `deadline`, the solve
         stops with status time_limit."""
         if start is None:
             start = self.slack_basis
@@ -218,7 +246,8 @@ class _SimplexRun:
         within its bounds (phase 1 repairs the ones that do not). A nonbasic
         column keeps its bound where that bound is finite, else takes the
         other finite bound, else sits free at zero. A basis is refactorized;
-        a taken-over tableau gives x_B = B^-1*(b - A_N*x_N) directly."""
+        a taken-over tableau, its changed columns replaced, gives
+        x_B = B^-1*(b - A_N*x_N) directly."""
         if isinstance(start, Tableau):
             self.tableau, basis, status, self.pivots_since_refactor = start._take(self.prep)
         else:
@@ -232,11 +261,30 @@ class _SimplexRun:
         ).astype(np.int8)
         self.basis = basis
         self.status[self.basis] = _BASIC
-        if isinstance(start, Tableau):
+        if isinstance(start, Tableau) and (
+                start.prep is self.prep or self._replace_columns(start.prep._a)):
             residual = self.b - self.a @ self._nonbasic_values()
             self.x_basic = self.tableau[:, self.prep.n:] @ residual
         else:
             self._refactorize()
+
+    def _replace_columns(self, old_a: np.ndarray) -> bool:
+        """Carry a tableau of another compile's columns `old_a` over to this
+        LP's: each changed column j becomes B^-1*a'_j, and a basic one is
+        pivoted back into its own row, replacing a_j by a'_j in the basis.
+        False when such a pivot vanishes (the new basis is singular or
+        nearly so); the tableau is then left to a refactorization."""
+        changed = np.flatnonzero((self.a != old_a).any(axis=0))
+        self.tableau[:, changed] = self.tableau[:, self.prep.n:] @ self.a[:, changed]
+        row_of = np.full(self.cols, -1)
+        row_of[self.basis] = np.arange(self.m)
+        for j in changed:
+            row = row_of[j]
+            if row >= 0:
+                if abs(self.tableau[row, j]) <= _PIVOT_TOL:
+                    return False
+                self._eliminate(row, j)
+        return True
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.cols)
@@ -348,13 +396,9 @@ class _SimplexRun:
         self.x_basic -= step * e
         self.status[self.basis[row]] = leaves_at
 
-        alpha = self.tableau[row, q]
-        if abs(alpha) <= _PIVOT_TOL:
+        if abs(self.tableau[row, q]) <= _PIVOT_TOL:
             raise SimplexError("pivot element vanished")
-        piv_row = self.tableau[row] / alpha
-        col = self.tableau[:, q].copy()
-        self.tableau -= np.outer(col, piv_row)
-        self.tableau[row] = piv_row
+        piv_row = self._eliminate(row, q)
 
         self.basis[row] = q
         self.status[q] = _BASIC
@@ -362,8 +406,17 @@ class _SimplexRun:
         zq = z[q]
         z -= zq * piv_row
         z[self.basis] = 0.0
+
+    def _eliminate(self, row: int, q: int) -> np.ndarray:
+        """Make column q the unit column of `row` with one rank-1 update of
+        the tableau; return the scaled pivot row."""
+        piv_row = self.tableau[row] / self.tableau[row, q]
+        col = self.tableau[:, q].copy()
+        self.tableau -= np.outer(col, piv_row)
+        self.tableau[row] = piv_row
         self.pivots_since_refactor += 1
         self.fresh = False
+        return piv_row
 
     # -- phases -----------------------------------------------------------
 
@@ -466,7 +519,7 @@ class _SimplexRun:
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
         basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
         live = Tableau(self.prep, self.tableau, self.basis, self.status,
-                       self.pivots_since_refactor)
+                       self.pivots_since_refactor, basis)
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 

@@ -68,6 +68,9 @@ class Solution:
     # final basis of the root LP: a start for a model with the same columns
     # and rows, such as another scenario of the same network
     root_basis: Basis | None = None
+    # a copy of the root LP's final tableau: a one-use start for such a model
+    # that skips the refactorization
+    root_tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,8 @@ def _deadline(started: float, options: SolveOptions) -> float | None:
 
 
 def solve_lp(
-    model: Model, options: SolveOptions | None = None, *, start: Basis | None = None
+    model: Model, options: SolveOptions | None = None, *,
+    start: Basis | Tableau | None = None,
 ) -> Solution:
     """Solve the continuous relaxation (binaries become their [0, 1] box)."""
     opts = options or SolveOptions()
@@ -164,11 +168,10 @@ def solve_lp(
         STATUS_UNBOUNDED: UNBOUNDED,
         STATUS_TIME_LIMIT: TIME_LIMIT,
     }.get(result.status)
+    root = (result.basis, result.tableau.copy())
     if status is not None:
-        return Solution(status, None, None, {}, stats, result.basis)
-    sol = Solution(
-        OPTIMAL, result.objective, result.objective, result.values, stats, result.basis
-    )
+        return Solution(status, None, None, {}, stats, *root)
+    sol = Solution(OPTIMAL, result.objective, result.objective, result.values, stats, *root)
     relaxed = replace(
         model,
         variables=tuple(
@@ -211,10 +214,12 @@ class _BranchAndBound:
         self.options = options
         self.prep = PreparedLp(model)
         self.binary_names = [v.name for v in model.binaries()]
-        # open nodes: (bound, push order, fixings, the parent's final basis)
-        self.heap: list[tuple[float, int, _Fixings, Basis | None]] = []
+        # open nodes: (bound, push order, fixings, start): the start is the
+        # parent's final basis, or the root's own start
+        self.heap: list[tuple[float, int, _Fixings, Basis | Tableau | None]] = []
         self.push_count = 0
         self.root_basis: Basis | None = None
+        self.root_tableau: Tableau | None = None
         self.incumbent_obj: float | None = None
         self.incumbent_vec: tuple[int, ...] | None = None
         self.incumbent_values: dict[str, float] = {}
@@ -234,7 +239,7 @@ class _BranchAndBound:
         if self.options.node_limit is not None and self.nodes >= self.options.node_limit:
             raise _StopSearch(NODE_LIMIT, bound)
 
-    def _push(self, bound: float, fixings: _Fixings, basis: Basis | None) -> None:
+    def _push(self, bound: float, fixings: _Fixings, basis: Basis | Tableau | None) -> None:
         heapq.heappush(self.heap, (bound, self.push_count, fixings, basis))
         self.push_count += 1
 
@@ -271,8 +276,9 @@ class _BranchAndBound:
             self.nodes += 1
             self.iterations += result.iterations
             self.refactorizations += result.refactorizations
-            if not fixings:
+            if not fixings:  # the dive child below takes the tableau itself
                 self.root_basis = result.basis
+                self.root_tableau = result.tableau.copy()
             if result.status == STATUS_TIME_LIMIT:
                 raise _StopSearch(TIME_LIMIT, bound)
             if result.status == STATUS_INFEASIBLE:
@@ -294,7 +300,7 @@ class _BranchAndBound:
             fixings = fixings + ((branch_name, preferred),)
             start = result.tableau
 
-    def run(self, start: Basis | None) -> Solution:
+    def run(self, start: Basis | Tableau | None) -> Solution:
         status = OPTIMAL
         try:
             self._push(-math.inf, (), start)
@@ -326,27 +332,28 @@ class _BranchAndBound:
         wall = time.monotonic() - self.start
         stats = {"nodes": self.nodes, "simplex_iterations": self.iterations,
                  "refactorizations": self.refactorizations, "wall_s": wall}
-        basis = self.root_basis
+        root = (self.root_basis, self.root_tableau)
         if status == UNBOUNDED:
-            return Solution(UNBOUNDED, None, None, {}, stats, basis)
+            return Solution(UNBOUNDED, None, None, {}, stats, *root)
         if self.incumbent_obj is None:
             if status == OPTIMAL:
-                return Solution(INFEASIBLE, None, None, {}, stats, basis)
+                return Solution(INFEASIBLE, None, None, {}, stats, *root)
             open_bound = self._open_bound()
             # the root has no bound until its LP is solved
             open_bound = open_bound if math.isfinite(open_bound) else None
-            return Solution(status, None, open_bound, {}, stats, basis)
+            return Solution(status, None, open_bound, {}, stats, *root)
         if status == OPTIMAL:
             best_bound = self.stop_bound if self.stop_bound is not None else self.incumbent_obj
         else:
             best_bound = min(self.incumbent_obj, self._open_bound())
         return Solution(
-            status, self.incumbent_obj, best_bound, self.incumbent_values, stats, basis
+            status, self.incumbent_obj, best_bound, self.incumbent_values, stats, *root
         )
 
 
 def solve_milp(
-    model: Model, options: SolveOptions | None = None, *, start: Basis | None = None
+    model: Model, options: SolveOptions | None = None, *,
+    start: Basis | Tableau | None = None,
 ) -> Solution:
     """Branch and bound with best-bound node selection, most-fractional
     branching (ties to the lowest variable index), and a depth-first plunge
@@ -356,10 +363,16 @@ def solve_milp(
     never reaches is not considered, so the vector can differ from the
     oracle's.
 
-    The root LP starts from `start`, for example the `root_basis` of another
-    scenario of the same network (the slack basis by default). The child a
-    dive plunges into continues on its parent's live tableau; a node taken
-    from the open list starts from its parent's final basis."""
+    The root LP starts from `start` (the slack basis by default): for
+    example the `root_basis`, or the `root_tableau`, of another scenario of
+    the same network, a model with the same variable and row names. A
+    tableau start skips the refactorization: the columns whose coefficients
+    differ are recomputed from it, and a basic one replaces its old column
+    in the basis by one pivot; only where that pivot vanishes is the basis
+    refactorized. The solve takes the tableau over, so it starts one solve
+    only. The child a dive plunges into continues on its parent's live
+    tableau; a node taken from the open list starts from its parent's final
+    basis."""
     opts = options or SolveOptions()
     if not any(v.kind == BINARY for v in model.variables):
         return solve_lp(model, opts, start=start)

@@ -10,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import tepkit.cli
+import tepkit.solver
 from tepkit.cli import main
-from tepkit.instance import builtin_garver
+from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import build_tep_model
 from tepkit.network import to_document
 from tepkit.scenario import (
@@ -19,8 +20,14 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import SimplexError
-from tepkit.solver import SolverError, check_solution, parse_solution, solve_milp
+from tepkit.simplex import SimplexError, Tableau
+from tepkit.solver import (
+    CheckReport,
+    SolverError,
+    check_solution,
+    parse_solution,
+    solve_milp,
+)
 
 from conftest import two_bus_net
 
@@ -299,6 +306,84 @@ def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
     assert [r[0] for r in rows] == ["L,L", "L,H", "H,L", "H,H"]
     assert rows[1] == ["L,H", "", "", "", "", "", "", ""]
     assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
+
+
+def test_sweep_failure_after_the_solve_hands_the_last_good_basis_on(
+        garver_doc, tmp_path, monkeypatch):
+    # L,H fails in the checker, after its root LP took L,L's tableau over;
+    # H,L then starts from L,L's root basis and still gives the pinned row
+    def fails_on_lh(model, values, **kwargs):
+        if model.name == "tepLH":
+            return CheckReport(False, ("forced failure",), 0.0)
+        return check_solution(model, values, **kwargs)
+
+    monkeypatch.setattr(tepkit.solver, "check_solution", fails_on_lh)
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", garver_doc, "--out", str(out))
+    assert result.exit_code == 2
+    assert "error: scenario L,H: solution failed independent verification: forced failure" \
+        in result.output
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[1:] == [GARVER_SWEEP_ROWS[0], '"L,H",,,,,,,', *GARVER_SWEEP_ROWS[2:]]
+
+
+def _recording_solve_milp(monkeypatch):
+    """Wrap the CLI's solve_milp; return the list of (start, solution) pairs
+    it records."""
+    calls = []
+
+    def recording(model, options=None, *, start=None):
+        sol = solve_milp(model, options, start=start)
+        calls.append((start, sol))
+        return sol
+
+    monkeypatch.setattr(tepkit.cli, "solve_milp", recording)
+    return calls
+
+
+# SHA-256 of the data rows (column titles excluded, each line ending in
+# "\n") of the default sweep over synthesize_grid(24 buses, 4 regions,
+# seed 1, 720 MW)
+SYNTH_SWEEP_ROWS_SHA256 = "6908f239cd0283d16bce04cde0ea21dc54fddcebf43a8a1bd30acf0d8fb1075b"
+
+
+def test_sweep_carries_one_factorization_across_scenarios(tmp_path, monkeypatch):
+    # each root LP continues on the previous scenario's root tableau; all 16
+    # roots are integral here, so the whole sweep needs one LAPACK call
+    net = synthesize_grid(SynthesisConfig(n_buses=24, n_regions=4, seed=1,
+                                          demand_total_mw=720.0))
+    doc = tmp_path / "synth.json"
+    doc.write_text(json.dumps(to_document(net)))
+    calls = _recording_solve_milp(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", str(doc), "--out", str(out))
+    assert result.exit_code == 0
+    assert len(calls) == 16
+    assert calls[0][0] is None
+    assert all(isinstance(start, Tableau) for start, _ in calls[1:])
+    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 1
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = "".join(line + "\n" for line in lines[1:])
+    assert hashlib.sha256(rows.encode()).hexdigest() == SYNTH_SWEEP_ROWS_SHA256
+
+
+def test_sweep_without_binaries_carries_the_tableau(tmp_path, monkeypatch):
+    # no candidate and no expandable line: every scenario is one LP
+    doc = tmp_path / "plain.json"
+    doc.write_text(json.dumps(to_document(two_bus_net())))
+    calls = _recording_solve_milp(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", str(doc), "--out", str(out))
+    assert result.exit_code == 0
+    (_, first), (start, second) = calls
+    assert first.stats["nodes"] == 0 and first.stats["refactorizations"] == 1
+    assert isinstance(start, Tableau)
+    assert second.stats["refactorizations"] == 0
+    params = realize_scenario(ScenarioCode.parse("H"), two_bus_net(),
+                              DemandElasticityConfig())
+    cold = solve_milp(build_tep_model(two_bus_net(), params, 8760.0)[0])
+    assert second.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert second.values == pytest.approx(cold.values, rel=1e-9, abs=1e-9)
 
 
 def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):

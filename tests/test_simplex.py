@@ -14,7 +14,7 @@ from tepkit.model import (
     Model,
     Variable,
 )
-from tepkit.simplex import PreparedLp, SimplexError
+from tepkit.simplex import PreparedLp, SimplexError, Tableau
 
 
 def lp(variables, constraints, objective, constant=0.0, name="lp"):
@@ -258,6 +258,62 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
         assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
+def _pair_lp(y_column, rhs=4.0):
+    # min -x - y over two rows; at (4/3, 4/3) both x and y are basic
+    x_column = (1.0, 2.0)
+    return lp(
+        [Variable("x", CONTINUOUS, 0.0, 10.0), Variable("y", CONTINUOUS, 0.0, 10.0)],
+        [Constraint(f"r{i}", (("x", x_column[i]), ("y", y_column[i])), SENSE_LE, rhs)
+         for i in range(2)],
+        [("x", -1.0), ("y", -1.0)],
+    )
+
+
+def test_tableau_copy_starts_another_compile_of_the_same_names():
+    base = PreparedLp(_pair_lp((2.0, 1.0)))
+    first = base.solve()
+    assert first.basis.columns in ((0, 1), (1, 0))
+    # only the right-hand sides differ: no column to replace, no LAPACK call
+    moved = PreparedLp(_pair_lp((2.0, 1.0), rhs=5.0))
+    result = moved.solve(start=first.tableau.copy())
+    assert result.refactorizations == 0
+    assert result.objective == pytest.approx(moved.solve().objective, rel=1e-12)
+    # y's column changes while y is basic: one column replacement, no LAPACK
+    turned = PreparedLp(_pair_lp((3.0, 1.0)))
+    result = turned.solve(start=first.tableau.copy())
+    assert result.refactorizations == 0
+    assert result.objective == pytest.approx(turned.solve().objective, rel=1e-12)
+    # a live tableau stays with its own compile; a copy needs the same names
+    with pytest.raises(ValueError, match="another PreparedLp"):
+        moved.solve(start=first.tableau)
+    plain = _pair_lp((2.0, 1.0))
+    renamed = PreparedLp(dataclasses.replace(plain, constraints=tuple(
+        dataclasses.replace(c, name=c.name.upper()) for c in plain.constraints)))
+    with pytest.raises(ValueError, match="other variables or rows"):
+        renamed.solve(start=first.tableau.copy())
+    copy = first.tableau.copy()
+    assert isinstance(copy, Tableau) and copy.basis == first.basis
+    moved.solve(start=copy)
+    assert copy.basis == first.basis  # still readable once taken
+    with pytest.raises(ValueError, match="already used"):
+        copy.copy()
+
+
+def test_vanishing_column_replacement_falls_back_to_a_refactorization():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    first = PreparedLp(_pair_lp((2.0, 1.0))).solve()
+    # y's new column equals x's, so the carried basis {x, y} is singular
+    # here: the replacement pivot is 0 and the start refactorizes
+    singular = _pair_lp((1.0, 2.0))
+    result = PreparedLp(singular).solve(start=first.tableau.copy())
+    assert result.status == "optimal"
+    assert result.refactorizations >= 1
+    ref = scipy_opt.linprog([-1.0, -1.0], A_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[4.0, 4.0],
+                            bounds=[(0.0, 10.0)] * 2, method="highs")
+    assert ref.status == 0
+    assert result.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
 def test_degenerate_rhs_zero():
     # many rows active at the origin: stalls then escapes via Bland's rule
     m = lp(
@@ -342,8 +398,11 @@ def test_randomized_against_scipy():
     rng = np.random.default_rng(2024)
     # a separate stream, so the base instances do not depend on the overrides
     override_rng = np.random.default_rng(7)
+    perturb_rng = np.random.default_rng(13)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     resolved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    carried = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    replaced = 0  # cross-compile starts that replaced a basic column in place
     for trial in range(150):
         model = _random_lp(rng)
         prep = PreparedLp(model)
@@ -360,8 +419,17 @@ def test_randomized_against_scipy():
         warm = prep.solve(bound_overrides=overrides, start=mine.basis)
         check(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
         # and from the base solve's live tableau, as a dive child continues
+        portable = mine.tableau.copy()
         live = prep.solve(bound_overrides=overrides, start=mine.tableau)
         check(live, with_bounds(model, overrides), f"{trial} live {overrides}")
+        # a copy of it starts another compile with other columns and
+        # right-hand sides, as the next scenario of a sweep does
+        columns, other = _perturbed(perturb_rng, model, mine.basis.columns)
+        cross = PreparedLp(other).solve(start=portable)
+        carried[cross.status] += 1
+        check(cross, other, f"{trial} cross {columns}")
+        replaced += cross.refactorizations == 0 and any(
+            j in mine.basis.columns for j in columns)
         # and back: the original bounds from the overridden solve's basis
         check(prep.solve(start=again.basis), model, f"{trial} back")
         if mine.status == "optimal":
@@ -372,6 +440,8 @@ def test_randomized_against_scipy():
     # the generator must exercise every outcome for this test to mean much
     assert min(statuses.values()) >= 5, statuses
     assert min(resolved.values()) >= 5, resolved
+    assert min(carried.values()) >= 5, carried
+    assert replaced >= 20, replaced
 
 
 def _random_overrides(rng, model):
@@ -385,6 +455,28 @@ def _random_overrides(rng, model):
         up = lo if rng.random() < 0.5 else lo + float(rng.uniform(0, 4))
         overrides[model.variables[j].name] = (lo, up)
     return overrides
+
+
+def _perturbed(rng, model, basis_columns):
+    """The model with every right-hand side moved and the coefficients of
+    some columns changed, at least one of them basic in `basis_columns`
+    where any structural column is; the names stay the same."""
+    n = len(model.variables)
+    basic = [j for j in basis_columns if j < n]
+    columns = {int(j) for j in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)}
+    if basic:
+        columns.add(int(rng.choice(basic)))
+    names = {model.variables[j].name for j in columns}
+    rows = []
+    for con in model.constraints:
+        terms = [(name, coef * float(rng.uniform(0.5, 1.5)) if name in names else coef)
+                 for name, coef in con.terms]
+        present = {name for name, _ in con.terms}
+        terms += [(name, float(rng.uniform(-3, 3))) for name in sorted(names - present)
+                  if rng.random() < 0.3]
+        rows.append(dataclasses.replace(
+            con, terms=tuple(terms), rhs=con.rhs + float(rng.uniform(-1, 1))))
+    return sorted(columns), dataclasses.replace(model, constraints=tuple(rows))
 
 
 def with_bounds(model, overrides):

@@ -208,6 +208,22 @@ def test_root_basis_warm_starts_a_related_model():
     assert warm.stats["simplex_iterations"] < again.stats["simplex_iterations"]
 
 
+def test_root_tableau_starts_a_related_model():
+    # another scenario's root tableau, taken over with its changed columns
+    # replaced, gives the same answer as a cold solve
+    cold = solve_milp(garver_model("L,L"))
+    other = garver_model("H,H")
+    carried = solve_milp(other, start=cold.root_tableau)
+    again = solve_milp(other)
+    assert carried.objective == pytest.approx(again.objective, rel=1e-9)
+    plan = [v.name for v in other.binaries()]
+    assert [round(carried.values[n]) for n in plan] == [round(again.values[n]) for n in plan]
+    assert carried.stats["refactorizations"] < again.stats["refactorizations"]
+    with pytest.raises(ValueError, match="already used"):
+        solve_milp(other, start=cold.root_tableau)
+    assert solve_lp(other, start=carried.root_tableau).stats["refactorizations"] == 0
+
+
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
     # a dive child continues on its parent's live tableau, and so does each
     # brute-force LP on the previous one's; refactorizing every node's start
