@@ -412,7 +412,10 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
     net = _load_net(network_path)
     config = _load_config(config_path)
     codes = enumerate_scenarios(len(net.regions))
-    options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
+    try:
+        options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
+    except ValueError as exc:
+        _fail(str(exc))
 
     header = [
         f"# network={network_path}",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 
@@ -337,7 +338,13 @@ def _decode_value(tp, value, entity: str, name: str):
     if tp is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DocumentError(f"{entity} field {name!r} must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):  # json.loads also reads NaN and Infinity
+            raise DocumentError(f"{entity} field {name!r} must be a finite number")
+        return number
     if tp is ConductorParams:
         return decode(tp, value, f"{entity}.{name}", DRAKE_ACSR)
     item = typing.get_args(tp)[0]

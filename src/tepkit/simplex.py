@@ -19,15 +19,15 @@ as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
 column keeps its bound status where the new bounds allow it, and the same
 phase 1 repairs any basic variable the new bounds put out of range.
 
-A copy of a final tableau (`Tableau.copy`) may also start a solve of
-another compile with the same variable and row names, such as the next
-scenario of a sweep, whose right-hand sides, bounds, costs and some
-columns of A differ. Each column j whose entries differ is recomputed as
-B^-1*a'_j from the slack block; a basic one is then pivoted back into its
-own row, which replaces a_j by a'_j in the basis with one rank-1 update
-(a column replacement, Maros 2003). Where that pivot is no larger
-than the pivot tolerance the new basis is singular or nearly so, and the
-start falls back to refactorizing it from the new columns.
+A final tableau may also start a solve of another compile with the same
+variable and row names, such as the next scenario of a sweep, whose
+right-hand sides, bounds, costs and some columns of A differ. Each column
+j whose entries differ is recomputed as B^-1*a'_j from the slack block; a
+basic one is then pivoted back into its own row, which replaces a_j by
+a'_j in the basis with one rank-1 update (a column replacement, Maros
+2003). Where that pivot is no larger than the pivot tolerance the new
+basis is singular or nearly so, and the start falls back to refactorizing
+it from the new columns.
 
 The tableau B^-1*A is kept dense and updated by rank-1 pivots. It is
 refactorized from the original columns when a start gives only a basis
@@ -57,6 +57,7 @@ _AT_UPPER = 1
 _AT_FREE = 2
 _BASIC = 3
 
+_FEAS_TOL = 1e-7
 _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
@@ -87,35 +88,33 @@ class Basis:
 
 class Tableau:
     """A solve's final B^-1*A (`matrix`, m x (n+m)) with its basis and
-    column statuses. As the start of another solve of the same PreparedLp it
-    replaces the refactorization; that solve continues on these arrays in
-    place, so a Tableau serves as a start once only. `basis` stays readable
-    after that, a fallback start for whoever handed the tableau on."""
+    column statuses. It starts a solve of any compile with the same variable
+    and row names: of its own PreparedLp it replaces the refactorization, of
+    another its changed columns are replaced first. That solve continues on
+    these arrays in place, so a Tableau serves as a start once only (`copy`
+    gives another). `basis` stays readable after that, a fallback start for
+    whoever handed the tableau on."""
 
     def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
-                 basis: Basis, *, portable: bool = False):
+                 basis: Basis):
         self.prep = prep
         self.matrix = matrix
         self.basis = basis
         self._columns = columns
         self._status = status
         self._pivots = pivots  # rank-1 updates since the last refactorization
-        self._portable = portable
 
     def copy(self) -> Tableau:
-        """An independent copy that may also start a solve of another
-        compile with the same variable and row names."""
+        """An independent copy, a start of its own."""
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         return Tableau(self.prep, self.matrix.copy(), self._columns.copy(),
-                       self._status.copy(), self._pivots, self.basis, portable=True)
+                       self._status.copy(), self._pivots, self.basis)
 
     def _take(self, prep: PreparedLp):
-        if prep is not self.prep:
-            if not self._portable:
-                raise ValueError("start tableau belongs to another PreparedLp")
-            if prep.names != self.prep.names or prep.rows != self.prep.rows:
-                raise ValueError("start tableau belongs to an LP with other variables or rows")
+        if prep is not self.prep and (
+                prep.names != self.prep.names or prep.rows != self.prep.rows):
+            raise ValueError("start tableau belongs to an LP with other variables or rows")
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         state = (self.matrix, self._columns, self._status, self._pivots)
@@ -187,18 +186,17 @@ class PreparedLp:
         self,
         bound_overrides: dict[str, tuple[float, float]] | None = None,
         *,
-        feas_tol: float = 1e-7,
         max_iterations: int = 20000,
         start: Basis | Tableau | None = None,
         deadline: float | None = None,
     ) -> LpResult:
         """Solve under the model's bounds with `bound_overrides` applied,
-        starting from `start`: a basis (the slack basis by default), the
-        live tableau of an earlier solve of this LP, or a copy of one from a
-        compile with the same variable and row names; the solve takes a
-        tableau over. A start whose basis matrix is singular here falls back
-        to the slack basis. When `time.monotonic()` passes `deadline`, the solve
-        stops with status time_limit."""
+        starting from `start`: a basis (the slack basis by default) or the
+        final tableau of an earlier solve of a compile with the same
+        variable and row names, which the solve takes over. A start whose
+        basis matrix is singular here falls back to the slack basis. When
+        `time.monotonic()` passes `deadline`, the solve stops with status
+        time_limit."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -215,12 +213,12 @@ class PreparedLp:
                 upper[j] = up
                 if lo > up:
                     raise ValueError(f"override for {name!r} has lower > upper")
-        run = _SimplexRun(self, lower, upper, feas_tol, max_iterations, deadline)
+        run = _SimplexRun(self, lower, upper, max_iterations, deadline)
         return run.solve(start)
 
 
 class _SimplexRun:
-    def __init__(self, prep: PreparedLp, lower, upper, feas_tol, max_iterations, deadline):
+    def __init__(self, prep: PreparedLp, lower, upper, max_iterations, deadline):
         self.prep = prep
         self.m = prep.m
         self.cols = prep.n + prep.m
@@ -230,7 +228,7 @@ class _SimplexRun:
         self.upper = upper
         self.fixed = upper - lower <= 0.0
         # the primal tolerance of the infeasibility verdict and the certificate
-        self.primal_tol = feas_tol * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
+        self.primal_tol = _FEAS_TOL * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
         self.max_iterations = max_iterations
         self.deadline = deadline
         self.iterations = 0
@@ -482,15 +480,19 @@ class _SimplexRun:
         however far the tableau has drifted: x meets Ax = b and the bounds,
         and the duals y = c_B*B^-1 (the tableau's slack block) give every
         basic column a zero reduced cost and every nonbasic one the sign its
-        bound status needs. O(m*(n+m))."""
+        bound status needs; a non-finite x or reduced cost fails. O(m*(n+m))."""
         x = self._nonbasic_values()
         x[self.basis] = self.x_basic
+        if not np.isfinite(x).all():
+            return False
         if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
             return False
         if self._violations()[2] > self.primal_tol:
             return False
         y = cost[self.basis] @ self.tableau[:, self.prep.n:]
         d = cost - y @ self.a
+        if not np.isfinite(d).all():
+            return False
         st = self.status
         wrong = np.where(st == _AT_LOWER, d < -dtol,
                          np.where(st == _AT_UPPER, d > dtol, np.abs(d) > dtol))

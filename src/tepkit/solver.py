@@ -24,14 +24,10 @@ from .simplex import (
     Tableau,
 )
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-GAP_LIMIT = "gap_limit"
-TIME_LIMIT = "time_limit"
-NODE_LIMIT = "node_limit"
+STATUS_NODE_LIMIT = "node_limit"
 
 _INT_TOL = 1e-6
+_VERIFY_TOL = 1e-5
 _BRUTE_FORCE_MAX_BINARIES = 24
 
 
@@ -43,16 +39,14 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolveOptions:
     rel_gap_tol: float = 1e-6
-    feas_tol: float = 1e-7
     time_limit_s: float | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.rel_gap_tol < 0.0:
+        # written so that NaN fails each test
+        if not self.rel_gap_tol >= 0.0:
             raise ValueError("rel_gap_tol must be nonnegative")
-        if self.feas_tol <= 0.0:
-            raise ValueError("feas_tol must be positive")
-        if self.time_limit_s is not None and self.time_limit_s <= 0.0:
+        if self.time_limit_s is not None and not self.time_limit_s > 0.0:
             raise ValueError("time_limit_s must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
@@ -65,11 +59,9 @@ class Solution:
     best_bound: float | None
     values: dict[str, float] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
-    # final basis of the root LP: a start for a model with the same columns
-    # and rows, such as another scenario of the same network
-    root_basis: Basis | None = None
-    # a copy of the root LP's final tableau: a one-use start for such a model
-    # that skips the refactorization
+    # a copy of the root LP's final tableau: a one-use start for a model with
+    # the same variable and row names, such as another scenario of the same
+    # network; its `basis` is the fallback start
     root_tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
@@ -81,11 +73,7 @@ class CheckReport:
 
 
 def check_solution(
-    model: Model,
-    values: dict[str, float],
-    *,
-    feas_tol: float = 1e-6,
-    int_tol: float = _INT_TOL,
+    model: Model, values: dict[str, float], *, feas_tol: float = 1e-6
 ) -> CheckReport:
     """Evaluate a point against the model with plain sums, independent of
     any solver internals."""
@@ -95,10 +83,13 @@ def check_solution(
             violations.append(f"no value for variable {v.name}")
             continue
         x = values[v.name]
+        if not math.isfinite(x):
+            violations.append(f"{v.name} = {x} is not finite")
+            continue
         tol = feas_tol * max(1.0, abs(x))
         if x < v.lower - tol or x > v.upper + tol:
             violations.append(f"{v.name} = {x} outside bounds [{v.lower}, {v.upper}]")
-        if v.kind == BINARY and abs(x - round(x)) > int_tol:
+        if v.kind == BINARY and abs(x - round(x)) > _INT_TOL:
             violations.append(f"{v.name} = {x} is not integral")
     for con in model.constraints:
         activity = 0.0
@@ -123,20 +114,19 @@ def check_solution(
     return CheckReport(not violations, tuple(violations), objective)
 
 
-def _verified(model: Model, solution: Solution, feas_tol: float) -> Solution:
-    if solution.status not in (OPTIMAL, TIME_LIMIT, NODE_LIMIT) or not solution.values:
+def _verified(model: Model, solution: Solution) -> Solution:
+    if not solution.values:
         return solution
-    report = check_solution(model, solution.values, feas_tol=feas_tol * 100.0)
+    report = check_solution(model, solution.values, feas_tol=_VERIFY_TOL)
     if not report.ok:
         raise SolverError(
             "solution failed independent verification: " + "; ".join(report.violations[:5])
         )
-    if solution.objective is not None:
-        scale = max(1.0, abs(report.objective))
-        if abs(report.objective - solution.objective) > 1e-9 * scale:
-            raise SolverError(
-                f"objective mismatch: engine {solution.objective}, re-evaluated {report.objective}"
-            )
+    scale = max(1.0, abs(report.objective))
+    if not abs(report.objective - solution.objective) <= 1e-9 * scale:
+        raise SolverError(
+            f"objective mismatch: engine {solution.objective}, re-evaluated {report.objective}"
+        )
     return solution
 
 
@@ -144,53 +134,35 @@ def _tie_tol(reference: float) -> float:
     return 1e-9 * max(1.0, abs(reference))
 
 
-def _deadline(started: float, options: SolveOptions) -> float | None:
-    if options.time_limit_s is None:
-        return None
-    return started + options.time_limit_s
+def _stats(nodes: int, iterations: int, refactorizations: int, started: float,
+           **extra: float) -> dict[str, float]:
+    return {"nodes": nodes, "simplex_iterations": iterations,
+            "refactorizations": refactorizations, "wall_s": time.monotonic() - started,
+            **extra}
 
 
 def solve_lp(
     model: Model, options: SolveOptions | None = None, *,
     start: Basis | Tableau | None = None,
 ) -> Solution:
-    """Solve the continuous relaxation (binaries become their [0, 1] box)."""
-    opts = options or SolveOptions()
-    started = time.monotonic()
-    result = PreparedLp(model).solve(
-        feas_tol=opts.feas_tol, start=start, deadline=_deadline(started, opts)
-    )
-    wall = time.monotonic() - started
-    stats = {"nodes": 0, "simplex_iterations": result.iterations,
-             "refactorizations": result.refactorizations, "wall_s": wall}
-    status = {
-        STATUS_INFEASIBLE: INFEASIBLE,
-        STATUS_UNBOUNDED: UNBOUNDED,
-        STATUS_TIME_LIMIT: TIME_LIMIT,
-    }.get(result.status)
-    root = (result.basis, result.tableau.copy())
-    if status is not None:
-        return Solution(status, None, None, {}, stats, *root)
-    sol = Solution(OPTIMAL, result.objective, result.objective, result.values, stats, *root)
+    """Solve the continuous relaxation (binaries become their [0, 1] box)
+    as a search with nothing to branch on: one node, its LP."""
     relaxed = replace(
         model,
         variables=tuple(
             v if v.kind != BINARY else replace(v, kind=CONTINUOUS) for v in model.variables
         ),
     )
-    return _verified(relaxed, sol, opts.feas_tol)
+    return solve_milp(relaxed, options, start=start)
 
 
 class _StopSearch(Exception):
-    """A limit ended the search while the node with this bound was open."""
+    """The search ended early, with this status, while the node with this
+    bound was open."""
 
     def __init__(self, status: str, bound: float):
         self.status = status
         self.bound = bound
-
-
-class _Unbounded(Exception):
-    pass
 
 
 _Fixings = tuple[tuple[str, int], ...]
@@ -218,7 +190,6 @@ class _BranchAndBound:
         # parent's final basis, or the root's own start
         self.heap: list[tuple[float, int, _Fixings, Basis | Tableau | None]] = []
         self.push_count = 0
-        self.root_basis: Basis | None = None
         self.root_tableau: Tableau | None = None
         self.incumbent_obj: float | None = None
         self.incumbent_vec: tuple[int, ...] | None = None
@@ -227,7 +198,8 @@ class _BranchAndBound:
         self.iterations = 0
         self.refactorizations = 0
         self.start = time.monotonic()
-        self.deadline = _deadline(self.start, options)
+        self.deadline = (None if options.time_limit_s is None
+                         else self.start + options.time_limit_s)
         self.stop_bound: float | None = None
         self.interrupted_bound = math.inf
 
@@ -235,9 +207,9 @@ class _BranchAndBound:
 
     def _check_limits(self, bound: float) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _StopSearch(TIME_LIMIT, bound)
+            raise _StopSearch(STATUS_TIME_LIMIT, bound)
         if self.options.node_limit is not None and self.nodes >= self.options.node_limit:
-            raise _StopSearch(NODE_LIMIT, bound)
+            raise _StopSearch(STATUS_NODE_LIMIT, bound)
 
     def _push(self, bound: float, fixings: _Fixings, basis: Basis | Tableau | None) -> None:
         heapq.heappush(self.heap, (bound, self.push_count, fixings, basis))
@@ -270,21 +242,16 @@ class _BranchAndBound:
         while True:
             self._check_limits(bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
-            result = self.prep.solve(
-                overrides, feas_tol=self.options.feas_tol, start=start, deadline=self.deadline
-            )
+            result = self.prep.solve(overrides, start=start, deadline=self.deadline)
             self.nodes += 1
             self.iterations += result.iterations
             self.refactorizations += result.refactorizations
             if not fixings:  # the dive child below takes the tableau itself
-                self.root_basis = result.basis
                 self.root_tableau = result.tableau.copy()
-            if result.status == STATUS_TIME_LIMIT:
-                raise _StopSearch(TIME_LIMIT, bound)
+            if result.status in (STATUS_TIME_LIMIT, STATUS_UNBOUNDED):
+                raise _StopSearch(result.status, bound)
             if result.status == STATUS_INFEASIBLE:
                 return
-            if result.status == STATUS_UNBOUNDED:
-                raise _Unbounded()
             objective = result.objective
             bound = max(bound, objective)
             if self.incumbent_obj is not None and objective > self.incumbent_obj + _tie_tol(
@@ -301,7 +268,7 @@ class _BranchAndBound:
             start = result.tableau
 
     def run(self, start: Basis | Tableau | None) -> Solution:
-        status = OPTIMAL
+        status = STATUS_OPTIMAL
         try:
             self._push(-math.inf, (), start)
             while self.heap:
@@ -320,8 +287,6 @@ class _BranchAndBound:
         except _StopSearch as stop:
             status = stop.status
             self.interrupted_bound = stop.bound
-        except _Unbounded:
-            return self._finish(UNBOUNDED)
         return self._finish(status)
 
     def _open_bound(self) -> float:
@@ -329,26 +294,21 @@ class _BranchAndBound:
         return min([b for b, _, _, _ in self.heap] + [self.interrupted_bound])
 
     def _finish(self, status: str) -> Solution:
-        wall = time.monotonic() - self.start
-        stats = {"nodes": self.nodes, "simplex_iterations": self.iterations,
-                 "refactorizations": self.refactorizations, "wall_s": wall}
-        root = (self.root_basis, self.root_tableau)
-        if status == UNBOUNDED:
-            return Solution(UNBOUNDED, None, None, {}, stats, *root)
+        stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start)
+        if status == STATUS_UNBOUNDED:
+            return Solution(status, None, None, {}, stats, self.root_tableau)
         if self.incumbent_obj is None:
-            if status == OPTIMAL:
-                return Solution(INFEASIBLE, None, None, {}, stats, *root)
+            if status == STATUS_OPTIMAL:
+                return Solution(STATUS_INFEASIBLE, None, None, {}, stats, self.root_tableau)
             open_bound = self._open_bound()
             # the root has no bound until its LP is solved
-            open_bound = open_bound if math.isfinite(open_bound) else None
-            return Solution(status, None, open_bound, {}, stats, *root)
-        if status == OPTIMAL:
+            best_bound = open_bound if math.isfinite(open_bound) else None
+        elif status == STATUS_OPTIMAL:
             best_bound = self.stop_bound if self.stop_bound is not None else self.incumbent_obj
         else:
             best_bound = min(self.incumbent_obj, self._open_bound())
-        return Solution(
-            status, self.incumbent_obj, best_bound, self.incumbent_values, stats, *root
-        )
+        return Solution(status, self.incumbent_obj, best_bound, self.incumbent_values,
+                        stats, self.root_tableau)
 
 
 def solve_milp(
@@ -357,27 +317,20 @@ def solve_milp(
 ) -> Solution:
     """Branch and bound with best-bound node selection, most-fractional
     branching (ties to the lowest variable index), and a depth-first plunge
-    after every branching. Among the incumbents the search finds, exact
-    objective ties go to the lexicographically smaller binary vector; the
-    objective equals brute_force_solve's, but a tied optimum the search
-    never reaches is not considered, so the vector can differ from the
-    oracle's.
+    after every branching; a model without binaries is one node, its LP.
+    Among the incumbents the search finds, exact objective ties go to the
+    lexicographically smaller binary vector; the objective equals
+    brute_force_solve's, but a tied optimum the search never reaches is not
+    considered, so the vector can differ from the oracle's.
 
-    The root LP starts from `start` (the slack basis by default): for
-    example the `root_basis`, or the `root_tableau`, of another scenario of
-    the same network, a model with the same variable and row names. A
-    tableau start skips the refactorization: the columns whose coefficients
-    differ are recomputed from it, and a basic one replaces its old column
-    in the basis by one pivot; only where that pivot vanishes is the basis
-    refactorized. The solve takes the tableau over, so it starts one solve
-    only. The child a dive plunges into continues on its parent's live
+    The root LP starts from `start`: the slack basis by default, or the
+    `root_tableau` of a model with the same variable and row names (such as
+    another scenario of the same network), which the solve takes over, or
+    that tableau's `basis`. A dive child continues on its parent's live
     tableau; a node taken from the open list starts from its parent's final
     basis."""
-    opts = options or SolveOptions()
-    if not any(v.kind == BINARY for v in model.variables):
-        return solve_lp(model, opts, start=start)
-    solution = _BranchAndBound(model, opts).run(start)
-    return _verified(model, solution, opts.feas_tol)
+    solution = _BranchAndBound(model, options or SolveOptions()).run(start)
+    return _verified(model, solution)
 
 
 def brute_force_solve(model: Model) -> Solution:
@@ -389,9 +342,7 @@ def brute_force_solve(model: Model) -> Solution:
     k = len(binaries)
     if k > _BRUTE_FORCE_MAX_BINARIES:
         raise ValueError(f"{k} binaries exceed the enumeration limit of {_BRUTE_FORCE_MAX_BINARIES}")
-    start = time.monotonic()
-    if k == 0:
-        return solve_lp(model)
+    started = time.monotonic()
     prep = PreparedLp(model)
     best_obj: float | None = None
     best_vec: tuple[int, ...] | None = None
@@ -409,14 +360,8 @@ def brute_force_solve(model: Model) -> Solution:
         iterations += result.iterations
         refactorizations += result.refactorizations
         if result.status == STATUS_UNBOUNDED:
-            wall = time.monotonic() - start
-            stats = {
-                "nodes": i + 1,
-                "simplex_iterations": iterations,
-                "refactorizations": refactorizations,
-                "wall_s": wall,
-            }
-            return Solution(UNBOUNDED, None, None, {}, stats)
+            stats = _stats(i + 1, iterations, refactorizations, started)
+            return Solution(STATUS_UNBOUNDED, None, None, {}, stats)
         if result.status != STATUS_OPTIMAL:
             continue
         feasible += 1
@@ -424,18 +369,11 @@ def brute_force_solve(model: Model) -> Solution:
             best_obj = result.objective
             best_vec = bits
             best_values = result.values
-    wall = time.monotonic() - start
-    stats = {
-        "nodes": 1 << k,
-        "simplex_iterations": iterations,
-        "refactorizations": refactorizations,
-        "wall_s": wall,
-        "feasible_assignments": feasible,
-    }
+    stats = _stats(1 << k, iterations, refactorizations, started,
+                   feasible_assignments=feasible)
     if best_obj is None:
-        return Solution(INFEASIBLE, None, None, {}, stats)
-    solution = Solution(OPTIMAL, best_obj, best_obj, best_values, stats)
-    return _verified(model, solution, 1e-7)
+        return Solution(STATUS_INFEASIBLE, None, None, {}, stats)
+    return _verified(model, Solution(STATUS_OPTIMAL, best_obj, best_obj, best_values, stats))
 
 
 def format_solution(solution: Solution) -> str:

@@ -376,7 +376,7 @@ def test_sweep_without_binaries_carries_the_tableau(tmp_path, monkeypatch):
     result = run("sweep", "--network", str(doc), "--out", str(out))
     assert result.exit_code == 0
     (_, first), (start, second) = calls
-    assert first.stats["nodes"] == 0 and first.stats["refactorizations"] == 1
+    assert first.stats["nodes"] == 1 and first.stats["refactorizations"] == 1
     assert isinstance(start, Tableau)
     assert second.stats["refactorizations"] == 0
     params = realize_scenario(ScenarioCode.parse("H"), two_bus_net(),
@@ -399,6 +399,21 @@ def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
     assert result.exit_code == 1
     assert re.fullmatch(r"error: scenario L,L: ambient \S+ C must be below "
                         r"the conductor limit 30\.0 C\n", result.output)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--gap", "-1"], "rel_gap_tol must be nonnegative"),
+    (["--gap", "nan"], "rel_gap_tol must be nonnegative"),
+    (["--time-limit", "0"], "time_limit_s must be positive"),
+    (["--time-limit", "nan"], "time_limit_s must be positive"),
+])
+def test_bad_solver_option_is_one_line_and_exit_1(garver_doc, tmp_path, option, message):
+    out = tmp_path / "sweep.csv"
+    for command in (["solve", "--scenario", "H,L"], ["sweep", "--out", str(out)]):
+        result = CliRunner().invoke(main, command + ["--network", garver_doc] + option)
+        assert result.exit_code == 1, command
+        assert result.output == f"error: {message}\n", command
     assert not out.exists()
 
 

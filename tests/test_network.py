@@ -171,6 +171,16 @@ def test_document_defaults_and_rejections():
     with pytest.raises(DocumentError, match="must be an integer"):
         parse_document(json.dumps(bad))
 
+    # json.loads reads NaN and Infinity, and an integer beyond the float range
+    for table, name, text in (("buses", "demand_mw", "NaN"),
+                              ("generators", "cost_per_mwh", "Infinity"),
+                              ("lines", "susceptance_pu", "-Infinity"),
+                              ("regions", "base_peak_temp_f", "1" + "0" * 400)):
+        bad = json.loads(json.dumps(doc))
+        bad[table][0][name] = "@"
+        with pytest.raises(DocumentError, match=f"'{name}' must be a finite number"):
+            parse_document(json.dumps(bad).replace('"@"', text))
+
     with pytest.raises(DocumentError, match="malformed"):
         parse_document("{not json")
     assert issubclass(DocumentError, ValueError)

@@ -128,6 +128,10 @@ def test_load_scenario_config_defaults_and_errors():
         load_scenario_config('{"base_year": 2005}')
     with pytest.raises(ValueError, match="must be a number"):
         load_scenario_config('{"elasticity": {"gamma_low": "1.03"}}')
+    with pytest.raises(ValueError, match="'gamma_high' must be a finite number"):
+        load_scenario_config('{"elasticity": {"gamma_high": NaN}}')
+    with pytest.raises(ValueError, match="'diameter_m' must be a finite number"):
+        load_scenario_config('{"conductor_overrides": {"1": {"diameter_m": Infinity}}}')
 
 
 @pytest.mark.parametrize("override, message", [

@@ -234,8 +234,6 @@ def test_tableau_start_skips_the_refactorization_once():
     assert live.objective == pytest.approx(cold.objective, rel=1e-12)
     with pytest.raises(ValueError, match="already used"):
         prep.solve(start=base.tableau)
-    with pytest.raises(ValueError, match="another PreparedLp"):
-        PreparedLp(dense_lp()).solve(start=live.tableau)
     # an infeasibility verdict is made on a fresh factorization
     impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
     dead = prep.solve(bound_overrides=impossible, start=live.tableau)
@@ -243,19 +241,23 @@ def test_tableau_start_skips_the_refactorization_once():
 
 
 def test_drifted_tableau_start_still_reaches_the_optimum():
-    # entries off by about 1e-6 give a wrong point that only the
-    # certificate on the original rows can reject
+    # entries off by about 1e-6, or one NaN in the slack block (B^-1), give
+    # a wrong point that only the certificate on the original rows can reject
     prep = PreparedLp(dense_lp())
     cold = prep.solve()
-    start = prep.solve().tableau
     rng = np.random.default_rng(11)
-    start.matrix += rng.uniform(-1e-6, 1e-6, start.matrix.shape)
-    drifted = prep.solve(start=start)
-    assert drifted.status == "optimal"
-    assert drifted.refactorizations >= 1
-    assert drifted.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
-    for name, value in cold.values.items():
-        assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
+    for damage in ("drift", "nan"):
+        start = prep.solve().tableau
+        if damage == "drift":
+            start.matrix += rng.uniform(-1e-6, 1e-6, start.matrix.shape)
+        else:
+            start.matrix[0, -1] = math.nan
+        drifted = prep.solve(start=start)
+        assert drifted.status == "optimal", damage
+        assert drifted.refactorizations >= 1, damage
+        assert drifted.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+        for name, value in cold.values.items():
+            assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
 def _pair_lp(y_column, rhs=4.0):
@@ -283,9 +285,7 @@ def test_tableau_copy_starts_another_compile_of_the_same_names():
     result = turned.solve(start=first.tableau.copy())
     assert result.refactorizations == 0
     assert result.objective == pytest.approx(turned.solve().objective, rel=1e-12)
-    # a live tableau stays with its own compile; a copy needs the same names
-    with pytest.raises(ValueError, match="another PreparedLp"):
-        moved.solve(start=first.tableau)
+    # a tableau needs the same names
     plain = _pair_lp((2.0, 1.0))
     renamed = PreparedLp(dataclasses.replace(plain, constraints=tuple(
         dataclasses.replace(c, name=c.name.upper()) for c in plain.constraints)))

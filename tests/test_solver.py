@@ -200,7 +200,7 @@ def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
 def test_root_basis_warm_starts_a_related_model():
     cold = solve_milp(garver_model("L,L"))
     other = garver_model("H,H")
-    warm = solve_milp(other, start=cold.root_basis)
+    warm = solve_milp(other, start=cold.root_tableau.basis)
     again = solve_milp(other)
     assert warm.objective == pytest.approx(again.objective, rel=1e-9)
     plan = [v.name for v in other.binaries()]
@@ -291,10 +291,22 @@ def test_brute_force_refuses_too_many_binaries():
 
 
 def test_brute_force_no_binaries_falls_back_to_lp():
-    m = milp([Variable("x", CONTINUOUS, 0.0, 2.0)], [], [("x", -1.0)])
-    sol = brute_force_solve(m)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(-2.0)
+    # nothing to branch on: every driver solves one node, its LP
+    for upper, floor, status, objective in (
+        (2.0, 0.0, "optimal", -2.0),
+        (2.0, 3.0, "infeasible", None),
+        (math.inf, 0.0, "unbounded", None),
+    ):
+        m = milp([Variable("x", CONTINUOUS, 0.0, upper)],
+                 [Constraint("floor", (("x", 1.0),), SENSE_GE, floor)], [("x", -1.0)])
+        for solve in (solve_milp, solve_lp, brute_force_solve):
+            sol = solve(m)
+            assert sol.status == status, (solve, status)
+            if objective is None:
+                assert sol.objective is None and sol.values == {}
+            else:
+                assert sol.objective == pytest.approx(objective)
+            assert sol.stats["nodes"] == 1, (solve, status)
 
 
 def test_determinism():
@@ -376,6 +388,15 @@ def test_check_solution_reports_violations():
     assert not missing.ok
     assert any("no value" in v for v in missing.violations)
 
+    # a tolerance scaled by |x| must not let a non-finite value through
+    for bad in (math.nan, math.inf, -math.inf):
+        report = check_solution(m, {"a": bad, "b": 0.0, "c": 1.0})
+        assert not report.ok, bad
+        assert report.violations[0] == f"a = {bad} is not finite"
+    x = milp([Variable("x", CONTINUOUS, 0.0, math.inf)], [], [("x", 1.0)])
+    assert not check_solution(x, {"x": math.nan}).ok
+    assert not check_solution(x, {"x": math.inf}).ok
+
 
 def test_solution_file_round_trip():
     sol = solve_milp(knapsack())
@@ -399,8 +420,10 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(rel_gap_tol=-1.0)
     with pytest.raises(ValueError):
-        SolveOptions(feas_tol=0.0)
-    with pytest.raises(ValueError):
         SolveOptions(time_limit_s=0.0)
+    with pytest.raises(ValueError):
+        SolveOptions(rel_gap_tol=math.nan)
+    with pytest.raises(ValueError):
+        SolveOptions(time_limit_s=math.nan)
     with pytest.raises(ValueError):
         SolveOptions(node_limit=0)
