@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -227,6 +228,20 @@ def _model_options(fn):
     return fn
 
 
+def _solve_options(gap: float, time_limit: float | None) -> SolveOptions:
+    """SolveOptions from --gap and --time-limit; a bad value ends the
+    command with one error line that names the option as typed."""
+    if math.isnan(gap):
+        _fail("--gap is NaN; it must be a nonnegative number")
+    if gap < 0.0:
+        _fail(f"--gap must be nonnegative, got {gap!r}")
+    if time_limit is not None and math.isnan(time_limit):
+        _fail("--time-limit is NaN; it must be a positive number of seconds")
+    if time_limit is not None and time_limit <= 0.0:
+        _fail(f"--time-limit must be positive, got {time_limit!r}")
+    return SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
+
+
 def _solver_options(fn):
     fn = click.option("--gap", default=1e-6, show_default=True,
                       help="Relative optimality gap tolerance.")(fn)
@@ -284,12 +299,12 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
 
     Exits 0 when optimal, 1 for any other solver status, and 2 when the
     engine fails."""
+    options = _solve_options(gap, time_limit)
     net = _load_net(network_path)
     config = _load_config(config_path)
     try:
         code = ScenarioCode.parse(scenario_code)
         model, vmap = _assemble(net, code, config, sigma_hours)
-        options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
         sol = solve_milp(model, options)
     except ValueError as exc:
         _fail(str(exc))
@@ -409,13 +424,10 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
     another solver status or cannot be realized (then no report is
     written), and 2 when the engine fails on some scenario; a failed
     scenario's row keeps its place with status error."""
+    options = _solve_options(gap, time_limit)
     net = _load_net(network_path)
     config = _load_config(config_path)
     codes = enumerate_scenarios(len(net.regions))
-    try:
-        options = SolveOptions(rel_gap_tol=gap, time_limit_s=time_limit)
-    except ValueError as exc:
-        _fail(str(exc))
 
     header = [
         f"# network={network_path}",

@@ -29,15 +29,22 @@ a'_j in the basis with one rank-1 update (a column replacement, Maros
 basis is singular or nearly so, and the start falls back to refactorizing
 it from the new columns.
 
-The tableau B^-1*A is kept dense and updated by rank-1 pivots. It is
-refactorized from the original columns when a start gives only a basis
-(or a column replacement fails), every 128 pivots (column replacements
-count), and before phase 1 declares an LP infeasible. An optimality
-claim is not refactorized but certified on the original rows: the point
+The tableau B^-1*A is kept dense and updated by rank-1 pivots; where at
+most a tenth of the pivot row is nonzero, as on larger sparse models, the
+update touches only those columns. It is refactorized from the original
+columns when a start gives only a basis (or a column replacement fails)
+and every 128 pivots (column replacements count). A basis of slacks alone,
+such as the default start, is B = I up to the order of its rows and loads
+as A itself, without LAPACK.
+
+Neither verdict refactorizes; each is certified on the original rows
+instead, so accumulated drift cannot produce a false one. An optimum
 must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price every
-column with the sign its bound status needs (weak duality), so
-accumulated drift cannot produce a false optimum; only a failed
-certificate refactorizes.
+column with the sign its bound status needs (weak duality). An
+infeasibility verdict, a phase-1 dead end, needs a Farkas certificate:
+with y = w*B^-1 for phase 1's weights w, no point within the bounds may
+reach y*b (Maros 2003). Only a failed certificate refactorizes; if the
+refactorized basic values then leave their bounds, phase 1 runs again.
 """
 
 from __future__ import annotations
@@ -56,8 +63,12 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _AT_FREE = 2
 _BASIC = 3
+# the pricing sign of each state (see _SimplexRun._load); free columns are
+# priced apart
+_GAIN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 _FEAS_TOL = 1e-7
+_PHASE1_DTOL = 1e-9  # phase 1's pricing tolerance
 _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
@@ -70,6 +81,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
+# phase 2 refactorized and found the basic values outside their bounds:
+# the solve goes back to phase 1
+_STATUS_OUT_OF_BOUNDS = "out_of_bounds"
 
 
 class SimplexError(RuntimeError):
@@ -227,7 +241,7 @@ class _SimplexRun:
         self.lower = lower
         self.upper = upper
         self.fixed = upper - lower <= 0.0
-        # the primal tolerance of the infeasibility verdict and the certificate
+        # the primal tolerance of the infeasibility verdict and the certificates
         self.primal_tol = _FEAS_TOL * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
         self.max_iterations = max_iterations
         self.deadline = deadline
@@ -259,6 +273,15 @@ class _SimplexRun:
         ).astype(np.int8)
         self.basis = basis
         self.status[self.basis] = _BASIC
+        # the bounds of the basic variables, in row order
+        self.lo_b = self.lower[self.basis]
+        self.up_b = self.upper[self.basis]
+        # the pricing sign of each column: the reduced cost z_j times gain_j
+        # is what entering j gains (-1 at lower, +1 at upper, 0 when basic or
+        # fixed); a nonbasic free column gains |z_j|
+        self.gain = _GAIN[self.status]
+        self.gain[self.fixed] = 0.0
+        self.free = (self.status == _AT_FREE).nonzero()[0]
         if isinstance(start, Tableau) and (
                 start.prep is self.prep or self._replace_columns(start.prep._a)):
             residual = self.b - self.a @ self._nonbasic_values()
@@ -285,44 +308,51 @@ class _SimplexRun:
         return True
 
     def _nonbasic_values(self) -> np.ndarray:
-        v = np.zeros(self.cols)
-        at_lo = self.status == _AT_LOWER
-        at_up = self.status == _AT_UPPER
-        v[at_lo] = self.lower[at_lo]
-        v[at_up] = self.upper[at_up]
-        return v
+        st = self.status
+        return np.where(st == _AT_LOWER, self.lower,
+                        np.where(st == _AT_UPPER, self.upper, 0.0))
 
     def _violations(self):
         """Masks of the basic variables below their lower and above their
-        upper bound, and the total violation."""
+        upper bound."""
         x = self.x_basic
-        shortfall = self.lower[self.basis] - x
-        excess = x - self.upper[self.basis]
-        below = shortfall > _PRIMAL_TOL
-        above = excess > _PRIMAL_TOL
-        total = float(shortfall[below].sum() + excess[above].sum())
-        return below, above, total
+        return self.lo_b - x > _PRIMAL_TOL, x - self.up_b > _PRIMAL_TOL
+
+    def _total_violation(self) -> float:
+        """How far the basic variables lie outside their bounds, in sum."""
+        shortfall = self.lo_b - self.x_basic
+        excess = self.x_basic - self.up_b
+        return float(shortfall[shortfall > _PRIMAL_TOL].sum()
+                     + excess[excess > _PRIMAL_TOL].sum())
 
     # -- linear algebra ---------------------------------------------------
 
     def _refactorize(self) -> None:
         """Recompute B^-1*A and the basic values from the original columns,
         with one LAPACK solve on [A_N | b - A_N*x_N]; the basic columns of
-        B^-1*A are the identity."""
-        nonbasic = np.flatnonzero(self.status != _BASIC)
+        B^-1*A are the identity. A basis made of all the slack columns is
+        the identity up to row order, so there B^-1*A is A with its rows
+        reordered and no LAPACK call is made."""
+        n = self.prep.n
         residual = self.b - self.a @ self._nonbasic_values()
-        try:
-            solved = np.linalg.solve(
-                self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SimplexError("basis matrix became singular") from exc
-        self.tableau = np.zeros((self.m, self.cols))
-        self.tableau[:, nonbasic] = solved[:, :-1]
-        self.tableau[np.arange(self.m), self.basis] = 1.0
-        self.x_basic = solved[:, -1].copy()
+        if (self.status[n:] == _BASIC).all():
+            rows = self.basis - n
+            self.tableau = self.a[rows]
+            self.x_basic = residual[rows]
+        else:
+            nonbasic = np.flatnonzero(self.status != _BASIC)
+            try:
+                solved = np.linalg.solve(
+                    self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
+                )
+            except np.linalg.LinAlgError as exc:
+                raise SimplexError("basis matrix became singular") from exc
+            self.tableau = np.zeros((self.m, self.cols))
+            self.tableau[:, nonbasic] = solved[:, :-1]
+            self.tableau[np.arange(self.m), self.basis] = 1.0
+            self.x_basic = solved[:, -1].copy()
+            self.refactorizations += 1
         self.pivots_since_refactor = 0
-        self.refactorizations += 1
         self.fresh = True
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
@@ -333,17 +363,27 @@ class _SimplexRun:
     # -- pivoting ---------------------------------------------------------
 
     def _choose_entering(self, z: np.ndarray, dtol: float, bland: bool):
-        up_ok = (self.status == _AT_LOWER) & (z < -dtol)
-        dn_ok = (self.status == _AT_UPPER) & (z > dtol)
-        fr_ok = (self.status == _AT_FREE) & (np.abs(z) > dtol)
-        eligible = (up_ok | dn_ok | fr_ok) & ~self.fixed
-        if not eligible.any():
-            return None
+        """The column whose reduced cost gains most (Dantzig), or the first
+        that gains more than dtol (Bland); None when none does. A NaN
+        reduced cost never enters."""
+        score = self.gain * z
+        if self.free.size:
+            score[self.free] = np.abs(z[self.free])
         if bland:
-            q = int(np.argmax(eligible))
+            eligible = score > dtol
+            q = int(eligible.argmax())
+            if not eligible[q]:
+                return None
         else:
-            score = np.where(eligible, np.abs(z), -math.inf)
-            q = int(np.argmax(score))
+            q = int(score.argmax())
+            if not score[q] > dtol:
+                if not math.isnan(score[q]):
+                    return None
+                # argmax stops at the first NaN: rank the others without it
+                score = np.where(score > dtol, score, -math.inf)
+                q = int(score.argmax())
+                if not score[q] > dtol:
+                    return None
         direction = 1.0 if z[q] < 0.0 else -1.0
         return q, direction
 
@@ -351,18 +391,28 @@ class _SimplexRun:
         """Longest step the entering column can take. A basic variable
         moving down stops at its lower bound, or at its upper bound when it
         starts above it; moving up, symmetrically. One that violates a
-        bound and moves further out does not block."""
+        bound and moves further out does not block. Phase 2 passes no
+        violation masks: there every basic variable is within its bounds."""
         e = direction * self.tableau[:, q]
         down = e > _PIVOT_TOL
         up = e < -_PIVOT_TOL
-        to_upper = (down & above) | (up & ~below)
-        target = np.where(to_upper, self.upper[self.basis], self.lower[self.basis])
-        blocks = ((down & ~below) | (up & ~above)) & np.isfinite(target)
-        ratios = np.full(self.m, math.inf)
-        ratios[blocks] = (self.x_basic[blocks] - target[blocks]) / e[blocks]
-        np.maximum(ratios, 0.0, out=ratios)
+        if below is None:
+            to_upper = up
+            blocks = down | up
+        else:
+            inside_lo = ~below
+            to_upper = (down & above) | (up & inside_lo)
+            blocks = (down & inside_lo) | (up & ~above)
+        target = np.where(to_upper, self.up_b, self.lo_b)
+        blocks &= np.isfinite(target)
+        ratios = np.empty(self.m)
+        ratios.fill(math.inf)
+        np.divide(self.x_basic - target, e, out=ratios, where=blocks)
 
+        # a ratio below zero (a basic value just outside its bound) counts as 0
         row_min = ratios.min() if self.m else math.inf
+        if row_min < 0.0:
+            row_min = 0.0
         own_range = self.upper[q] - self.lower[q]
         if own_range <= row_min:
             if math.isinf(own_range):
@@ -370,14 +420,16 @@ class _SimplexRun:
             return -1, own_range, e, None  # bound flip, no basis change
         if math.isinf(row_min):
             return None, math.inf, e, None
-        near = np.flatnonzero(ratios <= row_min + _RATIO_TIE)
-        if bland:
-            best = near[np.argmin(self.basis[near])]
+        near = (ratios <= row_min + _RATIO_TIE).nonzero()[0]
+        if len(near) == 1:
+            best = near[0]
+        elif bland:
+            best = near[self.basis[near].argmin()]
         else:
-            best = near[np.argmax(np.abs(e[near]))]
+            best = near[np.abs(e[near]).argmax()]
             ties = near[np.abs(e[near]) >= abs(e[best]) - _RATIO_TIE]
             if len(ties) > 1:
-                best = ties[np.argmin(self.basis[ties])]
+                best = ties[self.basis[ties].argmin()]
         leaves_at = _AT_UPPER if to_upper[best] else _AT_LOWER
         return int(best), row_min, e, leaves_at
 
@@ -389,28 +441,46 @@ class _SimplexRun:
             return self.upper[q]
         return 0.0
 
+    def _set_nonbasic(self, j: int, at: int) -> None:
+        self.status[j] = at
+        if not self.fixed[j]:
+            self.gain[j] = 1.0 if at == _AT_UPPER else -1.0
+
     def _pivot(self, q: int, direction: float, row: int, step: float, e, z, leaves_at):
+        """Swap q into the basis at `row`; `z`, when given, is updated for
+        the new basis (phase 2 prices incrementally, phase 1 afresh)."""
         new_value = self._entering_value(q) + direction * step
         self.x_basic -= step * e
-        self.status[self.basis[row]] = leaves_at
+        self._set_nonbasic(self.basis[row], leaves_at)
 
         if abs(self.tableau[row, q]) <= _PIVOT_TOL:
             raise SimplexError("pivot element vanished")
         piv_row = self._eliminate(row, q)
 
+        if self.status[q] == _AT_FREE:
+            self.free = self.free[self.free != q]
         self.basis[row] = q
         self.status[q] = _BASIC
+        self.gain[q] = 0.0
+        self.lo_b[row] = self.lower[q]
+        self.up_b[row] = self.upper[q]
         self.x_basic[row] = new_value
-        zq = z[q]
-        z -= zq * piv_row
-        z[self.basis] = 0.0
+        if z is not None:
+            zq = z[q]
+            z -= zq * piv_row
+            z[self.basis] = 0.0
 
     def _eliminate(self, row: int, q: int) -> np.ndarray:
         """Make column q the unit column of `row` with one rank-1 update of
-        the tableau; return the scaled pivot row."""
+        the tableau; return the scaled pivot row. Where at most a tenth of
+        the pivot row is nonzero, only those columns are updated."""
         piv_row = self.tableau[row] / self.tableau[row, q]
-        col = self.tableau[:, q].copy()
-        self.tableau -= np.outer(col, piv_row)
+        col = self.tableau[:, q]  # read in full before the update writes
+        if 10 * np.count_nonzero(piv_row) <= self.cols:
+            nonzero = piv_row.nonzero()[0]
+            self.tableau[:, nonzero] -= np.multiply.outer(col, piv_row[nonzero])
+        else:
+            self.tableau -= np.multiply.outer(col, piv_row)
         self.tableau[row] = piv_row
         self.pivots_since_refactor += 1
         self.fresh = False
@@ -420,14 +490,19 @@ class _SimplexRun:
 
     def _run_phase(self, phase1: bool) -> str:
         """Iterate to optimality. Phase 1 prices the current violations,
-        so its cost is rebuilt after every step and it stops as soon as no
-        basic variable violates a bound; phase 2 prices the objective."""
+        so its reduced costs are rebuilt after every step and it stops as
+        soon as no basic variable violates a bound; phase 2 prices the
+        objective. A phase-1 dead end is infeasible when the Farkas
+        certificate holds; on a fresh factorization it returns optimal and
+        the solve weighs what violation is left. Phase 2 returns
+        out_of_bounds when a refactorization puts a basic value outside its
+        bounds."""
         if phase1:
-            dtol = 1e-9
+            dtol = _PHASE1_DTOL
         else:
             cost = self.prep._cost
             dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
-            below = above = np.zeros(self.m, dtype=bool)
+            below = above = None
         z = None
         retries = 0
         while True:
@@ -436,24 +511,28 @@ class _SimplexRun:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return STATUS_TIME_LIMIT
             if phase1:
-                below, above, _ = self._violations()
-                if not (below.any() or above.any()):
+                below, above = self._violations()
+                # the phase-1 objective, the total violation, falls at rate
+                # push_i as basic variable i rises: +1 below, -1 above
+                push = np.subtract(below, above, dtype=float)
+                if not push.any():
                     return STATUS_OPTIMAL
-                cost = np.zeros(self.cols)
-                cost[self.basis[below]] = -1.0
-                cost[self.basis[above]] = 1.0
-                z = None
-            if z is None:
+                z = push @ self.tableau
+            elif z is None:
                 z = self._reduced_costs(cost)
             bland = self.degenerate_streak >= _BLAND_AFTER
             pick = self._choose_entering(z, dtol, bland)
             if pick is None:
-                # a phase-1 dead end is an infeasibility verdict, made only on
-                # a fresh factorization; a phase-2 optimum needs the certificate
+                # a verdict on a drifted tableau needs its certificate; a
+                # fresh factorization is trusted
+                if phase1 and not self.fresh and self._infeasibility_certified(push):
+                    return STATUS_INFEASIBLE
                 if (self.fresh or retries >= _OPTIMALITY_RETRIES
                         or (not phase1 and self._certified(cost, dtol))):
                     return STATUS_OPTIMAL
                 self._refactorize()
+                if not phase1 and self._total_violation() > self.primal_tol:
+                    return _STATUS_OUT_OF_BOUNDS
                 z = None
                 retries += 1
                 continue
@@ -468,9 +547,9 @@ class _SimplexRun:
                 self.degenerate_streak += 1
             if row == -1:
                 self.x_basic -= step * e
-                self.status[q] = _AT_UPPER if direction > 0.0 else _AT_LOWER
+                self._set_nonbasic(q, _AT_UPPER if direction > 0.0 else _AT_LOWER)
             else:
-                self._pivot(q, direction, row, step, e, z, leaves_at)
+                self._pivot(q, direction, row, step, e, None if phase1 else z, leaves_at)
                 if self.pivots_since_refactor >= _REFACTOR_EVERY:
                     self._refactorize()
                     z = None
@@ -487,17 +566,34 @@ class _SimplexRun:
             return False
         if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
             return False
-        if self._violations()[2] > self.primal_tol:
+        if self._total_violation() > self.primal_tol:
             return False
         y = cost[self.basis] @ self.tableau[:, self.prep.n:]
         d = cost - y @ self.a
         if not np.isfinite(d).all():
             return False
-        st = self.status
-        wrong = np.where(st == _AT_LOWER, d < -dtol,
-                         np.where(st == _AT_UPPER, d > dtol, np.abs(d) > dtol))
-        wrong &= (st == _BASIC) | ~self.fixed  # a fixed nonbasic column may not move
-        return not wrong.any()
+        # what entering each nonbasic column would gain, as in pricing; a
+        # fixed nonbasic column may not move, and a basic one must price at 0
+        score = self.gain * d
+        score[self.free] = np.abs(d[self.free])
+        score[self.basis] = np.abs(d[self.basis])
+        return not (score > dtol).any()
+
+    def _infeasibility_certified(self, push: np.ndarray) -> bool:
+        """Whether the original rows prove the LP infeasible (a Farkas
+        certificate), however far the tableau has drifted. With y =
+        push*B^-1 (the tableau's slack block) and g = y*A, every x with
+        Ax = b has g*x = y*b; no x within the bounds does when the least
+        g*x the bounds allow exceeds y*b by more than the primal tolerance.
+        At a phase-1 dead end that excess is the total violation. A
+        component with |g_j| no larger than phase 1's pricing tolerance
+        counts as zero; a NaN fails. O(m*(n+m))."""
+        y = push @ self.tableau[:, self.prep.n:]
+        g = y @ self.a
+        up = g > _PHASE1_DTOL
+        down = g < -_PHASE1_DTOL
+        least = g[up] @ self.lower[up] + g[down] @ self.upper[down]
+        return least - float(y @ self.b) > self.primal_tol
 
     # -- driver -----------------------------------------------------------
 
@@ -506,14 +602,16 @@ class _SimplexRun:
             self._load(start)
         except SimplexError:  # singular here: B = I never is
             self._load(self.prep.slack_basis)
-        status = self._run_phase(phase1=True)
-        if status == STATUS_UNBOUNDED:
-            raise SimplexError("phase 1 reported unbounded")
-        if status == STATUS_OPTIMAL:
-            if self._violations()[2] > self.primal_tol:
-                status = STATUS_INFEASIBLE
-            else:
-                status = self._run_phase(phase1=False)
+        status = _STATUS_OUT_OF_BOUNDS
+        while status == _STATUS_OUT_OF_BOUNDS:
+            status = self._run_phase(phase1=True)
+            if status == STATUS_UNBOUNDED:
+                raise SimplexError("phase 1 reported unbounded")
+            if status == STATUS_OPTIMAL:
+                if self._total_violation() > self.primal_tol:
+                    status = STATUS_INFEASIBLE
+                else:
+                    status = self._run_phase(phase1=False)
         if status != STATUS_OPTIMAL:
             return self._result(status, None, {})
         return self._finish()
@@ -529,6 +627,6 @@ class _SimplexRun:
         values_all = self._nonbasic_values()
         values_all[self.basis] = self.x_basic
         names = self.prep.names
-        values = {names[j]: float(values_all[j]) for j in range(self.prep.n)}
+        values = dict(zip(names, values_all[:self.prep.n].tolist()))
         objective = float(self.prep._cost @ values_all) + self.prep.model.objective_constant
         return self._result(STATUS_OPTIMAL, objective, values)

@@ -23,6 +23,7 @@ from tepkit.scenario import (
 from tepkit.simplex import SimplexError, Tableau
 from tepkit.solver import (
     CheckReport,
+    SolveOptions,
     SolverError,
     check_solution,
     parse_solution,
@@ -264,6 +265,27 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
     assert lines[1:] == GARVER_SWEEP_ROWS
 
 
+# Each Garver scenario's (nodes, simplex iterations) and objective repr at
+# the default options, scenario by scenario as the sweep hands the root
+# tableau on. They follow from every pivot the simplex chooses, so a kernel
+# rewrite that picks any other pivot, or rounds any step differently,
+# changes them.
+GARVER_SWEEP_PIVOTS = [
+    (55, 375, "227251333.47711968"),
+    (37, 208, "231318001.67969343"),
+    (48, 290, "230900302.75164837"),
+    (51, 301, "245424473.691441"),
+]
+
+
+def test_sweep_garver_pivots_are_pinned(garver_doc, tmp_path, monkeypatch):
+    calls = _recording_solve_milp(monkeypatch)
+    result = run("sweep", "--network", garver_doc, "--out", str(tmp_path / "sweep.csv"))
+    assert result.exit_code == 0
+    assert [(sol.stats["nodes"], sol.stats["simplex_iterations"], repr(sol.objective))
+            for _, sol in calls] == GARVER_SWEEP_PIVOTS
+
+
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     out = tmp_path / "tight.csv"
     result = run("sweep", "--network", tight_doc,
@@ -348,8 +370,9 @@ SYNTH_SWEEP_ROWS_SHA256 = "6908f239cd0283d16bce04cde0ea21dc54fddcebf43a8a1bd30ac
 
 
 def test_sweep_carries_one_factorization_across_scenarios(tmp_path, monkeypatch):
-    # each root LP continues on the previous scenario's root tableau; all 16
-    # roots are integral here, so the whole sweep needs one LAPACK call
+    # each root LP continues on the previous scenario's root tableau and the
+    # first starts from the slack basis; all 16 roots are integral here, so
+    # the whole sweep needs no LAPACK call
     net = synthesize_grid(SynthesisConfig(n_buses=24, n_regions=4, seed=1,
                                           demand_total_mw=720.0))
     doc = tmp_path / "synth.json"
@@ -361,7 +384,7 @@ def test_sweep_carries_one_factorization_across_scenarios(tmp_path, monkeypatch)
     assert len(calls) == 16
     assert calls[0][0] is None
     assert all(isinstance(start, Tableau) for start, _ in calls[1:])
-    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 1
+    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     rows = "".join(line + "\n" for line in lines[1:])
     assert hashlib.sha256(rows.encode()).hexdigest() == SYNTH_SWEEP_ROWS_SHA256
@@ -376,7 +399,7 @@ def test_sweep_without_binaries_carries_the_tableau(tmp_path, monkeypatch):
     result = run("sweep", "--network", str(doc), "--out", str(out))
     assert result.exit_code == 0
     (_, first), (start, second) = calls
-    assert first.stats["nodes"] == 1 and first.stats["refactorizations"] == 1
+    assert first.stats["nodes"] == 1 and first.stats["refactorizations"] == 0
     assert isinstance(start, Tableau)
     assert second.stats["refactorizations"] == 0
     params = realize_scenario(ScenarioCode.parse("H"), two_bus_net(),
@@ -402,6 +425,15 @@ def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
     assert not out.exists()
 
 
+BAD_SOLVER_OPTION_LINES = {
+    ("--gap", "-1"): "error: --gap must be nonnegative, got -1.0\n",
+    ("--gap", "nan"): "error: --gap is NaN; it must be a nonnegative number\n",
+    ("--time-limit", "0"): "error: --time-limit must be positive, got 0.0\n",
+    ("--time-limit", "nan"):
+        "error: --time-limit is NaN; it must be a positive number of seconds\n",
+}
+
+
 @pytest.mark.parametrize("option, message", [
     (["--gap", "-1"], "rel_gap_tol must be nonnegative"),
     (["--gap", "nan"], "rel_gap_tol must be nonnegative"),
@@ -409,11 +441,17 @@ def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
     (["--time-limit", "nan"], "time_limit_s must be positive"),
 ])
 def test_bad_solver_option_is_one_line_and_exit_1(garver_doc, tmp_path, option, message):
+    # the library rejects the value with `message`; the CLI's one line names
+    # the option as typed, and says so when the value is NaN
+    flag, value = option
+    field = {"--gap": "rel_gap_tol", "--time-limit": "time_limit_s"}[flag]
+    with pytest.raises(ValueError, match=message):
+        SolveOptions(**{field: float(value)})
     out = tmp_path / "sweep.csv"
     for command in (["solve", "--scenario", "H,L"], ["sweep", "--out", str(out)]):
         result = CliRunner().invoke(main, command + ["--network", garver_doc] + option)
         assert result.exit_code == 1, command
-        assert result.output == f"error: {message}\n", command
+        assert result.output == BAD_SOLVER_OPTION_LINES[flag, value], command
     assert not out.exists()
 
 

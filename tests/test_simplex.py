@@ -14,7 +14,7 @@ from tepkit.model import (
     Model,
     Variable,
 )
-from tepkit.simplex import PreparedLp, SimplexError, Tableau
+from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun
 
 
 def lp(variables, constraints, objective, constant=0.0, name="lp"):
@@ -211,6 +211,9 @@ def test_singular_start_falls_back_to_slack_basis():
     cold = prep.solve()
     assert cold.status == "optimal"
     assert prep.solve(start=singular) == cold
+    # a basis of slacks only, but one of them twice, is singular as well
+    repeated = dataclasses.replace(prep.slack_basis, columns=(3, 3))
+    assert prep.solve(start=repeated) == cold
 
 
 def test_deadline_stops_the_solve():
@@ -226,7 +229,8 @@ def test_deadline_stops_the_solve():
 def test_tableau_start_skips_the_refactorization_once():
     prep = PreparedLp(dense_lp())
     base = prep.solve()
-    assert base.status == "optimal" and base.refactorizations == 1
+    # the slack basis is B = I: it loads as B^-1*A = A, without LAPACK
+    assert base.status == "optimal" and base.refactorizations == 0
     squeezed = {"x0": (0.0, 1.0), "x3": (2.0, 2.0)}
     cold = prep.solve(bound_overrides=squeezed)
     live = prep.solve(bound_overrides=squeezed, start=base.tableau)
@@ -234,10 +238,11 @@ def test_tableau_start_skips_the_refactorization_once():
     assert live.objective == pytest.approx(cold.objective, rel=1e-12)
     with pytest.raises(ValueError, match="already used"):
         prep.solve(start=base.tableau)
-    # an infeasibility verdict is made on a fresh factorization
+    # an infeasibility verdict on a drifted tableau is certified on the
+    # original rows, without a refactorization
     impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
     dead = prep.solve(bound_overrides=impossible, start=live.tableau)
-    assert dead.status == "infeasible" and dead.refactorizations >= 1
+    assert dead.status == "infeasible" and dead.refactorizations == 0
 
 
 def test_drifted_tableau_start_still_reaches_the_optimum():
@@ -258,6 +263,92 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
         assert drifted.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
         for name, value in cold.values.items():
             assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
+    # phase 1 dead-ends on a tableau that pivots have touched; the Farkas
+    # certificate on the original rows proves the verdict, so no LAPACK call
+    verdicts = []
+    real = _SimplexRun._infeasibility_certified
+
+    def recording(run, push):
+        verdicts.append(real(run, push))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", recording)
+    prep = PreparedLp(dense_lp())
+    impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
+    for start in (prep.solve().tableau,
+                  prep.solve(bound_overrides={"x0": (0.0, 1.0)}).tableau):
+        verdicts.clear()
+        dead = prep.solve(bound_overrides=impossible, start=start)
+        assert dead.status == "infeasible"
+        assert dead.refactorizations == 0 and verdicts == [True]
+    # the verdict a fresh start reaches
+    assert prep.solve(bound_overrides=impossible).status == "infeasible"
+
+
+def test_stalled_phase_one_on_a_feasible_lp_is_not_declared_infeasible():
+    # min x + y subject to x + y >= 2. The start tableau is the slack
+    # basis's, taken over from a solve with x and y fixed at 1; its x and y
+    # columns are wiped, so phase 1 finds no entering column while the slack
+    # violates its bound. The LP is feasible, so the certificate must fail
+    # and the solve refactorize and go on.
+    m = lp([Variable("x", CONTINUOUS, 0.0, 10.0), Variable("y", CONTINUOUS, 0.0, 10.0)],
+           [Constraint("r", (("x", 1.0), ("y", 1.0)), SENSE_GE, 2.0)],
+           [("x", 1.0), ("y", 1.0)])
+    prep = PreparedLp(m)
+    pinned = prep.solve(bound_overrides={"x": (1.0, 1.0), "y": (1.0, 1.0)})
+    assert pinned.status == "optimal" and pinned.basis == prep.slack_basis
+    start = pinned.tableau
+    start.matrix[:, :2] = 0.0
+    result = prep.solve(start=start)
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(2.0, abs=1e-12)
+
+
+def test_refactorized_point_outside_its_bounds_goes_back_to_phase_one():
+    # the start tableau's nonbasic columns (B^-1 among them) are wiped, so
+    # phase 1 and phase 2 work on wrong basic values; when phase 2's
+    # certificate fails, the refactorized basic values violate the new
+    # bounds, and phase 2 alone would end at a point off the rows
+    prep = PreparedLp(dense_lp())
+    base = prep.solve()
+    basic = [j for j in base.basis.columns if j < 12 and base.values[f"x{j}"] > 1e-6]
+    assert basic
+    squeezed = {f"x{j}": (0.0, 0.0) for j in basic}
+    cold = prep.solve(bound_overrides=squeezed)
+    assert cold.status == "optimal"
+    start = base.tableau
+    start.matrix[:, np.setdiff1d(np.arange(22), base.basis.columns)] = 0.0
+    damaged = prep.solve(bound_overrides=squeezed, start=start)
+    assert damaged.status == "optimal"
+    assert damaged.refactorizations >= 1
+    assert damaged.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+
+
+def test_nan_reduced_cost_never_enters():
+    # x0 must stay at 0 (it only costs); its tableau column is NaN, so its
+    # reduced cost is NaN. y is eligible and must enter without NaN
+    # stopping the pricing early (the certificate would then refactorize)
+    # or entering itself (its empty ratio test would report unbounded)
+    m = lp(
+        [Variable("x0", CONTINUOUS, 0.0, math.inf), Variable("x", CONTINUOUS, 0.0, 10.0),
+         Variable("y", CONTINUOUS, 0.0, 10.0)],
+        [Constraint("r0", (("x0", 1.0), ("x", 1.0), ("y", 1.0)), SENSE_LE, 4.0),
+         Constraint("r1", (("x", 1.0),), SENSE_LE, 3.0)],
+        [("x0", 1.0), ("x", -1.0), ("y", -1.0)],
+    )
+    prep = PreparedLp(m)
+    base = prep.solve(bound_overrides={"y": (0.0, 0.0)})
+    assert base.objective == pytest.approx(-3.0)
+    start = base.tableau
+    start.matrix[:, 0] = math.nan
+    result = prep.solve(start=start)
+    assert result.status == "optimal"
+    assert result.refactorizations == 0
+    assert result.objective == pytest.approx(-4.0, abs=1e-12)
+    assert result.values["x0"] == 0.0
 
 
 def _pair_lp(y_column, rhs=4.0):
@@ -299,15 +390,25 @@ def test_tableau_copy_starts_another_compile_of_the_same_names():
         copy.copy()
 
 
-def test_vanishing_column_replacement_falls_back_to_a_refactorization():
+def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatch):
     scipy_opt = pytest.importorskip("scipy.optimize")
     first = PreparedLp(_pair_lp((2.0, 1.0))).solve()
     # y's new column equals x's, so the carried basis {x, y} is singular
-    # here: the replacement pivot is 0 and the start refactorizes
+    # here: the replacement pivot is 0 and the start refactorizes it, which
+    # fails, so the solve starts over from the slack basis
+    refactorized = []
+    real = _SimplexRun._refactorize
+
+    def recording(run):
+        refactorized.append(sorted(run.basis.tolist()))
+        real(run)
+
+    monkeypatch.setattr(_SimplexRun, "_refactorize", recording)
     singular = _pair_lp((1.0, 2.0))
     result = PreparedLp(singular).solve(start=first.tableau.copy())
     assert result.status == "optimal"
-    assert result.refactorizations >= 1
+    assert refactorized[:2] == [[0, 1], [2, 3]]
+    assert result.refactorizations == 0  # a failed LAPACK call is not counted
     ref = scipy_opt.linprog([-1.0, -1.0], A_ub=[[1.0, 1.0], [2.0, 2.0]], b_ub=[4.0, 4.0],
                             bounds=[(0.0, 10.0)] * 2, method="highs")
     assert ref.status == 0
