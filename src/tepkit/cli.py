@@ -136,9 +136,12 @@ def cmd_derate(t_base_f: float, t_future_f: float,
             cond = conductor(json.loads(_read_text(conductor_json)), "conductor")
         except ValueError as exc:
             _fail(f"{conductor_json}: {exc}")
+    for flag, value in (("--t-base-f", t_base_f), ("--t-future-f", t_future_f)):
+        if math.isnan(value):
+            _fail(f"{flag} is NaN; it must be a temperature in degrees F")
     try:
         eta = thermal.derating_factor(cond, _f_to_c(t_base_f), _f_to_c(t_future_f))
-    except thermal.ThermalDomainError as exc:
+    except ValueError as exc:  # ThermalDomainError included
         _fail(str(exc))
     click.echo(f"derating factor eta = {eta!r}")
 
@@ -228,6 +231,15 @@ def _model_options(fn):
     return fn
 
 
+def _check_sigma_hours(sigma_hours: float) -> None:
+    """End the command with one error line that names --sigma-hours unless
+    it is a positive, finite number of hours."""
+    if math.isnan(sigma_hours):
+        _fail("--sigma-hours is NaN; it must be a positive number of hours")
+    if not 0.0 < sigma_hours < math.inf:
+        _fail(f"--sigma-hours must be positive and finite, got {sigma_hours!r}")
+
+
 def _solve_options(gap: float, time_limit: float | None) -> SolveOptions:
     """SolveOptions from --gap and --time-limit; a bad value ends the
     command with one error line that names the option as typed."""
@@ -264,6 +276,7 @@ def _solver_options(fn):
 def cmd_build(network_path: str, config_path: str | None, sigma_hours: float,
               scenario_code: str, out_path: str, fmt: str) -> None:
     """Write one scenario's optimization model to an MPS or LP file."""
+    _check_sigma_hours(sigma_hours)
     net = _load_net(network_path)
     config = _load_config(config_path)
     try:
@@ -299,6 +312,7 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
 
     Exits 0 when optimal, 1 for any other solver status, and 2 when the
     engine fails."""
+    _check_sigma_hours(sigma_hours)
     options = _solve_options(gap, time_limit)
     net = _load_net(network_path)
     config = _load_config(config_path)
@@ -424,6 +438,7 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
     another solver status or cannot be realized (then no report is
     written), and 2 when the engine fails on some scenario; a failed
     scenario's row keeps its place with status error."""
+    _check_sigma_hours(sigma_hours)
     options = _solve_options(gap, time_limit)
     net = _load_net(network_path)
     config = _load_config(config_path)

@@ -14,6 +14,7 @@ the objective is annual dollars throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -134,8 +135,8 @@ def build_tep_model(
     if problems:
         raise ValueError("network does not validate: " + problems[0])
     _require_regions(net, params)
-    if sigma_hours <= 0.0:
-        raise ValueError("sigma_hours must be positive")
+    if not (math.isfinite(sigma_hours) and sigma_hours > 0.0):
+        raise ValueError(f"sigma_hours must be positive and finite, got {sigma_hours!r}")
     if big_m_scale < 1.0:
         raise ValueError("big_m_scale must be >= 1")
 

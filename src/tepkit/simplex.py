@@ -10,10 +10,12 @@ and blocks only at the bound it violates (the composite phase 1 of
 Maros, Computational Techniques of the Simplex Method, 2003).
 
 A solve may start from any basis, such as the final basis of a related
-LP (a neighbouring scenario, or an open branch-and-bound node); the slack
-basis is the default start. It may also start from the live final
-tableau of an earlier solve of the same compiled LP (a branch-and-bound
-parent, or the previous brute-force assignment): only bounds differ, so
+LP (a neighbouring scenario, or an open branch-and-bound node once the
+search's budget for stored tableaux is spent); the slack basis is the
+default start. It may also start from the final tableau of an earlier
+solve of the same compiled LP, live or copied (a branch-and-bound parent
+for the child a dive plunges into, a copy of it for the sibling left
+open, or the previous brute-force assignment): only bounds differ, so
 the solve continues on that B^-1*A in place and computes the basic values
 as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
 column keeps its bound status where the new bounds allow it, and the same
@@ -94,7 +96,9 @@ class SimplexError(RuntimeError):
 class Basis:
     """A simplex basis: the basic column of each row and the bound status of
     every column (structurals, then one slack per row). It holds no
-    factorization, so it is cheap to keep for many open nodes."""
+    factorization, so it is cheap to keep for many open nodes: an open
+    node keeps one once the search's budget for stored tableaux is spent,
+    and a start from it costs one LAPACK factorization."""
 
     columns: tuple[int, ...]
     status: bytes

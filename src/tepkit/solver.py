@@ -29,6 +29,9 @@ STATUS_NODE_LIMIT = "node_limit"
 _INT_TOL = 1e-6
 _VERIFY_TOL = 1e-5
 _BRUTE_FORCE_MAX_BINARIES = 24
+# the most bytes of B^-1*A the open nodes of one search may hold; a sibling
+# pushed past it stores only its parent's final basis
+_OPEN_TABLEAU_BYTES = 64 << 20
 
 
 class SolverError(RuntimeError):
@@ -186,10 +189,11 @@ class _BranchAndBound:
         self.options = options
         self.prep = PreparedLp(model)
         self.binary_names = [v.name for v in model.binaries()]
-        # open nodes: (bound, push order, fixings, start): the start is the
-        # parent's final basis, or the root's own start
-        self.heap: list[tuple[float, int, _Fixings, Basis | Tableau | None]] = []
+        # open nodes: (bound, push order, fixings, start): the start is a copy
+        # of the parent's final tableau, or its final basis past the budget
+        self.heap: list[tuple[float, int, _Fixings, Basis | Tableau]] = []
         self.push_count = 0
+        self.tableau_bytes = 0  # held by the open nodes' tableaux
         self.root_tableau: Tableau | None = None
         self.incumbent_obj: float | None = None
         self.incumbent_vec: tuple[int, ...] | None = None
@@ -211,8 +215,8 @@ class _BranchAndBound:
         if self.options.node_limit is not None and self.nodes >= self.options.node_limit:
             raise _StopSearch(STATUS_NODE_LIMIT, bound)
 
-    def _push(self, bound: float, fixings: _Fixings, basis: Basis | Tableau | None) -> None:
-        heapq.heappush(self.heap, (bound, self.push_count, fixings, basis))
+    def _push(self, bound: float, fixings: _Fixings, start: Basis | Tableau) -> None:
+        heapq.heappush(self.heap, (bound, self.push_count, fixings, start))
         self.push_count += 1
 
     def _offer_incumbent(self, objective: float, values: dict[str, float]) -> None:
@@ -238,7 +242,8 @@ class _BranchAndBound:
         """Solve the node from `start`, then plunge depth-first on the
         rounded child, pushing the sibling, until the dive dies or yields an
         incumbent. The rounded child continues on its parent's live tableau;
-        the sibling stores only the parent's final basis."""
+        the sibling stores a copy of it while the open nodes' tableaux stay
+        within _OPEN_TABLEAU_BYTES, and the parent's final basis after."""
         while True:
             self._check_limits(bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
@@ -263,16 +268,23 @@ class _BranchAndBound:
                 self._offer_incumbent(objective, result.values)
                 return
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
-            self._push(bound, fixings + ((branch_name, 1 - preferred),), result.basis)
+            sibling = result.basis
+            size = result.tableau.matrix.nbytes
+            if self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
+                sibling = result.tableau.copy()
+                self.tableau_bytes += size
+            self._push(bound, fixings + ((branch_name, 1 - preferred),), sibling)
             fixings = fixings + ((branch_name, preferred),)
             start = result.tableau
 
     def run(self, start: Basis | Tableau | None) -> Solution:
         status = STATUS_OPTIMAL
         try:
-            self._push(-math.inf, (), start)
+            self._dive((), -math.inf, start)
             while self.heap:
-                bound, _, fixings, basis = heapq.heappop(self.heap)
+                bound, _, fixings, start = heapq.heappop(self.heap)
+                if isinstance(start, Tableau):
+                    self.tableau_bytes -= start.matrix.nbytes
                 if self.incumbent_obj is not None:
                     tol = _tie_tol(self.incumbent_obj)
                     if bound > self.incumbent_obj + tol:
@@ -283,7 +295,7 @@ class _BranchAndBound:
                         # exact ties are never abandoned this way
                         self.stop_bound = bound
                         break
-                self._dive(fixings, bound, basis)
+                self._dive(fixings, bound, start)
         except _StopSearch as stop:
             status = stop.status
             self.interrupted_bound = stop.bound
@@ -327,8 +339,10 @@ def solve_milp(
     `root_tableau` of a model with the same variable and row names (such as
     another scenario of the same network), which the solve takes over, or
     that tableau's `basis`. A dive child continues on its parent's live
-    tableau; a node taken from the open list starts from its parent's final
-    basis."""
+    tableau and a node taken from the open list on a copy of its parent's
+    final tableau, so neither refactorizes. The open nodes' copies are
+    capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
+    that starts from its parent's final basis instead."""
     solution = _BranchAndBound(model, options or SolveOptions()).run(start)
     return _verified(model, solution)
 

@@ -98,6 +98,17 @@ def test_derate_identity_and_override(tmp_path):
     assert "conductor.emissivity must be in (0, 1] (got 1.5)" in unphysical.output
 
 
+@pytest.mark.parametrize("future, line", [
+    ("200", "error: ambient 93.33333333333333 C must be below the conductor limit 75.0 C\n"),
+    ("80", "error: t_future_c 26.666666666666668 must be >= t_base_c 32.22222222222222\n"),
+    ("nan", "error: --t-future-f is NaN; it must be a temperature in degrees F\n"),
+])
+def test_derate_out_of_range_is_one_line_and_exit_1(future, line):
+    result = run("derate", "--t-base-f", "90", "--t-future-f", future)
+    assert result.exit_code == 1
+    assert result.output == line
+
+
 def fake_ghcn(tmp_path) -> str:
     # ~0.05 C/yr warming with 15 July readings per year, tenths of a degree
     lines = ["STATION,DATE,TMAX"]
@@ -271,10 +282,10 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
 # rewrite that picks any other pivot, or rounds any step differently,
 # changes them.
 GARVER_SWEEP_PIVOTS = [
-    (55, 375, "227251333.47711968"),
-    (37, 208, "231318001.67969343"),
-    (48, 290, "230900302.75164837"),
-    (51, 301, "245424473.691441"),
+    (55, 368, "227251333.47711968"),
+    (37, 217, "231318001.67969364"),
+    (48, 292, "230900302.75164837"),
+    (51, 307, "245424473.691441"),
 ]
 
 
@@ -284,6 +295,8 @@ def test_sweep_garver_pivots_are_pinned(garver_doc, tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert [(sol.stats["nodes"], sol.stats["simplex_iterations"], repr(sol.objective))
             for _, sol in calls] == GARVER_SWEEP_PIVOTS
+    # every node starts from a tableau, so no LAPACK factorization is made
+    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 0
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
@@ -452,6 +465,31 @@ def test_bad_solver_option_is_one_line_and_exit_1(garver_doc, tmp_path, option, 
         result = CliRunner().invoke(main, command + ["--network", garver_doc] + option)
         assert result.exit_code == 1, command
         assert result.output == BAD_SOLVER_OPTION_LINES[flag, value], command
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, line", [
+    ("nan", "error: --sigma-hours is NaN; it must be a positive number of hours\n"),
+    ("inf", "error: --sigma-hours must be positive and finite, got inf\n"),
+    ("0", "error: --sigma-hours must be positive and finite, got 0.0\n"),
+])
+def test_bad_sigma_hours_is_one_line_and_exit_1(tmp_path, value, line):
+    # the library rejects the value; each command names the option in one
+    # line before it reads the network, here a file that does not parse
+    net = builtin_garver()
+    params = realize_scenario(ScenarioCode.parse("H,L"), net, DemandElasticityConfig())
+    with pytest.raises(ValueError, match="sigma_hours must be positive and finite"):
+        build_tep_model(net, params, float(value))
+    doc = tmp_path / "broken.json"
+    doc.write_text("{")
+    out = tmp_path / "out"
+    for command in (["build", "--scenario", "H,L", "--out", str(out)],
+                    ["solve", "--scenario", "H,L"],
+                    ["sweep", "--out", str(out)]):
+        result = CliRunner().invoke(main, command + [
+            "--network", str(doc), "--sigma-hours", value])
+        assert result.exit_code == 1, command
+        assert result.output == line, command
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from tepkit.model import (
     Variable,
 )
 from tepkit.scenario import ScenarioCode, realize_scenario
+from tepkit.simplex import Basis, Tableau
 from tepkit.solver import (
     SolveOptions,
     SolverError,
@@ -227,18 +228,74 @@ def test_root_tableau_starts_a_related_model():
 
 
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
-    # a dive child continues on its parent's live tableau, and so does each
-    # brute-force LP on the previous one's; refactorizing every node's start
-    # and every optimality claim would take 102 here
+    # a dive child continues on its parent's live tableau, a node taken from
+    # the open list on a copy of its parent's final one, and each brute-force
+    # LP on the previous one's; refactorizing every node's start and every
+    # optimality claim would take 102 here
     sol = solve_milp(garver_model("H,H"))
     assert sol.stats["nodes"] == 51
-    assert 0 < sol.stats["refactorizations"] < sol.stats["nodes"]
+    assert sol.stats["refactorizations"] == 0
     # the slack start needs no LAPACK call
     assert solve_lp(garver_model("H,H")).stats["refactorizations"] == 0
     # nor do the knapsack's Gray-code steps, its 3 infeasible ones included
     oracle = brute_force_solve(knapsack())
     assert oracle.stats["nodes"] - oracle.stats["feasible_assignments"] == 3
     assert oracle.stats["refactorizations"] == 0
+
+
+def _recording_starts(monkeypatch):
+    """Wrap PreparedLp.solve; return the list of the starts it is given."""
+    starts = []
+    solve = tepkit.simplex.PreparedLp.solve
+
+    def recording(self, bound_overrides=None, *, start=None, **kwargs):
+        starts.append(start)
+        return solve(self, bound_overrides, start=start, **kwargs)
+
+    monkeypatch.setattr(tepkit.simplex.PreparedLp, "solve", recording)
+    return starts
+
+
+def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatch):
+    model = garver_model("H,H")
+    default = solve_milp(model)
+    monkeypatch.setattr(tepkit.solver, "_OPEN_TABLEAU_BYTES", 0)
+    starts = _recording_starts(monkeypatch)
+    sol = solve_milp(model)
+    assert sol.stats["nodes"] == default.stats["nodes"]
+    assert sol.objective == pytest.approx(default.objective, rel=1e-12)
+    assert sol.values == pytest.approx(default.values, abs=1e-9)
+    # every node taken from the open list starts from a Basis and costs one
+    # LAPACK factorization; the root and the dive children cost none
+    popped = sum(isinstance(start, Basis) for start in starts)
+    assert popped > 0
+    assert sol.stats["refactorizations"] == popped
+
+
+def test_open_tableaux_stay_within_their_budget(monkeypatch):
+    model = garver_model("H,H")
+    default = solve_milp(model)
+    budget = 2 * default.root_tableau.matrix.nbytes  # two tableaux
+    monkeypatch.setattr(tepkit.solver, "_OPEN_TABLEAU_BYTES", budget)
+    held = []
+    push = tepkit.solver._BranchAndBound._push
+
+    def recording(self, bound, fixings, start):
+        push(self, bound, fixings, start)
+        held.append((sum(s.matrix.nbytes for *_, s in self.heap if isinstance(s, Tableau)),
+                     self.tableau_bytes, isinstance(start, Tableau)))
+
+    monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording)
+    sol = solve_milp(model)
+    assert max(stored for stored, _, _ in held) == budget
+    assert all(stored == counted for stored, counted, _ in held)
+    # past the budget a sibling stores its basis, which is refactorized
+    assert not all(tableau for _, _, tableau in held)
+    assert 0 < sol.stats["refactorizations"]
+    assert sol.stats["nodes"] == default.stats["nodes"]
+    assert sol.objective == pytest.approx(default.objective, rel=1e-12)
+    plan = [v.name for v in model.binaries()]
+    assert [round(sol.values[n]) for n in plan] == [round(default.values[n]) for n in plan]
 
 
 def test_gap_limit_is_reported_as_optimal_within_gap():
