@@ -59,6 +59,7 @@ from .model import (
     models_equivalent,
 )
 from .milp import (
+    TepSkeleton,
     VariableMap,
     big_m,
     build_tep_model,

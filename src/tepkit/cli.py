@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import click
 
-from .milp import build_tep_model
+from .milp import TepSkeleton, build_tep_model
 from .model import model_stats
 from .mps import export_lp, export_mps
 from .network import (
@@ -139,10 +139,19 @@ def cmd_derate(t_base_f: float, t_future_f: float,
     for flag, value in (("--t-base-f", t_base_f), ("--t-future-f", t_future_f)):
         if math.isnan(value):
             _fail(f"{flag} is NaN; it must be a temperature in degrees F")
+    # the library's range checks, made first on its Celsius values and
+    # reported in the options as typed
+    t_base_c, t_future_c = _f_to_c(t_base_f), _f_to_c(t_future_f)
+    if t_future_c < t_base_c:
+        _fail(f"--t-future-f {t_future_f!r} F must be >= --t-base-f {t_base_f!r} F")
+    limit_c = cond.max_conductor_temp_c
+    if t_future_c > t_base_c and not t_future_c < limit_c:
+        _fail(f"--t-future-f {t_future_f!r} F must be below the conductor limit "
+              f"{limit_c * 9.0 / 5.0 + 32.0!r} F")
     try:
-        eta = thermal.derating_factor(cond, _f_to_c(t_base_f), _f_to_c(t_future_f))
-    except ValueError as exc:  # ThermalDomainError included
-        _fail(str(exc))
+        eta = thermal.derating_factor(cond, t_base_c, t_future_c)
+    except ValueError as exc:  # ThermalDomainError: an ambient leaves no headroom
+        _fail(f"--t-base-f {t_base_f!r} F, --t-future-f {t_future_f!r} F: {exc}")
     click.echo(f"derating factor eta = {eta!r}")
 
 
@@ -383,15 +392,18 @@ class SweepReportRow:
 
 
 def _sweep_row(
-    net: Network, code: ScenarioCode, config: ScenarioConfig, sigma_hours: float,
+    skeleton: TepSkeleton, code: ScenarioCode, config: ScenarioConfig,
     options: SolveOptions, start: Basis | Tableau | None,
 ) -> tuple[SweepReportRow, Basis | Tableau | None]:
-    """Solve one scenario with its root LP started from `start`; return its
-    row and its root LP's final tableau. If the engine fails, possibly after
-    taking a tableau start, the next start is that tableau's basis instead.
-    A scenario that cannot be realized or built ends the sweep with exit 1."""
+    """Solve one scenario, its model the skeleton plus the scenario's rows,
+    with its root LP started from `start`; return its row and its root LP's
+    final tableau. If the engine fails, possibly after taking a tableau
+    start, the next start is that tableau's basis instead. A scenario that
+    cannot be realized or built ends the sweep with exit 1."""
+    net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours
     try:
-        model, vmap = _assemble(net, code, config, sigma_hours)
+        params = realize_scenario(code, net, config.elasticity, config.conductors)
+        model = skeleton.model(params)
     except ValueError as exc:
         _fail(f"scenario {code}: {exc}")
     try:
@@ -453,12 +465,18 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
         f"# sigma_hours={sigma_hours!r}",
         f"# gap={gap!r} time_limit={time_limit!r}",
     ]
-    # Every scenario model of one network has the same columns and rows,
-    # so each root LP continues on the previous scenario's root tableau.
+    # Every scenario model of one network has the same columns and rows and
+    # differs only in the rows its warming sets: the skeleton is built once,
+    # each root LP continues on the previous scenario's root tableau, and
+    # its compile is derived from the one that tableau carries.
+    try:
+        skeleton = TepSkeleton(net, sigma_hours)
+    except ValueError as exc:
+        _fail(str(exc))
     rows = []
     start = None
     for code in codes:
-        row, start = _sweep_row(net, code, config, sigma_hours, options, start)
+        row, start = _sweep_row(skeleton, code, config, options, start)
         rows.append(row)
 
     try:

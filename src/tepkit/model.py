@@ -54,6 +54,14 @@ class ModelError(ValueError):
     """The model violates its structural invariants."""
 
 
+def check_terms(con: Constraint, names) -> None:
+    """Raise ModelError unless every term of the row references one of
+    `names`, the declared variables."""
+    for var, _ in con.terms:
+        if var not in names:
+            raise ModelError(f"constraint {con.name!r} references unknown variable {var!r}")
+
+
 def check_model(model: Model) -> None:
     """Raise ModelError unless names are unique, every term references a
     declared variable, and binaries have [0, 1] bounds."""
@@ -76,9 +84,7 @@ def check_model(model: Model) -> None:
         row_names.add(c.name)
         if c.sense not in (SENSE_LE, SENSE_EQ, SENSE_GE):
             raise ModelError(f"constraint {c.name!r}: unknown sense {c.sense!r}")
-        for var, _ in c.terms:
-            if var not in names:
-                raise ModelError(f"constraint {c.name!r} references unknown variable {var!r}")
+        check_terms(c, names)
     for var, _ in model.objective_terms:
         if var not in names:
             raise ModelError(f"objective references unknown variable {var!r}")

@@ -21,6 +21,12 @@ as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
 column keeps its bound status where the new bounds allow it, and the same
 phase 1 repairs any basic variable the new bounds put out of range.
 
+A model is compiled once to dense arrays (PreparedLp). A model that
+shares an earlier compile's variables and objective by identity, and
+differs in some of its rows, is compiled from that one (`derive`): A and
+b are copied, only the rows whose Constraint object differs are read
+again, and the result equals a fresh compile bit for bit.
+
 A final tableau may also start a solve of another compile with the same
 variable and row names, such as the next scenario of a sweep, whose
 right-hand sides, bounds, costs and some columns of A differ. Each column
@@ -57,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, SENSE_GE, SENSE_LE, check_model
+from .model import Model, SENSE_GE, SENSE_LE, check_model, check_terms
 
 # Column states. A nonbasic column sits at one of its bounds (or at zero
 # when it has none); basic columns take whatever value balances the rows.
@@ -176,9 +182,7 @@ class PreparedLp:
             lower[j] = v.lower
             upper[j] = v.upper
         for i, con in enumerate(model.constraints):
-            for name, coef in con.terms:
-                a[i, self.var_index[name]] += coef
-            b[i] = con.rhs
+            _read_row(a, b, i, con, self.var_index)
             s = n + i
             a[i, s] = 1.0
             if con.sense == SENSE_LE:
@@ -199,6 +203,37 @@ class PreparedLp:
         status = np.full(cols, _AT_LOWER, dtype=np.int8)
         status[n:] = _BASIC
         self.slack_basis = Basis(tuple(range(n, cols)), status.tobytes())
+
+    def derive(self, model: Model) -> PreparedLp:
+        """Compile `model` from this compile. Where `model` shares this
+        compile's variables and objective terms by identity and has as many
+        rows, only the rows whose Constraint object differs are read again
+        (such as the next scenario of a sweep); each must keep its row's
+        name and sense, and is checked to reference declared variables
+        only. The bounds, costs and names are shared, and A and b equal a
+        fresh compile's bit for bit. Otherwise this is a fresh compile."""
+        old = self.model
+        if (model.variables is not old.variables
+                or model.objective_terms is not old.objective_terms
+                or model.objective_sense != old.objective_sense
+                or len(model.constraints) != self.m):
+            return PreparedLp(model)
+        changed = [(i, con) for i, (con, was) in enumerate(zip(model.constraints, old.constraints))
+                   if con is not was]
+        for i, con in changed:
+            was = old.constraints[i]
+            if con.name != was.name or con.sense != was.sense:
+                return PreparedLp(model)
+            check_terms(con, self.var_index)
+        derived = object.__new__(PreparedLp)
+        derived.__dict__.update(self.__dict__)
+        derived.model = model
+        derived._a = a = self._a.copy()
+        derived._b = b = self._b.copy()
+        for i, con in changed:
+            a[i, :self.n] = 0.0
+            _read_row(a, b, i, con, self.var_index)
+        return derived
 
     def solve(
         self,
@@ -233,6 +268,14 @@ class PreparedLp:
                     raise ValueError(f"override for {name!r} has lower > upper")
         run = _SimplexRun(self, lower, upper, max_iterations, deadline)
         return run.solve(start)
+
+
+def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, int]) -> None:
+    """Add row i's terms into its zeroed structural entries of `a`, in term
+    order, and set its right-hand side."""
+    for name, coef in con.terms:
+        a[i, var_index[name]] += coef
+    b[i] = con.rhs
 
 
 class _SimplexRun:

@@ -62,9 +62,9 @@ class Solution:
     best_bound: float | None
     values: dict[str, float] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
-    # a copy of the root LP's final tableau: a one-use start for a model with
-    # the same variable and row names, such as another scenario of the same
-    # network; its `basis` is the fallback start
+    # the root LP's final tableau, copied where the root branched: a one-use
+    # start for a model with the same variable and row names, such as
+    # another scenario of the same network; its `basis` is the fallback start
     root_tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
@@ -75,11 +75,18 @@ class CheckReport:
     objective: float
 
 
+def _row_tol(feas_tol: float, rhs: float, activity: float) -> float:
+    return feas_tol * max(1.0, abs(rhs), abs(activity))
+
+
 def check_solution(
     model: Model, values: dict[str, float], *, feas_tol: float = 1e-6
 ) -> CheckReport:
     """Evaluate a point against the model with plain sums, independent of
-    any solver internals."""
+    any solver internals. A bound or row holds within feas_tol scaled by
+    the magnitude of its value, right-hand side and activity; that scaled
+    tolerance is never below feas_tol, so it is computed only where the
+    plain feas_tol test fails."""
     violations: list[str] = []
     for v in model.variables:
         if v.name not in values:
@@ -89,28 +96,30 @@ def check_solution(
         if not math.isfinite(x):
             violations.append(f"{v.name} = {x} is not finite")
             continue
-        tol = feas_tol * max(1.0, abs(x))
-        if x < v.lower - tol or x > v.upper + tol:
-            violations.append(f"{v.name} = {x} outside bounds [{v.lower}, {v.upper}]")
+        if x < v.lower - feas_tol or x > v.upper + feas_tol:
+            tol = feas_tol * max(1.0, abs(x))
+            if x < v.lower - tol or x > v.upper + tol:
+                violations.append(f"{v.name} = {x} outside bounds [{v.lower}, {v.upper}]")
         if v.kind == BINARY and abs(x - round(x)) > _INT_TOL:
             violations.append(f"{v.name} = {x} is not integral")
     for con in model.constraints:
         activity = 0.0
-        missing = False
-        for name, coef in con.terms:
-            if name not in values:
-                missing = True
-                break
-            activity += coef * values[name]
-        if missing:
+        try:
+            for name, coef in con.terms:
+                activity += coef * values[name]
+        except KeyError:  # a row with a term that has no value is not evaluated
             continue
-        tol = feas_tol * max(1.0, abs(con.rhs), abs(activity))
-        if con.sense == SENSE_LE and activity > con.rhs + tol:
-            violations.append(f"{con.name}: {activity} > {con.rhs}")
-        elif con.sense == SENSE_GE and activity < con.rhs - tol:
-            violations.append(f"{con.name}: {activity} < {con.rhs}")
-        elif con.sense == SENSE_EQ and abs(activity - con.rhs) > tol:
-            violations.append(f"{con.name}: {activity} != {con.rhs}")
+        rhs = con.rhs
+        if con.sense == SENSE_LE:
+            if activity > rhs + feas_tol and activity > rhs + _row_tol(feas_tol, rhs, activity):
+                violations.append(f"{con.name}: {activity} > {rhs}")
+        elif con.sense == SENSE_GE:
+            if activity < rhs - feas_tol and activity < rhs - _row_tol(feas_tol, rhs, activity):
+                violations.append(f"{con.name}: {activity} < {rhs}")
+        elif con.sense == SENSE_EQ:
+            gap = abs(activity - rhs)
+            if gap > feas_tol and gap > _row_tol(feas_tol, rhs, activity):
+                violations.append(f"{con.name}: {activity} != {rhs}")
     objective = model.objective_constant
     for name, coef in model.objective_terms:
         objective += coef * values.get(name, 0.0)
@@ -184,10 +193,14 @@ def _better(objective: float, vec: tuple[int, ...], best_obj: float | None,
 
 
 class _BranchAndBound:
-    def __init__(self, model: Model, options: SolveOptions):
+    def __init__(self, model: Model, options: SolveOptions, start: Basis | Tableau | None):
         self.model = model
         self.options = options
-        self.prep = PreparedLp(model)
+        # a tableau start carries the compile of a model like this one, such
+        # as the previous scenario of a sweep, to derive this one's from
+        self.prep = (start.prep.derive(model) if isinstance(start, Tableau)
+                     else PreparedLp(model))
+        self.root_start = start
         self.binary_names = [v.name for v in model.binaries()]
         # open nodes: (bound, push order, fixings, start): the start is a copy
         # of the parent's final tableau, or its final basis past the budget
@@ -251,8 +264,8 @@ class _BranchAndBound:
             self.nodes += 1
             self.iterations += result.iterations
             self.refactorizations += result.refactorizations
-            if not fixings:  # the dive child below takes the tableau itself
-                self.root_tableau = result.tableau.copy()
+            if not fixings:  # copied below if a dive child takes it
+                self.root_tableau = result.tableau
             if result.status in (STATUS_TIME_LIMIT, STATUS_UNBOUNDED):
                 raise _StopSearch(result.status, bound)
             if result.status == STATUS_INFEASIBLE:
@@ -268,6 +281,8 @@ class _BranchAndBound:
                 self._offer_incumbent(objective, result.values)
                 return
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
+            if not fixings:
+                self.root_tableau = result.tableau.copy()
             sibling = result.basis
             size = result.tableau.matrix.nbytes
             if self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
@@ -277,10 +292,10 @@ class _BranchAndBound:
             fixings = fixings + ((branch_name, preferred),)
             start = result.tableau
 
-    def run(self, start: Basis | Tableau | None) -> Solution:
+    def run(self) -> Solution:
         status = STATUS_OPTIMAL
         try:
-            self._dive((), -math.inf, start)
+            self._dive((), -math.inf, self.root_start)
             while self.heap:
                 bound, _, fixings, start = heapq.heappop(self.heap)
                 if isinstance(start, Tableau):
@@ -337,13 +352,14 @@ def solve_milp(
 
     The root LP starts from `start`: the slack basis by default, or the
     `root_tableau` of a model with the same variable and row names (such as
-    another scenario of the same network), which the solve takes over, or
+    another scenario of the same network), which the solve takes over and
+    whose compile this model's is derived from (PreparedLp.derive), or
     that tableau's `basis`. A dive child continues on its parent's live
     tableau and a node taken from the open list on a copy of its parent's
     final tableau, so neither refactorizes. The open nodes' copies are
     capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
     that starts from its parent's final basis instead."""
-    solution = _BranchAndBound(model, options or SolveOptions()).run(start)
+    solution = _BranchAndBound(model, options or SolveOptions(), start).run()
     return _verified(model, solution)
 
 

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import tepkit.cli
+import tepkit.milp
 import tepkit.solver
 from tepkit.cli import main
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
@@ -20,7 +21,7 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import SimplexError, Tableau
+from tepkit.simplex import PreparedLp, SimplexError, Tableau
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -99,8 +100,9 @@ def test_derate_identity_and_override(tmp_path):
 
 
 @pytest.mark.parametrize("future, line", [
-    ("200", "error: ambient 93.33333333333333 C must be below the conductor limit 75.0 C\n"),
-    ("80", "error: t_future_c 26.666666666666668 must be >= t_base_c 32.22222222222222\n"),
+    # the line names the option as typed, in degrees F
+    ("200", "error: --t-future-f 200.0 F must be below the conductor limit 167.0 F\n"),
+    ("80", "error: --t-future-f 80.0 F must be >= --t-base-f 90.0 F\n"),
     ("nan", "error: --t-future-f is NaN; it must be a temperature in degrees F\n"),
 ])
 def test_derate_out_of_range_is_one_line_and_exit_1(future, line):
@@ -398,6 +400,34 @@ def test_sweep_carries_one_factorization_across_scenarios(tmp_path, monkeypatch)
     assert calls[0][0] is None
     assert all(isinstance(start, Tableau) for start, _ in calls[1:])
     assert sum(sol.stats["refactorizations"] for _, sol in calls) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = "".join(line + "\n" for line in lines[1:])
+    assert hashlib.sha256(rows.encode()).hexdigest() == SYNTH_SWEEP_ROWS_SHA256
+
+
+def test_sweep_builds_validates_and_compiles_its_model_once(tmp_path, monkeypatch):
+    # one skeleton per sweep, validated once by the builder (and once by the
+    # loader); each scenario's compile is derived from the previous one's,
+    # and the integral roots hand their live tableaux on without a copy
+    net = synthesize_grid(SynthesisConfig(n_buses=24, n_regions=4, seed=1,
+                                          demand_total_mw=720.0))
+    doc = tmp_path / "synth.json"
+    doc.write_text(json.dumps(to_document(net)))
+    counts = {"validate": 0, "compile": 0, "copy": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tepkit.milp, "validate", counting("validate", tepkit.milp.validate))
+    monkeypatch.setattr(PreparedLp, "__init__", counting("compile", PreparedLp.__init__))
+    monkeypatch.setattr(Tableau, "copy", counting("copy", Tableau.copy))
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", str(doc), "--out", str(out))
+    assert result.exit_code == 0
+    assert counts == {"validate": 1, "compile": 1, "copy": 0}
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     rows = "".join(line + "\n" for line in lines[1:])
     assert hashlib.sha256(rows.encode()).hexdigest() == SYNTH_SWEEP_ROWS_SHA256

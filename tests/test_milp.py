@@ -1,11 +1,23 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from tepkit.milp import big_m, build_tep_model
+import tepkit.milp
+from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
+from tepkit.milp import TepSkeleton, big_m, build_tep_model
 from tepkit.model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE
-from tepkit.network import LINE_EXISTING, Line
-from tepkit.scenario import RegionParams, ScenarioCode, ScenarioParams
+from tepkit.network import LINE_EXISTING, DRAKE_ACSR, Line
+from tepkit.scenario import (
+    DemandElasticityConfig,
+    RegionParams,
+    ScenarioCode,
+    ScenarioConfig,
+    ScenarioParams,
+    enumerate_scenarios,
+    realize_scenario,
+)
+from tepkit.simplex import PreparedLp
 from tepkit.solver import brute_force_solve, solve_milp
 
 from conftest import three_bus_net, two_bus_net, unit_params
@@ -195,3 +207,110 @@ def test_garver_model_shape(garver):
     assert all(dict(c.terms)["z6"] == 1.0 for c in mx)
     assert {next(nm for nm, _ in c.terms if nm.startswith("y")) for c in mx} \
         == {"y10", "y11"}
+
+
+def _sweep_grid(name):
+    """(network, scenario config) of a sweep: Garver, the synth-sweep and W5
+    benchmark grids, and Garver with a conductor override and a wider
+    demand elasticity."""
+    plain = ScenarioConfig(DemandElasticityConfig(), {})
+    if name == "garver":
+        return builtin_garver(), plain
+    if name == "synth-sweep":
+        return synthesize_grid(SynthesisConfig(n_buses=24, n_regions=4, seed=1,
+                                               demand_total_mw=720.0)), plain
+    if name == "w5":
+        return synthesize_grid(SynthesisConfig(n_buses=36, n_regions=6, seed=5,
+                                               demand_total_mw=1800.0)), plain
+    hot = dataclasses.replace(DRAKE_ACSR, max_conductor_temp_c=90.0)
+    return builtin_garver(), ScenarioConfig(DemandElasticityConfig(1.01, 1.08), {2: hot})
+
+
+def _array_fields(prep):
+    return [prep._a, prep._b, prep._lower, prep._upper, prep._cost]
+
+
+@pytest.mark.parametrize("grid", ["garver", "synth-sweep", "w5", "conductor_overrides"])
+def test_sweep_compiles_derive_bit_identical_arrays(grid, monkeypatch):
+    # a sweep builds one skeleton and derives each scenario's compile from
+    # the previous one; each scenario's model and arrays must equal a
+    # one-shot build and a fresh compile exactly
+    full = []
+    real_init = PreparedLp.__init__
+
+    def counting(self, model):
+        full.append(model)
+        real_init(self, model)
+
+    monkeypatch.setattr(PreparedLp, "__init__", counting)
+    net, config = _sweep_grid(grid)
+    skeleton = TepSkeleton(net, 8760.0)
+    codes = enumerate_scenarios(len(net.regions))
+    prep = None
+    for code in codes:
+        params = realize_scenario(code, net, config.elasticity, config.conductors)
+        model = skeleton.model(params)
+        one_shot, vmap = build_tep_model(net, params, 8760.0)
+        assert model == one_shot and vmap == skeleton.vmap
+        fresh = PreparedLp(model)
+        prep = fresh if prep is None else prep.derive(model)
+        assert prep.model is model
+        for got, want in zip(_array_fields(prep), _array_fields(fresh)):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+    assert len(full) == len(codes)  # the fresh ones: no derive fell back
+
+
+def test_signed_zero_gamma_makes_its_own_rows():
+    # 0.0 == -0.0, but their balance right-hand sides differ in sign
+    net = three_bus_net()
+    skeleton = TepSkeleton(net, 1.0)
+    prep = PreparedLp(skeleton.model(unit_params(net, gamma=0.0)))
+    negative = unit_params(net, gamma=-0.0)
+    derived = prep.derive(skeleton.model(negative))
+    one_shot = PreparedLp(build_tep_model(net, negative, 1.0)[0])
+    assert np.signbit(one_shot._b[:3]).all()  # bal1-bal3
+    assert all(got.tobytes() == want.tobytes()
+               for got, want in zip(_array_fields(derived), _array_fields(one_shot)))
+
+
+def test_scenario_models_share_all_but_their_warming_rows(garver):
+    skeleton = TepSkeleton(garver, 8760.0)
+
+    def model(code):
+        return skeleton.model(realize_scenario(ScenarioCode.parse(code), garver))
+
+    low, high = model("L,L"), model("H,H")
+    assert low.variables is high.variables is skeleton.variables
+    assert low.objective_terms is high.objective_terms is skeleton.objective_terms
+    scenario_rows = ("bal", "exu", "exl", "cnu", "cnl")
+    for a, b in zip(low.constraints, high.constraints):
+        assert a.name == b.name
+        assert (a is b) != a.name.startswith(scenario_rows)
+    assert low.constraints[-len(skeleton.fixed_rows):] == skeleton.fixed_rows
+    # a region whose mark stays since the previous scenario keeps its row
+    # objects: region 1 holds buses 1-3, region 2 buses 4-6
+    mixed = model("H,L")
+    high_rows = {c.name: c for c in high.constraints}
+    mixed_rows = {c.name: c for c in mixed.constraints}
+    assert all(mixed_rows[f"bal{b}"] is high_rows[f"bal{b}"] for b in (1, 2, 3))
+    assert all(mixed_rows[f"bal{b}"] is not high_rows[f"bal{b}"] for b in (4, 5, 6))
+
+
+def test_skeleton_validates_once(garver, monkeypatch):
+    calls = []
+    real = tepkit.milp.validate
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(tepkit.milp, "validate", counting)
+    skeleton = TepSkeleton(garver, 8760.0)
+    for code in enumerate_scenarios(2):
+        skeleton.model(realize_scenario(code, garver))
+    assert len(calls) == 1
+    # a scenario with a region missing is refused by the per-scenario step
+    short = ScenarioParams(ScenarioCode(("L",)), {1: RegionParams(1.0, 1.0, 0.0)})
+    with pytest.raises(ValueError, match="missing region 2"):
+        skeleton.model(short)

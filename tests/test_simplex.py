@@ -12,6 +12,7 @@ from tepkit.model import (
     SENSE_LE,
     Constraint,
     Model,
+    ModelError,
     Variable,
 )
 from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun
@@ -413,6 +414,84 @@ def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatc
                             bounds=[(0.0, 10.0)] * 2, method="highs")
     assert ref.status == 0
     assert result.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
+def _full_compiles(monkeypatch):
+    """Record the model of every fresh compile."""
+    compiled = []
+    real = PreparedLp.__init__
+
+    def recording(self, model):
+        compiled.append(model)
+        real(self, model)
+
+    monkeypatch.setattr(PreparedLp, "__init__", recording)
+    return compiled
+
+
+def _with_row(model, i, row):
+    rows = list(model.constraints)
+    rows[i] = row
+    return dataclasses.replace(model, constraints=tuple(rows))
+
+
+def _same_arrays(a, b):
+    return all(np.array_equal(x, y) and x.tobytes() == y.tobytes()
+               for x, y in zip((a._a, a._b, a._lower, a._upper, a._cost),
+                               (b._a, b._b, b._lower, b._upper, b._cost)))
+
+
+def test_derive_rereads_only_the_changed_rows(monkeypatch):
+    base_model = dense_lp()
+    base = PreparedLp(base_model)
+    compiled = _full_compiles(monkeypatch)
+    row = base_model.constraints[1]
+    # new coefficients, a repeated term and a new right-hand side
+    moved = _with_row(base_model, 1, dataclasses.replace(
+        row, terms=row.terms[:1] + (("x2", 0.5), ("x2", 0.25)), rhs=row.rhs + 3.0))
+    derived = base.derive(moved)
+    assert compiled == []
+    assert derived.model is moved
+    assert derived._lower is base._lower and derived._cost is base._cost
+    assert derived.names is base.names and derived.rows is base.rows
+    # the earlier compile is left as it was
+    assert _same_arrays(base, PreparedLp(base_model))
+    assert _same_arrays(derived, PreparedLp(moved))
+    assert derived.solve().objective == pytest.approx(PreparedLp(moved).solve().objective,
+                                                      rel=1e-12)
+
+
+def test_derive_falls_back_to_a_fresh_compile(monkeypatch):
+    base_model = dense_lp()
+    base = PreparedLp(base_model)
+    row = base_model.constraints[0]
+    others = (
+        _with_row(base_model, 0, dataclasses.replace(row, sense=SENSE_GE)),
+        _with_row(base_model, 0, dataclasses.replace(row, name="renamed")),
+        # equal variables and objective, but not the same tuples
+        dataclasses.replace(base_model, variables=tuple(list(base_model.variables))),
+        dataclasses.replace(base_model,
+                            objective_terms=tuple(list(base_model.objective_terms))),
+        dataclasses.replace(base_model, constraints=base_model.constraints[:-1]),
+    )
+    compiled = _full_compiles(monkeypatch)
+    for model in others:
+        compiled.clear()
+        derived = base.derive(model)
+        assert compiled == [model]
+        assert _same_arrays(derived, PreparedLp(model))
+
+
+def test_derived_row_with_an_unknown_variable_is_refused():
+    base_model = dense_lp()
+    base = PreparedLp(base_model)
+    row = base_model.constraints[2]
+    bad = _with_row(base_model, 2, dataclasses.replace(row, terms=row.terms + (("ghost", 1.0),)))
+    message = f"constraint {row.name!r} references unknown variable 'ghost'"
+    with pytest.raises(ModelError, match=message):
+        base.derive(bad)
+    with pytest.raises(ModelError, match=message):
+        PreparedLp(bad)
 
 
 def test_degenerate_rhs_zero():

@@ -227,6 +227,31 @@ def test_root_tableau_starts_a_related_model():
     assert solve_lp(other, start=carried.root_tableau).stats["refactorizations"] == 0
 
 
+def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
+    copies = []
+    real = Tableau.copy
+
+    def recording(tableau):
+        copies.append(tableau)
+        return real(tableau)
+
+    monkeypatch.setattr(Tableau, "copy", recording)
+    # an integral root hands its live tableau on: nothing else takes it
+    integral = milp([Variable("y", BINARY, 0.0, 1.0)],
+                    [Constraint("c", (("y", 1.0),), SENSE_GE, 1.0)], [("y", 2.0)])
+    sol = solve_milp(integral)
+    assert copies == []
+    assert sol.root_tableau.matrix is not None
+    # a branching root's dive child takes the live one: the root keeps a copy
+    model = garver_model("H,H")
+    sol = solve_milp(model)
+    assert sol.stats["nodes"] > 1
+    assert copies[0].matrix is None  # the live root tableau, taken by the child
+    assert sol.root_tableau.matrix is not None
+    again = solve_milp(model, start=sol.root_tableau)
+    assert again.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
     # a dive child continues on its parent's live tableau, a node taken from
     # the open list on a copy of its parent's final one, and each brute-force
@@ -458,6 +483,63 @@ def test_check_solution_reports_violations():
     x = milp([Variable("x", CONTINUOUS, 0.0, math.inf)], [], [("x", 1.0)])
     assert not check_solution(x, {"x": math.nan}).ok
     assert not check_solution(x, {"x": math.inf}).ok
+
+
+def _reference_verdicts(model, values, feas_tol):
+    """check_solution's verdicts as first written: the scaled tolerance
+    computed for every bound and row."""
+    found = []
+    for v in model.variables:
+        x = values[v.name]
+        tol = feas_tol * max(1.0, abs(x))
+        if x < v.lower - tol or x > v.upper + tol:
+            found.append(f"{v.name} = {x} outside bounds [{v.lower}, {v.upper}]")
+    for con in model.constraints:
+        activity = 0.0
+        for name, coef in con.terms:
+            activity += coef * values[name]
+        tol = feas_tol * max(1.0, abs(con.rhs), abs(activity))
+        if con.sense == SENSE_LE and activity > con.rhs + tol:
+            found.append(f"{con.name}: {activity} > {con.rhs}")
+        elif con.sense == SENSE_GE and activity < con.rhs - tol:
+            found.append(f"{con.name}: {activity} < {con.rhs}")
+        elif con.sense == SENSE_EQ and abs(activity - con.rhs) > tol:
+            found.append(f"{con.name}: {activity} != {con.rhs}")
+    return tuple(found)
+
+
+def _around(target, tols):
+    """Points at, just inside and just outside target +- each tolerance."""
+    points = [target]
+    for tol in tols:
+        for edge in (target - tol, target + tol):
+            points += [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
+                       edge - 0.5 * tol, edge + 0.5 * tol]
+    return [float(p) for p in points]
+
+
+@pytest.mark.parametrize("feas_tol", [1e-6, 1e-5])
+def test_check_solution_verdicts_match_the_scaled_formula_at_the_boundary(feas_tol):
+    # bounds and right-hand sides from 0 to 1e7 in size; the plain feas_tol
+    # test decides most points, the scaled one the rest, and the verdicts
+    # and messages must be those of the scaled test everywhere
+    checked = 0
+    for level in (0.0, 0.3, 1.0, -2.5, 1e3, -4e5, 1e7):
+        tols = [feas_tol, feas_tol * max(1.0, abs(level)), feas_tol * abs(level) * 1.5]
+        model = milp(
+            [Variable("x", CONTINUOUS, level, level), Variable("u", CONTINUOUS, -math.inf,
+                                                               level)],
+            [Constraint("le", (("x", 1.0),), SENSE_LE, level),
+             Constraint("ge", (("x", 0.5), ("x", 0.5)), SENSE_GE, level),
+             Constraint("eq", (("x", 1.0),), SENSE_EQ, level)],
+            [("x", 1.0)],
+        )
+        for x in _around(level, tols):
+            values = {"x": x, "u": x}
+            report = check_solution(model, values, feas_tol=feas_tol)
+            assert report.violations == _reference_verdicts(model, values, feas_tol), x
+            checked += 1
+    assert checked == 7 * 31
 
 
 def test_solution_file_round_trip():
