@@ -17,8 +17,8 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import click
 
-from .milp import TepSkeleton, build_tep_model
-from .model import model_stats
+from .milp import TepSkeleton
+from .model import Model, model_stats
 from .mps import export_lp, export_mps
 from .network import (
     DRAKE_ACSR,
@@ -38,7 +38,7 @@ from .scenario import (
     load_scenario_config,
     realize_scenario,
 )
-from .simplex import Basis, SimplexError, Tableau
+from .simplex import SimplexError
 from .solver import SolveOptions, SolverError, format_solution, solve_milp
 from . import thermal
 
@@ -150,8 +150,11 @@ def cmd_derate(t_base_f: float, t_future_f: float,
               f"{limit_c * 9.0 / 5.0 + 32.0!r} F")
     try:
         eta = thermal.derating_factor(cond, t_base_c, t_future_c)
-    except ValueError as exc:  # ThermalDomainError: an ambient leaves no headroom
-        _fail(f"--t-base-f {t_base_f!r} F, --t-future-f {t_future_f!r} F: {exc}")
+    except thermal.ThermalDomainError as exc:
+        # derating_factor tries the future ambient first, and headroom only
+        # falls as the ambient rises: the future is the one left without
+        _fail(f"--t-future-f {t_future_f!r} F leaves the conductor no thermal headroom: "
+              f"{exc.shortfall}")
     click.echo(f"derating factor eta = {eta!r}")
 
 
@@ -223,10 +226,11 @@ def cmd_fit(temps_path: str, k: int, units: str, base_year: int | None,
 # model assembly shared by build / solve / sweep
 # --------------------------------------------------------------------------
 
-def _assemble(net: Network, code: ScenarioCode, config: ScenarioConfig,
-              sigma_hours: float):
-    params = realize_scenario(code, net, config.elasticity, config.conductors)
-    return build_tep_model(net, params, sigma_hours)
+def _scenario_model(skeleton: TepSkeleton, code: ScenarioCode,
+                    config: ScenarioConfig) -> Model:
+    """The skeleton's model of one scenario, realized under `config`."""
+    params = realize_scenario(code, skeleton.net, config.elasticity, config.conductors)
+    return skeleton.model(params)
 
 
 def _model_options(fn):
@@ -290,7 +294,7 @@ def cmd_build(network_path: str, config_path: str | None, sigma_hours: float,
     config = _load_config(config_path)
     try:
         code = ScenarioCode.parse(scenario_code)
-        model, _ = _assemble(net, code, config, sigma_hours)
+        model = _scenario_model(TepSkeleton(net, sigma_hours), code, config)
     except ValueError as exc:
         _fail(str(exc))
     text = export_mps(model) if fmt == "mps" else export_lp(model)
@@ -327,8 +331,8 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
     config = _load_config(config_path)
     try:
         code = ScenarioCode.parse(scenario_code)
-        model, vmap = _assemble(net, code, config, sigma_hours)
-        sol = solve_milp(model, options)
+        skeleton = TepSkeleton(net, sigma_hours)
+        sol = solve_milp(_scenario_model(skeleton, code, config), options)
     except ValueError as exc:
         _fail(str(exc))
     except (SimplexError, SolverError) as exc:
@@ -343,12 +347,9 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
     click.echo(f"nodes      {sol.stats['nodes']}")
     click.echo(f"iterations {sol.stats['simplex_iterations']}")
     if sol.values:
-        built = [l.id for l in net.candidate_lines()
-                 if sol.values[vmap.build(l.id)] >= 0.5]
-        expanded = [l.id for l in net.expandable_lines()
-                    if sol.values[vmap.expand(l.id)] >= 0.5]
-        click.echo(f"built lines     {built or 'none'}")
-        click.echo(f"expanded lines  {expanded or 'none'}")
+        built, expanded = skeleton.plan(sol.values)
+        click.echo(f"built lines     {[l.id for l in built] or 'none'}")
+        click.echo(f"expanded lines  {[l.id for l in expanded] or 'none'}")
         if out_path is not None:
             try:
                 with open(out_path, "w", encoding="utf-8") as fh:
@@ -391,34 +392,27 @@ class SweepReportRow:
         return cells
 
 
-def _sweep_row(
-    skeleton: TepSkeleton, code: ScenarioCode, config: ScenarioConfig,
-    options: SolveOptions, start: Basis | Tableau | None,
-) -> tuple[SweepReportRow, Basis | Tableau | None]:
+def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode, config: ScenarioConfig,
+               options: SolveOptions, start):
     """Solve one scenario, its model the skeleton plus the scenario's rows,
-    with its root LP started from `start`; return its row and its root LP's
-    final tableau. If the engine fails, possibly after taking a tableau
-    start, the next start is that tableau's basis instead. A scenario that
+    with its root LP started from `start`, the previous scenario's root
+    tableau or None; return its row and its root LP's final tableau. If the
+    engine fails, the next scenario starts afresh (None). A scenario that
     cannot be realized or built ends the sweep with exit 1."""
     net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours
     try:
-        params = realize_scenario(code, net, config.elasticity, config.conductors)
-        model = skeleton.model(params)
+        model = _scenario_model(skeleton, code, config)
     except ValueError as exc:
         _fail(f"scenario {code}: {exc}")
     try:
         sol = solve_milp(model, options, start=start)
     except (SimplexError, SolverError) as exc:
         click.echo(f"error: scenario {code}: {exc}", err=True)
-        if isinstance(start, Tableau):
-            start = start.basis
-        return SweepReportRow(str(code), "error", *[None] * 7), start
+        return SweepReportRow(str(code), "error", *[None] * 7), None
     if not sol.values:
         return SweepReportRow(str(code), sol.status, *[None] * 7), sol.root_tableau
 
-    built = [l for l in net.candidate_lines() if sol.values[vmap.build(l.id)] >= 0.5]
-    expanded = [l for l in net.expandable_lines()
-                if sol.values[vmap.expand(l.id)] >= 0.5]
+    built, expanded = skeleton.plan(sol.values)
     new_line_cost = sum((_micro(l.build_cost) for l in built), Decimal(0))
     cap_exp_cost = sum((_micro(l.expand_cost) for l in expanded), Decimal(0))
     gen_mwh_cost = sum(

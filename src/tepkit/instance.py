@@ -441,19 +441,23 @@ def _read_rows(text: str, required: tuple[str, ...], label: str) -> list[dict]:
     if missing:
         raise DocumentError(f"{label} CSV: missing column(s) {missing}")
     rows = []
-    for i, raw in enumerate(reader, start=2):
+    for raw in reader:
         rows.append({(k.strip() if k else k): (v.strip() if isinstance(v, str) else v)
-                     for k, v in raw.items()} | {"_line": i})
+                     for k, v in raw.items()} | {"_line": reader.line_num})
     return rows
 
 
 def _num(row: dict, col: str, label: str) -> float:
     try:
-        return float(row[col])
+        value = float(row[col])
     except (TypeError, ValueError):
         raise DocumentError(
             f"{label} CSV line {row['_line']}: column {col!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise DocumentError(
+            f"{label} CSV line {row['_line']}: column {col!r} is not finite: {row[col]!r}")
+    return value
 
 
 def _intval(row: dict, col: str, label: str) -> int:

@@ -19,6 +19,10 @@ capacity rows and shares the rest by identity; a row whose gamma or eta
 is the previous scenario's is that scenario's row object. A sweep's
 compile can so re-read only the rows a scenario changes
 (PreparedLp.derive). build_tep_model is a skeleton plus one scenario.
+
+VariableMap names each entity's variable by a fixed rule (th{bus},
+g{gen}, p0_{line}, p1_{line}, y{line}, z{line}), and a skeleton reads a
+solution's plan, the lines it builds and expands, back through it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .model import (
     SENSE_LE,
     Variable,
 )
-from .network import LINE_CANDIDATE, Network, validate
+from .network import LINE_CANDIDATE, Line, Network, validate
 from .scenario import ScenarioParams
 
 __all__ = [
@@ -47,58 +51,30 @@ __all__ = [
 ]
 
 
-def _angle_name(bus_id: int) -> str:
-    return f"th{bus_id}"
-
-
-def _gen_name(gen_id: int) -> str:
-    return f"g{gen_id}"
-
-
-def _flow_existing_name(line_id: int) -> str:
-    return f"p0_{line_id}"
-
-
-def _flow_candidate_name(line_id: int) -> str:
-    return f"p1_{line_id}"
-
-
-def _build_name(line_id: int) -> str:
-    return f"y{line_id}"
-
-
-def _expand_name(line_id: int) -> str:
-    return f"z{line_id}"
-
-
 @dataclass(frozen=True)
 class VariableMap:
-    """Lookup from network entities to model variable names."""
-
-    angles: dict[int, str]
-    gens: dict[int, str]
-    flows_existing: dict[int, str]
-    flows_candidate: dict[int, str]
-    builds: dict[int, str]
-    expands: dict[int, str]
+    """The model variable of each network entity, named by its rule: bus
+    angles th{bus}, generator outputs g{gen}, flows p0_{line} on existing
+    and p1_{line} on candidate lines, builds y{line} and expansions
+    z{line}. It names any id; the model declares only its network's."""
 
     def angle(self, bus_id: int) -> str:
-        return self.angles[bus_id]
+        return f"th{bus_id}"
 
     def gen(self, generator_id: int) -> str:
-        return self.gens[generator_id]
+        return f"g{generator_id}"
 
     def flow_existing(self, line_id: int) -> str:
-        return self.flows_existing[line_id]
+        return f"p0_{line_id}"
 
     def flow_candidate(self, line_id: int) -> str:
-        return self.flows_candidate[line_id]
+        return f"p1_{line_id}"
 
     def build(self, line_id: int) -> str:
-        return self.builds[line_id]
+        return f"y{line_id}"
 
     def expand(self, line_id: int) -> str:
-        return self.expands[line_id]
+        return f"z{line_id}"
 
 
 def big_m(line, net: Network) -> float:
@@ -135,7 +111,8 @@ class TepSkeleton:
     corridor exclusion (mx*). `model(params)` adds the rows a scenario's
     warming sets (flow balance bal* through gamma, line capacities ex* and
     cn* through eta) and shares everything else by identity, so that
-    `PreparedLp.derive` recompiles only those rows.
+    `PreparedLp.derive` recompiles only those rows. `plan(values)` reads
+    the lines a solution builds and expands.
 
     Capacity expansion adds the same headroom in both flow directions,
     since a reconductored line's thermal rating does not depend on which
@@ -159,39 +136,19 @@ class TepSkeleton:
         buses = net.bus_by_id()
         ref_bus = min(buses)
 
-        variables: list[Variable] = []
-        vmap = VariableMap({}, {}, {}, {}, {}, {})
-
-        for bus in sorted(net.buses, key=lambda b: b.id):
-            name = _angle_name(bus.id)
-            vmap.angles[bus.id] = name
-            if bus.id == ref_bus:
-                variables.append(Variable(name, CONTINUOUS, 0.0, 0.0))
-            else:
-                variables.append(Variable(name, CONTINUOUS))
-        for gen in sorted(net.generators, key=lambda g: g.id):
-            name = _gen_name(gen.id)
-            vmap.gens[gen.id] = name
-            variables.append(Variable(name, CONTINUOUS, 0.0, gen.capacity_mw / base))
+        vmap = self.vmap = VariableMap()
+        gens = sorted(net.generators, key=lambda g: g.id)
         existing = sorted(net.existing_lines(), key=lambda l: l.id)
         candidates = sorted(net.candidate_lines(), key=lambda l: l.id)
         expandables = sorted(net.expandable_lines(), key=lambda l: l.id)
-        for line in existing:
-            name = _flow_existing_name(line.id)
-            vmap.flows_existing[line.id] = name
-            variables.append(Variable(name, CONTINUOUS))
-        for line in candidates:
-            name = _flow_candidate_name(line.id)
-            vmap.flows_candidate[line.id] = name
-            variables.append(Variable(name, CONTINUOUS))
-        for line in candidates:
-            name = _build_name(line.id)
-            vmap.builds[line.id] = name
-            variables.append(Variable(name, BINARY, 0.0, 1.0))
-        for line in expandables:
-            name = _expand_name(line.id)
-            vmap.expands[line.id] = name
-            variables.append(Variable(name, BINARY, 0.0, 1.0))
+        # the reference bus's angle is fixed at zero
+        variables = [Variable(vmap.angle(bus_id), CONTINUOUS, 0.0, 0.0) if bus_id == ref_bus
+                     else Variable(vmap.angle(bus_id), CONTINUOUS) for bus_id in sorted(buses)]
+        variables += [Variable(vmap.gen(g.id), CONTINUOUS, 0.0, g.capacity_mw / base) for g in gens]
+        variables += [Variable(vmap.flow_existing(l.id), CONTINUOUS) for l in existing]
+        variables += [Variable(vmap.flow_candidate(l.id), CONTINUOUS) for l in candidates]
+        variables += [Variable(vmap.build(l.id), BINARY, 0.0, 1.0) for l in candidates]
+        variables += [Variable(vmap.expand(l.id), BINARY, 0.0, 1.0) for l in expandables]
 
         # flow balance: generation plus net inflow equals scaled demand; each
         # bus lists its generators, then its existing and its candidate lines
@@ -199,11 +156,11 @@ class TepSkeleton:
         balance: dict[int, list[tuple[str, float]]] = {bus_id: [] for bus_id in buses}
         for gen in net.generators:
             balance[gen.bus_id].append((vmap.gen(gen.id), 1.0))
-        for lines, flows in ((existing, vmap.flows_existing), (candidates, vmap.flows_candidate)):
+        for lines, flow in ((existing, vmap.flow_existing), (candidates, vmap.flow_candidate)):
             for line in lines:
-                balance[line.to_bus].append((flows[line.id], 1.0))
+                balance[line.to_bus].append((flow(line.id), 1.0))
                 if line.from_bus != line.to_bus:
-                    balance[line.from_bus].append((flows[line.id], -1.0))
+                    balance[line.from_bus].append((flow(line.id), -1.0))
         self._balance = tuple(
             (bus, tuple(balance[bus.id])) for bus in sorted(net.buses, key=lambda b: b.id))
         # each line, existing then candidate, with the regions of its two ends
@@ -268,10 +225,9 @@ class TepSkeleton:
             objective.append((vmap.build(line.id), line.build_cost))
         for line in expandables:
             objective.append((vmap.expand(line.id), line.expand_cost))
-        for gen in sorted(net.generators, key=lambda g: g.id):
+        for gen in gens:
             objective.append((vmap.gen(gen.id), sigma_hours * gen.cost_per_mwh * base))
 
-        self.vmap = vmap
         self.variables = tuple(variables)
         # rows in model order after the scenario's bal*, ex* and cn* rows
         self.fixed_rows = tuple(fixed)
@@ -292,6 +248,14 @@ class TepSkeleton:
             constraints=tuple(rows) + self.fixed_rows,
             objective_terms=self.objective_terms,
         )
+
+    def plan(self, values: dict[str, float]) -> tuple[list[Line], list[Line]]:
+        """The candidate lines a solution's values build and the existing
+        lines they expand, each in network order."""
+        built = [l for l in self.net.candidate_lines() if values[self.vmap.build(l.id)] >= 0.5]
+        expanded = [l for l in self.net.expandable_lines()
+                    if values[self.vmap.expand(l.id)] >= 0.5]
+        return built, expanded
 
     def _rows(self, k: int, number: float, make, *args) -> tuple[Constraint, ...]:
         """The rows of the k-th bus or line made with `number`, its gamma or

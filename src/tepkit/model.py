@@ -92,7 +92,8 @@ def check_model(model: Model) -> None:
         raise ModelError("only minimize objectives are supported")
 
 
-def _term_map(terms: tuple[tuple[str, float], ...]) -> dict[str, float]:
+def term_map(terms: tuple[tuple[str, float], ...]) -> dict[str, float]:
+    """Each variable's summed coefficient, in order of first appearance."""
     merged: dict[str, float] = {}
     for name, coef in terms:
         merged[name] = merged.get(name, 0.0) + coef
@@ -123,11 +124,11 @@ def models_equivalent(a: Model, b: Model, tol: float = 1e-12) -> bool:
     for ca, cb in zip(a.constraints, b.constraints):
         if (ca.name, ca.sense) != (cb.name, cb.sense) or not close(ca.rhs, cb.rhs):
             return False
-        ta, tb = nonzero(_term_map(ca.terms)), nonzero(_term_map(cb.terms))
+        ta, tb = nonzero(term_map(ca.terms)), nonzero(term_map(cb.terms))
         if set(ta) != set(tb) or any(not close(ta[k], tb[k]) for k in ta):
             return False
-    oa = nonzero(_term_map(a.objective_terms))
-    ob = nonzero(_term_map(b.objective_terms))
+    oa = nonzero(term_map(a.objective_terms))
+    ob = nonzero(term_map(b.objective_terms))
     if set(oa) != set(ob) or any(not close(oa[k], ob[k]) for k in oa):
         return False
     return close(a.objective_constant, b.objective_constant)

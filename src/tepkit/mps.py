@@ -28,6 +28,7 @@ from .model import (
     SENSE_LE,
     Variable,
     check_model,
+    term_map,
 )
 
 _NAME_LIMIT = 8
@@ -84,21 +85,12 @@ def export_mps(model: Model) -> str:
     for con in model.constraints:
         out.append(f" {_SENSE_TO_ROW[con.sense]}  {names.shorten(con.name)}")
 
-    obj_coef: dict[str, float] = {}
-    for var_name, coef in model.objective_terms:
-        obj_coef[var_name] = obj_coef.get(var_name, 0.0) + coef
+    obj_coef = term_map(model.objective_terms)
     entries: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
     for con in model.constraints:
         row = names.shorten(con.name)
-        merged: dict[str, float] = {}
-        order: list[str] = []
-        for var_name, coef in con.terms:
-            if var_name not in merged:
-                order.append(var_name)
-                merged[var_name] = 0.0
-            merged[var_name] += coef
-        for var_name in order:
-            entries[var_name].append((row, merged[var_name]))
+        for var_name, coef in term_map(con.terms).items():
+            entries[var_name].append((row, coef))
 
     out.append("COLUMNS")
     integer_mode = False

@@ -84,6 +84,7 @@ _RATIO_TIE = 1e-12
 _BLAND_AFTER = 40
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
+_MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -116,8 +117,7 @@ class Tableau:
     and row names: of its own PreparedLp it replaces the refactorization, of
     another its changed columns are replaced first. That solve continues on
     these arrays in place, so a Tableau serves as a start once only (`copy`
-    gives another). `basis` stays readable after that, a fallback start for
-    whoever handed the tableau on."""
+    gives another); its `basis` stays readable after that."""
 
     def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
                  basis: Basis):
@@ -239,7 +239,6 @@ class PreparedLp:
         self,
         bound_overrides: dict[str, tuple[float, float]] | None = None,
         *,
-        max_iterations: int = 20000,
         start: Basis | Tableau | None = None,
         deadline: float | None = None,
     ) -> LpResult:
@@ -266,7 +265,7 @@ class PreparedLp:
                 upper[j] = up
                 if lo > up:
                     raise ValueError(f"override for {name!r} has lower > upper")
-        run = _SimplexRun(self, lower, upper, max_iterations, deadline)
+        run = _SimplexRun(self, lower, upper, deadline)
         return run.solve(start)
 
 
@@ -279,7 +278,7 @@ def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, in
 
 
 class _SimplexRun:
-    def __init__(self, prep: PreparedLp, lower, upper, max_iterations, deadline):
+    def __init__(self, prep: PreparedLp, lower, upper, deadline):
         self.prep = prep
         self.m = prep.m
         self.cols = prep.n + prep.m
@@ -290,7 +289,6 @@ class _SimplexRun:
         self.fixed = upper - lower <= 0.0
         # the primal tolerance of the infeasibility verdict and the certificates
         self.primal_tol = _FEAS_TOL * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
-        self.max_iterations = max_iterations
         self.deadline = deadline
         self.iterations = 0
         self.pivots_since_refactor = 0
@@ -553,8 +551,8 @@ class _SimplexRun:
         z = None
         retries = 0
         while True:
-            if self.iterations >= self.max_iterations:
-                raise SimplexError(f"iteration limit {self.max_iterations} exceeded")
+            if self.iterations >= _MAX_ITERATIONS:
+                raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return STATUS_TIME_LIMIT
             if phase1:

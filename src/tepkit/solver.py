@@ -64,7 +64,7 @@ class Solution:
     stats: dict[str, float] = field(default_factory=dict)
     # the root LP's final tableau, copied where the root branched: a one-use
     # start for a model with the same variable and row names, such as
-    # another scenario of the same network; its `basis` is the fallback start
+    # another scenario of the same network
     root_tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
@@ -350,11 +350,11 @@ def solve_milp(
     brute_force_solve's, but a tied optimum the search never reaches is not
     considered, so the vector can differ from the oracle's.
 
-    The root LP starts from `start`: the slack basis by default, or the
-    `root_tableau` of a model with the same variable and row names (such as
-    another scenario of the same network), which the solve takes over and
-    whose compile this model's is derived from (PreparedLp.derive), or
-    that tableau's `basis`. A dive child continues on its parent's live
+    The root LP starts from `start`: the slack basis by default, a given
+    basis, or the `root_tableau` of a model with the same variable and row
+    names (such as another scenario of the same network), which the solve
+    takes over and whose compile this model's is derived from
+    (PreparedLp.derive). A dive child continues on its parent's live
     tableau and a node taken from the open list on a copy of its parent's
     final tableau, so neither refactorizes. The open nodes' copies are
     capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past

@@ -23,7 +23,14 @@ _KELVIN_OFFSET = 273.15
 
 
 class ThermalDomainError(ValueError):
-    """Ambient conditions leave no positive heat-removal budget."""
+    """Ambient conditions leave no positive heat-removal budget.
+
+    ``shortfall`` says which heat flows fall short, without the ambient, so
+    that a caller can name the ambient in its own units."""
+
+    def __init__(self, t_amb_c: float, shortfall: str):
+        super().__init__(f"no thermal headroom: {shortfall} at ambient {t_amb_c} C")
+        self.shortfall = shortfall
 
 
 def ampacity(cond: ConductorParams, t_amb_c: float) -> float:
@@ -48,9 +55,8 @@ def ampacity(cond: ConductorParams, t_amb_c: float) -> float:
     radicand = (q_convection + q_radiation - q_solar) / cond.resistance_ohm_per_m
     if radicand <= 0:
         raise ThermalDomainError(
-            "no thermal headroom: convection {:.3f} + radiation {:.3f} W/m do not cover "
-            "solar gain {:.3f} W/m at ambient {} C".format(
-                q_convection, q_radiation, q_solar, t_amb_c))
+            t_amb_c, "convection {:.3f} + radiation {:.3f} W/m do not cover "
+            "solar gain {:.3f} W/m".format(q_convection, q_radiation, q_solar))
     return math.sqrt(radicand)
 
 
@@ -203,8 +209,20 @@ def read_daily_csv(text: str, units: str = "tenths_c") -> DailyReadResult:
         if not raw:
             missing += 1
             continue
-        when = date.fromisoformat(row[header["DATE"]].strip())
-        value = float(raw)
+        where = f"temperature CSV line {reader.line_num}"
+        day = (row.get(header["DATE"]) or "").strip()
+        try:
+            when = date.fromisoformat(day)
+        except ValueError:
+            raise ValueError(f"{where}: column {header['DATE']!r} is not an ISO date: "
+                             f"{day!r}") from None
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: column {header['TMAX']!r} is not a finite number: "
+                             f"{raw!r}")
         if units == "tenths_c":
             value = value / 10.0 * 9.0 / 5.0 + 32.0
         records.append((when, value))

@@ -111,6 +111,39 @@ def test_derate_out_of_range_is_one_line_and_exit_1(future, line):
     assert result.output == line
 
 
+def test_derate_without_headroom_names_the_option_in_f(tmp_path):
+    # 5 kW/m^2 of sun outweighs the cooling at 100 F; the line names that
+    # option as typed and quotes no Celsius ambient
+    sunny = tmp_path / "sun.json"
+    sunny.write_text(json.dumps({"solar_radiation": 5000}))
+    result = run("derate", "--t-base-f", "90", "--t-future-f", "100",
+                 "--conductor-json", str(sunny))
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: --t-future-f 100.0 F leaves the conductor no thermal headroom: "
+        "convection 49.289 + radiation 21.405 W/m do not cover solar gain 112.400 W/m\n")
+    assert " C" not in result.output
+
+
+@pytest.mark.parametrize("rows, line", [
+    # a non-finite TMAX used to fit slope nan and exit 0
+    (["X,2001-07-01,nan", "X,2002-07-01,inf", "X,2003-07-01,300"],
+     "error: temperature CSV line 2: column 'TMAX' is not a finite number: 'nan'\n"),
+    (["X,2001-07-01,300", "X,2002-07-01,inf"],
+     "error: temperature CSV line 3: column 'TMAX' is not a finite number: 'inf'\n"),
+    (["X,2001-07-01,300", "X,2002-07-01,abc"],
+     "error: temperature CSV line 3: column 'TMAX' is not a finite number: 'abc'\n"),
+    (["X,2001-07-01,300", "", "X,2002-13-01,310"],
+     "error: temperature CSV line 4: column 'DATE' is not an ISO date: '2002-13-01'\n"),
+], ids=["nan", "inf", "abc", "month"])
+def test_fit_rejects_a_bad_cell_with_its_line_and_column(tmp_path, rows, line):
+    path = tmp_path / "tmax.csv"
+    path.write_text("\n".join(["STATION,DATE,TMAX", *rows]) + "\n")
+    result = run("fit", "--k", "1", "--temps", str(path))
+    assert result.exit_code == 1
+    assert result.output == line
+
+
 def fake_ghcn(tmp_path) -> str:
     # ~0.05 C/yr warming with 15 July readings per year, tenths of a degree
     lines = ["STATION,DATE,TMAX"]
@@ -345,21 +378,32 @@ def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
     assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
 
 
-def test_sweep_failure_after_the_solve_hands_the_last_good_basis_on(
+def test_sweep_failure_after_the_solve_starts_the_next_scenario_afresh(
         garver_doc, tmp_path, monkeypatch):
     # L,H fails in the checker, after its root LP took L,L's tableau over;
-    # H,L then starts from L,L's root basis and still gives the pinned row
+    # H,L then starts from the slack basis and still gives the pinned row
     def fails_on_lh(model, values, **kwargs):
         if model.name == "tepLH":
             return CheckReport(False, ("forced failure",), 0.0)
         return check_solution(model, values, **kwargs)
 
+    starts = []
+
+    def recording(model, options=None, *, start=None):
+        starts.append((model.name, start))
+        return solve_milp(model, options, start=start)
+
     monkeypatch.setattr(tepkit.solver, "check_solution", fails_on_lh)
+    monkeypatch.setattr(tepkit.cli, "solve_milp", recording)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", garver_doc, "--out", str(out))
     assert result.exit_code == 2
     assert "error: scenario L,H: solution failed independent verification: forced failure" \
         in result.output
+    assert [name for name, _ in starts] == ["tepLL", "tepLH", "tepHL", "tepHH"]
+    assert isinstance(starts[1][1], Tableau)
+    assert starts[2][1] is None
+    assert isinstance(starts[3][1], Tableau)
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[1:] == [GARVER_SWEEP_ROWS[0], '"L,H",,,,,,,', *GARVER_SWEEP_ROWS[2:]]
 

@@ -250,6 +250,25 @@ from_bus,to_bus,voltage_kv,capacity_mw,length_km,susceptance_pu
     assert derived.kind == LINE_EXISTING
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a nan weight used to end in "cannot convert NaN to integer ratio"
+    ("3\n", "nan\n", "substation CSV line 2: column 'population_weight' is not finite: 'nan'"),
+    # an infinite coordinate used to reach the document as Infinity
+    ("-111.84", "inf", "substation CSV line 3: column 'lon' is not finite: 'inf'"),
+], ids=["nan-weight", "inf-lon"])
+def test_csv_to_document_rejects_non_finite_numbers(old, new, message):
+    subs = SUBS_CSV.replace(old, new)
+    for demand in (0.0, 50.0):
+        with pytest.raises(DocumentError) as err:
+            csv_to_document(subs, PLANTS_CSV, total_demand_mw=demand)
+        assert str(err.value) == message
+
+
+def test_csv_line_numbers_count_blank_lines():
+    with pytest.raises(DocumentError, match="plant CSV line 3: column 'capacity_mw'"):
+        csv_to_document(SUBS_CSV, PLANTS_CSV.replace("1,150", "\n1,-inf"))
+
+
 def test_csv_to_document_rejects_bad_input():
     with pytest.raises(DocumentError, match="missing column"):
         csv_to_document("id,lat,lon\n1,0,0\n", PLANTS_CSV)

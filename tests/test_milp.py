@@ -314,3 +314,21 @@ def test_skeleton_validates_once(garver, monkeypatch):
     short = ScenarioParams(ScenarioCode(("L",)), {1: RegionParams(1.0, 1.0, 0.0)})
     with pytest.raises(ValueError, match="missing region 2"):
         skeleton.model(short)
+
+
+def test_plan_reads_built_and_expanded_lines_in_network_order(garver):
+    skeleton = TepSkeleton(garver, 8760.0)
+    model = skeleton.model(realize_scenario(ScenarioCode.parse("H,H"), garver))
+    values = {v.name: 0.0 for v in model.variables}
+    candidates = garver.candidate_lines()
+    expandables = garver.expandable_lines()
+    # set the chosen binaries in reverse order, and near 1 but not at it
+    for line in (candidates[-1], candidates[0]):
+        values[skeleton.vmap.build(line.id)] = 0.999
+    values[skeleton.vmap.expand(expandables[-1].id)] = 1.0
+    built, expanded = skeleton.plan(values)
+    assert built == [candidates[0], candidates[-1]]
+    assert expanded == [expandables[-1]]
+    assert skeleton.plan({v.name: 0.0 for v in model.variables}) == ([], [])
+    # names follow their rule for any id, declared by the model or not
+    assert skeleton.vmap.build(999) == "y999" and skeleton.vmap.angle(0) == "th0"

@@ -15,6 +15,7 @@ from tepkit.model import (
     ModelError,
     Variable,
 )
+import tepkit.simplex
 from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun
 
 
@@ -181,9 +182,10 @@ def dense_lp():
     return lp(variables, rows, [(f"x{j}", -1.0) for j in range(12)])
 
 
-def test_iteration_limit_raises():
-    with pytest.raises(SimplexError, match="iteration limit"):
-        PreparedLp(dense_lp()).solve(max_iterations=1)
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(tepkit.simplex, "_MAX_ITERATIONS", 1)
+    with pytest.raises(SimplexError, match="iteration limit 1 exceeded"):
+        PreparedLp(dense_lp()).solve()
 
 
 def test_start_of_wrong_size_raises():

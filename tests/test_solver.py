@@ -6,7 +6,7 @@ import pytest
 
 import tepkit.simplex
 import tepkit.solver
-from tepkit.instance import builtin_garver
+from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import build_tep_model
 from tepkit.model import (
     BINARY,
@@ -19,7 +19,7 @@ from tepkit.model import (
     Variable,
 )
 from tepkit.scenario import ScenarioCode, realize_scenario
-from tepkit.simplex import Basis, Tableau
+from tepkit.simplex import Basis, PreparedLp, Tableau
 from tepkit.solver import (
     SolveOptions,
     SolverError,
@@ -571,3 +571,30 @@ def test_solve_options_validation():
         SolveOptions(time_limit_s=math.nan)
     with pytest.raises(ValueError):
         SolveOptions(node_limit=0)
+
+
+@pytest.mark.parametrize("mark", ["H", "L"])
+@pytest.mark.parametrize("n_buses, n_regions, seed",
+                         [(20, 2, 2), (30, 3, 4), (40, 2, 5), (24, 2, 7)])
+def test_branch_and_bound_matches_highs_beyond_enumeration(n_buses, n_regions, seed, mark):
+    # a second referee where brute force is out of reach: scipy's HiGHS
+    # solves the same rows, read from the compiled LP
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    net = synthesize_grid(SynthesisConfig(n_buses=n_buses, n_regions=n_regions, seed=seed,
+                                          demand_total_mw=40.0 * n_buses))
+    code = ScenarioCode.parse(",".join([mark] * n_regions))
+    model, _ = build_tep_model(net, realize_scenario(code, net), 8760.0)
+    prep = PreparedLp(model)
+    n = prep.n
+    # row i is a_i.x + s_i = b_i with its slack s_i in [lo_s, up_s]
+    b, lo_s, up_s = prep._b, prep._lower[n:], prep._upper[n:]
+    ref = scipy_opt.milp(
+        prep._cost[:n],
+        constraints=scipy_opt.LinearConstraint(prep._a[:, :n], b - up_s, b - lo_s),
+        bounds=scipy_opt.Bounds(prep._lower[:n], prep._upper[:n]),
+        integrality=[v.kind == BINARY for v in model.variables],
+        options={"mip_rel_gap": 1e-9})
+    sol = solve_milp(model)
+    assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if sol.status == "optimal":
+        assert sol.objective == pytest.approx(ref.fun + model.objective_constant, rel=1e-6)

@@ -170,6 +170,22 @@ def test_read_daily_csv_rejects_bad_input():
         read_daily_csv("STATION,DATE,TMAX\n", units="k")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "abc"])
+def test_read_daily_csv_rejects_a_tmax_that_is_not_a_finite_number(cell):
+    text = f"STATION,DATE,TMAX\nPHX,2001-07-04,450\nPHX,2001-07-05,{cell}\n"
+    with pytest.raises(ValueError) as err:
+        read_daily_csv(text)
+    assert str(err.value) == (
+        f"temperature CSV line 3: column 'TMAX' is not a finite number: {cell!r}")
+
+
+def test_read_daily_csv_rejects_a_bad_date_with_its_line():
+    text = "station,date,tmax\nPHX,2001-07-04,450\nPHX,2001-7-5,451\n"
+    with pytest.raises(ValueError) as err:
+        read_daily_csv(text)
+    assert str(err.value) == "temperature CSV line 3: column 'date' is not an ISO date: '2001-7-5'"
+
+
 def test_ampacity_closed_form_transcription():
     # independent re-evaluation of the energy balance for one conductor
     cond = DRAKE_ACSR
