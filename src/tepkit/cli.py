@@ -21,6 +21,7 @@ from .milp import TepSkeleton
 from .model import Model, model_stats
 from .mps import export_lp, export_mps
 from .network import (
+    ABSOLUTE_ZERO_F,
     DRAKE_ACSR,
     Network,
     NetworkError,
@@ -33,6 +34,7 @@ from .scenario import (
     ScenarioCode,
     ScenarioConfig,
     DemandElasticityConfig,
+    _c_to_f,
     _f_to_c,
     enumerate_scenarios,
     load_scenario_config,
@@ -144,10 +146,12 @@ def cmd_derate(t_base_f: float, t_future_f: float,
     t_base_c, t_future_c = _f_to_c(t_base_f), _f_to_c(t_future_f)
     if t_future_c < t_base_c:
         _fail(f"--t-future-f {t_future_f!r} F must be >= --t-base-f {t_base_f!r} F")
+    if not t_base_c > _f_to_c(ABSOLUTE_ZERO_F):
+        _fail(f"--t-base-f {t_base_f!r} F must be above absolute zero ({ABSOLUTE_ZERO_F} F)")
     limit_c = cond.max_conductor_temp_c
-    if t_future_c > t_base_c and not t_future_c < limit_c:
+    if not t_future_c < limit_c:
         _fail(f"--t-future-f {t_future_f!r} F must be below the conductor limit "
-              f"{limit_c * 9.0 / 5.0 + 32.0!r} F")
+              f"{_c_to_f(limit_c)!r} F")
     try:
         eta = thermal.derating_factor(cond, t_base_c, t_future_c)
     except thermal.ThermalDomainError as exc:

@@ -44,6 +44,10 @@ _LOAD_QUANTUM_MW = 1e-9
 HEADROOM = 1.2
 _CHORD_FRACTION = 0.3
 _REACTANCE_PER_KM = 4e-4
+# Synthesized lines: voltage classes (kV, priced by DEFAULT_COST_TABLE) and
+# the share of existing lines that can be reconductored.
+_VOLTAGE_CLASSES = (138.0, 230.0)
+_EXPANDABLE_SHARE = 0.35
 
 _AREA_KM = 400.0
 
@@ -255,10 +259,7 @@ class CandidateRules:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Recipe for a seeded synthetic network.
-
-    ``voltage_classes`` holds (kV, build $/km, reconductor $/km) rows;
-    ``annualization`` applies to all of them.  The same seed always yields
+    """Recipe for a seeded synthetic network.  The same seed always yields
     the same network (generator: numpy PCG64).
     """
 
@@ -266,31 +267,13 @@ class SynthesisConfig:
     n_regions: int
     seed: int
     demand_total_mw: float
-    voltage_classes: tuple[tuple[float, float, float], ...] = (
-        (138.0, 1.3e6, 0.45e6),
-        (230.0, 1.9e6, 0.60e6),
-    )
     candidate_rules: CandidateRules = field(default_factory=CandidateRules)
-    annualization: float = 0.08
-    expandable_share: float = 0.35
 
     def __post_init__(self):
         if self.n_buses <= 0 or self.n_regions <= 0:
             raise ValueError("n_buses and n_regions must be positive")
         if not self.demand_total_mw > 0:
             raise ValueError("demand_total_mw must be > 0")
-        if not self.voltage_classes:
-            raise ValueError("voltage_classes must not be empty")
-        if not 0.0 < self.annualization <= 1.0:
-            raise ValueError("annualization must be in (0, 1]")
-        if not 0.0 <= self.expandable_share <= 1.0:
-            raise ValueError("expandable_share must be in [0, 1]")
-
-    def cost_table(self) -> CostTable:
-        return CostTable({
-            kv: CostRate(build, recon, self.annualization)
-            for kv, build, recon in self.voltage_classes
-        })
 
 
 def _distance(coords: np.ndarray, a: int, b: int) -> float:
@@ -305,15 +288,14 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
     scattered on a 400x400 km plane.  Existing lines form a random spanning
     tree plus ceil(0.3 n) chord circuits.  Generators are sited at roughly a
     third of the buses with capacity totalling HEADROOM (1.2) times demand.
-    Candidates follow ``cfg.candidate_rules``; every line is costed with
-    ``estimate_line_cost`` from the config's voltage classes.
+    Lines are 138 or 230 kV, and about 35 % of the existing ones can be
+    reconductored.  Candidates follow ``cfg.candidate_rules``; every line
+    is costed with ``estimate_line_cost`` from DEFAULT_COST_TABLE.
     """
     if cfg.n_buses < cfg.n_regions:
         raise ValueError("n_buses must be >= n_regions")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_buses
-    table = cfg.cost_table()
-    classes = [float(kv) for kv, _, _ in cfg.voltage_classes]
 
     order = [int(i) + 1 for i in rng.permutation(n)]
     region_of = {bus_id: (pos % cfg.n_regions) + 1
@@ -343,17 +325,17 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
 
     lines: list[Line] = []
     for a, b in backbone:
-        kv = classes[int(rng.integers(0, len(classes)))]
+        kv = _VOLTAGE_CLASSES[int(rng.integers(0, len(_VOLTAGE_CLASSES)))]
         cap = float(round(rng.uniform(60.0, 200.0)))
         length = _distance(coords, a, b)
-        expandable = bool(rng.random() < cfg.expandable_share)
+        expandable = bool(rng.random() < _EXPANDABLE_SHARE)
         lines.append(Line(
             id=len(lines) + 1, from_bus=a, to_bus=b, kind=LINE_EXISTING,
             susceptance_pu=1.0 / (_REACTANCE_PER_KM * length),
             base_capacity_mw=cap, voltage_kv=kv, length_km=length,
             expandable=expandable,
             expansion_capacity_mw=round(0.5 * cap) if expandable else 0.0,
-            expand_cost=(estimate_line_cost(kv, length, table, COST_RECONDUCTOR)
+            expand_cost=(estimate_line_cost(kv, length, DEFAULT_COST_TABLE, COST_RECONDUCTOR)
                          if expandable else 0.0),
         ))
 
@@ -401,14 +383,14 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
         if key in corridors:
             continue
         corridors.add(key)
-        kv = classes[int(rng.integers(0, len(classes)))]
+        kv = _VOLTAGE_CLASSES[int(rng.integers(0, len(_VOLTAGE_CLASSES)))]
         cap = float(round(rng.uniform(80.0, 160.0)))
         length = _distance(coords, a, b)
         lines.append(Line(
             id=len(lines) + 1, from_bus=a, to_bus=b, kind=LINE_CANDIDATE,
             susceptance_pu=1.0 / (_REACTANCE_PER_KM * length),
             base_capacity_mw=cap, voltage_kv=kv, length_km=length,
-            build_cost=estimate_line_cost(kv, length, table, COST_BUILD),
+            build_cost=estimate_line_cost(kv, length, DEFAULT_COST_TABLE, COST_BUILD),
         ))
 
     regions = tuple(

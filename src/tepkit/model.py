@@ -41,7 +41,6 @@ class Model:
     constraints: tuple[Constraint, ...]
     objective_terms: tuple[tuple[str, float], ...]
     objective_constant: float = 0.0
-    objective_sense: str = "minimize"
 
     def variable_index(self) -> dict[str, int]:
         return {v.name: i for i, v in enumerate(self.variables)}
@@ -88,8 +87,6 @@ def check_model(model: Model) -> None:
     for var, _ in model.objective_terms:
         if var not in names:
             raise ModelError(f"objective references unknown variable {var!r}")
-    if model.objective_sense != "minimize":
-        raise ModelError("only minimize objectives are supported")
 
 
 def term_map(terms: tuple[tuple[str, float], ...]) -> dict[str, float]:

@@ -19,6 +19,8 @@ FUEL_CLASSES = ("natural_gas", "coal", "petroleum", "hydro", "wind", "solar")
 LINE_EXISTING = "existing"
 LINE_CANDIDATE = "candidate"
 
+ABSOLUTE_ZERO_F = -459.67
+
 
 class NetworkError(Exception):
     """Base error for network loading and validation."""
@@ -135,12 +137,6 @@ class Network:
     def bus_by_id(self) -> dict[int, Bus]:
         return {b.id: b for b in self.buses}
 
-    def region_by_id(self) -> dict[int, Region]:
-        return {r.id: r for r in self.regions}
-
-    def line_by_id(self) -> dict[int, Line]:
-        return {l.id: l for l in self.lines}
-
     def generators_at(self, bus_id: int) -> list[Generator]:
         return [g for g in self.generators if g.bus_id == bus_id]
 
@@ -152,9 +148,6 @@ class Network:
 
     def expandable_lines(self) -> list[Line]:
         return [l for l in self.lines if l.kind == LINE_EXISTING and l.expandable]
-
-    def total_demand_mw(self) -> float:
-        return sum(b.demand_mw for b in self.buses)
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +198,9 @@ def validate(net: Network) -> list[str]:
     bus_ids = {b.id for b in net.buses}
 
     for r in net.regions:
+        if not r.base_peak_temp_f > ABSOLUTE_ZERO_F:
+            v.append(f"region {r.id}: base_peak_temp_f must be above absolute zero "
+                     f"({ABSOLUTE_ZERO_F} F) (got {r.base_peak_temp_f})")
         if r.projected_increase_low_f < 0:
             v.append(f"region {r.id}: projected_increase_low_f must be >= 0")
         if r.projected_increase_high_f < r.projected_increase_low_f:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from . import thermal
-from .network import ConductorParams, DRAKE_ACSR, Network, conductor, decode
+from .network import ABSOLUTE_ZERO_F, ConductorParams, DRAKE_ACSR, Network, Region, conductor, decode
 
 MARK_LOW = "L"
 MARK_HIGH = "H"
@@ -27,6 +27,10 @@ def _f_to_c(t_f: float) -> float:
 
 def _delta_f_to_c(delta_f: float) -> float:
     return delta_f * 5.0 / 9.0
+
+
+def _c_to_f(t_c: float) -> float:
+    return t_c * 9.0 / 5.0 + 32.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,6 @@ class ScenarioCode:
 class RegionParams:
     eta: float
     gamma: float
-    temp_increase_f: float
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class ScenarioParams:
     def scaled_eta(self, factor: float) -> "ScenarioParams":
         """Copy with every region's eta multiplied by ``factor`` (clamped to 1)."""
         return ScenarioParams(self.code, {
-            rid: RegionParams(min(1.0, rp.eta * factor), rp.gamma, rp.temp_increase_f)
+            rid: RegionParams(min(1.0, rp.eta * factor), rp.gamma)
             for rid, rp in self.by_region.items()
         })
 
@@ -99,6 +102,11 @@ def enumerate_scenarios(num_regions: int) -> list[ScenarioCode]:
             for marks in itertools.product((MARK_LOW, MARK_HIGH), repeat=num_regions)]
 
 
+def _peak(region: Region, increase_f: float) -> str:
+    peak_f = round(region.base_peak_temp_f + increase_f, 6)
+    return f"region {region.id}: peak ambient {peak_f!r} F"
+
+
 def realize_scenario(
     code: ScenarioCode,
     net: Network,
@@ -110,7 +118,8 @@ def realize_scenario(
     Marks are matched to regions in ascending region-id order.  ``conductors``
     optionally overrides the representative conductor per region id; the
     repository default is used otherwise, and an id naming no region of the
-    network is rejected.
+    network is rejected.  An ambient the thermal model cannot rate raises
+    ValueError naming the region, with its temperatures in F.
     """
     regions = sorted(net.regions, key=lambda r: r.id)
     if len(code.marks) != len(regions):
@@ -133,8 +142,19 @@ def realize_scenario(
         cond = conductors.get(region.id, DRAKE_ACSR)
         t_base_c = _f_to_c(region.base_peak_temp_f)
         t_future_c = t_base_c + _delta_f_to_c(increase_f)
-        eta = thermal.derating_factor(cond, t_base_c, t_future_c)
-        by_region[region.id] = RegionParams(eta=eta, gamma=gamma, temp_increase_f=increase_f)
+        # the thermal model's checks, made here to name the region in F
+        if not t_base_c > _f_to_c(ABSOLUTE_ZERO_F):
+            raise ValueError(f"region {region.id}: base_peak_temp_f {region.base_peak_temp_f!r} F "
+                             f"must be above absolute zero ({ABSOLUTE_ZERO_F} F)")
+        if not t_future_c < cond.max_conductor_temp_c:
+            raise ValueError(f"{_peak(region, increase_f)} must be below the conductor limit "
+                             f"{round(_c_to_f(cond.max_conductor_temp_c), 6)!r} F")
+        try:
+            eta = thermal.derating_factor(cond, t_base_c, t_future_c)
+        except thermal.ThermalDomainError as exc:
+            raise ValueError(f"{_peak(region, increase_f)} leaves the conductor no thermal "
+                             f"headroom: {exc.shortfall}") from None
+        by_region[region.id] = RegionParams(eta=eta, gamma=gamma)
     return ScenarioParams(code, by_region)
 
 

@@ -117,13 +117,11 @@ class Tableau:
     and row names: of its own PreparedLp it replaces the refactorization, of
     another its changed columns are replaced first. That solve continues on
     these arrays in place, so a Tableau serves as a start once only (`copy`
-    gives another); its `basis` stays readable after that."""
+    gives another)."""
 
-    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
-                 basis: Basis):
+    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int):
         self.prep = prep
         self.matrix = matrix
-        self.basis = basis
         self._columns = columns
         self._status = status
         self._pivots = pivots  # rank-1 updates since the last refactorization
@@ -133,7 +131,7 @@ class Tableau:
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         return Tableau(self.prep, self.matrix.copy(), self._columns.copy(),
-                       self._status.copy(), self._pivots, self.basis)
+                       self._status.copy(), self._pivots)
 
     def _take(self, prep: PreparedLp):
         if prep is not self.prep and (
@@ -215,7 +213,6 @@ class PreparedLp:
         old = self.model
         if (model.variables is not old.variables
                 or model.objective_terms is not old.objective_terms
-                or model.objective_sense != old.objective_sense
                 or len(model.constraints) != self.m):
             return PreparedLp(model)
         changed = [(i, con) for i, (con, was) in enumerate(zip(model.constraints, old.constraints))
@@ -664,7 +661,7 @@ class _SimplexRun:
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
         basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
         live = Tableau(self.prep, self.tableau, self.basis, self.status,
-                       self.pivots_since_refactor, basis)
+                       self.pivots_since_refactor)
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 

@@ -24,8 +24,6 @@ from .simplex import (
     Tableau,
 )
 
-STATUS_NODE_LIMIT = "node_limit"
-
 _INT_TOL = 1e-6
 _VERIFY_TOL = 1e-5
 _BRUTE_FORCE_MAX_BINARIES = 24
@@ -43,7 +41,6 @@ class SolverError(RuntimeError):
 class SolveOptions:
     rel_gap_tol: float = 1e-6
     time_limit_s: float | None = None
-    node_limit: int | None = None
 
     def __post_init__(self):
         # written so that NaN fails each test
@@ -51,8 +48,6 @@ class SolveOptions:
             raise ValueError("rel_gap_tol must be nonnegative")
         if self.time_limit_s is not None and not self.time_limit_s > 0.0:
             raise ValueError("time_limit_s must be positive")
-        if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,10 +148,7 @@ def _stats(nodes: int, iterations: int, refactorizations: int, started: float,
             **extra}
 
 
-def solve_lp(
-    model: Model, options: SolveOptions | None = None, *,
-    start: Basis | Tableau | None = None,
-) -> Solution:
+def solve_lp(model: Model, options: SolveOptions | None = None) -> Solution:
     """Solve the continuous relaxation (binaries become their [0, 1] box)
     as a search with nothing to branch on: one node, its LP."""
     relaxed = replace(
@@ -165,7 +157,7 @@ def solve_lp(
             v if v.kind != BINARY else replace(v, kind=CONTINUOUS) for v in model.variables
         ),
     )
-    return solve_milp(relaxed, options, start=start)
+    return solve_milp(relaxed, options)
 
 
 class _StopSearch(Exception):
@@ -222,12 +214,6 @@ class _BranchAndBound:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _check_limits(self, bound: float) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _StopSearch(STATUS_TIME_LIMIT, bound)
-        if self.options.node_limit is not None and self.nodes >= self.options.node_limit:
-            raise _StopSearch(STATUS_NODE_LIMIT, bound)
-
     def _push(self, bound: float, fixings: _Fixings, start: Basis | Tableau) -> None:
         heapq.heappush(self.heap, (bound, self.push_count, fixings, start))
         self.push_count += 1
@@ -258,7 +244,8 @@ class _BranchAndBound:
         the sibling stores a copy of it while the open nodes' tableaux stay
         within _OPEN_TABLEAU_BYTES, and the parent's final basis after."""
         while True:
-            self._check_limits(bound)
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise _StopSearch(STATUS_TIME_LIMIT, bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
             result = self.prep.solve(overrides, start=start, deadline=self.deadline)
             self.nodes += 1

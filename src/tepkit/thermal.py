@@ -33,18 +33,26 @@ class ThermalDomainError(ValueError):
         self.shortfall = shortfall
 
 
+def _check_ambient(cond: ConductorParams, t_amb_c: float) -> None:
+    """Raise ValueError unless the ambient lies above absolute zero and below
+    the conductor limit, which also rules out NaN and infinities."""
+    if not t_amb_c > -_KELVIN_OFFSET:
+        raise ValueError(f"ambient {t_amb_c} C must be above absolute zero (-273.15 C)")
+    if not t_amb_c < cond.max_conductor_temp_c:
+        raise ValueError(f"ambient {t_amb_c} C must be below the conductor limit "
+                         f"{cond.max_conductor_temp_c} C")
+
+
 def ampacity(cond: ConductorParams, t_amb_c: float) -> float:
     """Steady-state current limit (amperes) at the given ambient temperature.
 
     Raises ThermalDomainError when solar gain exceeds convective plus
     radiative removal (the radicand of the energy balance goes nonpositive),
-    and ValueError when the ambient is not below the conductor limit.
+    and ValueError when the ambient is not above absolute zero and below the
+    conductor limit.
     """
+    _check_ambient(cond, t_amb_c)
     t_cond = cond.max_conductor_temp_c
-    if not t_amb_c < t_cond:
-        raise ValueError(
-            f"ambient {t_amb_c} C must be below the conductor limit {t_cond} C")
-
     q_convection = math.pi * cond.heat_transfer_coeff * cond.diameter_m * (t_cond - t_amb_c)
     t_cond_k = t_cond + _KELVIN_OFFSET
     t_amb_k = t_amb_c + _KELVIN_OFFSET
@@ -62,11 +70,13 @@ def ampacity(cond: ConductorParams, t_amb_c: float) -> float:
 
 def derating_factor(cond: ConductorParams, t_base_c: float, t_future_c: float) -> float:
     """Capacity multiplier: ampacity at the future ambient over ampacity at
-    the base ambient.  Equals 1.0 exactly when the temperatures coincide."""
+    the base ambient.  Equals 1.0 exactly when the temperatures coincide and
+    lie in ampacity's range."""
     if t_future_c < t_base_c:
         raise ValueError(
             f"t_future_c {t_future_c} must be >= t_base_c {t_base_c}")
     if t_future_c == t_base_c:
+        _check_ambient(cond, t_base_c)  # ampacity's check, which this skips
         return 1.0
     return ampacity(cond, t_future_c) / ampacity(cond, t_base_c)
 

@@ -54,6 +54,6 @@ def unit_params(net: Network, eta: float = 1.0, gamma: float = 1.0) -> ScenarioP
     marks = tuple("L" for _ in net.regions)
     return ScenarioParams(
         code=ScenarioCode(marks),
-        by_region={r.id: RegionParams(eta=eta, gamma=gamma, temp_increase_f=0.0)
+        by_region={r.id: RegionParams(eta=eta, gamma=gamma)
                    for r in net.regions},
     )

@@ -111,6 +111,19 @@ def test_derate_out_of_range_is_one_line_and_exit_1(future, line):
     assert result.output == line
 
 
+@pytest.mark.parametrize("base, future, line", [
+    # each used to print an eta and exit 0
+    ("200", "200", "error: --t-future-f 200.0 F must be below the conductor limit 167.0 F\n"),
+    ("inf", "inf", "error: --t-future-f inf F must be below the conductor limit 167.0 F\n"),
+    ("-inf", "0", "error: --t-base-f -inf F must be above absolute zero (-459.67 F)\n"),
+    ("-1000", "-900", "error: --t-base-f -1000.0 F must be above absolute zero (-459.67 F)\n"),
+], ids=["hot", "inf", "minus-inf", "below-absolute-zero"])
+def test_derate_rejects_an_ambient_the_conductor_cannot_be_rated_at(base, future, line):
+    result = run("derate", "--t-base-f", base, "--t-future-f", future)
+    assert result.exit_code == 1
+    assert result.output == line
+
+
 def test_derate_without_headroom_names_the_option_in_f(tmp_path):
     # 5 kW/m^2 of sun outweighs the cooling at 100 F; the line names that
     # option as typed and quotes no Celsius ambient
@@ -507,9 +520,30 @@ def test_sweep_realization_error_is_one_line_and_exit_1(garver_doc, tmp_path):
         "--out", str(out)])
     assert isinstance(result.exception, SystemExit)
     assert result.exit_code == 1
-    assert re.fullmatch(r"error: scenario L,L: ambient \S+ C must be below "
-                        r"the conductor limit 30\.0 C\n", result.output)
+    assert result.output == ("error: scenario L,L: region 1: peak ambient 107.7 F must be "
+                             "below the conductor limit 86.0 F\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("base_f, command, line", [
+    (-600, "validate", "region 2: base_peak_temp_f must be above absolute zero (-459.67 F) "
+                       "(got -600.0)\n"),
+    (170, "sweep", "error: scenario L,L: region 2: peak ambient 172.6 F must be below the "
+                   "conductor limit 167.0 F\n"),
+], ids=["validate", "sweep"])
+def test_region_temperature_errors_name_the_region_in_f(tmp_path, base_f, command, line):
+    # -600 F used to pass validate and sweep; 170 F ended the sweep in C
+    doc = to_document(builtin_garver())
+    doc["regions"][1]["base_peak_temp_f"] = base_f
+    path = tmp_path / "garver.json"
+    path.write_text(json.dumps(doc))
+    args = ["--network", str(path)]
+    if command == "sweep":
+        args += ["--out", str(tmp_path / "sweep.csv")]
+    result = run(command, *args)
+    assert result.exit_code == 1
+    assert result.output == line
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 BAD_SOLVER_OPTION_LINES = {

@@ -191,9 +191,6 @@ def test_synthesis_rejects_bad_config():
                                         demand_total_mw=10.0))
     with pytest.raises(ValueError, match="demand_total_mw"):
         SynthesisConfig(n_buses=4, n_regions=2, seed=1, demand_total_mw=0.0)
-    with pytest.raises(ValueError, match="expandable_share"):
-        SynthesisConfig(n_buses=4, n_regions=2, seed=1, demand_total_mw=10.0,
-                        expandable_share=1.5)
     with pytest.raises(ValueError, match="thresholds"):
         CandidateRules(high_gen_mw=0.0)
     with pytest.raises(ValueError, match="degree_max"):

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import tepkit.milp
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import TepSkeleton, big_m, build_tep_model
 from tepkit.model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE
-from tepkit.network import LINE_EXISTING, DRAKE_ACSR, Line
+from tepkit.mps import export_lp, export_mps
+from tepkit.network import LINE_EXISTING, DRAKE_ACSR, Line, to_document
 from tepkit.scenario import (
     DemandElasticityConfig,
     RegionParams,
@@ -171,7 +174,7 @@ def test_build_rejects_bad_inputs():
     with pytest.raises(ValueError, match="big_m_scale"):
         build_tep_model(net, params, 1.0, big_m_scale=0.5)
     short = ScenarioParams(code=ScenarioCode(("L", "L")),
-                           by_region={1: RegionParams(1.0, 1.0, 0.0)})
+                           by_region={1: RegionParams(1.0, 1.0)})
     with pytest.raises(ValueError, match="missing region 2"):
         build_tep_model(net, short, 1.0)
     broken = dataclasses.replace(
@@ -185,8 +188,8 @@ def test_cross_region_line_takes_the_hotter_eta():
     net = three_bus_net()
     params = ScenarioParams(
         code=ScenarioCode(("L", "L")),
-        by_region={1: RegionParams(eta=1.0, gamma=1.0, temp_increase_f=0.0),
-                   2: RegionParams(eta=0.9, gamma=1.0, temp_increase_f=0.0)})
+        by_region={1: RegionParams(eta=1.0, gamma=1.0),
+                   2: RegionParams(eta=0.9, gamma=1.0)})
     model, _ = build_tep_model(net, params, 1.0)
     rows = row_by_name(model)
     # line 2 spans buses 2 (region 1) and 3 (region 2): min(1.0, 0.9) applies
@@ -311,7 +314,7 @@ def test_skeleton_validates_once(garver, monkeypatch):
         skeleton.model(realize_scenario(code, garver))
     assert len(calls) == 1
     # a scenario with a region missing is refused by the per-scenario step
-    short = ScenarioParams(ScenarioCode(("L",)), {1: RegionParams(1.0, 1.0, 0.0)})
+    short = ScenarioParams(ScenarioCode(("L",)), {1: RegionParams(1.0, 1.0)})
     with pytest.raises(ValueError, match="missing region 2"):
         skeleton.model(short)
 
@@ -332,3 +335,22 @@ def test_plan_reads_built_and_expanded_lines_in_network_order(garver):
     assert skeleton.plan({v.name: 0.0 for v in model.variables}) == ([], [])
     # names follow their rule for any id, declared by the model or not
     assert skeleton.vmap.build(999) == "y999" and skeleton.vmap.angle(0) == "th0"
+
+
+# one SHA-256 over the documents of Garver, the synth-sweep grid and the
+# 6-region grid, each followed by the MPS and LP text of its 2^R scenario
+# models: 84 models in all
+SCENARIO_MODELS_SHA256 = "3490612a8a21ac0698f026265ded39e7f159058b2b8a062f7aa2964b9b3d594b"
+
+
+def test_scenario_models_keep_their_bytes():
+    digest = hashlib.sha256()
+    for net in (builtin_garver(), synthesize_grid(SynthesisConfig(24, 4, 1, 720.0)),
+                synthesize_grid(SynthesisConfig(36, 6, 5, 1800.0))):
+        digest.update(json.dumps(to_document(net), indent=2).encode())
+        skeleton = TepSkeleton(net, 8760.0)
+        for code in enumerate_scenarios(len(net.regions)):
+            model = skeleton.model(realize_scenario(code, net))
+            digest.update(export_mps(model).encode())
+            digest.update(export_lp(model).encode())
+    assert digest.hexdigest() == SCENARIO_MODELS_SHA256

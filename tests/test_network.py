@@ -27,14 +27,11 @@ from conftest import two_bus_net
 def test_accessors(garver):
     assert len(garver.buses) == 6
     assert garver.bus_by_id()[2].demand_mw == 240.0
-    assert garver.region_by_id()[2].name == "south"
-    assert garver.line_by_id()[14].to_bus == 6
     assert [g.id for g in garver.generators_at(6)] == [3]
     assert garver.generators_at(5) == []
     assert len(garver.existing_lines()) == 6
     assert len(garver.candidate_lines()) == 8
     assert [l.id for l in garver.expandable_lines()] == [3, 4, 6]
-    assert garver.total_demand_mw() == 760.0
 
 
 def test_corridor_is_unordered():
@@ -89,6 +86,14 @@ def test_validate_rejects_bad_lines():
                            expansion_capacity_mw=5.0)
     assert any("must be 0 on a non-expandable" in v
                for v in validate(with_line(stray_expansion)))
+
+
+@pytest.mark.parametrize("temp", [-459.67, -600.0])
+def test_validate_rejects_a_base_peak_at_or_below_absolute_zero(garver, temp):
+    south = replace(garver.regions[1], base_peak_temp_f=temp)
+    cold = replace(garver, regions=(garver.regions[0], south))
+    assert validate(cold) == [
+        f"region 2: base_peak_temp_f must be above absolute zero (-459.67 F) (got {temp})"]
 
 
 def test_validate_rejects_unknown_fuel():

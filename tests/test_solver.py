@@ -118,18 +118,21 @@ def test_unbounded_milp():
     assert ref.status == "unbounded"
 
 
-def test_node_limit_reports_root_bound():
+def test_time_limit_after_the_root_reports_its_bound(monkeypatch):
     # root relaxation sits at a = 1, b = 0.5, so branching is forced
     m = milp(
         [Variable("a", BINARY, 0.0, 1.0), Variable("b", BINARY, 0.0, 1.0)],
         [Constraint("c", (("a", 2.0), ("b", 2.0)), SENSE_LE, 3.0)],
         [("a", -1.1), ("b", -1.0)],
     )
-    sol = solve_milp(m, SolveOptions(node_limit=1))
-    assert sol.status == "node_limit"
+    full = solve_milp(m)
+    tick_clock(monkeypatch)
+    # on the ticking clock a 5 s limit expires once the root LP is solved
+    sol = solve_milp(m, SolveOptions(time_limit_s=5.0))
+    assert sol.status == "time_limit"
+    assert sol.stats["nodes"] == 1
     assert sol.objective is None
     assert sol.best_bound == pytest.approx(-1.6, abs=1e-9)  # root relaxation
-    full = solve_milp(m)
     assert full.status == "optimal"
     assert full.objective == pytest.approx(-1.1)
     assert (round(full.values["a"]), round(full.values["b"])) == (1, 0)
@@ -199,9 +202,9 @@ def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
 
 
 def test_root_basis_warm_starts_a_related_model():
-    cold = solve_milp(garver_model("L,L"))
+    root = PreparedLp(garver_model("L,L")).solve()  # the root LP of L,L's search
     other = garver_model("H,H")
-    warm = solve_milp(other, start=cold.root_tableau.basis)
+    warm = solve_milp(other, start=root.basis)
     again = solve_milp(other)
     assert warm.objective == pytest.approx(again.objective, rel=1e-9)
     plan = [v.name for v in other.binaries()]
@@ -220,11 +223,10 @@ def test_root_tableau_starts_a_related_model():
     plan = [v.name for v in other.binaries()]
     assert [round(carried.values[n]) for n in plan] == [round(again.values[n]) for n in plan]
     # the same root basis given as a Basis is refactorized
-    from_basis = solve_milp(other, start=cold.root_tableau.basis)
+    from_basis = solve_milp(other, start=PreparedLp(garver_model("L,L")).solve().basis)
     assert carried.stats["refactorizations"] < from_basis.stats["refactorizations"]
     with pytest.raises(ValueError, match="already used"):
         solve_milp(other, start=cold.root_tableau)
-    assert solve_lp(other, start=carried.root_tableau).stats["refactorizations"] == 0
 
 
 def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
@@ -569,8 +571,6 @@ def test_solve_options_validation():
         SolveOptions(rel_gap_tol=math.nan)
     with pytest.raises(ValueError):
         SolveOptions(time_limit_s=math.nan)
-    with pytest.raises(ValueError):
-        SolveOptions(node_limit=0)
 
 
 @pytest.mark.parametrize("mark", ["H", "L"])

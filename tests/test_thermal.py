@@ -31,6 +31,13 @@ def test_ampacity_rejects_ambient_at_conductor_limit():
         ampacity(DRAKE_ACSR, DRAKE_ACSR.max_conductor_temp_c)
 
 
+@pytest.mark.parametrize("t_amb", [-273.15, -600.0, -math.inf])
+def test_ampacity_rejects_an_ambient_at_or_below_absolute_zero(t_amb):
+    # -inf used to give NaN and -600 C a current
+    with pytest.raises(ValueError, match=r"must be above absolute zero \(-273\.15 C\)"):
+        ampacity(DRAKE_ACSR, t_amb)
+
+
 def test_ampacity_domain_error_when_solar_dominates():
     cond = ConductorParams(0.0281, 8.688e-5, 0.8, 0.8, 75.0, 0.01, 1e6)
     with pytest.raises(ThermalDomainError):
@@ -39,6 +46,18 @@ def test_ampacity_domain_error_when_solar_dominates():
 
 def test_derating_identity_is_exact():
     assert derating_factor(DRAKE_ACSR, 40.0, 40.0) == 1.0
+
+
+@pytest.mark.parametrize("t_amb, message", [
+    (93.0, "below the conductor limit 75.0 C"),
+    (math.inf, "below the conductor limit 75.0 C"),
+    (-300.0, "above absolute zero"),
+    (-math.inf, "above absolute zero"),
+], ids=["hot", "inf", "cold", "minus-inf"])
+def test_derating_identity_needs_an_ambient_in_range(t_amb, message):
+    # equal ambients used to return 1.0 before any range check
+    with pytest.raises(ValueError, match=message):
+        derating_factor(DRAKE_ACSR, t_amb, t_amb)
 
 
 def test_derating_strictly_decreasing_in_future_temperature():
