@@ -79,14 +79,10 @@ from .solver import (
 )
 from .instance import (
     CandidateRules,
-    CostRate,
-    CostTable,
-    DEFAULT_COST_TABLE,
     SynthesisConfig,
     builtin_garver,
     csv_to_document,
     disaggregate_load,
-    estimate_line_cost,
     synthesize_grid,
 )
 

@@ -3,8 +3,8 @@
 Three ways to get a network: the bundled six-bus planning benchmark
 (``builtin_garver``), a seeded synthetic generator that mimics a state-scale
 grid at desk scale (``synthesize_grid``), and CSV ingestion for real
-substation/plant inventories (``csv_to_document``).  Shared helpers cover
-population-weighted load disaggregation and per-km corridor costing.
+substation/plant inventories (``csv_to_document``).  A shared helper
+disaggregates load by population weight.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .network import (
     validate,
 )
 
-COST_BUILD = "build"
-COST_RECONDUCTOR = "reconductor"
-
 # Load quanta for largest-remainder rounding: 1e-9 MW (one milliwatt).
 _LOAD_QUANTUM_MW = 1e-9
 
@@ -44,84 +41,17 @@ _LOAD_QUANTUM_MW = 1e-9
 HEADROOM = 1.2
 _CHORD_FRACTION = 0.3
 _REACTANCE_PER_KM = 4e-4
-# Synthesized lines: voltage classes (kV, priced by DEFAULT_COST_TABLE) and
-# the share of existing lines that can be reconductored.
-_VOLTAGE_CLASSES = (138.0, 230.0)
+# Synthesized lines: the share of existing lines that can be reconductored,
+# and per voltage class (kV) the overnight cost per km of building and of
+# reconductoring, sample rates loosely in line with planning-level studies.
+# A line costs rate * length_km * _ANNUALIZATION, a yearly charge comparable
+# with yearly generation cost.
 _EXPANDABLE_SHARE = 0.35
+_RATES_PER_KM = {138.0: (1.3e6, 0.45e6), 230.0: (1.9e6, 0.60e6)}
+_VOLTAGE_CLASSES = tuple(_RATES_PER_KM)
+_ANNUALIZATION = 0.08
 
 _AREA_KM = 400.0
-
-
-# --------------------------------------------------------------------------
-# Corridor costing
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CostRate:
-    """Per-km rates for one voltage class.
-
-    ``annualization`` converts overnight capital cost into a yearly charge so
-    line costs are comparable with yearly generation cost.
-    """
-
-    build_per_km: float
-    reconductor_per_km: float
-    annualization: float = 1.0
-
-    def __post_init__(self):
-        if not self.build_per_km > 0:
-            raise ValueError("build_per_km must be > 0")
-        if not self.reconductor_per_km > 0:
-            raise ValueError("reconductor_per_km must be > 0")
-        if not 0.0 < self.annualization <= 1.0:
-            raise ValueError("annualization must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class CostTable:
-    """Per-km corridor rates keyed by voltage class (kV)."""
-
-    rates: dict[float, CostRate]
-
-    def __post_init__(self):
-        if not self.rates:
-            raise ValueError("cost table must list at least one voltage class")
-
-    def rate(self, voltage_kv: float) -> CostRate:
-        try:
-            return self.rates[float(voltage_kv)]
-        except KeyError:
-            known = ", ".join(str(k) for k in sorted(self.rates))
-            raise ValueError(
-                f"unknown voltage class {voltage_kv} kV (table has {known})"
-            ) from None
-
-
-# Sample rates, loosely in line with planning-level interconnection studies.
-# Real studies should supply their own table.
-DEFAULT_COST_TABLE = CostTable({
-    69.0: CostRate(0.9e6, 0.30e6, 0.08),
-    138.0: CostRate(1.3e6, 0.45e6, 0.08),
-    230.0: CostRate(1.9e6, 0.60e6, 0.08),
-    345.0: CostRate(2.8e6, 0.95e6, 0.08),
-    500.0: CostRate(4.1e6, 1.40e6, 0.08),
-})
-
-
-def estimate_line_cost(
-    voltage_kv: float, length_km: float, table: CostTable, kind: str
-) -> float:
-    """Annualized corridor cost: per-km rate times length times annualization."""
-    if length_km < 0:
-        raise ValueError("length_km must be >= 0")
-    rate = table.rate(voltage_kv)
-    if kind == COST_BUILD:
-        per_km = rate.build_per_km
-    elif kind == COST_RECONDUCTOR:
-        per_km = rate.reconductor_per_km
-    else:
-        raise ValueError(f"kind must be {COST_BUILD!r} or {COST_RECONDUCTOR!r}")
-    return per_km * length_km * rate.annualization
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +220,7 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
     third of the buses with capacity totalling HEADROOM (1.2) times demand.
     Lines are 138 or 230 kV, and about 35 % of the existing ones can be
     reconductored.  Candidates follow ``cfg.candidate_rules``; every line
-    is costed with ``estimate_line_cost`` from DEFAULT_COST_TABLE.
+    is costed from ``_RATES_PER_KM``.
     """
     if cfg.n_buses < cfg.n_regions:
         raise ValueError("n_buses must be >= n_regions")
@@ -335,7 +265,7 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
             base_capacity_mw=cap, voltage_kv=kv, length_km=length,
             expandable=expandable,
             expansion_capacity_mw=round(0.5 * cap) if expandable else 0.0,
-            expand_cost=(estimate_line_cost(kv, length, DEFAULT_COST_TABLE, COST_RECONDUCTOR)
+            expand_cost=(_RATES_PER_KM[kv][1] * length * _ANNUALIZATION
                          if expandable else 0.0),
         ))
 
@@ -390,7 +320,7 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
             id=len(lines) + 1, from_bus=a, to_bus=b, kind=LINE_CANDIDATE,
             susceptance_pu=1.0 / (_REACTANCE_PER_KM * length),
             base_capacity_mw=cap, voltage_kv=kv, length_km=length,
-            build_cost=estimate_line_cost(kv, length, DEFAULT_COST_TABLE, COST_BUILD),
+            build_cost=_RATES_PER_KM[kv][0] * length * _ANNUALIZATION,
         ))
 
     regions = tuple(

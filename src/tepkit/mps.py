@@ -3,9 +3,11 @@
 The MPS writer emits the classic sectioned layout (NAME, ROWS, COLUMNS,
 RHS, BOUNDS, ENDATA) with binaries wrapped in INTORG/INTEND markers and
 declared BV. Output is byte-deterministic: declaration order everywhere,
-shortest round-trip float formatting. Names longer than the 8-character
-field are truncated deterministically with a uniqueness suffix and a
-warning; the builders in this package always produce conforming names.
+shortest round-trip float formatting. The layout is free MPS: fields are
+padded to the classic columns, but every name is written whole and a
+field always ends in a space, so a reader splits lines on whitespace. Both
+writers refuse a variable or row name that is empty or holds whitespace,
+which neither format can carry.
 
 The reader accepts the writer's output plus common third-party habits:
 `*` comment lines, one or two (row, value) pairs per data line, and the
@@ -16,7 +18,6 @@ rejected loudly rather than misread.
 from __future__ import annotations
 
 import math
-import warnings
 
 from .model import (
     BINARY,
@@ -31,7 +32,6 @@ from .model import (
     term_map,
 )
 
-_NAME_LIMIT = 8
 _OBJ_ROW = "COST"
 _RHS_SET = "RHS"
 _BOUND_SET = "BND"
@@ -48,49 +48,37 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-class _NameShortener:
-    def __init__(self):
-        self.mapping: dict[str, str] = {}
-        self.used: set[str] = set()
-
-    def shorten(self, name: str) -> str:
-        if name in self.mapping:
-            return self.mapping[name]
-        short = name
-        if len(name) > _NAME_LIMIT:
-            short = name[:_NAME_LIMIT]
-            k = 1
-            while short in self.used:
-                suffix = str(k)
-                short = name[: _NAME_LIMIT - len(suffix)] + suffix
-                k += 1
-            warnings.warn(f"name {name!r} exceeds {_NAME_LIMIT} characters, written as {short!r}")
-        elif short in self.used:
-            raise MpsFormatError(f"duplicate name {name!r} after truncation")
-        self.mapping[name] = short
-        self.used.add(short)
-        return short
+def _check_names(model: Model) -> None:
+    """Raise MpsFormatError unless every variable and row name is one
+    nonempty token: both formats separate names by whitespace."""
+    for kind, items in (("variable", model.variables), ("row", model.constraints)):
+        for item in items:
+            if item.name.split() != [item.name]:
+                raise MpsFormatError(
+                    f"{kind} name {item.name!r} must be nonempty and hold no whitespace")
 
 
 def export_mps(model: Model) -> str:
     """Serialize a model as MPS text. Deterministic: identical models
     produce identical bytes."""
     check_model(model)
-    names = _NameShortener()
+    _check_names(model)
+    if "".join(model.name.split()) != model.name:
+        raise MpsFormatError(f"model name {model.name!r} must hold no whitespace")
     out: list[str] = [f"NAME          {model.name}"]
 
     out.append("ROWS")
     out.append(f" N  {_OBJ_ROW}")
-    names.used.add(_OBJ_ROW)
     for con in model.constraints:
-        out.append(f" {_SENSE_TO_ROW[con.sense]}  {names.shorten(con.name)}")
+        if con.name == _OBJ_ROW:
+            raise MpsFormatError(f"row name {_OBJ_ROW!r} is taken by the objective")
+        out.append(f" {_SENSE_TO_ROW[con.sense]}  {con.name}")
 
     obj_coef = term_map(model.objective_terms)
     entries: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
     for con in model.constraints:
-        row = names.shorten(con.name)
         for var_name, coef in term_map(con.terms).items():
-            entries[var_name].append((row, coef))
+            entries[var_name].append((con.name, coef))
 
     out.append("COLUMNS")
     integer_mode = False
@@ -102,14 +90,13 @@ def export_mps(model: Model) -> str:
             out.append(f"    MK{marker_idx:06d}  'MARKER'                 {flag}")
             marker_idx += 1
             integer_mode = wants_integer
-        col = names.shorten(v.name)
         rows = []
         coef = obj_coef.get(v.name, 0.0)
         if coef != 0.0 or not entries[v.name]:
             rows.append((_OBJ_ROW, coef))
         rows.extend(entries[v.name])
         for row, value in rows:
-            out.append(f"    {col:<10}{row:<10}{_fmt(value)}")
+            out.append(f"    {v.name:<9} {row:<9} {_fmt(value)}")
     if integer_mode:
         out.append(f"    MK{marker_idx:06d}  'MARKER'                 'INTEND'")
 
@@ -118,29 +105,28 @@ def export_mps(model: Model) -> str:
         out.append(f"    {_RHS_SET:<10}{_OBJ_ROW:<10}{_fmt(-model.objective_constant)}")
     for con in model.constraints:
         if con.rhs != 0.0:
-            out.append(f"    {_RHS_SET:<10}{names.shorten(con.name):<10}{_fmt(con.rhs)}")
+            out.append(f"    {_RHS_SET:<10}{con.name:<9} {_fmt(con.rhs)}")
 
     out.append("BOUNDS")
     for v in model.variables:
-        col = names.shorten(v.name)
         if v.kind == BINARY:
-            out.append(f" BV {_BOUND_SET:<10}{col}")
+            out.append(f" BV {_BOUND_SET:<10}{v.name}")
             continue
         lo, up = v.lower, v.upper
         if lo == 0.0 and math.isinf(up):
             continue
         if lo == up:
-            out.append(f" FX {_BOUND_SET:<10}{col:<10}{_fmt(lo)}")
+            out.append(f" FX {_BOUND_SET:<10}{v.name:<9} {_fmt(lo)}")
             continue
         if math.isinf(lo) and math.isinf(up):
-            out.append(f" FR {_BOUND_SET:<10}{col}")
+            out.append(f" FR {_BOUND_SET:<10}{v.name}")
             continue
         if math.isinf(lo):
-            out.append(f" MI {_BOUND_SET:<10}{col}")
+            out.append(f" MI {_BOUND_SET:<10}{v.name}")
         elif lo != 0.0:
-            out.append(f" LO {_BOUND_SET:<10}{col:<10}{_fmt(lo)}")
+            out.append(f" LO {_BOUND_SET:<10}{v.name:<9} {_fmt(lo)}")
         if not math.isinf(up):
-            out.append(f" UP {_BOUND_SET:<10}{col:<10}{_fmt(up)}")
+            out.append(f" UP {_BOUND_SET:<10}{v.name:<9} {_fmt(up)}")
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"
@@ -332,6 +318,7 @@ def export_lp(model: Model) -> str:
     """Human-readable LP-format rendering, deterministic like export_mps.
     Write-only: inspection and external solvers, not round-tripping."""
     check_model(model)
+    _check_names(model)
 
     def term_str(terms, lead: bool) -> str:
         if not terms:

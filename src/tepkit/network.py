@@ -3,7 +3,10 @@
 The network document is a JSON object with top-level arrays ``regions``,
 ``buses``, ``generators``, ``lines`` and scalars ``base_mva``,
 ``max_angle_rad``.  Field names match the dataclass fields below exactly;
-unknown fields are rejected so typos fail loudly.
+unknown fields are rejected so typos fail loudly.  The document carries no
+conductor: derating uses one representative conductor per region, the
+``DRAKE_ACSR`` default or an override read by ``conductor`` from a scenario
+config.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class ConductorParams:
 
 
 # Repository default: Drake-class ACSR under still-air, clear-sky assumptions.
-# Overridable per line in the document and per region in scenario configs.
+# Overridable per region in scenario configs.
 DRAKE_ACSR = ConductorParams(
     diameter_m=0.0281,
     resistance_ohm_per_m=8.688e-5,
@@ -117,7 +120,6 @@ class Line:
     expansion_capacity_mw: float = 0.0
     build_cost: float = 0.0
     expand_cost: float = 0.0
-    conductor: ConductorParams = DRAKE_ACSR
 
     def corridor(self) -> tuple[int, int]:
         """Unordered endpoint pair identifying the corridor."""
@@ -157,19 +159,6 @@ class Network:
 def _check_positive(violations: list[str], entity: str, name: str, value: float) -> None:
     if not value > 0:
         violations.append(f"{entity}: {name} must be > 0 (got {value})")
-
-
-def _validate_conductor(violations: list[str], entity: str, c: ConductorParams) -> None:
-    _check_positive(violations, entity, "conductor.diameter_m", c.diameter_m)
-    _check_positive(violations, entity, "conductor.resistance_ohm_per_m", c.resistance_ohm_per_m)
-    if not 0 < c.emissivity <= 1:
-        violations.append(f"{entity}: conductor.emissivity must be in (0, 1] (got {c.emissivity})")
-    if not 0 < c.absorptivity <= 1:
-        violations.append(f"{entity}: conductor.absorptivity must be in (0, 1] (got {c.absorptivity})")
-    _check_positive(violations, entity, "conductor.max_conductor_temp_c", c.max_conductor_temp_c)
-    _check_positive(violations, entity, "conductor.heat_transfer_coeff", c.heat_transfer_coeff)
-    if c.solar_radiation < 0:
-        violations.append(f"{entity}: conductor.solar_radiation must be >= 0 (got {c.solar_radiation})")
 
 
 def validate(net: Network) -> list[str]:
@@ -250,7 +239,6 @@ def validate(net: Network) -> list[str]:
             v.append(f"{ent}: build_cost must be >= 0")
         if l.expand_cost < 0:
             v.append(f"{ent}: expand_cost must be >= 0")
-        _validate_conductor(v, ent, l.conductor)
 
     v.extend(_connectivity_violations(net, bus_ids))
     return v
@@ -298,9 +286,8 @@ def decode(cls, obj, entity: str, base=None):
     ``base`` when one is given, else the field's default; with neither it is
     an error.  ``int``/``float`` fields need JSON numbers (never booleans or
     strings), ``bool`` fields need booleans, ``str`` fields are coerced with
-    ``str()``, a ``ConductorParams`` field is an object whose omitted fields
-    keep ``DRAKE_ACSR``'s values, and a ``tuple[Record, ...]`` field is an
-    array of record objects.  ``entity`` names the object in error messages.
+    ``str()``, and a ``tuple[Record, ...]`` field is an array of record
+    objects.  ``entity`` names the object in error messages.
     """
     if not isinstance(obj, dict):
         raise DocumentError(f"{entity} must be an object, got {type(obj).__name__}")
@@ -341,8 +328,6 @@ def _decode_value(tp, value, entity: str, name: str):
         if not math.isfinite(number):  # json.loads also reads NaN and Infinity
             raise DocumentError(f"{entity} field {name!r} must be a finite number")
         return number
-    if tp is ConductorParams:
-        return decode(tp, value, f"{entity}.{name}", DRAKE_ACSR)
     item = typing.get_args(tp)[0]
     if not isinstance(value, list):
         raise DocumentError(f"{entity} field {name!r} must be an array")
@@ -352,12 +337,21 @@ def _decode_value(tp, value, entity: str, name: str):
 def conductor(obj, entity: str) -> ConductorParams:
     """A conductor object as validated ``ConductorParams``; omitted fields
     keep ``DRAKE_ACSR``'s values.  Raises DocumentError on any violation."""
-    params = decode(ConductorParams, obj, entity, DRAKE_ACSR)
-    violations: list[str] = []
-    _validate_conductor(violations, entity, params)
-    if violations:
-        raise DocumentError("; ".join(violations))
-    return params
+    c = decode(ConductorParams, obj, entity, DRAKE_ACSR)
+    v: list[str] = []
+    _check_positive(v, entity, "conductor.diameter_m", c.diameter_m)
+    _check_positive(v, entity, "conductor.resistance_ohm_per_m", c.resistance_ohm_per_m)
+    if not 0 < c.emissivity <= 1:
+        v.append(f"{entity}: conductor.emissivity must be in (0, 1] (got {c.emissivity})")
+    if not 0 < c.absorptivity <= 1:
+        v.append(f"{entity}: conductor.absorptivity must be in (0, 1] (got {c.absorptivity})")
+    _check_positive(v, entity, "conductor.max_conductor_temp_c", c.max_conductor_temp_c)
+    _check_positive(v, entity, "conductor.heat_transfer_coeff", c.heat_transfer_coeff)
+    if c.solar_radiation < 0:
+        v.append(f"{entity}: conductor.solar_radiation must be >= 0 (got {c.solar_radiation})")
+    if v:
+        raise DocumentError("; ".join(v))
+    return c
 
 
 def parse_document(text: str) -> Network:
@@ -383,18 +377,11 @@ def load_network(text: str) -> Network:
 
 
 def to_document(net: Network) -> dict:
-    def line_obj(l: Line) -> dict:
-        obj = vars(l).copy()
-        cond = obj.pop("conductor")
-        if cond != DRAKE_ACSR:
-            obj["conductor"] = vars(cond).copy()
-        return obj
-
     return {
         "regions": [vars(r).copy() for r in net.regions],
         "buses": [vars(b).copy() for b in net.buses],
         "generators": [vars(g).copy() for g in net.generators],
-        "lines": [line_obj(l) for l in net.lines],
+        "lines": [vars(l).copy() for l in net.lines],
         "base_mva": net.base_mva,
         "max_angle_rad": net.max_angle_rad,
     }

@@ -70,6 +70,16 @@ def test_validate_reports_violations(tmp_path):
     assert "generator" in result.output
 
 
+def test_validate_rejects_a_line_conductor(tmp_path):
+    doc = to_document(builtin_garver())
+    doc["lines"][0]["conductor"] = {"max_conductor_temp_c": 50.0, "diameter_m": 0.01}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = run("validate", "--network", str(bad))
+    assert result.exit_code == 1
+    assert result.output == f"error: {bad}: unknown lines[0] field(s) ['conductor']\n"
+
+
 def test_derate_identity_and_override(tmp_path):
     result = run("derate", "--t-base-f", "100", "--t-future-f", "100")
     assert result.exit_code == 0

@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tepkit.instance import (
-    COST_BUILD,
-    COST_RECONDUCTOR,
-    DEFAULT_COST_TABLE,
     CandidateRules,
-    CostRate,
-    CostTable,
     SynthesisConfig,
     builtin_garver,
     csv_to_document,
     disaggregate_load,
-    estimate_line_cost,
     synthesize_grid,
 )
 from tepkit.milp import build_tep_model
@@ -93,36 +87,6 @@ def test_disaggregate_invariants(total, weights):
     for w, p in zip(weights, parts):
         if w == 0.0:
             assert p == 0.0
-
-
-def test_estimate_line_cost():
-    assert estimate_line_cost(230.0, 100.0, DEFAULT_COST_TABLE, COST_BUILD) \
-        == pytest.approx(1.9e6 * 100.0 * 0.08)
-    assert estimate_line_cost(138.0, 50.0, DEFAULT_COST_TABLE, COST_RECONDUCTOR) \
-        == pytest.approx(0.45e6 * 50.0 * 0.08)
-    assert estimate_line_cost(69.0, 0.0, DEFAULT_COST_TABLE, COST_BUILD) == 0.0
-    one = estimate_line_cost(500.0, 1.0, DEFAULT_COST_TABLE, COST_BUILD)
-    assert estimate_line_cost(500.0, 7.0, DEFAULT_COST_TABLE, COST_BUILD) \
-        == pytest.approx(7.0 * one)
-    with pytest.raises(ValueError, match="unknown voltage class"):
-        estimate_line_cost(220.0, 10.0, DEFAULT_COST_TABLE, COST_BUILD)
-    with pytest.raises(ValueError, match="kind"):
-        estimate_line_cost(230.0, 10.0, DEFAULT_COST_TABLE, "upgrade")
-    with pytest.raises(ValueError, match="length_km"):
-        estimate_line_cost(230.0, -1.0, DEFAULT_COST_TABLE, COST_BUILD)
-
-
-def test_cost_rate_and_table_validation():
-    with pytest.raises(ValueError, match="build_per_km"):
-        CostRate(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="reconductor_per_km"):
-        CostRate(1.0, -1.0, 0.5)
-    with pytest.raises(ValueError, match="annualization"):
-        CostRate(1.0, 1.0, 1.5)
-    with pytest.raises(ValueError, match="at least one"):
-        CostTable({})
-    table = CostTable({115.0: CostRate(1.0e6, 0.5e6)})
-    assert table.rate(115).build_per_km == 1.0e6  # int key matches float class
 
 
 def test_synthesis_is_deterministic_and_valid():

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import pytest
 
@@ -151,37 +153,53 @@ ENDATA
     assert round(sol.values["yb"]) == 0
 
 
-def test_long_names_are_truncated_with_a_warning():
+def test_long_names_are_written_whole():
+    row, col = "r" * 20, "x" * 20
     model = Model(
-        name="longish",
-        variables=(Variable("very_long_column_one", CONTINUOUS, 0.0, 1.0),
-                   Variable("very_long_column_two", CONTINUOUS, 0.0, 1.0)),
-        constraints=(),
-        objective_terms=(("very_long_column_one", 1.0),
-                         ("very_long_column_two", 2.0)),
+        name="longnames",
+        variables=(Variable(col, CONTINUOUS, 0.0, 1.0),
+                   Variable("y" * 20, BINARY, 0.0, 1.0)),
+        constraints=(Constraint(row, ((col, 1.0), ("y" * 20, -2.0)), SENSE_LE, 0.5),),
+        objective_terms=((col, 1.0),),
     )
-    with pytest.warns(UserWarning, match="exceeds 8 characters"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         text = export_mps(model)
-    with pytest.warns(UserWarning):
-        assert export_mps(model) == text  # still deterministic
-    back = import_mps(text)
-    names = [v.name for v in back.variables]
-    assert len(set(names)) == 2
-    assert all(len(n) <= 8 for n in names)
-    assert [c for _, c in back.objective_terms] == [1.0, 2.0]
+    assert f"    {col} {row} 1.0\n" in text
+    assert f" UP BND       {col} 1.0\n" in text
+    assert models_equivalent(model, import_mps(text), tol=0.0)
 
 
-def test_truncation_collision_with_a_short_name_is_an_error():
-    model = Model(
-        name="clash",
-        variables=(Variable("abcdefghi", CONTINUOUS, 0.0, 1.0),
-                   Variable("abcdefgh", CONTINUOUS, 0.0, 1.0)),
-        constraints=(),
-        objective_terms=(("abcdefghi", 1.0), ("abcdefgh", 1.0)),
-    )
-    with pytest.warns(UserWarning):
-        with pytest.raises(MpsFormatError, match="duplicate name"):
-            export_mps(model)
+def test_rows_and_columns_are_separate_namespaces():
+    column = Model(name="m", variables=(Variable("COST", CONTINUOUS, 0.0, 1.0),),
+                   constraints=(Constraint("c", (("COST", 1.0),), SENSE_LE, 1.0),),
+                   objective_terms=(("COST", -1.0),))
+    assert models_equivalent(column, import_mps(export_mps(column)), tol=0.0)
+    row = Model(name="m", variables=(Variable("x", CONTINUOUS, 0.0, 1.0),),
+                constraints=(Constraint("COST", (("x", 1.0),), SENSE_LE, 1.0),),
+                objective_terms=(("x", -1.0),))
+    with pytest.raises(MpsFormatError, match="row name 'COST' is taken by the objective"):
+        export_mps(row)
+
+
+@pytest.mark.parametrize("var, row, name, message", [
+    ("a b", "c", "m", "variable name 'a b'"),
+    ("", "c", "m", "variable name ''"),
+    ("x", "c\td", "m", "row name 'c\\td'"),
+    ("x", "", "m", "row name ''"),
+    ("x", "c", "my model", "model name 'my model'"),
+], ids=["variable-space", "variable-empty", "row-tab", "row-empty", "model-space"])
+def test_writers_refuse_names_the_formats_cannot_hold(var, row, name, message):
+    model = Model(name=name, variables=(Variable(var, CONTINUOUS, 0.0, 1.0),),
+                  constraints=(Constraint(row, ((var, 1.0),), SENSE_LE, 1.0),),
+                  objective_terms=((var, 1.0),))
+    with pytest.raises(MpsFormatError, match=re.escape(message)):
+        export_mps(model)
+    if name == "m":
+        with pytest.raises(MpsFormatError, match=re.escape(message)):
+            export_lp(model)
+    else:  # the LP format writes the model name in a comment
+        export_lp(model)
 
 
 @pytest.mark.parametrize("text, message", [

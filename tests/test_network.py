@@ -4,11 +4,9 @@ from dataclasses import replace
 import pytest
 
 from tepkit.network import (
-    DRAKE_ACSR,
     LINE_CANDIDATE,
     LINE_EXISTING,
     Bus,
-    ConductorParams,
     DocumentError,
     Generator,
     Line,
@@ -127,17 +125,6 @@ def test_document_round_trip(garver):
     assert serialize(parse_document(text)) == text
 
 
-def test_document_round_trip_with_custom_conductor(two=two_bus_net):
-    net = two()
-    special = ConductorParams(0.02, 9e-5, 0.7, 0.9, 80.0, 12.0, 900.0)
-    line = Line(1, 1, 2, LINE_EXISTING, 5.0, 120.0, 138.0, 50.0,
-                conductor=special)
-    net = Network(net.buses, net.regions, net.generators, (line,))
-    doc = to_document(net)
-    assert "conductor" in doc["lines"][0]
-    assert load_network(serialize(net)) == net
-
-
 def test_document_defaults_and_rejections():
     doc = {
         "regions": [{"id": 1, "name": "r", "base_peak_temp_f": 100.0,
@@ -155,7 +142,6 @@ def test_document_defaults_and_rejections():
     assert net.base_mva == 100.0 and net.max_angle_rad == 0.6
     assert net.buses[0].population_weight == 0.0
     assert net.lines[0].expandable is False
-    assert net.lines[0].conductor == DRAKE_ACSR
 
     bad = dict(doc, extra_field=1)
     with pytest.raises(DocumentError, match="unknown top-level"):
@@ -191,20 +177,12 @@ def test_document_defaults_and_rejections():
     assert issubclass(DocumentError, ValueError)
 
 
-def test_line_conductor_omitted_fields_keep_drake_values(garver):
+def test_a_line_carries_no_conductor(garver):
+    # derating reads one conductor per region, from the scenario config
     doc = to_document(garver)
     doc["lines"][0]["conductor"] = {"emissivity": 0.5}
-    cond = load_network(json.dumps(doc)).lines[0].conductor
-    assert cond == replace(DRAKE_ACSR, emissivity=0.5)
-
-
-def test_line_conductor_violations_are_listed_by_validate(garver):
-    doc = to_document(garver)
-    doc["lines"][0]["conductor"] = {"emissivity": 1.5}
-    doc["lines"][1]["conductor"] = {"diameter_m": 0.0}
-    violations = validate(parse_document(json.dumps(doc)))
-    assert any("conductor.emissivity" in v for v in violations)
-    assert any("conductor.diameter_m" in v for v in violations)
+    with pytest.raises(DocumentError, match=r"unknown lines\[0\] field\(s\) \['conductor'\]"):
+        load_network(json.dumps(doc))
 
 
 def test_load_network_surfaces_violations():

@@ -158,7 +158,7 @@ def test_load_scenario_config_defaults_and_errors():
     ({"diameter_m": "0.03"}, "must be a number"),
     ({"diameter_m": -0.03}, "diameter_m must be > 0"),
 ])
-def test_conductor_override_is_checked_like_a_line_conductor(override, message):
+def test_conductor_override_is_checked(override, message):
     text = json.dumps({"conductor_overrides": {"1": override}})
     with pytest.raises(ValueError, match=message):
         load_scenario_config(text)
