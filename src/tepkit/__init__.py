@@ -21,7 +21,6 @@ from .network import (
     ValidationError,
     load_network,
     parse_document,
-    serialize,
     to_document,
     validate,
 )
@@ -76,6 +75,7 @@ from .solver import (
     parse_solution,
     solve_lp,
     solve_milp,
+    solve_sweep,
 )
 from .instance import (
     CandidateRules,

@@ -41,7 +41,7 @@ from .scenario import (
     realize_scenario,
 )
 from .simplex import SimplexError
-from .solver import SolveOptions, SolverError, format_solution, solve_milp
+from .solver import Solution, SolveOptions, SolverError, format_solution, solve_milp, solve_sweep
 from . import thermal
 
 _MICRO = Decimal("0.000001")
@@ -396,43 +396,33 @@ class SweepReportRow:
         return cells
 
 
-def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode, config: ScenarioConfig,
-               options: SolveOptions, start):
-    """Solve one scenario, its model the skeleton plus the scenario's rows,
-    with its root LP started from `start`, the previous scenario's root
-    tableau or None; return its row and its root LP's final tableau. If the
-    engine fails, the next scenario starts afresh (None). A scenario that
-    cannot be realized or built ends the sweep with exit 1."""
-    net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours
-    try:
-        model = _scenario_model(skeleton, code, config)
-    except ValueError as exc:
-        _fail(f"scenario {code}: {exc}")
-    try:
-        sol = solve_milp(model, options, start=start)
-    except (SimplexError, SolverError) as exc:
-        click.echo(f"error: scenario {code}: {exc}", err=True)
-        return SweepReportRow(str(code), "error", *[None] * 7), None
-    if not sol.values:
-        return SweepReportRow(str(code), sol.status, *[None] * 7), sol.root_tableau
+def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode,
+               result: Solution | SimplexError | SolverError) -> SweepReportRow:
+    """One scenario's report row from its solve_sweep result: its Solution,
+    or the engine error that ended its solve (reported on stderr)."""
+    if isinstance(result, Exception):
+        click.echo(f"error: scenario {code}: {result}", err=True)
+        return SweepReportRow(str(code), "error", *[None] * 7)
+    if not result.values:
+        return SweepReportRow(str(code), result.status, *[None] * 7)
 
-    built, expanded = skeleton.plan(sol.values)
+    net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours
+    built, expanded = skeleton.plan(result.values)
     new_line_cost = sum((_micro(l.build_cost) for l in built), Decimal(0))
     cap_exp_cost = sum((_micro(l.expand_cost) for l in expanded), Decimal(0))
     gen_mwh_cost = sum(
-        g.cost_per_mwh * sol.values[vmap.gen(g.id)] * net.base_mva
+        g.cost_per_mwh * result.values[vmap.gen(g.id)] * net.base_mva
         for g in net.generators
     ) * sigma_hours
     gen_cost = _micro(gen_mwh_cost)
     total_exp = new_line_cost + cap_exp_cost
-    row = SweepReportRow(
-        scenario=str(code), status=sol.status,
+    return SweepReportRow(
+        scenario=str(code), status=result.status,
         new_lines_built=len(built), cap_exp_built=len(expanded),
         new_line_cost=new_line_cost, cap_exp_cost=cap_exp_cost,
         total_exp_cost=total_exp, gen_cost=gen_cost,
         total_cost=total_exp + gen_cost,
     )
-    return row, sol.root_tableau
 
 
 @main.command("sweep")
@@ -463,19 +453,24 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
         f"# sigma_hours={sigma_hours!r}",
         f"# gap={gap!r} time_limit={time_limit!r}",
     ]
-    # Every scenario model of one network has the same columns and rows and
-    # differs only in the rows its warming sets: the skeleton is built once,
-    # each root LP continues on the previous scenario's root tableau, and
-    # its compile is derived from the one that tableau carries.
+    # The scenario models of one network differ only in the rows their
+    # warming sets: the skeleton is built once, and each model is realized
+    # as solve_sweep reaches it.
     try:
         skeleton = TepSkeleton(net, sigma_hours)
     except ValueError as exc:
         _fail(str(exc))
-    rows = []
-    start = None
-    for code in codes:
-        row, start = _sweep_row(skeleton, code, config, options, start)
-        rows.append(row)
+
+    def models():
+        for code in codes:
+            try:
+                model = _scenario_model(skeleton, code, config)
+            except ValueError as exc:
+                _fail(f"scenario {code}: {exc}")
+            yield model
+
+    rows = [_sweep_row(skeleton, code, result)
+            for code, result in zip(codes, solve_sweep(models(), options))]
 
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -402,7 +402,7 @@ def csv_to_document(
     columns: bus_id, capacity_mw, fuel_class, cost_per_mwh.  Optional line
     CSV columns: from_bus, to_bus, voltage_kv, capacity_mw, plus optional
     length_km (defaults to the great-circle distance between endpoints) and
-    susceptance_pu (defaults to 1/(4e-4 * length_km)).
+    susceptance_pu (defaults to 1/(4e-4 * length_km)); every line is existing.
 
     When ``total_demand_mw`` is positive it is disaggregated over the
     substations' population weights; otherwise demands are zero.  All buses
@@ -465,9 +465,11 @@ def csv_to_document(
                 b_pu = _num(r, "susceptance_pu", "line")
             else:
                 b_pu = 1.0 / (_REACTANCE_PER_KM * max(length, 1.0))
-            kind = str(r.get("kind") or LINE_EXISTING)
+            if r.get("kind") not in (None, "", LINE_EXISTING):
+                raise DocumentError(f"line CSV line {r['_line']}: kind {r['kind']!r} is not "
+                                    "supported; the CSV has no cost input for a candidate")
             lines.append(Line(
-                id=i + 1, from_bus=a, to_bus=b, kind=kind,
+                id=i + 1, from_bus=a, to_bus=b, kind=LINE_EXISTING,
                 susceptance_pu=b_pu,
                 base_capacity_mw=_num(r, "capacity_mw", "line"),
                 voltage_kv=_num(r, "voltage_kv", "line"),

@@ -50,12 +50,14 @@ def _fmt(value: float) -> str:
 
 def _check_names(model: Model) -> None:
     """Raise MpsFormatError unless every variable and row name is one
-    nonempty token: both formats separate names by whitespace."""
+    nonempty token that does not start with '*': both formats separate
+    names by whitespace, and MPS reads a line that starts with '*' as a
+    comment."""
     for kind, items in (("variable", model.variables), ("row", model.constraints)):
         for item in items:
-            if item.name.split() != [item.name]:
-                raise MpsFormatError(
-                    f"{kind} name {item.name!r} must be nonempty and hold no whitespace")
+            if item.name.split() != [item.name] or item.name.startswith("*"):
+                raise MpsFormatError(f"{kind} name {item.name!r} must be nonempty, "
+                                     "hold no whitespace and not start with '*'")
 
 
 def export_mps(model: Model) -> str:

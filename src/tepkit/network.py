@@ -385,8 +385,3 @@ def to_document(net: Network) -> dict:
         "base_mva": net.base_mva,
         "max_angle_rad": net.max_angle_rad,
     }
-
-
-def serialize(net: Network) -> str:
-    """Serialize to the document format; deterministic byte-for-byte."""
-    return json.dumps(to_document(net), indent=2, sort_keys=True) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from .model import BINARY, CONTINUOUS, Model, SENSE_EQ, SENSE_GE, SENSE_LE
@@ -21,6 +22,7 @@ from .simplex import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     STATUS_UNBOUNDED,
+    SimplexError,
     Tableau,
 )
 
@@ -57,10 +59,6 @@ class Solution:
     best_bound: float | None
     values: dict[str, float] = field(default_factory=dict)
     stats: dict[str, float] = field(default_factory=dict)
-    # the root LP's final tableau, copied where the root branched: a one-use
-    # start for a model with the same variable and row names, such as
-    # another scenario of the same network
-    root_tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,12 @@ def _better(objective: float, vec: tuple[int, ...], best_obj: float | None,
 
 
 class _BranchAndBound:
-    def __init__(self, model: Model, options: SolveOptions, start: Basis | Tableau | None):
-        self.model = model
+    def __init__(self, model: Model, options: SolveOptions, root_start: Tableau | None = None):
         self.options = options
-        # a tableau start carries the compile of a model like this one, such
-        # as the previous scenario of a sweep, to derive this one's from
-        self.prep = (start.prep.derive(model) if isinstance(start, Tableau)
-                     else PreparedLp(model))
-        self.root_start = start
+        # a root start carries the compile of a model like this one, such as
+        # the previous scenario of a sweep, to derive this one's from
+        self.prep = PreparedLp(model) if root_start is None else root_start.prep.derive(model)
+        self.root_start = root_start
         self.binary_names = [v.name for v in model.binaries()]
         # open nodes: (bound, push order, fixings, start): the start is a copy
         # of the parent's final tableau, or its final basis past the budget
@@ -310,10 +306,10 @@ class _BranchAndBound:
     def _finish(self, status: str) -> Solution:
         stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start)
         if status == STATUS_UNBOUNDED:
-            return Solution(status, None, None, {}, stats, self.root_tableau)
+            return Solution(status, None, None, {}, stats)
         if self.incumbent_obj is None:
             if status == STATUS_OPTIMAL:
-                return Solution(STATUS_INFEASIBLE, None, None, {}, stats, self.root_tableau)
+                return Solution(STATUS_INFEASIBLE, None, None, {}, stats)
             open_bound = self._open_bound()
             # the root has no bound until its LP is solved
             best_bound = open_bound if math.isfinite(open_bound) else None
@@ -321,14 +317,10 @@ class _BranchAndBound:
             best_bound = self.stop_bound if self.stop_bound is not None else self.incumbent_obj
         else:
             best_bound = min(self.incumbent_obj, self._open_bound())
-        return Solution(status, self.incumbent_obj, best_bound, self.incumbent_values,
-                        stats, self.root_tableau)
+        return Solution(status, self.incumbent_obj, best_bound, self.incumbent_values, stats)
 
 
-def solve_milp(
-    model: Model, options: SolveOptions | None = None, *,
-    start: Basis | Tableau | None = None,
-) -> Solution:
+def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     """Branch and bound with best-bound node selection, most-fractional
     branching (ties to the lowest variable index), and a depth-first plunge
     after every branching; a model without binaries is one node, its LP.
@@ -337,17 +329,31 @@ def solve_milp(
     brute_force_solve's, but a tied optimum the search never reaches is not
     considered, so the vector can differ from the oracle's.
 
-    The root LP starts from `start`: the slack basis by default, a given
-    basis, or the `root_tableau` of a model with the same variable and row
-    names (such as another scenario of the same network), which the solve
-    takes over and whose compile this model's is derived from
-    (PreparedLp.derive). A dive child continues on its parent's live
-    tableau and a node taken from the open list on a copy of its parent's
-    final tableau, so neither refactorizes. The open nodes' copies are
-    capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
-    that starts from its parent's final basis instead."""
-    solution = _BranchAndBound(model, options or SolveOptions(), start).run()
+    The root LP starts from the slack basis. A dive child continues on its
+    parent's live tableau and a node taken from the open list on a copy of
+    its parent's final tableau, so neither refactorizes. The open nodes'
+    copies are capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node
+    pushed past that starts from its parent's final basis instead."""
+    solution = _BranchAndBound(model, options or SolveOptions()).run()
     return _verified(model, solution)
+
+
+def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
+                ) -> Iterator[Solution | SimplexError | SolverError]:
+    """solve_milp over models with the same variable and row names in order,
+    such as the scenarios of one network, yielding each verified Solution or
+    the engine error that ended its solve. Each root LP continues on the
+    previous search's root tableau, with its compile derived from the one it
+    carries; after an engine error the next starts from the slack basis."""
+    root = None
+    for model in models:
+        search = _BranchAndBound(model, options or SolveOptions(), root)
+        try:
+            result = _verified(model, search.run())
+            root = search.root_tableau
+        except (SimplexError, SolverError) as exc:
+            result, root = exc, None
+        yield result
 
 
 def brute_force_solve(model: Model) -> Solution:

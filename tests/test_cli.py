@@ -25,10 +25,10 @@ from tepkit.simplex import PreparedLp, SimplexError, Tableau
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
-    SolverError,
     check_solution,
     parse_solution,
     solve_milp,
+    solve_sweep,
 )
 
 from conftest import two_bus_net
@@ -348,13 +348,13 @@ GARVER_SWEEP_PIVOTS = [
 
 
 def test_sweep_garver_pivots_are_pinned(garver_doc, tmp_path, monkeypatch):
-    calls = _recording_solve_milp(monkeypatch)
+    results = _recording_solve_sweep(monkeypatch)
     result = run("sweep", "--network", garver_doc, "--out", str(tmp_path / "sweep.csv"))
     assert result.exit_code == 0
     assert [(sol.stats["nodes"], sol.stats["simplex_iterations"], repr(sol.objective))
-            for _, sol in calls] == GARVER_SWEEP_PIVOTS
+            for sol in results] == GARVER_SWEEP_PIVOTS
     # every node starts from a tableau, so no LAPACK factorization is made
-    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 0
+    assert sum(sol.stats["refactorizations"] for sol in results) == 0
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
@@ -382,18 +382,19 @@ def test_solve_engine_failure_is_one_line_and_exit_2(garver_doc, monkeypatch):
 
 def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
                                                monkeypatch):
-    def fails_on_lh(model, options=None, *, start=None):
-        if model.name == "tepLH":
-            raise SolverError("solution failed independent verification")
-        return solve_milp(model, options, start=start)
+    search = tepkit.solver._BranchAndBound.run
 
-    monkeypatch.setattr(tepkit.cli, "solve_milp", fails_on_lh)
+    def fails_on_lh(self):
+        if self.prep.model.name == "tepLH":
+            raise SimplexError("basis matrix became singular")
+        return search(self)
+
+    monkeypatch.setattr(tepkit.solver._BranchAndBound, "run", fails_on_lh)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
                  "--out", str(out))
     assert result.exit_code == 2
-    assert "error: scenario L,H: solution failed independent verification" \
-        in result.output
+    assert "error: scenario L,H: basis matrix became singular" in result.output
     assert "(error)" in result.output
     rows = sweep_rows(out)
     assert [r[0] for r in rows] == ["L,L", "L,H", "H,L", "H,H"]
@@ -410,14 +411,8 @@ def test_sweep_failure_after_the_solve_starts_the_next_scenario_afresh(
             return CheckReport(False, ("forced failure",), 0.0)
         return check_solution(model, values, **kwargs)
 
-    starts = []
-
-    def recording(model, options=None, *, start=None):
-        starts.append((model.name, start))
-        return solve_milp(model, options, start=start)
-
     monkeypatch.setattr(tepkit.solver, "check_solution", fails_on_lh)
-    monkeypatch.setattr(tepkit.cli, "solve_milp", recording)
+    starts = _recording_root_starts(monkeypatch)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", garver_doc, "--out", str(out))
     assert result.exit_code == 2
@@ -431,18 +426,33 @@ def test_sweep_failure_after_the_solve_starts_the_next_scenario_afresh(
     assert lines[1:] == [GARVER_SWEEP_ROWS[0], '"L,H",,,,,,,', *GARVER_SWEEP_ROWS[2:]]
 
 
-def _recording_solve_milp(monkeypatch):
-    """Wrap the CLI's solve_milp; return the list of (start, solution) pairs
-    it records."""
-    calls = []
+def _recording_solve_sweep(monkeypatch):
+    """Wrap the CLI's solve_sweep; return the list of the results it
+    yields."""
+    results = []
 
-    def recording(model, options=None, *, start=None):
-        sol = solve_milp(model, options, start=start)
-        calls.append((start, sol))
-        return sol
+    def recording(models, options=None):
+        for result in solve_sweep(models, options):
+            results.append(result)
+            yield result
 
-    monkeypatch.setattr(tepkit.cli, "solve_milp", recording)
-    return calls
+    monkeypatch.setattr(tepkit.cli, "solve_sweep", recording)
+    return results
+
+
+def _recording_root_starts(monkeypatch):
+    """Wrap PreparedLp.solve; return the list of the (model name, start)
+    pairs of its root solves, the ones without bound overrides."""
+    starts = []
+    solve = PreparedLp.solve
+
+    def recording(self, bound_overrides=None, *, start=None, **kwargs):
+        if not bound_overrides:
+            starts.append((self.model.name, start))
+        return solve(self, bound_overrides, start=start, **kwargs)
+
+    monkeypatch.setattr(PreparedLp, "solve", recording)
+    return starts
 
 
 # SHA-256 of the data rows (column titles excluded, each line ending in
@@ -459,14 +469,15 @@ def test_sweep_carries_one_factorization_across_scenarios(tmp_path, monkeypatch)
                                           demand_total_mw=720.0))
     doc = tmp_path / "synth.json"
     doc.write_text(json.dumps(to_document(net)))
-    calls = _recording_solve_milp(monkeypatch)
+    results = _recording_solve_sweep(monkeypatch)
+    starts = _recording_root_starts(monkeypatch)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", str(doc), "--out", str(out))
     assert result.exit_code == 0
-    assert len(calls) == 16
-    assert calls[0][0] is None
-    assert all(isinstance(start, Tableau) for start, _ in calls[1:])
-    assert sum(sol.stats["refactorizations"] for _, sol in calls) == 0
+    assert len(results) == 16 and len(starts) == 16
+    assert starts[0][1] is None
+    assert all(isinstance(start, Tableau) for _, start in starts[1:])
+    assert sum(sol.stats["refactorizations"] for sol in results) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     rows = "".join(line + "\n" for line in lines[1:])
     assert hashlib.sha256(rows.encode()).hexdigest() == SYNTH_SWEEP_ROWS_SHA256
@@ -504,13 +515,14 @@ def test_sweep_without_binaries_carries_the_tableau(tmp_path, monkeypatch):
     # no candidate and no expandable line: every scenario is one LP
     doc = tmp_path / "plain.json"
     doc.write_text(json.dumps(to_document(two_bus_net())))
-    calls = _recording_solve_milp(monkeypatch)
+    results = _recording_solve_sweep(monkeypatch)
+    starts = _recording_root_starts(monkeypatch)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", str(doc), "--out", str(out))
     assert result.exit_code == 0
-    (_, first), (start, second) = calls
+    first, second = results
     assert first.stats["nodes"] == 1 and first.stats["refactorizations"] == 0
-    assert isinstance(start, Tableau)
+    assert [type(start) for _, start in starts] == [type(None), Tableau]
     assert second.stats["refactorizations"] == 0
     params = realize_scenario(ScenarioCode.parse("H"), two_bus_net(),
                               DemandElasticityConfig())

@@ -225,6 +225,19 @@ def test_csv_to_document_rejects_non_finite_numbers(old, new, message):
         assert str(err.value) == message
 
 
+def test_csv_lines_are_existing_lines_only():
+    # a candidate line used to load with build_cost 0.0: a free line for the
+    # MILP, since the CSV has no cost input
+    lines_csv = ("from_bus,to_bus,voltage_kv,capacity_mw,length_km,kind\n"
+                 "1,2,138,100,30,existing\n1,2,138,100,30,\n1,2,138,100,30,candidate\n")
+    with pytest.raises(DocumentError) as err:
+        csv_to_document(SUBS_CSV, PLANTS_CSV, lines_csv)
+    assert str(err.value) == ("line CSV line 4: kind 'candidate' is not supported; the CSV "
+                              "has no cost input for a candidate")
+    kept = csv_to_document(SUBS_CSV, PLANTS_CSV, lines_csv.rsplit("1,2", 1)[0])
+    assert [l.kind for l in load_network(json.dumps(kept)).lines] == [LINE_EXISTING] * 2
+
+
 def test_csv_line_numbers_count_blank_lines():
     with pytest.raises(DocumentError, match="plant CSV line 3: column 'capacity_mw'"):
         csv_to_document(SUBS_CSV, PLANTS_CSV.replace("1,150", "\n1,-inf"))

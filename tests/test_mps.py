@@ -188,7 +188,12 @@ def test_rows_and_columns_are_separate_namespaces():
     ("x", "c\td", "m", "row name 'c\\td'"),
     ("x", "", "m", "row name ''"),
     ("x", "c", "my model", "model name 'my model'"),
-], ids=["variable-space", "variable-empty", "row-tab", "row-empty", "model-space"])
+    # MPS reads a line that starts with '*' as a comment: these used to be
+    # written, and read back as unknown columns or rows
+    ("*x", "c", "m", "variable name '*x'"),
+    ("x", "*c", "m", "row name '*c'"),
+], ids=["variable-space", "variable-empty", "row-tab", "row-empty", "model-space",
+        "variable-star", "row-star"])
 def test_writers_refuse_names_the_formats_cannot_hold(var, row, name, message):
     model = Model(name=name, variables=(Variable(var, CONTINUOUS, 0.0, 1.0),),
                   constraints=(Constraint(row, ((var, 1.0),), SENSE_LE, 1.0),),

@@ -21,6 +21,7 @@ from tepkit.model import (
 from tepkit.scenario import ScenarioCode, realize_scenario
 from tepkit.simplex import Basis, PreparedLp, Tableau
 from tepkit.solver import (
+    CheckReport,
     SolveOptions,
     SolverError,
     brute_force_solve,
@@ -29,6 +30,7 @@ from tepkit.solver import (
     parse_solution,
     solve_lp,
     solve_milp,
+    solve_sweep,
 )
 
 
@@ -201,32 +203,19 @@ def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
     assert stopped >= 100
 
 
-def test_root_basis_warm_starts_a_related_model():
-    root = PreparedLp(garver_model("L,L")).solve()  # the root LP of L,L's search
-    other = garver_model("H,H")
-    warm = solve_milp(other, start=root.basis)
-    again = solve_milp(other)
-    assert warm.objective == pytest.approx(again.objective, rel=1e-9)
-    plan = [v.name for v in other.binaries()]
-    assert [round(warm.values[n]) for n in plan] == [round(again.values[n]) for n in plan]
-    assert warm.stats["simplex_iterations"] < again.stats["simplex_iterations"]
-
-
-def test_root_tableau_starts_a_related_model():
+def test_root_tableau_starts_a_related_model(monkeypatch):
     # another scenario's root tableau, taken over with its changed columns
-    # replaced, gives the same answer as a cold solve
-    cold = solve_milp(garver_model("L,L"))
+    # replaced, gives the same answer as a cold solve, with no LAPACK call
+    starts = _recording_starts(monkeypatch)
+    _, carried = solve_sweep([garver_model("L,L"), garver_model("H,H")])
+    roots = [start for overrides, start in starts if not overrides]
+    assert roots[0] is None and isinstance(roots[1], Tableau)
     other = garver_model("H,H")
-    carried = solve_milp(other, start=cold.root_tableau)
-    again = solve_milp(other)
-    assert carried.objective == pytest.approx(again.objective, rel=1e-9)
+    cold = solve_milp(other)
+    assert carried.objective == pytest.approx(cold.objective, rel=1e-9)
     plan = [v.name for v in other.binaries()]
-    assert [round(carried.values[n]) for n in plan] == [round(again.values[n]) for n in plan]
-    # the same root basis given as a Basis is refactorized
-    from_basis = solve_milp(other, start=PreparedLp(garver_model("L,L")).solve().basis)
-    assert carried.stats["refactorizations"] < from_basis.stats["refactorizations"]
-    with pytest.raises(ValueError, match="already used"):
-        solve_milp(other, start=cold.root_tableau)
+    assert [round(carried.values[n]) for n in plan] == [round(cold.values[n]) for n in plan]
+    assert carried.stats["refactorizations"] == 0
 
 
 def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
@@ -234,24 +223,66 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     real = Tableau.copy
 
     def recording(tableau):
-        copies.append(tableau)
-        return real(tableau)
+        copy = real(tableau)
+        copies.append((tableau, copy))
+        return copy
 
     monkeypatch.setattr(Tableau, "copy", recording)
+    starts = _recording_starts(monkeypatch)
     # an integral root hands its live tableau on: nothing else takes it
     integral = milp([Variable("y", BINARY, 0.0, 1.0)],
                     [Constraint("c", (("y", 1.0),), SENSE_GE, 1.0)], [("y", 2.0)])
-    sol = solve_milp(integral)
+    first, second = solve_sweep([integral, integral])
     assert copies == []
-    assert sol.root_tableau.matrix is not None
-    # a branching root's dive child takes the live one: the root keeps a copy
-    model = garver_model("H,H")
-    sol = solve_milp(model)
-    assert sol.stats["nodes"] > 1
-    assert copies[0].matrix is None  # the live root tableau, taken by the child
-    assert sol.root_tableau.matrix is not None
-    again = solve_milp(model, start=sol.root_tableau)
-    assert again.objective == pytest.approx(sol.objective, rel=1e-12)
+    assert [type(start) for _, start in starts] == [type(None), Tableau]
+    assert first.objective == second.objective == 2.0
+    # a branching root's dive child takes the live one: the root keeps a
+    # copy, which the next model's root takes over; every other copy is an
+    # open sibling's
+    pushes = []
+    push = tepkit.solver._BranchAndBound._push
+
+    def recording_push(self, bound, fixings, start):
+        pushes.append(fixings)
+        push(self, bound, fixings, start)
+
+    monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording_push)
+    del starts[:]
+    low, high = solve_sweep([garver_model("L,L"), garver_model("H,H")])
+    assert low.stats["nodes"] > 1 and high.stats["nodes"] > 1
+    assert len(copies) == len(pushes) + 2
+    live_root, kept = copies[0]
+    assert live_root.matrix is None  # taken by the dive child
+    roots = [start for overrides, start in starts if not overrides]
+    assert roots == [None, kept]
+    cold = solve_milp(garver_model("H,H"))
+    assert high.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_sweep_yields_an_engine_error_in_place_and_starts_the_next_model_afresh(monkeypatch):
+    models = [garver_model(code) for code in ("L,L", "L,H", "H,H")]
+    check = tepkit.solver.check_solution
+
+    def fails_on_the_second(model, values, **kwargs):
+        if model is models[1]:
+            return CheckReport(False, ("forced failure",), 0.0)
+        return check(model, values, **kwargs)
+
+    monkeypatch.setattr(tepkit.solver, "check_solution", fails_on_the_second)
+    starts = _recording_starts(monkeypatch)
+    first, error, third = solve_sweep(models)
+    assert first.status == "optimal"
+    assert isinstance(error, SolverError)
+    assert str(error) == "solution failed independent verification: forced failure"
+    # the second root took the first one's tableau over; the third starts
+    # from the slack basis, as a cold solve does, and takes its path
+    roots = [start for overrides, start in starts if not overrides]
+    assert roots[0] is None and isinstance(roots[1], Tableau) and roots[2] is None
+    cold = solve_milp(models[2])
+    assert third.objective == cold.objective
+    assert third.values == cold.values
+    assert ({k: third.stats[k] for k in ("nodes", "simplex_iterations", "refactorizations")}
+            == {k: cold.stats[k] for k in ("nodes", "simplex_iterations", "refactorizations")})
 
 
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
@@ -271,12 +302,13 @@ def test_dive_children_and_gray_code_steps_skip_the_refactorization():
 
 
 def _recording_starts(monkeypatch):
-    """Wrap PreparedLp.solve; return the list of the starts it is given."""
+    """Wrap PreparedLp.solve; return the list of the (bound overrides,
+    start) pairs it is given."""
     starts = []
     solve = tepkit.simplex.PreparedLp.solve
 
     def recording(self, bound_overrides=None, *, start=None, **kwargs):
-        starts.append(start)
+        starts.append((bound_overrides, start))
         return solve(self, bound_overrides, start=start, **kwargs)
 
     monkeypatch.setattr(tepkit.simplex.PreparedLp, "solve", recording)
@@ -294,7 +326,7 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
     assert sol.values == pytest.approx(default.values, abs=1e-9)
     # every node taken from the open list starts from a Basis and costs one
     # LAPACK factorization; the root and the dive children cost none
-    popped = sum(isinstance(start, Basis) for start in starts)
+    popped = sum(isinstance(start, Basis) for _, start in starts)
     assert popped > 0
     assert sol.stats["refactorizations"] == popped
 
@@ -302,7 +334,7 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
 def test_open_tableaux_stay_within_their_budget(monkeypatch):
     model = garver_model("H,H")
     default = solve_milp(model)
-    budget = 2 * default.root_tableau.matrix.nbytes  # two tableaux
+    budget = 2 * PreparedLp(model).solve().tableau.matrix.nbytes  # two tableaux
     monkeypatch.setattr(tepkit.solver, "_OPEN_TABLEAU_BYTES", budget)
     held = []
     push = tepkit.solver._BranchAndBound._push
