@@ -1,13 +1,31 @@
-"""Self-contained bounded-variable primal simplex.
+"""Self-contained bounded-variable simplex: dual where the start allows it,
+primal otherwise.
 
 The engine solves  minimize c'x  subject to row constraints and variable
 bounds, with no third-party solver behind it. Rows are turned into
 equalities with one slack each (bounded by the row sense) and the slacks
 form the starting basis, even where a slack starts outside its bounds.
-Phase 1 then minimizes the total bound violation of the basic variables,
-re-pricing after every step; a violating variable may move further out
-and blocks only at the bound it violates (the composite phase 1 of
-Maros, Computational Techniques of the Simplex Method, 2003).
+
+A start whose reduced costs are dual feasible, where no nonbasic column
+would gain by entering once each boxed column that would is flipped to
+its other bound, is solved by the dual simplex (Koberstein, The dual
+simplex method, techniques for a fast and stable implementation, PhD
+thesis, Paderborn 2005). Each step takes the basic variable with the
+largest bound violation out at that bound and picks the entering column
+by Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
+largest pivot among near ties. The slack basis of a model whose costed
+columns start at a lower bound of 0 with a cost >= 0 is such a start; so
+is a parent's final tableau once a branch fixes a bound. While the
+reduced costs stay dual feasible, c'x at each dual point is a lower bound
+on the optimum, so a solve given a cutoff stops once that objective,
+recomputed from the point, exceeds it.
+
+Other starts, and a dual that stalls or reaches an uncertified dead end,
+go to the primal path. Phase 1 minimizes the total bound violation of the
+basic variables, re-pricing after every step; a violating variable may
+move further out and blocks only at the bound it violates (the composite
+phase 1 of Maros, Computational Techniques of the Simplex Method, 2003).
+Primal phase 2 ends every optimal solve, the dual's included.
 
 A solve may start from any basis, such as the final basis of a related
 LP (a neighbouring scenario, or an open branch-and-bound node once the
@@ -18,8 +36,8 @@ for the child a dive plunges into, a copy of it for the sibling left
 open, or the previous brute-force assignment): only bounds differ, so
 the solve continues on that B^-1*A in place and computes the basic values
 as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
-column keeps its bound status where the new bounds allow it, and the same
-phase 1 repairs any basic variable the new bounds put out of range.
+column keeps its bound status where the new bounds allow it, and the dual
+(or phase 1) repairs any basic variable the new bounds put out of range.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -49,10 +67,12 @@ Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
 must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price every
 column with the sign its bound status needs (weak duality). An
-infeasibility verdict, a phase-1 dead end, needs a Farkas certificate:
-with y = w*B^-1 for phase 1's weights w, no point within the bounds may
-reach y*b (Maros 2003). Only a failed certificate refactorizes; if the
-refactorized basic values then leave their bounds, phase 1 runs again.
+infeasibility verdict needs a Farkas certificate: with y = w*B^-1, no
+point within the bounds may reach y*b (Maros 2003), where w is phase 1's
+weights at its dead end, or +-e_r at a dual dead end whose leaving row r
+no entering column can repair. Only a failed optimality certificate
+refactorizes; if the refactorized basic values then leave their bounds,
+phase 1 runs again. A failed dual certificate hands the solve to phase 1.
 """
 
 from __future__ import annotations
@@ -90,8 +110,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
-# phase 2 refactorized and found the basic values outside their bounds:
-# the solve goes back to phase 1
+STATUS_CUTOFF = "cutoff"
+# the point is to be repaired by primal phase 1: the dual could not start or
+# stalled, or phase 2 refactorized and found basic values outside their bounds
 _STATUS_OUT_OF_BOUNDS = "out_of_bounds"
 
 
@@ -133,9 +154,14 @@ class Tableau:
         return Tableau(self.prep, self.matrix.copy(), self._columns.copy(),
                        self._status.copy(), self._pivots)
 
+    def fits(self, prep: PreparedLp) -> bool:
+        """Whether this tableau can start a solve of `prep`: one with the
+        same variable and row names."""
+        return prep is self.prep or (prep.names == self.prep.names
+                                     and prep.rows == self.prep.rows)
+
     def _take(self, prep: PreparedLp):
-        if prep is not self.prep and (
-                prep.names != self.prep.names or prep.rows != self.prep.rows):
+        if not self.fits(prep):
             raise ValueError("start tableau belongs to an LP with other variables or rows")
         if self.matrix is None:
             raise ValueError("start tableau was already used")
@@ -238,6 +264,7 @@ class PreparedLp:
         *,
         start: Basis | Tableau | None = None,
         deadline: float | None = None,
+        cutoff: float | None = None,
     ) -> LpResult:
         """Solve under the model's bounds with `bound_overrides` applied,
         starting from `start`: a basis (the slack basis by default) or the
@@ -245,7 +272,11 @@ class PreparedLp:
         variable and row names, which the solve takes over. A start whose
         basis matrix is singular here falls back to the slack basis. When
         `time.monotonic()` passes `deadline`, the solve stops with status
-        time_limit."""
+        time_limit. While the dual simplex runs, each of its points bounds
+        the optimum from below: once that bound, the objective recomputed
+        from the point, exceeds `cutoff`, the solve stops with status
+        cutoff. A solve that returns another status may still end above
+        `cutoff`."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -262,7 +293,7 @@ class PreparedLp:
                 upper[j] = up
                 if lo > up:
                     raise ValueError(f"override for {name!r} has lower > upper")
-        run = _SimplexRun(self, lower, upper, deadline)
+        run = _SimplexRun(self, lower, upper, deadline, cutoff)
         return run.solve(start)
 
 
@@ -275,7 +306,7 @@ def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, in
 
 
 class _SimplexRun:
-    def __init__(self, prep: PreparedLp, lower, upper, deadline):
+    def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
         self.prep = prep
         self.m = prep.m
         self.cols = prep.n + prep.m
@@ -286,7 +317,10 @@ class _SimplexRun:
         self.fixed = upper - lower <= 0.0
         # the primal tolerance of the infeasibility verdict and the certificates
         self.primal_tol = _FEAS_TOL * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
+        # the pricing tolerance of phase 2 and of the dual's reduced costs
+        self.dtol = 1e-9 * max(1.0, float(np.max(np.abs(prep._cost))))
         self.deadline = deadline
+        self.cutoff = cutoff
         self.iterations = 0
         self.pivots_since_refactor = 0
         self.refactorizations = 0
@@ -354,6 +388,13 @@ class _SimplexRun:
         return np.where(st == _AT_LOWER, self.lower,
                         np.where(st == _AT_UPPER, self.upper, 0.0))
 
+    def _point(self) -> np.ndarray:
+        """Every column's value: nonbasic ones at their bounds, basic ones
+        as the tableau gives them."""
+        x = self._nonbasic_values()
+        x[self.basis] = self.x_basic
+        return x
+
     def _violations(self):
         """Masks of the basic variables below their lower and above their
         upper bound."""
@@ -408,9 +449,7 @@ class _SimplexRun:
         """The column whose reduced cost gains most (Dantzig), or the first
         that gains more than dtol (Bland); None when none does. A NaN
         reduced cost never enters."""
-        score = self.gain * z
-        if self.free.size:
-            score[self.free] = np.abs(z[self.free])
+        score = self._gains(z)
         if bland:
             eligible = score > dtol
             q = int(eligible.argmax())
@@ -428,6 +467,14 @@ class _SimplexRun:
                     return None
         direction = 1.0 if z[q] < 0.0 else -1.0
         return q, direction
+
+    def _gains(self, z: np.ndarray) -> np.ndarray:
+        """What entering each column gains at reduced costs `z`: z_j*gain_j,
+        or |z_j| for a free column (0 for a basic or fixed one)."""
+        score = self.gain * z
+        if self.free.size:
+            score[self.free] = np.abs(z[self.free])
+        return score
 
     def _ratio_test(self, q: int, direction: float, bland: bool, below, above):
         """Longest step the entering column can take. A basic variable
@@ -543,7 +590,7 @@ class _SimplexRun:
             dtol = _PHASE1_DTOL
         else:
             cost = self.prep._cost
-            dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
+            dtol = self.dtol
             below = above = None
         z = None
         retries = 0
@@ -596,14 +643,100 @@ class _SimplexRun:
                     self._refactorize()
                     z = None
 
+    def _dual_costs(self) -> np.ndarray | None:
+        """The reduced costs of the objective once no column gains by
+        entering (beyond dtol): each boxed column that would is flipped to
+        its other bound. None when another column would, or a reduced cost
+        is not finite."""
+        z = self._reduced_costs(self.prep._cost)
+        if not np.isfinite(z).all():
+            return None
+        wrong = self._gains(z) > self.dtol
+        boxed = np.isfinite(self.lower) & np.isfinite(self.upper)
+        if (wrong & ~boxed).any():
+            return None
+        for j in wrong.nonzero()[0]:
+            was = self._entering_value(j)
+            self._set_nonbasic(j, _AT_LOWER if self.status[j] == _AT_UPPER else _AT_UPPER)
+            self.x_basic -= (self._entering_value(j) - was) * self.tableau[:, j]
+        return z
+
+    def _dual_ratio_test(self, row: int, above: bool, z: np.ndarray) -> int | None:
+        """The entering column for the basic variable of `row` leaving at
+        the bound it violates, or None when no column's move brings it
+        back. A dual step t lowers each candidate's slack (how far its
+        reduced cost is from gaining; a free column has none) by
+        t*|alpha_rj|. Harris's first pass finds the longest step that
+        leaves no slack below -dtol; the second takes, among the columns
+        whose slack runs out within it, the largest |alpha_rj|."""
+        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
+        candidates = (slope > _PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
+            return None
+        slope = slope[candidates]
+        slack = np.maximum(-self._gains(z)[candidates], 0.0)
+        longest = ((slack + self.dtol) / slope).min()
+        within = slack / slope <= longest
+        return int(candidates[np.where(within, slope, -1.0).argmax()])
+
+    def _run_dual(self) -> str:
+        """The dual simplex of the module docstring. Returns optimal once
+        no basic value violates its bounds, for phase 2 to certify;
+        infeasible at a certified dead end; cutoff; time_limit; or
+        out_of_bounds, for primal phase 1 to go on from the current basis,
+        when the start is not dual feasible, a dead end is not certified
+        or the objective has not risen in as many steps as the LP has
+        columns."""
+        z = self._dual_costs()
+        best = -math.inf
+        stalled = 0
+        while z is not None:
+            if self.iterations >= _MAX_ITERATIONS:
+                raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return STATUS_TIME_LIMIT
+            objective = self._objective(self._point())
+            if self.cutoff is not None and objective > self.cutoff:
+                return STATUS_CUTOFF
+            if objective > best:
+                best, stalled = objective, 0
+            elif stalled >= self.cols:
+                return _STATUS_OUT_OF_BOUNDS
+            else:
+                stalled += 1
+            violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
+            violated = violation > _PRIMAL_TOL
+            if not violated.any():
+                return STATUS_OPTIMAL
+            row = int(np.where(violated, violation, 0.0).argmax())
+            above = bool(self.x_basic[row] > self.up_b[row])
+            q = self._dual_ratio_test(row, above, z)
+            if q is None:
+                push = np.zeros(self.m)
+                push[row] = -1.0 if above else 1.0
+                if self._infeasibility_certified(push):
+                    return STATUS_INFEASIBLE
+                return _STATUS_OUT_OF_BOUNDS
+            target = self.up_b[row] if above else self.lo_b[row]
+            change = (self.x_basic[row] - target) / self.tableau[row, q]
+            direction = 1.0 if change >= 0.0 else -1.0
+            if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
+                z[q] = 0.0  # no slack left: shift q's cost, take a zero step
+            self.iterations += 1
+            self._pivot(q, direction, row, abs(change), direction * self.tableau[:, q], z,
+                        _AT_UPPER if above else _AT_LOWER)
+            if self.pivots_since_refactor >= _REFACTOR_EVERY:
+                self._refactorize()
+                z = self._dual_costs()
+        return _STATUS_OUT_OF_BOUNDS
+
     def _certified(self, cost: np.ndarray, dtol: float) -> bool:
         """Whether the current point is optimal on the original rows,
         however far the tableau has drifted: x meets Ax = b and the bounds,
         and the duals y = c_B*B^-1 (the tableau's slack block) give every
         basic column a zero reduced cost and every nonbasic one the sign its
         bound status needs; a non-finite x or reduced cost fails. O(m*(n+m))."""
-        x = self._nonbasic_values()
-        x[self.basis] = self.x_basic
+        x = self._point()
         if not np.isfinite(x).all():
             return False
         if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
@@ -616,8 +749,7 @@ class _SimplexRun:
             return False
         # what entering each nonbasic column would gain, as in pricing; a
         # fixed nonbasic column may not move, and a basic one must price at 0
-        score = self.gain * d
-        score[self.free] = np.abs(d[self.free])
+        score = self._gains(d)
         score[self.basis] = np.abs(d[self.basis])
         return not (score > dtol).any()
 
@@ -644,7 +776,9 @@ class _SimplexRun:
             self._load(start)
         except SimplexError:  # singular here: B = I never is
             self._load(self.prep.slack_basis)
-        status = _STATUS_OUT_OF_BOUNDS
+        status = self._run_dual()
+        if status == STATUS_OPTIMAL:
+            status = self._run_phase(phase1=False)
         while status == _STATUS_OUT_OF_BOUNDS:
             status = self._run_phase(phase1=True)
             if status == STATUS_UNBOUNDED:
@@ -665,10 +799,10 @@ class _SimplexRun:
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 
+    def _objective(self, x: np.ndarray) -> float:
+        return float(self.prep._cost @ x) + self.prep.model.objective_constant
+
     def _finish(self) -> LpResult:
-        values_all = self._nonbasic_values()
-        values_all[self.basis] = self.x_basic
-        names = self.prep.names
-        values = dict(zip(names, values_all[:self.prep.n].tolist()))
-        objective = float(self.prep._cost @ values_all) + self.prep.model.objective_constant
-        return self._result(STATUS_OPTIMAL, objective, values)
+        x = self._point()
+        values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
+        return self._result(STATUS_OPTIMAL, self._objective(x), values)

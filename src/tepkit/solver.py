@@ -18,6 +18,7 @@ from .model import BINARY, CONTINUOUS, Model, SENSE_EQ, SENSE_GE, SENSE_LE
 from .simplex import (
     Basis,
     PreparedLp,
+    STATUS_CUTOFF,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
@@ -186,9 +187,11 @@ class _BranchAndBound:
     def __init__(self, model: Model, options: SolveOptions, root_start: Tableau | None = None):
         self.options = options
         # a root start carries the compile of a model like this one, such as
-        # the previous scenario of a sweep, to derive this one's from
+        # the previous scenario of a sweep, to derive this one's from; a
+        # model with other names starts from the slack basis
         self.prep = PreparedLp(model) if root_start is None else root_start.prep.derive(model)
-        self.root_start = root_start
+        self.root_start = (root_start if root_start is not None and root_start.fits(self.prep)
+                           else None)
         self.binary_names = [v.name for v in model.binaries()]
         # open nodes: (bound, push order, fixings, start): the start is a copy
         # of the parent's final tableau, or its final basis past the budget
@@ -243,7 +246,10 @@ class _BranchAndBound:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _StopSearch(STATUS_TIME_LIMIT, bound)
             overrides = {name: (float(v), float(v)) for name, v in fixings}
-            result = self.prep.solve(overrides, start=start, deadline=self.deadline)
+            cutoff = (None if self.incumbent_obj is None
+                      else self.incumbent_obj + _tie_tol(self.incumbent_obj))
+            result = self.prep.solve(overrides, start=start, deadline=self.deadline,
+                                     cutoff=cutoff)
             self.nodes += 1
             self.iterations += result.iterations
             self.refactorizations += result.refactorizations
@@ -251,13 +257,11 @@ class _BranchAndBound:
                 self.root_tableau = result.tableau
             if result.status in (STATUS_TIME_LIMIT, STATUS_UNBOUNDED):
                 raise _StopSearch(result.status, bound)
-            if result.status == STATUS_INFEASIBLE:
+            if result.status in (STATUS_INFEASIBLE, STATUS_CUTOFF):
                 return
             objective = result.objective
             bound = max(bound, objective)
-            if self.incumbent_obj is not None and objective > self.incumbent_obj + _tie_tol(
-                self.incumbent_obj
-            ):
+            if cutoff is not None and objective > cutoff:
                 return
             branch_name = self._most_fractional(result.values)
             if branch_name is None:
@@ -333,18 +337,23 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     parent's live tableau and a node taken from the open list on a copy of
     its parent's final tableau, so neither refactorizes. The open nodes'
     copies are capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node
-    pushed past that starts from its parent's final basis instead."""
+    pushed past that starts from its parent's final basis instead. Once
+    there is an incumbent, each node's LP is solved with the cutoff
+    incumbent + _tie_tol(incumbent), and a node cut off is pruned: a node
+    within the tie tolerance is still solved, so a lexicographically
+    smaller tie can still win."""
     solution = _BranchAndBound(model, options or SolveOptions()).run()
     return _verified(model, solution)
 
 
 def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
                 ) -> Iterator[Solution | SimplexError | SolverError]:
-    """solve_milp over models with the same variable and row names in order,
-    such as the scenarios of one network, yielding each verified Solution or
-    the engine error that ended its solve. Each root LP continues on the
-    previous search's root tableau, with its compile derived from the one it
-    carries; after an engine error the next starts from the slack basis."""
+    """solve_milp over models in order, such as the scenarios of one
+    network, yielding each verified Solution or the engine error that ended
+    its solve. Each root LP continues on the previous search's root tableau,
+    with its compile derived from the one it carries, where the two models
+    have the same variable and row names; it starts from the slack basis
+    after an engine error or where the names differ."""
     root = None
     for model in models:
         search = _BranchAndBound(model, options or SolveOptions(), root)

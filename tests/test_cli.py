@@ -340,10 +340,10 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
 # rewrite that picks any other pivot, or rounds any step differently,
 # changes them.
 GARVER_SWEEP_PIVOTS = [
-    (55, 368, "227251333.47711968"),
-    (37, 217, "231318001.67969364"),
-    (48, 292, "230900302.75164837"),
-    (51, 307, "245424473.691441"),
+    (55, 152, "227251333.47711962"),
+    (37, 86, "231318001.67969325"),
+    (47, 115, "230900302.75164852"),
+    (51, 106, "245424473.691441"),
 ]
 
 

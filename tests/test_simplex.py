@@ -268,25 +268,52 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
             assert drifted.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
+def _recording_dual(monkeypatch):
+    """Record what each solve's dual simplex returns; out_of_bounds hands
+    the solve to primal phase 1."""
+    outcomes = []
+    real = _SimplexRun._run_dual
+
+    def recording(run):
+        outcomes.append(real(run))
+        return outcomes[-1]
+
+    monkeypatch.setattr(_SimplexRun, "_run_dual", recording)
+    return outcomes
+
+
 def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
-    # phase 1 dead-ends on a tableau that pivots have touched; the Farkas
-    # certificate on the original rows proves the verdict, so no LAPACK call
+    # the dual or primal phase 1 dead-ends on a tableau that pivots have
+    # touched; the Farkas certificate on the original rows proves the
+    # verdict, so no LAPACK call
     verdicts = []
     real = _SimplexRun._infeasibility_certified
 
     def recording(run, push):
-        verdicts.append(real(run, push))
-        return verdicts[-1]
+        verdicts.append((np.count_nonzero(push), real(run, push)))
+        return verdicts[-1][1]
 
     monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", recording)
-    prep = PreparedLp(dense_lp())
+    outcomes = _recording_dual(monkeypatch)
+    model = dense_lp()
+    prep = PreparedLp(model)
     impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
+    # fixing bounds keeps an optimal tableau dual feasible: the dual's dead
+    # end is certified with push = +-e_r for its leaving row
     for start in (prep.solve().tableau,
                   prep.solve(bound_overrides={"x0": (0.0, 1.0)}).tableau):
         verdicts.clear()
         dead = prep.solve(bound_overrides=impossible, start=start)
-        assert dead.status == "infeasible"
-        assert dead.refactorizations == 0 and verdicts == [True]
+        assert dead.status == "infeasible" and outcomes[-1] == "infeasible"
+        assert dead.refactorizations == 0 and verdicts == [(1, True)]
+    # under the opposite objective the same tableau prices the nonbasic
+    # slacks the wrong way, so primal phase 1 dead-ends instead
+    opposite = PreparedLp(dataclasses.replace(
+        model, objective_terms=tuple((name, -coef) for name, coef in model.objective_terms)))
+    verdicts.clear()
+    dead = opposite.solve(bound_overrides=impossible, start=prep.solve().tableau)
+    assert dead.status == "infeasible" and outcomes[-1] == "out_of_bounds"
+    assert dead.refactorizations == 0 and [v for _, v in verdicts] == [True]
     # the verdict a fresh start reaches
     assert prep.solve(bound_overrides=impossible).status == "infeasible"
 
@@ -532,8 +559,9 @@ def _random_lp(rng):
     return lp(variables, rows, objective)
 
 
-def test_randomized_against_scipy():
+def test_randomized_against_scipy(monkeypatch):
     scipy_opt = pytest.importorskip("scipy.optimize")
+    outcomes = _recording_dual(monkeypatch)
 
     def scipy_solve(model):
         idx = model.variable_index()
@@ -584,10 +612,16 @@ def test_randomized_against_scipy():
     resolved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     carried = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     replaced = 0  # cross-compile starts that replaced a basic column in place
+    # what the dual returned for the cold solves and the live re-solves;
+    # out_of_bounds is a start that was not dual feasible (or a stalled
+    # dual), which primal phase 1 took over
+    cold_paths = {}
+    live_paths = {}
     for trial in range(150):
         model = _random_lp(rng)
         prep = PreparedLp(model)
         mine = prep.solve()
+        cold_paths[outcomes[-1]] = cold_paths.get(outcomes[-1], 0) + 1
         statuses[mine.status] += 1
         check(mine, model, trial)
         # re-solve through the same compiled LP with some bounds replaced,
@@ -599,9 +633,11 @@ def test_randomized_against_scipy():
         check(again, with_bounds(model, overrides), f"{trial} {overrides}")
         warm = prep.solve(bound_overrides=overrides, start=mine.basis)
         check(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
-        # and from the base solve's live tableau, as a dive child continues
+        # and from the base solve's live tableau, as a dive child continues:
+        # after an optimal base solve, a dual start
         portable = mine.tableau.copy()
         live = prep.solve(bound_overrides=overrides, start=mine.tableau)
+        live_paths[outcomes[-1]] = live_paths.get(outcomes[-1], 0) + 1
         check(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         # a copy of it starts another compile with other columns and
         # right-hand sides, as the next scenario of a sweep does
@@ -623,6 +659,42 @@ def test_randomized_against_scipy():
     assert min(resolved.values()) >= 5, resolved
     assert min(carried.values()) >= 5, carried
     assert replaced >= 20, replaced
+    # the dual reaches both verdicts, and primal phase 1 still runs
+    assert min(live_paths.get(k, 0) for k in ("optimal", "infeasible")) >= 20, live_paths
+    assert min(live_paths.get("out_of_bounds", 0),
+               cold_paths.get("out_of_bounds", 0)) >= 20, (cold_paths, live_paths)
+
+
+def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
+    # each random LP is re-solved from its own final tableau with some
+    # bounds changed, with a cutoff below, at and above the optimum; a
+    # solve that is not cut off must end where the solve without one does
+    rng = np.random.default_rng(31)
+    override_rng = np.random.default_rng(37)
+    cut = kept = 0
+    for trial in range(120):
+        model = _random_lp(rng)
+        prep = PreparedLp(model)
+        base = prep.solve()
+        overrides = _random_overrides(override_rng, model)
+        full = prep.solve(bound_overrides=overrides, start=base.tableau.copy())
+        if full.status not in ("optimal", "infeasible"):
+            continue
+        optimum = full.objective if full.status == "optimal" else math.inf
+        reference = full.objective if full.status == "optimal" else 0.0
+        for offset in (-1.0, -1e-6, 0.0, 1e-6, 1.0):
+            cutoff = reference + offset
+            result = prep.solve(bound_overrides=overrides, start=base.tableau.copy(),
+                                cutoff=cutoff)
+            if result.status == "cutoff":
+                assert optimum > cutoff, (trial, offset)
+                assert result.objective is None and result.values == {}
+                cut += 1
+            else:
+                assert result.status == full.status, (trial, offset)
+                assert result.objective == full.objective, (trial, offset)
+                kept += 1
+    assert cut >= 100 and kept >= 100, (cut, kept)
 
 
 def _random_overrides(rng, model):

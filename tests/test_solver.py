@@ -129,8 +129,8 @@ def test_time_limit_after_the_root_reports_its_bound(monkeypatch):
     )
     full = solve_milp(m)
     tick_clock(monkeypatch)
-    # on the ticking clock a 5 s limit expires once the root LP is solved
-    sol = solve_milp(m, SolveOptions(time_limit_s=5.0))
+    # on the ticking clock a 4 s limit expires once the root LP is solved
+    sol = solve_milp(m, SolveOptions(time_limit_s=4.0))
     assert sol.status == "time_limit"
     assert sol.stats["nodes"] == 1
     assert sol.objective is None
@@ -285,6 +285,21 @@ def test_sweep_yields_an_engine_error_in_place_and_starts_the_next_model_afresh(
             == {k: cold.stats[k] for k in ("nodes", "simplex_iterations", "refactorizations")})
 
 
+def test_sweep_starts_a_model_with_other_names_from_the_slack_basis(monkeypatch):
+    # the second model's compile cannot be derived from the first's, and
+    # the first's root tableau cannot start it: it is solved as cold
+    net = synthesize_grid(SynthesisConfig(n_buses=8, n_regions=2, seed=3, demand_total_mw=300.0))
+    other = build_tep_model(net, realize_scenario(ScenarioCode.parse("L,L"), net), 8760.0)[0]
+    starts = _recording_starts(monkeypatch)
+    first, second = solve_sweep([garver_model("L,L"), other])
+    assert first.status == "optimal"
+    roots = [start for overrides, start in starts if not overrides]
+    assert roots == [None, None]
+    cold = solve_milp(other)
+    assert second.objective == cold.objective
+    assert second.values == cold.values
+
+
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
     # a dive child continues on its parent's live tableau, a node taken from
     # the open list on a copy of its parent's final one, and each brute-force
@@ -389,6 +404,25 @@ def test_exact_ties_resolve_to_lex_smallest_reachable():
     assert (round(ref.values["a"]), round(ref.values["b"])) == (0, 1)
     sol = solve_milp(m)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+
+
+def test_a_tie_within_the_tolerance_found_after_the_incumbent_wins():
+    # the root sits at a = 1/2, b = 0; the dive fixes a = 1 and finds (1, 0)
+    # at 1, then the open sibling a = 0 reaches (0, 1) at 1 + 5e-10: a tie
+    # within _tie_tol(1) = 1e-9, so the lexicographically smaller vector
+    # wins, as in brute force. That node's LP may not be cut off at the
+    # incumbent's objective alone.
+    m = milp(
+        [Variable("a", BINARY, 0.0, 1.0), Variable("b", BINARY, 0.0, 1.0)],
+        [Constraint("need", (("a", 2.0), ("b", 2.0)), SENSE_GE, 1.0)],
+        [("a", 1.0), ("b", 1.0 + 5e-10)],
+    )
+    sol = solve_milp(m)
+    assert sol.stats["nodes"] == 5
+    assert (round(sol.values["a"]), round(sol.values["b"])) == (0, 1)
+    assert sol.objective == 1.0 + 5e-10
+    ref = brute_force_solve(m)
+    assert (ref.objective, ref.values) == (sol.objective, sol.values)
 
 
 def test_brute_force_ties_go_to_lex_smallest_whatever_the_visit_order():
