@@ -1,31 +1,33 @@
-"""Self-contained bounded-variable simplex: dual where the start allows it,
-primal otherwise.
+"""Self-contained bounded-variable simplex: the dual simplex to a point
+within the bounds, then primal phase 2 on the true costs.
 
 The engine solves  minimize c'x  subject to row constraints and variable
 bounds, with no third-party solver behind it. Rows are turned into
 equalities with one slack each (bounded by the row sense) and the slacks
 form the starting basis, even where a slack starts outside its bounds.
 
-A start whose reduced costs are dual feasible, where no nonbasic column
-would gain by entering once each boxed column that would is flipped to
-its other bound, is solved by the dual simplex (Koberstein, The dual
-simplex method, techniques for a fast and stable implementation, PhD
-thesis, Paderborn 2005). Each step takes the basic variable with the
-largest bound violation out at that bound and picks the entering column
-by Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
-largest pivot among near ties. The slack basis of a model whose costed
-columns start at a lower bound of 0 with a cost >= 0 is such a start; so
-is a parent's final tableau once a branch fixes a bound. While the
-reduced costs stay dual feasible, c'x at each dual point is a lower bound
-on the optimum, so a solve given a cutoff stops once that objective,
-recomputed from the point, exceeds it.
+Every start runs the dual simplex (Koberstein, The dual simplex method,
+techniques for a fast and stable implementation, PhD thesis, Paderborn
+2005). Its reduced costs are first made dual feasible: each boxed
+nonbasic column that would gain by entering is flipped to its other
+bound, and each other one has its cost shifted, in a copy local to the
+solve, until its reduced cost is zero (Koberstein & Suhl, Comput. Optim.
+Appl. 37, 2007). Each step takes the basic variable with the largest
+bound violation out at that bound and picks the entering column by
+Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
+largest pivot among near ties. A dual whose objective has not risen in
+as many steps as the LP has columns goes on under Bland's rule: the
+lowest violated basic column leaves, and the exact ratio test picks the
+entering column, ties to the lowest index. Once every basic value lies
+within its bounds, primal phase 2 runs on the true costs; it ends every
+optimal solve, and where no cost was shifted it has nothing to do.
 
-Other starts, and a dual that stalls or reaches an uncertified dead end,
-go to the primal path. Phase 1 minimizes the total bound violation of the
-basic variables, re-pricing after every step; a violating variable may
-move further out and blocks only at the bound it violates (the composite
-phase 1 of Maros, Computational Techniques of the Simplex Method, 2003).
-Primal phase 2 ends every optimal solve, the dual's included.
+The slack basis of a model whose costed columns start at a lower bound of
+0 with a cost >= 0 needs no shift; neither does a parent's final tableau
+once a branch fixes a bound. While no cost is shifted, c'x at each dual
+point is a lower bound on the optimum, so a solve given a cutoff stops
+once that objective, recomputed from the point, exceeds it. A shifted
+objective bounds nothing, so no cutoff is checked against it.
 
 A solve may start from any basis, such as the final basis of a related
 LP (a neighbouring scenario, or an open branch-and-bound node once the
@@ -37,7 +39,7 @@ open, or the previous brute-force assignment): only bounds differ, so
 the solve continues on that B^-1*A in place and computes the basic values
 as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
 column keeps its bound status where the new bounds allow it, and the dual
-(or phase 1) repairs any basic variable the new bounds put out of range.
+repairs any basic variable the new bounds put out of range.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -67,12 +69,13 @@ Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
 must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price every
 column with the sign its bound status needs (weak duality). An
-infeasibility verdict needs a Farkas certificate: with y = w*B^-1, no
-point within the bounds may reach y*b (Maros 2003), where w is phase 1's
-weights at its dead end, or +-e_r at a dual dead end whose leaving row r
-no entering column can repair. Only a failed optimality certificate
-refactorizes; if the refactorized basic values then leave their bounds,
-phase 1 runs again. A failed dual certificate hands the solve to phase 1.
+infeasibility verdict needs a Farkas certificate: at a dual dead end,
+where no entering column can repair the leaving row r, y = +-e_r*B^-1
+must show that no point within the bounds reaches y*b (Maros 2003). A
+failed certificate refactorizes. A dual dead end on a fresh
+factorization is infeasible when the total bound violation exceeds the
+primal tolerance, and is otherwise left to phase 2. If phase 2's
+refactorized basic values leave their bounds, the dual runs again.
 """
 
 from __future__ import annotations
@@ -96,12 +99,13 @@ _BASIC = 3
 _GAIN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 _FEAS_TOL = 1e-7
-_PHASE1_DTOL = 1e-9  # phase 1's pricing tolerance
+_FARKAS_TOL = 1e-9  # the certificate's zero for a component of y*A
 _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
 _RATIO_TIE = 1e-12
-_BLAND_AFTER = 40
+_BLAND_AFTER = 40  # degenerate primal steps in a row before Bland's rule
+_DUAL_BLAND_AFTER = 1  # dual steps without a rise, per column, before Bland's rule
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
@@ -111,8 +115,8 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_CUTOFF = "cutoff"
-# the point is to be repaired by primal phase 1: the dual could not start or
-# stalled, or phase 2 refactorized and found basic values outside their bounds
+# phase 2 refactorized and found basic values outside their bounds, for the
+# dual to repair
 _STATUS_OUT_OF_BOUNDS = "out_of_bounds"
 
 
@@ -272,11 +276,11 @@ class PreparedLp:
         variable and row names, which the solve takes over. A start whose
         basis matrix is singular here falls back to the slack basis. When
         `time.monotonic()` passes `deadline`, the solve stops with status
-        time_limit. While the dual simplex runs, each of its points bounds
-        the optimum from below: once that bound, the objective recomputed
-        from the point, exceeds `cutoff`, the solve stops with status
-        cutoff. A solve that returns another status may still end above
-        `cutoff`."""
+        time_limit. While the dual simplex runs with no cost shifted, each
+        of its points bounds the optimum from below: once that bound, the
+        objective recomputed from the point, exceeds `cutoff`, the solve
+        stops with status cutoff. A solve that returns another status may
+        still end above `cutoff`."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -325,13 +329,12 @@ class _SimplexRun:
         self.pivots_since_refactor = 0
         self.refactorizations = 0
         self.fresh = False  # the tableau is a factorization no pivot has touched
-        self.degenerate_streak = 0
 
     # -- setup ------------------------------------------------------------
 
     def _load(self, start: Basis | Tableau) -> None:
         """Take the start's basis, whether or not each basic value lies
-        within its bounds (phase 1 repairs the ones that do not). A nonbasic
+        within its bounds (the dual repairs the ones that do not). A nonbasic
         column keeps its bound where that bound is finite, else takes the
         other finite bound, else sits free at zero. A basis is refactorized;
         a taken-over tableau, its changed columns replaced, gives
@@ -395,12 +398,6 @@ class _SimplexRun:
         x[self.basis] = self.x_basic
         return x
 
-    def _violations(self):
-        """Masks of the basic variables below their lower and above their
-        upper bound."""
-        x = self.x_basic
-        return self.lo_b - x > _PRIMAL_TOL, x - self.up_b > _PRIMAL_TOL
-
     def _total_violation(self) -> float:
         """How far the basic variables lie outside their bounds, in sum."""
         shortfall = self.lo_b - self.x_basic
@@ -445,10 +442,11 @@ class _SimplexRun:
 
     # -- pivoting ---------------------------------------------------------
 
-    def _choose_entering(self, z: np.ndarray, dtol: float, bland: bool):
+    def _choose_entering(self, z: np.ndarray, bland: bool):
         """The column whose reduced cost gains most (Dantzig), or the first
         that gains more than dtol (Bland); None when none does. A NaN
         reduced cost never enters."""
+        dtol = self.dtol
         score = self._gains(z)
         if bland:
             eligible = score > dtol
@@ -476,22 +474,13 @@ class _SimplexRun:
             score[self.free] = np.abs(z[self.free])
         return score
 
-    def _ratio_test(self, q: int, direction: float, bland: bool, below, above):
-        """Longest step the entering column can take. A basic variable
-        moving down stops at its lower bound, or at its upper bound when it
-        starts above it; moving up, symmetrically. One that violates a
-        bound and moves further out does not block. Phase 2 passes no
-        violation masks: there every basic variable is within its bounds."""
+    def _ratio_test(self, q: int, direction: float, bland: bool):
+        """Longest step the entering column can take in phase 2, where
+        every basic variable is within its bounds: one moving down stops at
+        its lower bound, one moving up at its upper bound."""
         e = direction * self.tableau[:, q]
-        down = e > _PIVOT_TOL
-        up = e < -_PIVOT_TOL
-        if below is None:
-            to_upper = up
-            blocks = down | up
-        else:
-            inside_lo = ~below
-            to_upper = (down & above) | (up & inside_lo)
-            blocks = (down & inside_lo) | (up & ~above)
+        to_upper = e < -_PIVOT_TOL
+        blocks = (e > _PIVOT_TOL) | to_upper
         target = np.where(to_upper, self.up_b, self.lo_b)
         blocks &= np.isfinite(target)
         ratios = np.empty(self.m)
@@ -536,8 +525,8 @@ class _SimplexRun:
             self.gain[j] = 1.0 if at == _AT_UPPER else -1.0
 
     def _pivot(self, q: int, direction: float, row: int, step: float, e, z, leaves_at):
-        """Swap q into the basis at `row`; `z`, when given, is updated for
-        the new basis (phase 2 prices incrementally, phase 1 afresh)."""
+        """Swap q into the basis at `row`, and update the reduced costs `z`
+        for the new basis."""
         new_value = self._entering_value(q) + direction * step
         self.x_basic -= step * e
         self._set_nonbasic(self.basis[row], leaves_at)
@@ -554,10 +543,8 @@ class _SimplexRun:
         self.lo_b[row] = self.lower[q]
         self.up_b[row] = self.upper[q]
         self.x_basic[row] = new_value
-        if z is not None:
-            zq = z[q]
-            z -= zq * piv_row
-            z[self.basis] = 0.0
+        z -= z[q] * piv_row
+        z[self.basis] = 0.0
 
     def _eliminate(self, row: int, q: int) -> np.ndarray:
         """Make column q the unit column of `row` with one rank-1 update of
@@ -577,160 +564,152 @@ class _SimplexRun:
 
     # -- phases -----------------------------------------------------------
 
-    def _run_phase(self, phase1: bool) -> str:
-        """Iterate to optimality. Phase 1 prices the current violations,
-        so its reduced costs are rebuilt after every step and it stops as
-        soon as no basic variable violates a bound; phase 2 prices the
-        objective. A phase-1 dead end is infeasible when the Farkas
-        certificate holds; on a fresh factorization it returns optimal and
-        the solve weighs what violation is left. Phase 2 returns
-        out_of_bounds when a refactorization puts a basic value outside its
-        bounds."""
-        if phase1:
-            dtol = _PHASE1_DTOL
-        else:
-            cost = self.prep._cost
-            dtol = self.dtol
-            below = above = None
+    def _run_primal(self) -> str:
+        """Primal phase 2: from a point within the bounds, iterate on the
+        true costs to optimality. An optimum on a drifted tableau needs its
+        certificate; a failed one refactorizes, and out_of_bounds is
+        returned when the refactorized basic values leave their bounds."""
+        cost = self.prep._cost
         z = None
         retries = 0
+        streak = 0  # degenerate steps in a row
         while True:
             if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return STATUS_TIME_LIMIT
-            if phase1:
-                below, above = self._violations()
-                # the phase-1 objective, the total violation, falls at rate
-                # push_i as basic variable i rises: +1 below, -1 above
-                push = np.subtract(below, above, dtype=float)
-                if not push.any():
-                    return STATUS_OPTIMAL
-                z = push @ self.tableau
-            elif z is None:
+            if z is None:
                 z = self._reduced_costs(cost)
-            bland = self.degenerate_streak >= _BLAND_AFTER
-            pick = self._choose_entering(z, dtol, bland)
+            bland = streak >= _BLAND_AFTER
+            pick = self._choose_entering(z, bland)
             if pick is None:
-                # a verdict on a drifted tableau needs its certificate; a
-                # fresh factorization is trusted
-                if phase1 and not self.fresh and self._infeasibility_certified(push):
-                    return STATUS_INFEASIBLE
-                if (self.fresh or retries >= _OPTIMALITY_RETRIES
-                        or (not phase1 and self._certified(cost, dtol))):
+                # a fresh factorization is trusted
+                if self.fresh or retries >= _OPTIMALITY_RETRIES or self._certified():
                     return STATUS_OPTIMAL
                 self._refactorize()
-                if not phase1 and self._total_violation() > self.primal_tol:
+                if self._total_violation() > self.primal_tol:
                     return _STATUS_OUT_OF_BOUNDS
                 z = None
                 retries += 1
                 continue
             q, direction = pick
-            row, step, e, leaves_at = self._ratio_test(q, direction, bland, below, above)
+            row, step, e, leaves_at = self._ratio_test(q, direction, bland)
             if row is None:
                 return STATUS_UNBOUNDED
             self.iterations += 1
-            if step > _DEGENERATE_STEP:
-                self.degenerate_streak = 0
-            else:
-                self.degenerate_streak += 1
+            streak = 0 if step > _DEGENERATE_STEP else streak + 1
             if row == -1:
                 self.x_basic -= step * e
                 self._set_nonbasic(q, _AT_UPPER if direction > 0.0 else _AT_LOWER)
             else:
-                self._pivot(q, direction, row, step, e, None if phase1 else z, leaves_at)
+                self._pivot(q, direction, row, step, e, z, leaves_at)
                 if self.pivots_since_refactor >= _REFACTOR_EVERY:
                     self._refactorize()
                     z = None
 
-    def _dual_costs(self) -> np.ndarray | None:
-        """The reduced costs of the objective once no column gains by
-        entering (beyond dtol): each boxed column that would is flipped to
-        its other bound. None when another column would, or a reduced cost
-        is not finite."""
-        z = self._reduced_costs(self.prep._cost)
-        if not np.isfinite(z).all():
-            return None
+    def _dual_costs(self) -> np.ndarray:
+        """The reduced costs of the dual's costs, made dual feasible: each
+        boxed column that would gain by entering (beyond dtol) is flipped
+        to its other bound, and each other one has its cost shifted, in a
+        copy, until its reduced cost is zero. A NaN reduced cost is left as
+        it is; its column never enters."""
+        z = self._reduced_costs(self.cost)
         wrong = self._gains(z) > self.dtol
         boxed = np.isfinite(self.lower) & np.isfinite(self.upper)
-        if (wrong & ~boxed).any():
-            return None
-        for j in wrong.nonzero()[0]:
+        for j in (wrong & boxed).nonzero()[0]:
             was = self._entering_value(j)
             self._set_nonbasic(j, _AT_LOWER if self.status[j] == _AT_UPPER else _AT_UPPER)
             self.x_basic -= (self._entering_value(j) - was) * self.tableau[:, j]
+        shift = wrong & ~boxed
+        if shift.any():
+            if self.cost is self.prep._cost:
+                self.cost = self.cost.copy()
+            self.cost[shift] -= z[shift]
+            z[shift] = 0.0
         return z
 
-    def _dual_ratio_test(self, row: int, above: bool, z: np.ndarray) -> int | None:
+    def _dual_ratio_test(self, row: int, above: bool, z: np.ndarray, bland: bool) -> int | None:
         """The entering column for the basic variable of `row` leaving at
         the bound it violates, or None when no column's move brings it
         back. A dual step t lowers each candidate's slack (how far its
         reduced cost is from gaining; a free column has none) by
         t*|alpha_rj|. Harris's first pass finds the longest step that
         leaves no slack below -dtol; the second takes, among the columns
-        whose slack runs out within it, the largest |alpha_rj|."""
+        whose slack runs out within it, the largest |alpha_rj|. Under
+        Bland's rule the shortest step wins, ties to the lowest column."""
         slope = self._gains(-self.tableau[row] if above else self.tableau[row])
-        candidates = (slope > _PIVOT_TOL).nonzero()[0]
+        candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
         if not candidates.size:
             return None
         slope = slope[candidates]
         slack = np.maximum(-self._gains(z)[candidates], 0.0)
+        if bland:
+            ratio = slack / slope
+            return int(candidates[(ratio <= ratio.min() + _RATIO_TIE).argmax()])
         longest = ((slack + self.dtol) / slope).min()
         within = slack / slope <= longest
         return int(candidates[np.where(within, slope, -1.0).argmax()])
 
     def _run_dual(self) -> str:
-        """The dual simplex of the module docstring. Returns optimal once
-        no basic value violates its bounds, for phase 2 to certify;
-        infeasible at a certified dead end; cutoff; time_limit; or
-        out_of_bounds, for primal phase 1 to go on from the current basis,
-        when the start is not dual feasible, a dead end is not certified
-        or the objective has not risen in as many steps as the LP has
-        columns."""
+        """The dual simplex of the module docstring, on the true costs
+        until a column must be shifted. Returns optimal once no basic value
+        violates its bounds, for phase 2 to finish; infeasible at a
+        certified dead end, or at a dead end on a fresh factorization whose
+        total violation exceeds the primal tolerance; cutoff; or
+        time_limit. Any other dead end refactorizes and goes on."""
+        self.cost = self.prep._cost  # shifted in a copy by _dual_costs
         z = self._dual_costs()
         best = -math.inf
         stalled = 0
-        while z is not None:
+        while True:
             if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return STATUS_TIME_LIMIT
-            objective = self._objective(self._point())
-            if self.cutoff is not None and objective > self.cutoff:
+            objective = self._objective(self.cost, self._point())
+            # a shifted objective bounds nothing
+            if (self.cutoff is not None and objective > self.cutoff
+                    and self.cost is self.prep._cost):
                 return STATUS_CUTOFF
             if objective > best:
                 best, stalled = objective, 0
-            elif stalled >= self.cols:
-                return _STATUS_OUT_OF_BOUNDS
             else:
                 stalled += 1
+            bland = stalled >= _DUAL_BLAND_AFTER * self.cols
             violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
             violated = violation > _PRIMAL_TOL
             if not violated.any():
                 return STATUS_OPTIMAL
-            row = int(np.where(violated, violation, 0.0).argmax())
+            if bland:
+                row = int(np.where(violated, self.basis, self.cols).argmin())
+            else:
+                row = int(np.where(violated, violation, 0.0).argmax())
             above = bool(self.x_basic[row] > self.up_b[row])
-            q = self._dual_ratio_test(row, above, z)
+            q = self._dual_ratio_test(row, above, z, bland)
             if q is None:
                 push = np.zeros(self.m)
                 push[row] = -1.0 if above else 1.0
                 if self._infeasibility_certified(push):
                     return STATUS_INFEASIBLE
-                return _STATUS_OUT_OF_BOUNDS
+                if self.fresh:  # a fresh factorization is trusted
+                    return (STATUS_INFEASIBLE if self._total_violation() > self.primal_tol
+                            else STATUS_OPTIMAL)
+                self._refactorize()
+                z = self._dual_costs()
+                continue
             target = self.up_b[row] if above else self.lo_b[row]
             change = (self.x_basic[row] - target) / self.tableau[row, q]
             direction = 1.0 if change >= 0.0 else -1.0
             if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
-                z[q] = 0.0  # no slack left: shift q's cost, take a zero step
+                z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step
             self.iterations += 1
             self._pivot(q, direction, row, abs(change), direction * self.tableau[:, q], z,
                         _AT_UPPER if above else _AT_LOWER)
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 z = self._dual_costs()
-        return _STATUS_OUT_OF_BOUNDS
 
-    def _certified(self, cost: np.ndarray, dtol: float) -> bool:
+    def _certified(self) -> bool:
         """Whether the current point is optimal on the original rows,
         however far the tableau has drifted: x meets Ax = b and the bounds,
         and the duals y = c_B*B^-1 (the tableau's slack block) give every
@@ -743,6 +722,7 @@ class _SimplexRun:
             return False
         if self._total_violation() > self.primal_tol:
             return False
+        cost = self.prep._cost
         y = cost[self.basis] @ self.tableau[:, self.prep.n:]
         d = cost - y @ self.a
         if not np.isfinite(d).all():
@@ -751,7 +731,7 @@ class _SimplexRun:
         # fixed nonbasic column may not move, and a basic one must price at 0
         score = self._gains(d)
         score[self.basis] = np.abs(d[self.basis])
-        return not (score > dtol).any()
+        return not (score > self.dtol).any()
 
     def _infeasibility_certified(self, push: np.ndarray) -> bool:
         """Whether the original rows prove the LP infeasible (a Farkas
@@ -759,13 +739,12 @@ class _SimplexRun:
         push*B^-1 (the tableau's slack block) and g = y*A, every x with
         Ax = b has g*x = y*b; no x within the bounds does when the least
         g*x the bounds allow exceeds y*b by more than the primal tolerance.
-        At a phase-1 dead end that excess is the total violation. A
-        component with |g_j| no larger than phase 1's pricing tolerance
-        counts as zero; a NaN fails. O(m*(n+m))."""
+        A component with |g_j| no larger than _FARKAS_TOL counts as zero; a
+        NaN fails. O(m*(n+m))."""
         y = push @ self.tableau[:, self.prep.n:]
         g = y @ self.a
-        up = g > _PHASE1_DTOL
-        down = g < -_PHASE1_DTOL
+        up = g > _FARKAS_TOL
+        down = g < -_FARKAS_TOL
         least = g[up] @ self.lower[up] + g[down] @ self.upper[down]
         return least - float(y @ self.b) > self.primal_tol
 
@@ -776,18 +755,11 @@ class _SimplexRun:
             self._load(start)
         except SimplexError:  # singular here: B = I never is
             self._load(self.prep.slack_basis)
-        status = self._run_dual()
-        if status == STATUS_OPTIMAL:
-            status = self._run_phase(phase1=False)
+        status = _STATUS_OUT_OF_BOUNDS
         while status == _STATUS_OUT_OF_BOUNDS:
-            status = self._run_phase(phase1=True)
-            if status == STATUS_UNBOUNDED:
-                raise SimplexError("phase 1 reported unbounded")
+            status = self._run_dual()
             if status == STATUS_OPTIMAL:
-                if self._total_violation() > self.primal_tol:
-                    status = STATUS_INFEASIBLE
-                else:
-                    status = self._run_phase(phase1=False)
+                status = self._run_primal()
         if status != STATUS_OPTIMAL:
             return self._result(status, None, {})
         return self._finish()
@@ -799,10 +771,10 @@ class _SimplexRun:
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 
-    def _objective(self, x: np.ndarray) -> float:
-        return float(self.prep._cost @ x) + self.prep.model.objective_constant
+    def _objective(self, cost: np.ndarray, x: np.ndarray) -> float:
+        return float(cost @ x) + self.prep.model.objective_constant
 
     def _finish(self) -> LpResult:
         x = self._point()
         values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
-        return self._result(STATUS_OPTIMAL, self._objective(x), values)
+        return self._result(STATUS_OPTIMAL, self._objective(self.prep._cost, x), values)

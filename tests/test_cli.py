@@ -342,7 +342,7 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
 GARVER_SWEEP_PIVOTS = [
     (55, 152, "227251333.47711962"),
     (37, 86, "231318001.67969325"),
-    (47, 115, "230900302.75164852"),
+    (47, 115, "230900302.75164837"),
     (51, 106, "245424473.691441"),
 ]
 

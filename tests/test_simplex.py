@@ -269,23 +269,37 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
 
 
 def _recording_dual(monkeypatch):
-    """Record what each solve's dual simplex returns; out_of_bounds hands
-    the solve to primal phase 1."""
-    outcomes = []
-    real = _SimplexRun._run_dual
+    """Record, for each solve, what its last run of the dual simplex
+    returned ("dual"), whether that run shifted a cost ("shifted"), and how
+    many steps primal phase 2 took after it ("phase2"; None when phase 2
+    did not run)."""
+    solves = []
+    real_solve, real_dual, real_primal = (
+        _SimplexRun.solve, _SimplexRun._run_dual, _SimplexRun._run_primal)
 
-    def recording(run):
-        outcomes.append(real(run))
-        return outcomes[-1]
+    def solve(run, start):
+        solves.append({})
+        return real_solve(run, start)
 
-    monkeypatch.setattr(_SimplexRun, "_run_dual", recording)
-    return outcomes
+    def dual(run):
+        status = real_dual(run)
+        solves[-1].update(dual=status, shifted=run.cost is not run.prep._cost, phase2=None)
+        return status
+
+    def primal(run):
+        before = run.iterations
+        status = real_primal(run)
+        solves[-1]["phase2"] = run.iterations - before
+        return status
+
+    for name, fn in (("solve", solve), ("_run_dual", dual), ("_run_primal", primal)):
+        monkeypatch.setattr(_SimplexRun, name, fn)
+    return solves
 
 
 def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
-    # the dual or primal phase 1 dead-ends on a tableau that pivots have
-    # touched; the Farkas certificate on the original rows proves the
-    # verdict, so no LAPACK call
+    # the dual dead-ends on a tableau that pivots have touched; the Farkas
+    # certificate on the original rows proves the verdict, so no LAPACK call
     verdicts = []
     real = _SimplexRun._infeasibility_certified
 
@@ -304,26 +318,28 @@ def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
                   prep.solve(bound_overrides={"x0": (0.0, 1.0)}).tableau):
         verdicts.clear()
         dead = prep.solve(bound_overrides=impossible, start=start)
-        assert dead.status == "infeasible" and outcomes[-1] == "infeasible"
+        assert dead.status == "infeasible"
+        assert outcomes[-1] == {"dual": "infeasible", "shifted": False, "phase2": None}
         assert dead.refactorizations == 0 and verdicts == [(1, True)]
     # under the opposite objective the same tableau prices the nonbasic
-    # slacks the wrong way, so primal phase 1 dead-ends instead
+    # slacks the wrong way, so the dead end comes after a cost shift
     opposite = PreparedLp(dataclasses.replace(
         model, objective_terms=tuple((name, -coef) for name, coef in model.objective_terms)))
     verdicts.clear()
     dead = opposite.solve(bound_overrides=impossible, start=prep.solve().tableau)
-    assert dead.status == "infeasible" and outcomes[-1] == "out_of_bounds"
-    assert dead.refactorizations == 0 and [v for _, v in verdicts] == [True]
+    assert dead.status == "infeasible"
+    assert outcomes[-1] == {"dual": "infeasible", "shifted": True, "phase2": None}
+    assert dead.refactorizations == 0 and verdicts == [(1, True)]
     # the verdict a fresh start reaches
     assert prep.solve(bound_overrides=impossible).status == "infeasible"
 
 
-def test_stalled_phase_one_on_a_feasible_lp_is_not_declared_infeasible():
+def test_uncertified_dual_dead_end_on_a_feasible_lp_is_not_declared_infeasible():
     # min x + y subject to x + y >= 2. The start tableau is the slack
     # basis's, taken over from a solve with x and y fixed at 1; its x and y
-    # columns are wiped, so phase 1 finds no entering column while the slack
-    # violates its bound. The LP is feasible, so the certificate must fail
-    # and the solve refactorize and go on.
+    # columns are wiped, so the dual finds no entering column while the
+    # slack violates its bound. The LP is feasible, so the certificate must
+    # fail and the solve refactorize and go on.
     m = lp([Variable("x", CONTINUOUS, 0.0, 10.0), Variable("y", CONTINUOUS, 0.0, 10.0)],
            [Constraint("r", (("x", 1.0), ("y", 1.0)), SENSE_GE, 2.0)],
            [("x", 1.0), ("y", 1.0)])
@@ -337,9 +353,9 @@ def test_stalled_phase_one_on_a_feasible_lp_is_not_declared_infeasible():
     assert result.objective == pytest.approx(2.0, abs=1e-12)
 
 
-def test_refactorized_point_outside_its_bounds_goes_back_to_phase_one():
+def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch):
     # the start tableau's nonbasic columns (B^-1 among them) are wiped, so
-    # phase 1 and phase 2 work on wrong basic values; when phase 2's
+    # the dual and phase 2 work on wrong basic values; when phase 2's
     # certificate fails, the refactorized basic values violate the new
     # bounds, and phase 2 alone would end at a point off the rows
     prep = PreparedLp(dense_lp())
@@ -351,7 +367,16 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_phase_one():
     assert cold.status == "optimal"
     start = base.tableau
     start.matrix[:, np.setdiff1d(np.arange(22), base.basis.columns)] = 0.0
+    phase2 = []
+    real = _SimplexRun._run_primal
+
+    def recording(run):
+        phase2.append(real(run))
+        return phase2[-1]
+
+    monkeypatch.setattr(_SimplexRun, "_run_primal", recording)
     damaged = prep.solve(bound_overrides=squeezed, start=start)
+    assert phase2 == ["out_of_bounds", "optimal"]
     assert damaged.status == "optimal"
     assert damaged.refactorizations >= 1
     assert damaged.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
@@ -559,51 +584,60 @@ def _random_lp(rng):
     return lp(variables, rows, objective)
 
 
-def test_randomized_against_scipy(monkeypatch):
-    scipy_opt = pytest.importorskip("scipy.optimize")
-    outcomes = _recording_dual(monkeypatch)
-
-    def scipy_solve(model):
-        idx = model.variable_index()
-        c = np.zeros(len(idx))
-        for name, coef in model.objective_terms:
-            c[idx[name]] += coef
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for con in model.constraints:
-            row = np.zeros(len(idx))
-            for name, coef in con.terms:
-                row[idx[name]] += coef
-            if con.sense == SENSE_LE:
-                a_ub.append(row); b_ub.append(con.rhs)
-            elif con.sense == SENSE_GE:
-                a_ub.append(-row); b_ub.append(-con.rhs)
-            else:
-                a_eq.append(row); b_eq.append(con.rhs)
-        bounds = [(None if v.lower == -math.inf else v.lower,
-                   None if v.upper == math.inf else v.upper)
-                  for v in model.variables]
-        return scipy_opt.linprog(
-            c, A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds, method="highs")
-
-    def check(mine, model, trial):
-        ref = scipy_solve(model)
-        if mine.status == "optimal":
-            assert ref.status == 0, f"trial {trial}: scipy disagrees ({ref.status})"
-            assert mine.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7), \
-                f"trial {trial}"
-        elif mine.status == "unbounded":
-            # HiGHS presolve may report 2 (infeasible) for feasible-but-
-            # unbounded instances; probe feasibility before trusting it
-            feas = scipy_solve(replace_objective(model))
-            assert ref.status == 3 or feas.status == 0, f"trial {trial}"
+def _highs(model):
+    """scipy's HiGHS on `model`."""
+    from scipy.optimize import linprog
+    idx = model.variable_index()
+    c = np.zeros(len(idx))
+    for name, coef in model.objective_terms:
+        c[idx[name]] += coef
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in model.constraints:
+        row = np.zeros(len(idx))
+        for name, coef in con.terms:
+            row[idx[name]] += coef
+        if con.sense == SENSE_LE:
+            a_ub.append(row); b_ub.append(con.rhs)
+        elif con.sense == SENSE_GE:
+            a_ub.append(-row); b_ub.append(-con.rhs)
         else:
-            feas = scipy_solve(replace_objective(model))
-            assert feas.status == 2, f"trial {trial}: scipy found a point"
+            a_eq.append(row); b_eq.append(con.rhs)
+    bounds = [(None if v.lower == -math.inf else v.lower,
+               None if v.upper == math.inf else v.upper)
+              for v in model.variables]
+    return linprog(
+        c, A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=bounds, method="highs")
 
+
+def _check_against_highs(mine, model, trial):
+    ref = _highs(model)
+    if mine.status == "optimal":
+        assert ref.status == 0, f"trial {trial}: scipy disagrees ({ref.status})"
+        assert mine.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7), \
+            f"trial {trial}"
+    elif mine.status == "unbounded":
+        # HiGHS presolve may report 2 (infeasible) for feasible-but-
+        # unbounded instances; probe feasibility before trusting it
+        feas = _highs(replace_objective(model))
+        assert ref.status == 3 or feas.status == 0, f"trial {trial}"
+    else:
+        feas = _highs(replace_objective(model))
+        assert feas.status == 2, f"trial {trial}: scipy found a point"
+
+
+def _phase2_after_unshifted_dual_optima(outcomes):
+    """The steps phase 2 took after each dual optimum reached without a
+    cost shift; on the true costs such a point is already optimal."""
+    return [o["phase2"] for o in outcomes if o["dual"] == "optimal" and not o["shifted"]]
+
+
+def test_randomized_against_scipy(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    outcomes = _recording_dual(monkeypatch)
     rng = np.random.default_rng(2024)
     # a separate stream, so the base instances do not depend on the overrides
     override_rng = np.random.default_rng(7)
@@ -612,43 +646,43 @@ def test_randomized_against_scipy(monkeypatch):
     resolved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     carried = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     replaced = 0  # cross-compile starts that replaced a basic column in place
-    # what the dual returned for the cold solves and the live re-solves;
-    # out_of_bounds is a start that was not dual feasible (or a stalled
-    # dual), which primal phase 1 took over
-    cold_paths = {}
+    # what the dual returned for the live re-solves, and how many cold
+    # solves and live re-solves shifted a cost
     live_paths = {}
+    shifted = {"cold": 0, "live": 0}
     for trial in range(150):
         model = _random_lp(rng)
         prep = PreparedLp(model)
         mine = prep.solve()
-        cold_paths[outcomes[-1]] = cold_paths.get(outcomes[-1], 0) + 1
+        shifted["cold"] += outcomes[-1]["shifted"]
         statuses[mine.status] += 1
-        check(mine, model, trial)
+        _check_against_highs(mine, model, trial)
         # re-solve through the same compiled LP with some bounds replaced,
         # as branch and bound does at every node: cold, and from the base
         # solve's final basis, as a child node starts from its parent's
         overrides = _random_overrides(override_rng, model)
         again = prep.solve(bound_overrides=overrides)
         resolved[again.status] += 1
-        check(again, with_bounds(model, overrides), f"{trial} {overrides}")
+        _check_against_highs(again, with_bounds(model, overrides), f"{trial} {overrides}")
         warm = prep.solve(bound_overrides=overrides, start=mine.basis)
-        check(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
+        _check_against_highs(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
         # and from the base solve's live tableau, as a dive child continues:
         # after an optimal base solve, a dual start
         portable = mine.tableau.copy()
         live = prep.solve(bound_overrides=overrides, start=mine.tableau)
-        live_paths[outcomes[-1]] = live_paths.get(outcomes[-1], 0) + 1
-        check(live, with_bounds(model, overrides), f"{trial} live {overrides}")
+        live_paths[outcomes[-1]["dual"]] = live_paths.get(outcomes[-1]["dual"], 0) + 1
+        shifted["live"] += outcomes[-1]["shifted"]
+        _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         # a copy of it starts another compile with other columns and
         # right-hand sides, as the next scenario of a sweep does
         columns, other = _perturbed(perturb_rng, model, mine.basis.columns)
         cross = PreparedLp(other).solve(start=portable)
         carried[cross.status] += 1
-        check(cross, other, f"{trial} cross {columns}")
+        _check_against_highs(cross, other, f"{trial} cross {columns}")
         replaced += cross.refactorizations == 0 and any(
             j in mine.basis.columns for j in columns)
         # and back: the original bounds from the overridden solve's basis
-        check(prep.solve(start=again.basis), model, f"{trial} back")
+        _check_against_highs(prep.solve(start=again.basis), model, f"{trial} back")
         if mine.status == "optimal":
             # an optimal basis under unchanged bounds needs no pivot
             same = prep.solve(start=mine.basis)
@@ -659,42 +693,77 @@ def test_randomized_against_scipy(monkeypatch):
     assert min(resolved.values()) >= 5, resolved
     assert min(carried.values()) >= 5, carried
     assert replaced >= 20, replaced
-    # the dual reaches both verdicts, and primal phase 1 still runs
+    # the dual reaches both verdicts, and starts that are not dual feasible
+    # shift costs
     assert min(live_paths.get(k, 0) for k in ("optimal", "infeasible")) >= 20, live_paths
-    assert min(live_paths.get("out_of_bounds", 0),
-               cold_paths.get("out_of_bounds", 0)) >= 20, (cold_paths, live_paths)
+    assert min(shifted.values()) >= 20, shifted
+    unshifted = _phase2_after_unshifted_dual_optima(outcomes)
+    assert len(unshifted) >= 100 and not any(unshifted), unshifted
 
 
 def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
-    # each random LP is re-solved from its own final tableau with some
-    # bounds changed, with a cutoff below, at and above the optimum; a
-    # solve that is not cut off must end where the solve without one does
+    # each random LP is re-solved with some bounds changed, from its own
+    # final tableau and from the slack basis, with a cutoff below, at and
+    # above the optimum; a solve that is not cut off must end where the
+    # solve without one does. Most slack-basis starts shift costs, and a
+    # shifted objective bounds nothing, so a cutoff checked under shifted
+    # costs would cut off solves whose optimum lies below it
     rng = np.random.default_rng(31)
     override_rng = np.random.default_rng(37)
-    cut = kept = 0
+    cut = {"live": 0, "cold": 0}
+    kept = {"live": 0, "cold": 0}
     for trial in range(120):
         model = _random_lp(rng)
         prep = PreparedLp(model)
         base = prep.solve()
         overrides = _random_overrides(override_rng, model)
-        full = prep.solve(bound_overrides=overrides, start=base.tableau.copy())
-        if full.status not in ("optimal", "infeasible"):
-            continue
-        optimum = full.objective if full.status == "optimal" else math.inf
-        reference = full.objective if full.status == "optimal" else 0.0
-        for offset in (-1.0, -1e-6, 0.0, 1e-6, 1.0):
-            cutoff = reference + offset
-            result = prep.solve(bound_overrides=overrides, start=base.tableau.copy(),
-                                cutoff=cutoff)
-            if result.status == "cutoff":
-                assert optimum > cutoff, (trial, offset)
-                assert result.objective is None and result.values == {}
-                cut += 1
-            else:
-                assert result.status == full.status, (trial, offset)
-                assert result.objective == full.objective, (trial, offset)
-                kept += 1
-    assert cut >= 100 and kept >= 100, (cut, kept)
+        for kind in cut:
+            def start():
+                return base.tableau.copy() if kind == "live" else None
+
+            full = prep.solve(bound_overrides=overrides, start=start())
+            if full.status not in ("optimal", "infeasible"):
+                continue
+            optimum = full.objective if full.status == "optimal" else math.inf
+            reference = full.objective if full.status == "optimal" else 0.0
+            for offset in (-1.0, -1e-6, 0.0, 1e-6, 1.0):
+                cutoff = reference + offset
+                result = prep.solve(bound_overrides=overrides, start=start(), cutoff=cutoff)
+                if result.status == "cutoff":
+                    assert optimum > cutoff, (trial, kind, offset)
+                    assert result.objective is None and result.values == {}
+                    cut[kind] += 1
+                else:
+                    assert result.status == full.status, (trial, kind, offset)
+                    assert result.objective == full.objective, (trial, kind, offset)
+                    kept[kind] += 1
+    assert min(cut.values()) >= 100 and min(kept.values()) >= 100, (cut, kept)
+
+
+def test_dual_under_blands_rule_from_its_first_step(monkeypatch):
+    # with no steps allowed without a rise, every dual step follows Bland's
+    # rule: the lowest violated basic column leaves and the exact ratio
+    # test picks the entering column, ties to the lowest index. Its answers
+    # must still match HiGHS, and its unshifted optima need no phase-2 step
+    pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(tepkit.simplex, "_DUAL_BLAND_AFTER", 0)
+    outcomes = _recording_dual(monkeypatch)
+    rng = np.random.default_rng(2024)
+    override_rng = np.random.default_rng(7)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for trial in range(150):
+        model = _random_lp(rng)
+        prep = PreparedLp(model)
+        mine = prep.solve()
+        _check_against_highs(mine, model, trial)
+        overrides = _random_overrides(override_rng, model)
+        live = prep.solve(bound_overrides=overrides, start=mine.tableau)
+        _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
+        statuses[mine.status] += 1
+        statuses[live.status] += 1
+    assert min(statuses.values()) >= 5, statuses
+    unshifted = _phase2_after_unshifted_dual_optima(outcomes)
+    assert len(unshifted) >= 50 and not any(unshifted), unshifted
 
 
 def _random_overrides(rng, model):
