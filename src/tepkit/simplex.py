@@ -29,6 +29,11 @@ point is a lower bound on the optimum, so a solve given a cutoff stops
 once that objective, recomputed from the point, exceeds it. A shifted
 objective bounds nothing, so no cutoff is checked against it.
 
+An optimal solve's live tableau also bounds, with no LP, each child
+that fixes one of its fractional basic binaries (`branch_bounds`):
+Driebeek's penalty, the objective after the first step of that child's
+dual simplex.
+
 A solve may start from any basis, such as the final basis of a related
 LP (a neighbouring scenario, or an open branch-and-bound node once the
 search's budget for stored tableaux is spent); the slack basis is the
@@ -58,8 +63,9 @@ basis is singular or nearly so, and the start falls back to refactorizing
 it from the new columns.
 
 The tableau B^-1*A is kept dense and updated by rank-1 pivots; where at
-most a tenth of the pivot row is nonzero, as on larger sparse models, the
-update touches only those columns. It is refactorized from the original
+most half of the pivot column is nonzero, the update touches only those
+rows, and where at most a tenth of the pivot row is, as on larger sparse
+models, only those columns. It is refactorized from the original
 columns when a start gives only a basis (or a column replacement fails)
 and every 128 pivots (column replacements count). A basis of slacks alone,
 such as the default start, is B = I up to the order of its rows and loads
@@ -144,12 +150,14 @@ class Tableau:
     these arrays in place, so a Tableau serves as a start once only (`copy`
     gives another)."""
 
-    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int):
+    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
+                 run: _SimplexRun | None = None):
         self.prep = prep
         self.matrix = matrix
         self._columns = columns
         self._status = status
         self._pivots = pivots  # rank-1 updates since the last refactorization
+        self._run = run  # the solve that left it, until a solve takes it over
 
     def copy(self) -> Tableau:
         """An independent copy, a start of its own."""
@@ -170,7 +178,7 @@ class Tableau:
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         state = (self.matrix, self._columns, self._status, self._pivots)
-        self.matrix = self._columns = self._status = None
+        self.matrix = self._columns = self._status = self._run = None
         return state
 
 
@@ -228,6 +236,9 @@ class PreparedLp:
         self._lower = lower
         self._upper = upper
         self._cost = cost
+        self._primal_tol = _primal_tol(b)
+        # the pricing tolerance of phase 2 and of the dual's reduced costs
+        self._dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
         status = np.full(cols, _AT_LOWER, dtype=np.int8)
         status[n:] = _BASIC
         self.slack_basis = Basis(tuple(range(n, cols)), status.tobytes())
@@ -260,6 +271,7 @@ class PreparedLp:
         for i, con in changed:
             a[i, :self.n] = 0.0
             _read_row(a, b, i, con, self.var_index)
+        derived._primal_tol = _primal_tol(b)
         return derived
 
     def solve(
@@ -301,6 +313,42 @@ class PreparedLp:
         return run.solve(start)
 
 
+def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
+    """Lower bounds on the optima of the two children of `result`, an
+    optimal solve whose basic binary `name` has the fractional value f: the
+    child that fixes `name` to 0, then the one that fixes it to 1. Read
+    from `result`'s live tableau, so call this before a solve takes it
+    over.
+
+    Each bound is Driebeek's penalty (Management Science 12, 1966): the
+    objective after the dual simplex's first step in that child, the
+    parent's objective + delta*t. Delta is how far f lies outside the
+    child's bounds (f, or 1 - f), and t the exact shortest dual step that
+    brings one of `_dual_ratio_test`'s candidate columns to a zero reduced
+    cost. The reduced costs are dual feasible at an optimum, so every dual
+    point of the child, the one after that step among them, bounds its
+    optimum from below. A child with no candidate column gets no bound
+    (-inf)."""
+    run = result.tableau._run
+    if run is None:
+        raise ValueError("the tableau was taken over by another solve")
+    row = int((run.basis == run.prep.var_index[name]).argmax())
+    z = run._reduced_costs(run.prep._cost)
+    f = result.values[name]
+    bounds = []
+    for above, delta in ((True, f), (False, 1.0 - f)):
+        candidates, slope, slack = run._dual_slopes(row, above, z)
+        bounds.append(result.objective + delta * float((slack / slope).min())
+                      if candidates.size else -math.inf)
+    return bounds[0], bounds[1]
+
+
+def _primal_tol(b: np.ndarray) -> float:
+    """The primal tolerance of the infeasibility verdict and the
+    certificates, scaled by the largest right-hand side."""
+    return _FEAS_TOL * (max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0)
+
+
 def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, int]) -> None:
     """Add row i's terms into its zeroed structural entries of `a`, in term
     order, and set its right-hand side."""
@@ -319,10 +367,8 @@ class _SimplexRun:
         self.lower = lower
         self.upper = upper
         self.fixed = upper - lower <= 0.0
-        # the primal tolerance of the infeasibility verdict and the certificates
-        self.primal_tol = _FEAS_TOL * (max(1.0, float(np.max(np.abs(self.b)))) if self.m else 1.0)
-        # the pricing tolerance of phase 2 and of the dual's reduced costs
-        self.dtol = 1e-9 * max(1.0, float(np.max(np.abs(prep._cost))))
+        self.primal_tol = prep._primal_tol
+        self.dtol = prep._dtol
         self.deadline = deadline
         self.cutoff = cutoff
         self.iterations = 0
@@ -352,6 +398,10 @@ class _SimplexRun:
         ).astype(np.int8)
         self.basis = basis
         self.status[self.basis] = _BASIC
+        # the value of each nonbasic column (0 for a basic one), kept by
+        # _set_nonbasic and _pivot
+        self.x_nonbasic = np.where(self.status == _AT_LOWER, self.lower,
+                                   np.where(self.status == _AT_UPPER, self.upper, 0.0))
         # the bounds of the basic variables, in row order
         self.lo_b = self.lower[self.basis]
         self.up_b = self.upper[self.basis]
@@ -363,7 +413,7 @@ class _SimplexRun:
         self.free = (self.status == _AT_FREE).nonzero()[0]
         if isinstance(start, Tableau) and (
                 start.prep is self.prep or self._replace_columns(start.prep._a)):
-            residual = self.b - self.a @ self._nonbasic_values()
+            residual = self.b - self.a @ self.x_nonbasic
             self.x_basic = self.tableau[:, self.prep.n:] @ residual
         else:
             self._refactorize()
@@ -386,15 +436,10 @@ class _SimplexRun:
                 self._eliminate(row, j)
         return True
 
-    def _nonbasic_values(self) -> np.ndarray:
-        st = self.status
-        return np.where(st == _AT_LOWER, self.lower,
-                        np.where(st == _AT_UPPER, self.upper, 0.0))
-
     def _point(self) -> np.ndarray:
         """Every column's value: nonbasic ones at their bounds, basic ones
         as the tableau gives them."""
-        x = self._nonbasic_values()
+        x = self.x_nonbasic.copy()
         x[self.basis] = self.x_basic
         return x
 
@@ -414,7 +459,7 @@ class _SimplexRun:
         the identity up to row order, so there B^-1*A is A with its rows
         reordered and no LAPACK call is made."""
         n = self.prep.n
-        residual = self.b - self.a @ self._nonbasic_values()
+        residual = self.b - self.a @ self.x_nonbasic
         if (self.status[n:] == _BASIC).all():
             rows = self.basis - n
             self.tableau = self.a[rows]
@@ -511,23 +556,16 @@ class _SimplexRun:
         leaves_at = _AT_UPPER if to_upper[best] else _AT_LOWER
         return int(best), row_min, e, leaves_at
 
-    def _entering_value(self, q: int) -> float:
-        st = self.status[q]
-        if st == _AT_LOWER:
-            return self.lower[q]
-        if st == _AT_UPPER:
-            return self.upper[q]
-        return 0.0
-
     def _set_nonbasic(self, j: int, at: int) -> None:
         self.status[j] = at
+        self.x_nonbasic[j] = self.upper[j] if at == _AT_UPPER else self.lower[j]
         if not self.fixed[j]:
             self.gain[j] = 1.0 if at == _AT_UPPER else -1.0
 
     def _pivot(self, q: int, direction: float, row: int, step: float, e, z, leaves_at):
         """Swap q into the basis at `row`, and update the reduced costs `z`
         for the new basis."""
-        new_value = self._entering_value(q) + direction * step
+        new_value = self.x_nonbasic[q] + direction * step
         self.x_basic -= step * e
         self._set_nonbasic(self.basis[row], leaves_at)
 
@@ -539,6 +577,7 @@ class _SimplexRun:
             self.free = self.free[self.free != q]
         self.basis[row] = q
         self.status[q] = _BASIC
+        self.x_nonbasic[q] = 0.0
         self.gain[q] = 0.0
         self.lo_b[row] = self.lower[q]
         self.up_b[row] = self.upper[q]
@@ -548,15 +587,22 @@ class _SimplexRun:
 
     def _eliminate(self, row: int, q: int) -> np.ndarray:
         """Make column q the unit column of `row` with one rank-1 update of
-        the tableau; return the scaled pivot row. Where at most a tenth of
-        the pivot row is nonzero, only those columns are updated."""
+        the tableau; return the scaled pivot row. Where at most half of the
+        pivot column is nonzero, only those rows are updated, and where at
+        most a tenth of the pivot row is, only those columns."""
         piv_row = self.tableau[row] / self.tableau[row, q]
         col = self.tableau[:, q]  # read in full before the update writes
-        if 10 * np.count_nonzero(piv_row) <= self.cols:
-            nonzero = piv_row.nonzero()[0]
-            self.tableau[:, nonzero] -= np.multiply.outer(col, piv_row[nonzero])
+        rows = col.nonzero()[0]
+        if 2 * rows.size > self.m:
+            rows = slice(None)
+        cols = piv_row.nonzero()[0]
+        if 10 * cols.size > self.cols:
+            cols = slice(None)
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            block = rows, cols
         else:
-            self.tableau -= np.multiply.outer(col, piv_row)
+            block = np.ix_(rows, cols)
+        self.tableau[block] -= np.multiply.outer(col[rows], piv_row[cols])
         self.tableau[row] = piv_row
         self.pivots_since_refactor += 1
         self.fresh = False
@@ -583,8 +629,9 @@ class _SimplexRun:
             bland = streak >= _BLAND_AFTER
             pick = self._choose_entering(z, bland)
             if pick is None:
+                self.x = self._point()
                 # a fresh factorization is trusted
-                if self.fresh or retries >= _OPTIMALITY_RETRIES or self._certified():
+                if self.fresh or retries >= _OPTIMALITY_RETRIES or self._certified(self.x):
                     return STATUS_OPTIMAL
                 self._refactorize()
                 if self._total_violation() > self.primal_tol:
@@ -617,9 +664,9 @@ class _SimplexRun:
         wrong = self._gains(z) > self.dtol
         boxed = np.isfinite(self.lower) & np.isfinite(self.upper)
         for j in (wrong & boxed).nonzero()[0]:
-            was = self._entering_value(j)
+            was = self.x_nonbasic[j]
             self._set_nonbasic(j, _AT_LOWER if self.status[j] == _AT_UPPER else _AT_UPPER)
-            self.x_basic -= (self._entering_value(j) - was) * self.tableau[:, j]
+            self.x_basic -= (self.x_nonbasic[j] - was) * self.tableau[:, j]
         shift = wrong & ~boxed
         if shift.any():
             if self.cost is self.prep._cost:
@@ -628,21 +675,28 @@ class _SimplexRun:
             z[shift] = 0.0
         return z
 
+    def _dual_slopes(self, row: int, above: bool, z: np.ndarray):
+        """The columns whose move brings the basic variable of `row` back
+        to the bound it violates (its upper one when `above`), with each
+        one's slope and slack: a dual step t lowers the slack (how far its
+        reduced cost in `z` is from gaining; a free column has none) by
+        t*slope, where slope is |alpha_rj|. A NaN reduced cost is no
+        candidate."""
+        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
+        candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
+        return candidates, slope[candidates], np.maximum(-self._gains(z)[candidates], 0.0)
+
     def _dual_ratio_test(self, row: int, above: bool, z: np.ndarray, bland: bool) -> int | None:
         """The entering column for the basic variable of `row` leaving at
         the bound it violates, or None when no column's move brings it
-        back. A dual step t lowers each candidate's slack (how far its
-        reduced cost is from gaining; a free column has none) by
-        t*|alpha_rj|. Harris's first pass finds the longest step that
-        leaves no slack below -dtol; the second takes, among the columns
-        whose slack runs out within it, the largest |alpha_rj|. Under
-        Bland's rule the shortest step wins, ties to the lowest column."""
-        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
-        candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
+        back (see _dual_slopes). Harris's first pass finds the longest step
+        that leaves no slack below -dtol; the second takes, among the
+        columns whose slack runs out within it, the largest |alpha_rj|.
+        Under Bland's rule the shortest step wins, ties to the lowest
+        column."""
+        candidates, slope, slack = self._dual_slopes(row, above, z)
         if not candidates.size:
             return None
-        slope = slope[candidates]
-        slack = np.maximum(-self._gains(z)[candidates], 0.0)
         if bland:
             ratio = slack / slope
             return int(candidates[(ratio <= ratio.min() + _RATIO_TIE).argmax()])
@@ -709,13 +763,12 @@ class _SimplexRun:
                 self._refactorize()
                 z = self._dual_costs()
 
-    def _certified(self) -> bool:
-        """Whether the current point is optimal on the original rows,
+    def _certified(self, x: np.ndarray) -> bool:
+        """Whether the current point `x` is optimal on the original rows,
         however far the tableau has drifted: x meets Ax = b and the bounds,
         and the duals y = c_B*B^-1 (the tableau's slack block) give every
         basic column a zero reduced cost and every nonbasic one the sign its
         bound status needs; a non-finite x or reduced cost fails. O(m*(n+m))."""
-        x = self._point()
         if not np.isfinite(x).all():
             return False
         if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
@@ -767,7 +820,7 @@ class _SimplexRun:
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
         basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
         live = Tableau(self.prep, self.tableau, self.basis, self.status,
-                       self.pivots_since_refactor)
+                       self.pivots_since_refactor, self)
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 
@@ -775,6 +828,6 @@ class _SimplexRun:
         return float(cost @ x) + self.prep.model.objective_constant
 
     def _finish(self) -> LpResult:
-        x = self._point()
+        x = self.x  # phase 2's optimal point
         values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
         return self._result(STATUS_OPTIMAL, self._objective(self.prep._cost, x), values)

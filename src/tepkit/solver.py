@@ -25,6 +25,7 @@ from .simplex import (
     STATUS_UNBOUNDED,
     SimplexError,
     Tableau,
+    branch_bounds,
 )
 
 _INT_TOL = 1e-6
@@ -193,16 +194,19 @@ class _BranchAndBound:
         self.root_start = (root_start if root_start is not None and root_start.fits(self.prep)
                            else None)
         self.binary_names = [v.name for v in model.binaries()]
-        # open nodes: (bound, push order, fixings, start): the start is a copy
-        # of the parent's final tableau, or its final basis past the budget
-        self.heap: list[tuple[float, int, _Fixings, Basis | Tableau]] = []
+        # open nodes: (bound, push order, fixings, own bound, start): the
+        # bound is the parent's and orders the search, the own bound is the
+        # node's branching penalty, and the start is a copy of the parent's
+        # final tableau, or its final basis past the budget
+        self.heap: list[tuple[float, int, _Fixings, float, Basis | Tableau]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
         self.root_tableau: Tableau | None = None
         self.incumbent_obj: float | None = None
         self.incumbent_vec: tuple[int, ...] | None = None
         self.incumbent_values: dict[str, float] = {}
-        self.nodes = 0
+        self.nodes = 0  # LP solves
+        self.closed = 0  # nodes closed by their own bound, with no LP
         self.iterations = 0
         self.refactorizations = 0
         self.start = time.monotonic()
@@ -213,8 +217,9 @@ class _BranchAndBound:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _push(self, bound: float, fixings: _Fixings, start: Basis | Tableau) -> None:
-        heapq.heappush(self.heap, (bound, self.push_count, fixings, start))
+    def _push(self, bound: float, fixings: _Fixings, own_bound: float,
+              start: Basis | Tableau) -> None:
+        heapq.heappush(self.heap, (bound, self.push_count, fixings, own_bound, start))
         self.push_count += 1
 
     def _offer_incumbent(self, objective: float, values: dict[str, float]) -> None:
@@ -236,18 +241,24 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------------
 
-    def _dive(self, fixings: _Fixings, bound: float, start: Basis | Tableau | None) -> None:
+    def _dive(self, fixings: _Fixings, bound: float, own_bound: float,
+              start: Basis | Tableau | None) -> None:
         """Solve the node from `start`, then plunge depth-first on the
         rounded child, pushing the sibling, until the dive dies or yields an
         incumbent. The rounded child continues on its parent's live tableau;
         the sibling stores a copy of it while the open nodes' tableaux stay
-        within _OPEN_TABLEAU_BYTES, and the parent's final basis after."""
+        within _OPEN_TABLEAU_BYTES, and the parent's final basis after. A
+        node whose own bound, its branching penalty, exceeds the cutoff is
+        closed without an LP."""
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _StopSearch(STATUS_TIME_LIMIT, bound)
-            overrides = {name: (float(v), float(v)) for name, v in fixings}
             cutoff = (None if self.incumbent_obj is None
                       else self.incumbent_obj + _tie_tol(self.incumbent_obj))
+            if cutoff is not None and own_bound > cutoff:
+                self.closed += 1
+                return
+            overrides = {name: (float(v), float(v)) for name, v in fixings}
             result = self.prep.solve(overrides, start=start, deadline=self.deadline,
                                      cutoff=cutoff)
             self.nodes += 1
@@ -268,6 +279,7 @@ class _BranchAndBound:
                 self._offer_incumbent(objective, result.values)
                 return
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
+            child_bounds = branch_bounds(result, branch_name)
             if not fixings:
                 self.root_tableau = result.tableau.copy()
             sibling = result.basis
@@ -275,16 +287,18 @@ class _BranchAndBound:
             if self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
                 sibling = result.tableau.copy()
                 self.tableau_bytes += size
-            self._push(bound, fixings + ((branch_name, 1 - preferred),), sibling)
+            self._push(bound, fixings + ((branch_name, 1 - preferred),),
+                       child_bounds[1 - preferred], sibling)
             fixings = fixings + ((branch_name, preferred),)
+            own_bound = child_bounds[preferred]
             start = result.tableau
 
     def run(self) -> Solution:
         status = STATUS_OPTIMAL
         try:
-            self._dive((), -math.inf, self.root_start)
+            self._dive((), -math.inf, -math.inf, self.root_start)
             while self.heap:
-                bound, _, fixings, start = heapq.heappop(self.heap)
+                bound, _, fixings, own_bound, start = heapq.heappop(self.heap)
                 if isinstance(start, Tableau):
                     self.tableau_bytes -= start.matrix.nbytes
                 if self.incumbent_obj is not None:
@@ -297,7 +311,7 @@ class _BranchAndBound:
                         # exact ties are never abandoned this way
                         self.stop_bound = bound
                         break
-                self._dive(fixings, bound, start)
+                self._dive(fixings, bound, own_bound, start)
         except _StopSearch as stop:
             status = stop.status
             self.interrupted_bound = stop.bound
@@ -305,10 +319,11 @@ class _BranchAndBound:
 
     def _open_bound(self) -> float:
         """Lowest bound over the open nodes, the interrupted one included."""
-        return min([b for b, _, _, _ in self.heap] + [self.interrupted_bound])
+        return min([entry[0] for entry in self.heap] + [self.interrupted_bound])
 
     def _finish(self, status: str) -> Solution:
-        stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start)
+        stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start,
+                       closed_nodes=self.closed)
         if status == STATUS_UNBOUNDED:
             return Solution(status, None, None, {}, stats)
         if self.incumbent_obj is None:
@@ -341,7 +356,18 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     there is an incumbent, each node's LP is solved with the cutoff
     incumbent + _tie_tol(incumbent), and a node cut off is pruned: a node
     within the tie tolerance is still solved, so a lexicographically
-    smaller tie can still win."""
+    smaller tie can still win.
+
+    When a node branches, both children get their own bound from its
+    final tableau, before the dive child takes it over: Driebeek's
+    penalty, the objective after the first step of the child's dual
+    simplex (tepkit.simplex.branch_bounds). The open list still orders nodes
+    by the parent's bound. A child whose own bound exceeds the cutoff when
+    it is reached is closed without an LP; its LP could only have ended
+    cut off, infeasible or optimal above the cutoff, all of which prune
+    it, so the nodes, incumbents and every other LP stay as they were.
+    stats["nodes"] counts the LP solves and stats["closed_nodes"] the
+    nodes closed this way."""
     solution = _BranchAndBound(model, options or SolveOptions()).run()
     return _verified(model, solution)
 

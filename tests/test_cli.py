@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import re
 import shlex
 from decimal import Decimal
@@ -336,14 +337,15 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
 
 # Each Garver scenario's (nodes, simplex iterations) and objective repr at
 # the default options, scenario by scenario as the sweep hands the root
-# tableau on. They follow from every pivot the simplex chooses, so a kernel
-# rewrite that picks any other pivot, or rounds any step differently,
-# changes them.
+# tableau on; nodes counts LP solves, so a node closed by its branching
+# penalty is not among them. They follow from every pivot the simplex
+# chooses, so a kernel rewrite that picks any other pivot, or rounds any
+# step differently, changes them.
 GARVER_SWEEP_PIVOTS = [
-    (55, 152, "227251333.47711962"),
-    (37, 86, "231318001.67969325"),
-    (47, 115, "230900302.75164837"),
-    (51, 106, "245424473.691441"),
+    (42, 139, "227251333.47711962"),
+    (26, 75, "231318001.67969325"),
+    (34, 102, "230900302.75164837"),
+    (31, 86, "245424473.691441"),
 ]
 
 
@@ -355,6 +357,56 @@ def test_sweep_garver_pivots_are_pinned(garver_doc, tmp_path, monkeypatch):
             for sol in results] == GARVER_SWEEP_PIVOTS
     # every node starts from a tableau, so no LAPACK factorization is made
     assert sum(sol.stats["refactorizations"] for sol in results) == 0
+
+
+def _sweep_with_lp_log(doc, out):
+    """Run `sweep` on `doc`; return its data rows, the results solve_sweep
+    yielded and the (status, iterations) of every LP solve."""
+    lps = []
+    solve = PreparedLp.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        lps.append((result.status, result.iterations))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        results = _recording_solve_sweep(mp)
+        mp.setattr(PreparedLp, "solve", recording)
+        assert run("sweep", "--network", doc, "--out", str(out)).exit_code == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    return rows, results, lps
+
+
+@pytest.mark.parametrize("network, one_step", [("garver", 57), ("w2", 0)])
+def test_nodes_closed_by_their_penalty_are_the_one_step_cutoffs(
+        network, one_step, garver_doc, tmp_path, monkeypatch):
+    # a child closed by its branching penalty is one whose LP would have
+    # ended cutoff after its first dual step; with every penalty -inf each
+    # such child solves its LP, and nothing else in the search moves
+    if network == "garver":
+        doc = garver_doc
+    else:
+        doc = tmp_path / "w2.json"
+        doc.write_text(json.dumps(to_document(synthesize_grid(SynthesisConfig(
+            n_buses=24, n_regions=4, seed=1, demand_total_mw=720.0)))))
+        doc = str(doc)
+    rows, results, lps = _sweep_with_lp_log(doc, tmp_path / "closed.csv")
+    monkeypatch.setattr(tepkit.solver, "branch_bounds",
+                        lambda result, name: (-math.inf, -math.inf))
+    open_rows, open_results, open_lps = _sweep_with_lp_log(doc, tmp_path / "open.csv")
+    assert open_rows == rows
+    assert ([repr(sol.objective) for sol in open_results]
+            == [repr(sol.objective) for sol in results])
+    # nodes counts the LP solves, closed_nodes the others
+    assert sum(sol.stats["nodes"] for sol in results) == len(lps)
+    assert sum(sol.stats["nodes"] for sol in open_results) == len(open_lps)
+    assert sum(sol.stats["closed_nodes"] for sol in open_results) == 0
+    closed = sum(sol.stats["closed_nodes"] for sol in results)
+    assert closed == sum(1 for status, iterations in open_lps
+                         if status == "cutoff" and iterations == 1) == one_step
+    # every other LP keeps its place, its outcome and its iterations
+    assert [lp for lp in open_lps if lp != ("cutoff", 1)] == lps
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):

@@ -16,7 +16,7 @@ from tepkit.model import (
     Variable,
 )
 import tepkit.simplex
-from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun
+from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun, branch_bounds
 
 
 def lp(variables, constraints, objective, constant=0.0, name="lp"):
@@ -738,6 +738,63 @@ def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
                     assert result.objective == full.objective, (trial, kind, offset)
                     kept[kind] += 1
     assert min(cut.values()) >= 100 and min(kept.values()) >= 100, (cut, kept)
+
+
+def _random_node_lp(rng):
+    """A random LP whose columns are mostly boxed in [0, 1], as a binary's
+    relaxation is, with rows that mostly cap them, so that its optima often
+    have fractional boxed columns."""
+    n = int(rng.integers(4, 10))
+    variables = []
+    for j in range(n):
+        if rng.random() < 0.85:
+            variables.append(Variable(f"x{j}", CONTINUOUS, 0.0, 1.0))
+        else:
+            lo = float(rng.uniform(-5, 0)) if rng.random() < 0.7 else -math.inf
+            hi = float(rng.uniform(0, 8)) if rng.random() < 0.7 else math.inf
+            variables.append(Variable(f"x{j}", CONTINUOUS, lo, hi))
+    rows = []
+    for i in range(int(rng.integers(3, 9))):
+        terms = tuple((f"x{j}", float(rng.uniform(-1, 3))) for j in range(n)
+                      if rng.random() < 0.8) or (("x0", 1.0),)
+        sense = (SENSE_LE, SENSE_LE, SENSE_GE, SENSE_EQ)[int(rng.integers(0, 4))]
+        rows.append(Constraint(f"r{i}", terms, sense, float(rng.uniform(0.5, 4))))
+    objective = tuple((f"x{j}", float(rng.uniform(-2, 1))) for j in range(n))
+    return lp(variables, rows, objective)
+
+
+def test_branching_penalties_bound_the_children_from_below():
+    # each child of branching an optimal LP on a fractional column boxed in
+    # [0, 1], some others fixed to 0 or 1 as at a branch-and-bound node, must
+    # have its penalty no higher than its optimum by HiGHS. Most children's
+    # duals end in one step, where the penalty is the optimum
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(43)
+    pairs = tight = 0
+    for trial in range(450):
+        model = _random_node_lp(rng)
+        boxed = [v.name for v in model.variables if (v.lower, v.upper) == (0.0, 1.0)]
+        overrides = {name: (value, value) for name in boxed if rng.random() < 0.25
+                     for value in [float(rng.integers(0, 2))]}
+        prep = PreparedLp(model)
+        parent = prep.solve(overrides)
+        if parent.status != "optimal":
+            continue
+        for name in boxed:
+            f = parent.values[name]
+            if abs(f - round(f)) <= 1e-6:
+                continue
+            pairs += 1
+            bounds = branch_bounds(parent, name)
+            for value, bound in zip((0.0, 1.0), bounds):
+                child = _highs(with_bounds(model, {**overrides, name: (value, value)}))
+                assert child.status in (0, 2), (trial, name, value)
+                optimum = child.fun if child.status == 0 else math.inf
+                tol = 1e-9 * max(1.0, abs(optimum))
+                assert bound <= optimum + tol, (trial, name, value, bound, optimum)
+                tight += abs(bound - optimum) <= tol
+    assert pairs >= 200, pairs
+    assert tight >= pairs, (tight, pairs)
 
 
 def test_dual_under_blands_rule_from_its_first_step(monkeypatch):

@@ -242,9 +242,9 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     pushes = []
     push = tepkit.solver._BranchAndBound._push
 
-    def recording_push(self, bound, fixings, start):
+    def recording_push(self, bound, fixings, *rest):
         pushes.append(fixings)
-        push(self, bound, fixings, start)
+        push(self, bound, fixings, *rest)
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording_push)
     del starts[:]
@@ -303,10 +303,11 @@ def test_sweep_starts_a_model_with_other_names_from_the_slack_basis(monkeypatch)
 def test_dive_children_and_gray_code_steps_skip_the_refactorization():
     # a dive child continues on its parent's live tableau, a node taken from
     # the open list on a copy of its parent's final one, and each brute-force
-    # LP on the previous one's; refactorizing every node's start and every
-    # optimality claim would take 102 here
+    # LP on the previous one's; refactorizing every LP's start and every
+    # optimality claim would take two per LP here
     sol = solve_milp(garver_model("H,H"))
-    assert sol.stats["nodes"] == 51
+    # 51 nodes: the LP solves and those closed by their branching penalties
+    assert sol.stats["nodes"] + sol.stats["closed_nodes"] == 51
     assert sol.stats["refactorizations"] == 0
     # the slack start needs no LAPACK call
     assert solve_lp(garver_model("H,H")).stats["refactorizations"] == 0
@@ -354,10 +355,10 @@ def test_open_tableaux_stay_within_their_budget(monkeypatch):
     held = []
     push = tepkit.solver._BranchAndBound._push
 
-    def recording(self, bound, fixings, start):
-        push(self, bound, fixings, start)
+    def recording(self, bound, fixings, *rest):
+        push(self, bound, fixings, *rest)
         held.append((sum(s.matrix.nbytes for *_, s in self.heap if isinstance(s, Tableau)),
-                     self.tableau_bytes, isinstance(start, Tableau)))
+                     self.tableau_bytes, isinstance(rest[-1], Tableau)))
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording)
     sol = solve_milp(model)
