@@ -1,50 +1,44 @@
-"""Self-contained bounded-variable simplex: the dual simplex to a point
-within the bounds, then primal phase 2 on the true costs.
+"""Self-contained bounded-variable simplex: the dual simplex, from any
+start, to an optimum or a verdict.
 
 The engine solves  minimize c'x  subject to row constraints and variable
 bounds, with no third-party solver behind it. Rows are turned into
 equalities with one slack each (bounded by the row sense) and the slacks
 form the starting basis, even where a slack starts outside its bounds.
 
-Every start runs the dual simplex (Koberstein, The dual simplex method,
+Every solve is the dual simplex (Koberstein, The dual simplex method,
 techniques for a fast and stable implementation, PhD thesis, Paderborn
-2005). Its reduced costs are first made dual feasible: each boxed
-nonbasic column that would gain by entering is flipped to its other
-bound, and each other one has its cost shifted, in a copy local to the
-solve, until its reduced cost is zero (Koberstein & Suhl, Comput. Optim.
-Appl. 37, 2007). Each step takes the basic variable with the largest
-bound violation out at that bound and picks the entering column by
-Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
-largest pivot among near ties. A dual whose objective has not risen in
-as many steps as the LP has columns goes on under Bland's rule: the
-lowest violated basic column leaves, and the exact ratio test picks the
-entering column, ties to the lowest index. Once every basic value lies
-within its bounds, primal phase 2 runs on the true costs; it ends every
-optimal solve, and where no cost was shifted it has nothing to do.
-
-The slack basis of a model whose costed columns start at a lower bound of
-0 with a cost >= 0 needs no shift; neither does a parent's final tableau
-once a branch fixes a bound. While no cost is shifted, c'x at each dual
-point is a lower bound on the optimum, so a solve given a cutoff stops
-once that objective, recomputed from the point, exceeds it. A shifted
-objective bounds nothing, so no cutoff is checked against it.
+2005). Its reduced costs are first made dual feasible: each nonbasic
+column that would gain by entering flips to the bound it gains towards.
+A column without both bounds first gets, for this solve only, the ones
+its rows imply: Savelsbergh's activity-based tightening (ORSA J. Comput.
+6, 1994) over A's nonzeros, run only where a flip needs it. This is
+Koberstein's artificial bounding with bounds that cut off no feasible
+point, so c'x at each dual point bounds the optimum from below, and a
+solve given a cutoff stops once that objective exceeds it. Implied bounds
+that cross prove the LP infeasible; a column they leave unboxed is
+refused with ModelError. Each step takes the basic variable with the
+largest bound violation out at that bound and picks the entering column
+by Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
+largest pivot among near ties. A dual whose objective has
+not risen in as many steps as the LP has columns goes on under Bland's
+rule: the lowest violated basic column leaves, and the exact ratio test
+picks the entering column, ties to the lowest index.
 
 An optimal solve's live tableau also bounds, with no LP, each child
 that fixes one of its fractional basic binaries (`branch_bounds`):
 Driebeek's penalty, the objective after the first step of that child's
 dual simplex.
 
-A solve may start from any basis, such as the final basis of a related
-LP (a neighbouring scenario, or an open branch-and-bound node once the
-search's budget for stored tableaux is spent); the slack basis is the
-default start. It may also start from the final tableau of an earlier
-solve of the same compiled LP, live or copied (a branch-and-bound parent
-for the child a dive plunges into, a copy of it for the sibling left
-open, or the previous brute-force assignment): only bounds differ, so
-the solve continues on that B^-1*A in place and computes the basic values
-as B^-1*(b - A_N*x_N) from its slack block, which is B^-1. Each nonbasic
-column keeps its bound status where the new bounds allow it, and the dual
-repairs any basic variable the new bounds put out of range.
+A solve starts from a basis (the slack basis by default, or the final
+basis of a related LP, such as an open branch-and-bound node past the
+search's budget for stored tableaux) or takes over the final tableau of
+an earlier solve of the same compile, live or copied: a dive child its
+parent's, a sibling left open a copy of it, a brute-force assignment the
+previous one's. Only bounds differ, so the solve continues on that B^-1*A
+in place, with x_B = B^-1*(b - A_N*x_N) from its slack block, B^-1. Each
+nonbasic column keeps its bound status where the new bounds allow it, and
+the dual repairs any basic variable the new bounds put out of range.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -62,14 +56,14 @@ a'_j in the basis with one rank-1 update (a column replacement, Maros
 basis is singular or nearly so, and the start falls back to refactorizing
 it from the new columns.
 
-The tableau B^-1*A is kept dense and updated by rank-1 pivots; where at
-most half of the pivot column is nonzero, the update touches only those
-rows, and where at most a tenth of the pivot row is, as on larger sparse
-models, only those columns. It is refactorized from the original
-columns when a start gives only a basis (or a column replacement fails)
-and every 128 pivots (column replacements count). A basis of slacks alone,
-such as the default start, is B = I up to the order of its rows and loads
-as A itself, without LAPACK.
+The tableau B^-1*A is kept dense and updated by rank-1 pivots, which
+touch only the pivot's nonzero rows and columns where these are few
+(`_eliminate`). It is refactorized from the original columns when a
+start gives only a basis (or a column replacement fails) and every 128
+pivots (column replacements count). A basis of slacks alone, such as
+the default start, is B = I up to the order of its rows and loads as A
+itself, without LAPACK. A refactorization that finds the basis singular
+restarts the solve from the slack basis.
 
 Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
@@ -78,10 +72,9 @@ column with the sign its bound status needs (weak duality). An
 infeasibility verdict needs a Farkas certificate: at a dual dead end,
 where no entering column can repair the leaving row r, y = +-e_r*B^-1
 must show that no point within the bounds reaches y*b (Maros 2003). A
-failed certificate refactorizes. A dual dead end on a fresh
-factorization is infeasible when the total bound violation exceeds the
-primal tolerance, and is otherwise left to phase 2. If phase 2's
-refactorized basic values leave their bounds, the dual runs again.
+failed certificate refactorizes, and the dual runs again. A dual dead
+end on a fresh factorization is infeasible when the total bound
+violation exceeds the primal tolerance, and optimal otherwise.
 """
 
 from __future__ import annotations
@@ -92,7 +85,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, SENSE_GE, SENSE_LE, check_model, check_terms
+from .model import Model, ModelError, SENSE_GE, SENSE_LE, check_model, check_terms
 
 # Column states. A nonbasic column sits at one of its bounds (or at zero
 # when it has none); basic columns take whatever value balances the rows.
@@ -108,26 +101,20 @@ _FEAS_TOL = 1e-7
 _FARKAS_TOL = 1e-9  # the certificate's zero for a component of y*A
 _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
-_DEGENERATE_STEP = 1e-10
 _RATIO_TIE = 1e-12
-_BLAND_AFTER = 40  # degenerate primal steps in a row before Bland's rule
-_DUAL_BLAND_AFTER = 1  # dual steps without a rise, per column, before Bland's rule
+_BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_CUTOFF = "cutoff"
-# phase 2 refactorized and found basic values outside their bounds, for the
-# dual to repair
-_STATUS_OUT_OF_BOUNDS = "out_of_bounds"
 
 
 class SimplexError(RuntimeError):
-    """Iteration limit hit or the basis became numerically unusable."""
+    """A solve passed the iteration limit."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +224,7 @@ class PreparedLp:
         self._upper = upper
         self._cost = cost
         self._primal_tol = _primal_tol(b)
-        # the pricing tolerance of phase 2 and of the dual's reduced costs
+        # the pricing tolerance of the dual's reduced costs and certificate
         self._dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
         status = np.full(cols, _AT_LOWER, dtype=np.int8)
         status[n:] = _BASIC
@@ -288,11 +275,12 @@ class PreparedLp:
         variable and row names, which the solve takes over. A start whose
         basis matrix is singular here falls back to the slack basis. When
         `time.monotonic()` passes `deadline`, the solve stops with status
-        time_limit. While the dual simplex runs with no cost shifted, each
-        of its points bounds the optimum from below: once that bound, the
-        objective recomputed from the point, exceeds `cutoff`, the solve
-        stops with status cutoff. A solve that returns another status may
-        still end above `cutoff`."""
+        time_limit. Each point of the dual simplex bounds the optimum from
+        below: once that bound, the objective recomputed from the point,
+        exceeds `cutoff`, the solve stops with status cutoff. A solve that
+        returns another status may still end above `cutoff`. Raises
+        ModelError when a column that must move has no finite bounds and
+        its rows imply none."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -324,7 +312,7 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     objective after the dual simplex's first step in that child, the
     parent's objective + delta*t. Delta is how far f lies outside the
     child's bounds (f, or 1 - f), and t the exact shortest dual step that
-    brings one of `_dual_ratio_test`'s candidate columns to a zero reduced
+    brings one of `_entering`'s candidate columns to a zero reduced
     cost. The reduced costs are dual feasible at an optimum, so every dual
     point of the child, the one after that step among them, bounds its
     optimum from below. A child with no candidate column gets no bound
@@ -333,7 +321,7 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     if run is None:
         raise ValueError("the tableau was taken over by another solve")
     row = int((run.basis == run.prep.var_index[name]).argmax())
-    z = run._reduced_costs(run.prep._cost)
+    z = run._reduced_costs()
     f = result.values[name]
     bounds = []
     for above, delta in ((True, f), (False, 1.0 - f)):
@@ -347,6 +335,16 @@ def _primal_tol(b: np.ndarray) -> float:
     """The primal tolerance of the infeasibility verdict and the
     certificates, scaled by the largest right-hand side."""
     return _FEAS_TOL * (max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0)
+
+
+def _rest(terms: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """For each term, the sum of the other terms of its row (`terms` are
+    finite or -inf, `rows` their rows): -inf where another term is."""
+    finite = np.isfinite(terms)
+    values = np.where(finite, terms, 0.0)
+    infinite = np.bincount(rows[~finite], minlength=m)
+    return np.where(infinite[rows] == ~finite,
+                    np.bincount(rows, values, m)[rows] - values, -math.inf)
 
 
 def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, int]) -> None:
@@ -457,7 +455,8 @@ class _SimplexRun:
         with one LAPACK solve on [A_N | b - A_N*x_N]; the basic columns of
         B^-1*A are the identity. A basis made of all the slack columns is
         the identity up to row order, so there B^-1*A is A with its rows
-        reordered and no LAPACK call is made."""
+        reordered and no LAPACK call is made. A singular basis restarts the
+        solve from the slack basis."""
         n = self.prep.n
         residual = self.b - self.a @ self.x_nonbasic
         if (self.status[n:] == _BASIC).all():
@@ -470,8 +469,9 @@ class _SimplexRun:
                 solved = np.linalg.solve(
                     self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
                 )
-            except np.linalg.LinAlgError as exc:
-                raise SimplexError("basis matrix became singular") from exc
+            except np.linalg.LinAlgError:  # B = I never is singular
+                self._load(self.prep.slack_basis)
+                return
             self.tableau = np.zeros((self.m, self.cols))
             self.tableau[:, nonbasic] = solved[:, :-1]
             self.tableau[np.arange(self.m), self.basis] = 1.0
@@ -480,36 +480,13 @@ class _SimplexRun:
         self.pivots_since_refactor = 0
         self.fresh = True
 
-    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+    def _reduced_costs(self) -> np.ndarray:
+        cost = self.prep._cost
         z = cost - cost[self.basis] @ self.tableau
         z[self.basis] = 0.0
         return z
 
     # -- pivoting ---------------------------------------------------------
-
-    def _choose_entering(self, z: np.ndarray, bland: bool):
-        """The column whose reduced cost gains most (Dantzig), or the first
-        that gains more than dtol (Bland); None when none does. A NaN
-        reduced cost never enters."""
-        dtol = self.dtol
-        score = self._gains(z)
-        if bland:
-            eligible = score > dtol
-            q = int(eligible.argmax())
-            if not eligible[q]:
-                return None
-        else:
-            q = int(score.argmax())
-            if not score[q] > dtol:
-                if not math.isnan(score[q]):
-                    return None
-                # argmax stops at the first NaN: rank the others without it
-                score = np.where(score > dtol, score, -math.inf)
-                q = int(score.argmax())
-                if not score[q] > dtol:
-                    return None
-        direction = 1.0 if z[q] < 0.0 else -1.0
-        return q, direction
 
     def _gains(self, z: np.ndarray) -> np.ndarray:
         """What entering each column gains at reduced costs `z`: z_j*gain_j,
@@ -519,58 +496,18 @@ class _SimplexRun:
             score[self.free] = np.abs(z[self.free])
         return score
 
-    def _ratio_test(self, q: int, direction: float, bland: bool):
-        """Longest step the entering column can take in phase 2, where
-        every basic variable is within its bounds: one moving down stops at
-        its lower bound, one moving up at its upper bound."""
-        e = direction * self.tableau[:, q]
-        to_upper = e < -_PIVOT_TOL
-        blocks = (e > _PIVOT_TOL) | to_upper
-        target = np.where(to_upper, self.up_b, self.lo_b)
-        blocks &= np.isfinite(target)
-        ratios = np.empty(self.m)
-        ratios.fill(math.inf)
-        np.divide(self.x_basic - target, e, out=ratios, where=blocks)
-
-        # a ratio below zero (a basic value just outside its bound) counts as 0
-        row_min = ratios.min() if self.m else math.inf
-        if row_min < 0.0:
-            row_min = 0.0
-        own_range = self.upper[q] - self.lower[q]
-        if own_range <= row_min:
-            if math.isinf(own_range):
-                return None, math.inf, e, None
-            return -1, own_range, e, None  # bound flip, no basis change
-        if math.isinf(row_min):
-            return None, math.inf, e, None
-        near = (ratios <= row_min + _RATIO_TIE).nonzero()[0]
-        if len(near) == 1:
-            best = near[0]
-        elif bland:
-            best = near[self.basis[near].argmin()]
-        else:
-            best = near[np.abs(e[near]).argmax()]
-            ties = near[np.abs(e[near]) >= abs(e[best]) - _RATIO_TIE]
-            if len(ties) > 1:
-                best = ties[self.basis[ties].argmin()]
-        leaves_at = _AT_UPPER if to_upper[best] else _AT_LOWER
-        return int(best), row_min, e, leaves_at
-
     def _set_nonbasic(self, j: int, at: int) -> None:
         self.status[j] = at
         self.x_nonbasic[j] = self.upper[j] if at == _AT_UPPER else self.lower[j]
         if not self.fixed[j]:
             self.gain[j] = 1.0 if at == _AT_UPPER else -1.0
 
-    def _pivot(self, q: int, direction: float, row: int, step: float, e, z, leaves_at):
-        """Swap q into the basis at `row`, and update the reduced costs `z`
-        for the new basis."""
-        new_value = self.x_nonbasic[q] + direction * step
-        self.x_basic -= step * e
+    def _pivot(self, q: int, row: int, change: float, z, leaves_at):
+        """Move q by `change` and swap it into the basis at `row`, and update
+        the reduced costs `z` for the new basis."""
+        new_value = self.x_nonbasic[q] + change
+        self.x_basic -= change * self.tableau[:, q]
         self._set_nonbasic(self.basis[row], leaves_at)
-
-        if abs(self.tableau[row, q]) <= _PIVOT_TOL:
-            raise SimplexError("pivot element vanished")
         piv_row = self._eliminate(row, q)
 
         if self.status[q] == _AT_FREE:
@@ -608,72 +545,67 @@ class _SimplexRun:
         self.fresh = False
         return piv_row
 
-    # -- phases -----------------------------------------------------------
+    # -- the dual simplex -------------------------------------------------
 
-    def _run_primal(self) -> str:
-        """Primal phase 2: from a point within the bounds, iterate on the
-        true costs to optimality. An optimum on a drifted tableau needs its
-        certificate; a failed one refactorizes, and out_of_bounds is
-        returned when the refactorized basic values leave their bounds."""
-        cost = self.prep._cost
-        z = None
-        retries = 0
-        streak = 0  # degenerate steps in a row
-        while True:
-            if self.iterations >= _MAX_ITERATIONS:
-                raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                return STATUS_TIME_LIMIT
-            if z is None:
-                z = self._reduced_costs(cost)
-            bland = streak >= _BLAND_AFTER
-            pick = self._choose_entering(z, bland)
-            if pick is None:
-                self.x = self._point()
-                # a fresh factorization is trusted
-                if self.fresh or retries >= _OPTIMALITY_RETRIES or self._certified(self.x):
-                    return STATUS_OPTIMAL
-                self._refactorize()
-                if self._total_violation() > self.primal_tol:
-                    return _STATUS_OUT_OF_BOUNDS
-                z = None
-                retries += 1
-                continue
-            q, direction = pick
-            row, step, e, leaves_at = self._ratio_test(q, direction, bland)
-            if row is None:
-                return STATUS_UNBOUNDED
-            self.iterations += 1
-            streak = 0 if step > _DEGENERATE_STEP else streak + 1
-            if row == -1:
-                self.x_basic -= step * e
-                self._set_nonbasic(q, _AT_UPPER if direction > 0.0 else _AT_LOWER)
-            else:
-                self._pivot(q, direction, row, step, e, z, leaves_at)
-                if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                    self._refactorize()
-                    z = None
-
-    def _dual_costs(self) -> np.ndarray:
-        """The reduced costs of the dual's costs, made dual feasible: each
-        boxed column that would gain by entering (beyond dtol) is flipped
-        to its other bound, and each other one has its cost shifted, in a
-        copy, until its reduced cost is zero. A NaN reduced cost is left as
-        it is; its column never enters."""
-        z = self._reduced_costs(self.cost)
-        wrong = self._gains(z) > self.dtol
-        boxed = np.isfinite(self.lower) & np.isfinite(self.upper)
-        for j in (wrong & boxed).nonzero()[0]:
+    def _dual_costs(self) -> np.ndarray | None:
+        """The reduced costs, made dual feasible: each column that would
+        gain by entering (beyond dtol) flips to the bound it gains towards,
+        once a column without both bounds has the ones its rows imply. None
+        when those bounds cross; ModelError for a column they do not box. A
+        NaN reduced cost is left as it is; its column never enters."""
+        z = self._reduced_costs()
+        wrong = (self._gains(z) > self.dtol).nonzero()[0]
+        unboxed = wrong[~self._boxed(wrong)]
+        if unboxed.size:
+            implied = self._implied_bounds()
+            if implied is None:
+                return None
+            self.lower[unboxed] = implied[0][unboxed]
+            self.upper[unboxed] = implied[1][unboxed]
+            refused = unboxed[~self._boxed(unboxed)]
+            if refused.size:
+                j, n = refused[0], self.prep.n
+                name = (f"variable {self.prep.names[j]!r}" if j < n
+                        else f"the slack of row {self.prep.rows[j - n]!r}")
+                raise ModelError(f"{name} needs finite bounds to move in the dual "
+                                 "simplex; it has an infinite one, and its rows imply none")
+        for j in wrong:
             was = self.x_nonbasic[j]
-            self._set_nonbasic(j, _AT_LOWER if self.status[j] == _AT_UPPER else _AT_UPPER)
+            self._set_nonbasic(j, _AT_UPPER if z[j] < 0.0 else _AT_LOWER)
             self.x_basic -= (self.x_nonbasic[j] - was) * self.tableau[:, j]
-        shift = wrong & ~boxed
-        if shift.any():
-            if self.cost is self.prep._cost:
-                self.cost = self.cost.copy()
-            self.cost[shift] -= z[shift]
-            z[shift] = 0.0
+        if unboxed.size:  # a free column that flipped is free no longer
+            self.free = (self.status == _AT_FREE).nonzero()[0]
         return z
+
+    def _boxed(self, columns: np.ndarray) -> np.ndarray:
+        return np.isfinite(self.lower[columns]) & np.isfinite(self.upper[columns])
+
+    def _implied_bounds(self):
+        """Lower and upper bounds on every column, implied by the rows
+        Ax = b under this solve's bounds, that every point meeting them
+        meets: Savelsbergh's activity-based tightening over A's nonzeros.
+        Each round bounds a_ij*x_j by b_i less the range of row i's other
+        terms, widened by the primal tolerance against rounding, and meets
+        the result with the bounds so far, until a round makes no bound
+        finite. None when a column's bounds cross: the LP is infeasible."""
+        rows, cols = self.a.nonzero()
+        coef = self.a[rows, cols]
+        pos = coef > 0.0
+        lower, upper = self.lower.copy(), self.upper.copy()
+        while True:
+            infinite = np.isinf(lower).sum() + np.isinf(upper).sum()
+            # each term's least and greatest value, and the rest of its row's
+            least = coef * np.where(pos, lower[cols], upper[cols])
+            most = coef * np.where(pos, upper[cols], lower[cols])
+            rest_least = _rest(least, rows, self.m) - self.primal_tol
+            rest_most = self.primal_tol - _rest(-most, rows, self.m)
+            b = self.b[rows]
+            np.maximum.at(lower, cols, (b - np.where(pos, rest_most, rest_least)) / coef)
+            np.minimum.at(upper, cols, (b - np.where(pos, rest_least, rest_most)) / coef)
+            if (lower > upper).any():
+                return None
+            if np.isinf(lower).sum() + np.isinf(upper).sum() == infinite:
+                return lower, upper
 
     def _dual_slopes(self, row: int, above: bool, z: np.ndarray):
         """The columns whose move brings the basic variable of `row` back
@@ -686,7 +618,7 @@ class _SimplexRun:
         candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
         return candidates, slope[candidates], np.maximum(-self._gains(z)[candidates], 0.0)
 
-    def _dual_ratio_test(self, row: int, above: bool, z: np.ndarray, bland: bool) -> int | None:
+    def _entering(self, row: int, above: bool, z: np.ndarray, bland: bool) -> int | None:
         """The entering column for the basic variable of `row` leaving at
         the bound it violates, or None when no column's move brings it
         back (see _dual_slopes). Harris's first pass finds the longest step
@@ -705,31 +637,32 @@ class _SimplexRun:
         return int(candidates[np.where(within, slope, -1.0).argmax()])
 
     def _run_dual(self) -> str:
-        """The dual simplex of the module docstring, on the true costs
-        until a column must be shifted. Returns optimal once no basic value
-        violates its bounds, for phase 2 to finish; infeasible at a
-        certified dead end, or at a dead end on a fresh factorization whose
-        total violation exceeds the primal tolerance; cutoff; or
-        time_limit. Any other dead end refactorizes and goes on."""
-        self.cost = self.prep._cost  # shifted in a copy by _dual_costs
-        z = self._dual_costs()
+        """The dual simplex of the module docstring: optimal once no basic
+        value violates its bounds; infeasible at a certified dead end or
+        where the implied bounds cross; cutoff; or time_limit. Any other
+        dead end refactorizes and goes on, unless the factorization is
+        fresh: then the LP is infeasible when the total violation exceeds
+        the primal tolerance, and optimal otherwise."""
+        z = None  # the reduced costs, recomputed after each refactorization
         best = -math.inf
         stalled = 0
         while True:
+            if z is None:
+                z = self._dual_costs()
+                if z is None:
+                    return STATUS_INFEASIBLE
             if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError(f"iteration limit {_MAX_ITERATIONS} exceeded")
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return STATUS_TIME_LIMIT
-            objective = self._objective(self.cost, self._point())
-            # a shifted objective bounds nothing
-            if (self.cutoff is not None and objective > self.cutoff
-                    and self.cost is self.prep._cost):
+            objective = self._objective(self._point())
+            if self.cutoff is not None and objective > self.cutoff:
                 return STATUS_CUTOFF
             if objective > best:
                 best, stalled = objective, 0
             else:
                 stalled += 1
-            bland = stalled >= _DUAL_BLAND_AFTER * self.cols
+            bland = stalled >= _BLAND_STALLS * self.cols
             violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
             violated = violation > _PRIMAL_TOL
             if not violated.any():
@@ -739,7 +672,7 @@ class _SimplexRun:
             else:
                 row = int(np.where(violated, violation, 0.0).argmax())
             above = bool(self.x_basic[row] > self.up_b[row])
-            q = self._dual_ratio_test(row, above, z, bland)
+            q = self._entering(row, above, z, bland)
             if q is None:
                 push = np.zeros(self.m)
                 push[row] = -1.0 if above else 1.0
@@ -749,19 +682,17 @@ class _SimplexRun:
                     return (STATUS_INFEASIBLE if self._total_violation() > self.primal_tol
                             else STATUS_OPTIMAL)
                 self._refactorize()
-                z = self._dual_costs()
+                z = None
                 continue
             target = self.up_b[row] if above else self.lo_b[row]
             change = (self.x_basic[row] - target) / self.tableau[row, q]
-            direction = 1.0 if change >= 0.0 else -1.0
             if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
                 z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step
             self.iterations += 1
-            self._pivot(q, direction, row, abs(change), direction * self.tableau[:, q], z,
-                        _AT_UPPER if above else _AT_LOWER)
+            self._pivot(q, row, change, z, _AT_UPPER if above else _AT_LOWER)
             if self.pivots_since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
-                z = self._dual_costs()
+                z = None
 
     def _certified(self, x: np.ndarray) -> bool:
         """Whether the current point `x` is optimal on the original rows,
@@ -804,18 +735,20 @@ class _SimplexRun:
     # -- driver -----------------------------------------------------------
 
     def solve(self, start: Basis | Tableau) -> LpResult:
-        try:
-            self._load(start)
-        except SimplexError:  # singular here: B = I never is
-            self._load(self.prep.slack_basis)
-        status = _STATUS_OUT_OF_BOUNDS
-        while status == _STATUS_OUT_OF_BOUNDS:
+        """Run the dual; an optimum on a tableau pivots have touched must pass
+        its certificate, or the dual runs again on a refactorization."""
+        self._load(start)
+        for retry in range(_OPTIMALITY_RETRIES + 1):
             status = self._run_dual()
-            if status == STATUS_OPTIMAL:
-                status = self._run_primal()
-        if status != STATUS_OPTIMAL:
-            return self._result(status, None, {})
-        return self._finish()
+            if status != STATUS_OPTIMAL:
+                return self._result(status, None, {})
+            x = self._point()
+            # a fresh factorization is trusted
+            if self.fresh or retry == _OPTIMALITY_RETRIES or self._certified(x):
+                break
+            self._refactorize()
+        values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
+        return self._result(STATUS_OPTIMAL, self._objective(x), values)
 
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
         basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
@@ -824,10 +757,5 @@ class _SimplexRun:
         return LpResult(status, objective, values, self.iterations, basis,
                         self.refactorizations, live)
 
-    def _objective(self, cost: np.ndarray, x: np.ndarray) -> float:
-        return float(cost @ x) + self.prep.model.objective_constant
-
-    def _finish(self) -> LpResult:
-        x = self.x  # phase 2's optimal point
-        values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
-        return self._result(STATUS_OPTIMAL, self._objective(self.prep._cost, x), values)
+    def _objective(self, x: np.ndarray) -> float:
+        return float(self.prep._cost @ x) + self.prep.model.objective_constant

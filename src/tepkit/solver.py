@@ -22,7 +22,6 @@ from .simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
-    STATUS_UNBOUNDED,
     SimplexError,
     Tableau,
     branch_bounds,
@@ -161,11 +160,10 @@ def solve_lp(model: Model, options: SolveOptions | None = None) -> Solution:
 
 
 class _StopSearch(Exception):
-    """The search ended early, with this status, while the node with this
-    bound was open."""
+    """The search reached its time limit while the node with this bound
+    was open."""
 
-    def __init__(self, status: str, bound: float):
-        self.status = status
+    def __init__(self, bound: float):
         self.bound = bound
 
 
@@ -252,7 +250,7 @@ class _BranchAndBound:
         closed without an LP."""
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _StopSearch(STATUS_TIME_LIMIT, bound)
+                raise _StopSearch(bound)
             cutoff = (None if self.incumbent_obj is None
                       else self.incumbent_obj + _tie_tol(self.incumbent_obj))
             if cutoff is not None and own_bound > cutoff:
@@ -266,8 +264,8 @@ class _BranchAndBound:
             self.refactorizations += result.refactorizations
             if not fixings:  # copied below if a dive child takes it
                 self.root_tableau = result.tableau
-            if result.status in (STATUS_TIME_LIMIT, STATUS_UNBOUNDED):
-                raise _StopSearch(result.status, bound)
+            if result.status == STATUS_TIME_LIMIT:
+                raise _StopSearch(bound)
             if result.status in (STATUS_INFEASIBLE, STATUS_CUTOFF):
                 return
             objective = result.objective
@@ -313,7 +311,7 @@ class _BranchAndBound:
                         break
                 self._dive(fixings, bound, own_bound, start)
         except _StopSearch as stop:
-            status = stop.status
+            status = STATUS_TIME_LIMIT
             self.interrupted_bound = stop.bound
         return self._finish(status)
 
@@ -324,8 +322,6 @@ class _BranchAndBound:
     def _finish(self, status: str) -> Solution:
         stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start,
                        closed_nodes=self.closed)
-        if status == STATUS_UNBOUNDED:
-            return Solution(status, None, None, {}, stats)
         if self.incumbent_obj is None:
             if status == STATUS_OPTIMAL:
                 return Solution(STATUS_INFEASIBLE, None, None, {}, stats)
@@ -354,18 +350,17 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     copies are capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node
     pushed past that starts from its parent's final basis instead. Once
     there is an incumbent, each node's LP is solved with the cutoff
-    incumbent + _tie_tol(incumbent), and a node cut off is pruned: a node
-    within the tie tolerance is still solved, so a lexicographically
-    smaller tie can still win.
+    incumbent + _tie_tol(incumbent): every point of its dual simplex bounds
+    its optimum, so the LP stops, and the node is pruned, once one exceeds
+    the cutoff. A node within the tie tolerance is still solved, so a
+    lexicographically smaller tie can still win.
 
     When a node branches, both children get their own bound from its
-    final tableau, before the dive child takes it over: Driebeek's
-    penalty, the objective after the first step of the child's dual
-    simplex (tepkit.simplex.branch_bounds). The open list still orders nodes
-    by the parent's bound. A child whose own bound exceeds the cutoff when
-    it is reached is closed without an LP; its LP could only have ended
-    cut off, infeasible or optimal above the cutoff, all of which prune
-    it, so the nodes, incumbents and every other LP stay as they were.
+    final tableau, before the dive child takes it over: Driebeek's penalty
+    (tepkit.simplex.branch_bounds). The open list still orders nodes by the
+    parent's bound. A child whose own bound exceeds the cutoff when it is
+    reached is closed without its LP, which could only have pruned it, so
+    the nodes, incumbents and every other LP stay as they were.
     stats["nodes"] counts the LP solves and stats["closed_nodes"] the
     nodes closed this way."""
     solution = _BranchAndBound(model, options or SolveOptions()).run()
@@ -417,9 +412,6 @@ def brute_force_solve(model: Model) -> Solution:
         tableau = result.tableau
         iterations += result.iterations
         refactorizations += result.refactorizations
-        if result.status == STATUS_UNBOUNDED:
-            stats = _stats(i + 1, iterations, refactorizations, started)
-            return Solution(STATUS_UNBOUNDED, None, None, {}, stats)
         if result.status != STATUS_OPTIMAL:
             continue
         feasible += 1

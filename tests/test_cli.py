@@ -7,6 +7,7 @@ import shlex
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -22,7 +23,7 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import PreparedLp, SimplexError, Tableau
+from tepkit.simplex import _AT_UPPER, PreparedLp, SimplexError, Tableau, _SimplexRun
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -344,8 +345,8 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
 GARVER_SWEEP_PIVOTS = [
     (42, 139, "227251333.47711962"),
     (26, 75, "231318001.67969325"),
-    (34, 102, "230900302.75164837"),
-    (31, 86, "245424473.691441"),
+    (34, 104, "230900302.7516482"),
+    (31, 89, "245424473.69144112"),
 ]
 
 
@@ -376,6 +377,42 @@ def _sweep_with_lp_log(doc, out):
         assert run("sweep", "--network", doc, "--out", str(out)).exit_code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     return rows, results, lps
+
+
+def test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies(
+        garver_doc, tmp_path, monkeypatch):
+    # the roots of H,L and H,H continue on the previous scenario's root
+    # tableau, which prices the slack of one <= row (mx0, then bmu8) as
+    # gaining by rising. The slack has no upper bound, so it gets the one
+    # its row implies and flips to it. No other LP of the sweep needs an
+    # implied bound, and the plans and report rows are the pinned ones
+    solves, flips = [], []
+    solve, dual_costs = _SimplexRun.solve, _SimplexRun._dual_costs
+
+    def counting(run, start):
+        solves.append(run)
+        return solve(run, start)
+
+    def recording(run):
+        unboxed = ~(np.isfinite(run.lower) & np.isfinite(run.upper))
+        z = dual_costs(run)
+        for j in np.flatnonzero(unboxed & np.isfinite(run.lower) & np.isfinite(run.upper)):
+            flips.append((len(solves) - 1, run.prep.rows[j - run.prep.n],
+                          run.status[j] == _AT_UPPER and run.x_nonbasic[j] == run.upper[j]))
+        return z
+
+    monkeypatch.setattr(_SimplexRun, "solve", counting)
+    monkeypatch.setattr(_SimplexRun, "_dual_costs", recording)
+    rows, results, lps = _sweep_with_lp_log(garver_doc, tmp_path / "sweep.csv")
+    hl_root = sum(sol.stats["nodes"] for sol in results[:2])
+    hh_root = hl_root + results[2].stats["nodes"]
+    assert flips == [(hl_root, "mx0", True), (hh_root, "bmu8", True)]
+    assert rows[1:] == GARVER_SWEEP_ROWS
+    model = build_tep_model(builtin_garver(), realize_scenario(
+        ScenarioCode.parse("H,L"), builtin_garver()), 8760.0)[0]
+    plans = [sorted(v.name for v in model.binaries() if round(sol.values[v.name]))
+             for sol in results[2:]]
+    assert plans == [["y7", "y8", "y9", "z4", "z6"], ["y12", "y13", "y7", "y8", "z6"]]
 
 
 @pytest.mark.parametrize("network, one_step", [("garver", 57), ("w2", 0)])

@@ -97,12 +97,15 @@ def test_infeasible_equality_pair():
 
 
 def test_unbounded_detection():
+    # x gains by rising, has no upper bound, and its one row only bounds it
+    # below: the dual simplex has no bound to flip it to, so the LP is refused
     m = lp(
         [Variable("x", CONTINUOUS, 0.0, math.inf)],
         [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0)],
         [("x", -1.0)],
     )
-    assert PreparedLp(m).solve().status == "unbounded"
+    with pytest.raises(ModelError, match="variable 'x' needs finite bounds"):
+        PreparedLp(m).solve()
 
 
 def test_no_constraints_bound_assignment():
@@ -119,8 +122,10 @@ def test_no_constraints_bound_assignment():
 
 
 def test_no_constraints_unbounded():
+    # with no rows nothing implies a bound on x, so the LP is refused
     m = lp([Variable("x", CONTINUOUS, 0.0, math.inf)], [], [("x", -1.0)])
-    assert PreparedLp(m).solve().status == "unbounded"
+    with pytest.raises(ModelError, match="variable 'x' needs finite bounds"):
+        PreparedLp(m).solve()
 
 
 def test_objective_constant_carried():
@@ -130,12 +135,13 @@ def test_objective_constant_carried():
 
 
 def test_beale_cycling_example_terminates():
-    # the classical 3-constraint problem that cycles under naive pivoting
+    # the classical 3-constraint problem that cycles under naive pivoting,
+    # with upper bounds that do not bind, since its rows box only x3
     m = lp(
-        [Variable("x1", CONTINUOUS, 0.0, math.inf),
-         Variable("x2", CONTINUOUS, 0.0, math.inf),
-         Variable("x3", CONTINUOUS, 0.0, math.inf),
-         Variable("x4", CONTINUOUS, 0.0, math.inf)],
+        [Variable("x1", CONTINUOUS, 0.0, 10.0),
+         Variable("x2", CONTINUOUS, 0.0, 10.0),
+         Variable("x3", CONTINUOUS, 0.0, 10.0),
+         Variable("x4", CONTINUOUS, 0.0, 10.0)],
         [Constraint("r1", (("x1", 0.25), ("x2", -8.0), ("x3", -1.0), ("x4", 9.0)),
                     SENSE_LE, 0.0),
          Constraint("r2", (("x1", 0.5), ("x2", -12.0), ("x3", -0.5), ("x4", 3.0)),
@@ -219,6 +225,41 @@ def test_singular_start_falls_back_to_slack_basis():
     assert prep.solve(start=repeated) == cold
 
 
+def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch):
+    # with a refresh after every other pivot, the first refresh's LAPACK
+    # solve finds the basis singular; the solve starts over from the slack
+    # basis, as a singular start does, and the later refreshes go through
+    prep = PreparedLp(dense_lp())
+    cold = prep.solve()
+    assert cold.iterations > 2
+    monkeypatch.setattr(tepkit.simplex, "_REFACTOR_EVERY", 2)
+    solve = np.linalg.solve
+    calls = []
+
+    def singular_once(a, b):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    restarted = []
+    load = _SimplexRun._load
+
+    def recording(run, start):
+        restarted.append(start is prep.slack_basis)
+        load(run, start)
+
+    monkeypatch.setattr(_SimplexRun, "_load", recording)
+    result = prep.solve()
+    assert restarted == [True, True]  # the start, then the restart
+    assert result.status == "optimal"
+    assert result.refactorizations == len(calls) - 1 >= 1  # the failed one not counted
+    assert result.objective == pytest.approx(cold.objective, rel=1e-12)
+    for name, value in cold.values.items():
+        assert result.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
 def test_deadline_stops_the_solve():
     prep = PreparedLp(dense_lp())
     assert prep.solve(deadline=time.monotonic() + 60.0).status == "optimal"
@@ -270,29 +311,31 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
 
 def _recording_dual(monkeypatch):
     """Record, for each solve, what its last run of the dual simplex
-    returned ("dual"), whether that run shifted a cost ("shifted"), and how
-    many steps primal phase 2 took after it ("phase2"; None when phase 2
-    did not run)."""
+    returned ("dual"), and each time its columns were given the bounds
+    their rows imply ("implied"): the number of columns that then flip to
+    them, or None where those bounds cross."""
     solves = []
-    real_solve, real_dual, real_primal = (
-        _SimplexRun.solve, _SimplexRun._run_dual, _SimplexRun._run_primal)
+    real_solve, real_dual, real_costs = (
+        _SimplexRun.solve, _SimplexRun._run_dual, _SimplexRun._dual_costs)
 
     def solve(run, start):
-        solves.append({})
+        solves.append({"implied": []})
         return real_solve(run, start)
 
     def dual(run):
         status = real_dual(run)
-        solves[-1].update(dual=status, shifted=run.cost is not run.prep._cost, phase2=None)
+        solves[-1]["dual"] = status
         return status
 
-    def primal(run):
-        before = run.iterations
-        status = real_primal(run)
-        solves[-1]["phase2"] = run.iterations - before
-        return status
+    def costs(run):
+        unboxed = ~(np.isfinite(run.lower) & np.isfinite(run.upper))
+        z = real_costs(run)
+        boxed = np.count_nonzero(unboxed & np.isfinite(run.lower) & np.isfinite(run.upper))
+        if z is None or boxed:
+            solves[-1]["implied"].append(None if z is None else boxed)
+        return z
 
-    for name, fn in (("solve", solve), ("_run_dual", dual), ("_run_primal", primal)):
+    for name, fn in (("solve", solve), ("_run_dual", dual), ("_dual_costs", costs)):
         monkeypatch.setattr(_SimplexRun, name, fn)
     return solves
 
@@ -319,17 +362,24 @@ def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
         verdicts.clear()
         dead = prep.solve(bound_overrides=impossible, start=start)
         assert dead.status == "infeasible"
-        assert outcomes[-1] == {"dual": "infeasible", "shifted": False, "phase2": None}
+        assert outcomes[-1] == {"dual": "infeasible", "implied": []}
         assert dead.refactorizations == 0 and verdicts == [(1, True)]
     # under the opposite objective the same tableau prices the nonbasic
-    # slacks the wrong way, so the dead end comes after a cost shift
+    # slacks the wrong way, and they have no upper bound; the upper bounds
+    # their rows imply under the fixings fall below 0, which proves the
+    # verdict with no dual step, certificate or refactorization
     opposite = PreparedLp(dataclasses.replace(
         model, objective_terms=tuple((name, -coef) for name, coef in model.objective_terms)))
     verdicts.clear()
     dead = opposite.solve(bound_overrides=impossible, start=prep.solve().tableau)
     assert dead.status == "infeasible"
-    assert outcomes[-1] == {"dual": "infeasible", "shifted": True, "phase2": None}
-    assert dead.refactorizations == 0 and verdicts == [(1, True)]
+    assert outcomes[-1] == {"dual": "infeasible", "implied": [None]}
+    assert dead.refactorizations == dead.iterations == 0 and verdicts == []
+    # without the fixings the same start flips those slacks to their
+    # implied bounds, and the dual goes on from there
+    flipped = opposite.solve(start=prep.solve().tableau)
+    assert flipped.status == "optimal" and outcomes[-1]["implied"][0] > 0
+    assert flipped.objective == pytest.approx(opposite.solve().objective, rel=1e-12)
     # the verdict a fresh start reaches
     assert prep.solve(bound_overrides=impossible).status == "infeasible"
 
@@ -355,9 +405,10 @@ def test_uncertified_dual_dead_end_on_a_feasible_lp_is_not_declared_infeasible()
 
 def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch):
     # the start tableau's nonbasic columns (B^-1 among them) are wiped, so
-    # the dual and phase 2 work on wrong basic values; when phase 2's
-    # certificate fails, the refactorized basic values violate the new
-    # bounds, and phase 2 alone would end at a point off the rows
+    # the dual works on wrong basic values and finds them within the new
+    # bounds at once; that optimum fails its certificate, and the
+    # refactorized basic values violate the new bounds, so the dual runs
+    # again from there
     prep = PreparedLp(dense_lp())
     base = prep.solve()
     basic = [j for j in base.basis.columns if j < 12 and base.values[f"x{j}"] > 1e-6]
@@ -367,18 +418,20 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch
     assert cold.status == "optimal"
     start = base.tableau
     start.matrix[:, np.setdiff1d(np.arange(22), base.basis.columns)] = 0.0
-    phase2 = []
-    real = _SimplexRun._run_primal
+    runs = []
+    real = _SimplexRun._run_dual
 
     def recording(run):
-        phase2.append(real(run))
-        return phase2[-1]
+        before, violation = run.iterations, run._total_violation()
+        runs.append((real(run), run.iterations - before, violation > run.primal_tol))
+        return runs[-1][0]
 
-    monkeypatch.setattr(_SimplexRun, "_run_primal", recording)
+    monkeypatch.setattr(_SimplexRun, "_run_dual", recording)
     damaged = prep.solve(bound_overrides=squeezed, start=start)
-    assert phase2 == ["out_of_bounds", "optimal"]
+    assert [(status, steps > 0, violated) for status, steps, violated in runs] == [
+        ("optimal", False, False), ("optimal", True, True)]
     assert damaged.status == "optimal"
-    assert damaged.refactorizations >= 1
+    assert damaged.refactorizations == 1
     assert damaged.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
 
 
@@ -386,7 +439,7 @@ def test_nan_reduced_cost_never_enters():
     # x0 must stay at 0 (it only costs); its tableau column is NaN, so its
     # reduced cost is NaN. y is eligible and must enter without NaN
     # stopping the pricing early (the certificate would then refactorize)
-    # or entering itself (its empty ratio test would report unbounded)
+    # or entering itself
     m = lp(
         [Variable("x0", CONTINUOUS, 0.0, math.inf), Variable("x", CONTINUOUS, 0.0, 10.0),
          Variable("y", CONTINUOUS, 0.0, 10.0)],
@@ -581,12 +634,50 @@ def _random_lp(rng):
         sense = (SENSE_LE, SENSE_GE, SENSE_EQ)[int(rng.integers(0, 3))]
         rows.append(Constraint(f"r{i}", terms, sense, float(rng.uniform(-5, 5))))
     objective = tuple((f"x{j}", float(rng.uniform(-2, 2))) for j in range(n))
-    return lp(variables, rows, objective)
+    return lp(variables, rows + _boxing_rows(rng, variables), objective)
 
 
-def _highs(model):
-    """scipy's HiGHS on `model`."""
-    from scipy.optimize import linprog
+def _boxing_rows(rng, variables):
+    """Rows that box each of `variables` that its own bounds leave
+    unboxed. Each pairs the column with a boxed one, where there is one,
+    and bounds each side it lacks around an anchor point that meets every
+    such row, so that one round of bound tightening boxes it."""
+    boxed = [v for v in variables if math.isfinite(v.lower) and math.isfinite(v.upper)]
+    rows = []
+    for v in variables:
+        if math.isfinite(v.lower) and math.isfinite(v.upper):
+            continue
+        coef = float(rng.uniform(0.5, 2.0))
+        terms = ((v.name, coef),)
+        reach = 0.0  # how far the paired column's term can move the row
+        if boxed:
+            other = boxed[int(rng.integers(len(boxed)))]
+            other_coef = float(rng.uniform(-1.0, 1.0))
+            terms += ((other.name, other_coef),)
+            reach = abs(other_coef) * max(abs(other.lower), abs(other.upper))
+        anchor = (v.lower if math.isfinite(v.lower) else v.upper if math.isfinite(v.upper)
+                  else float(rng.uniform(-3.0, 3.0)))
+        if v.upper == math.inf:
+            rows.append(Constraint(f"{v.name}_up", terms, SENSE_LE,
+                                   coef * anchor + reach + float(rng.uniform(1.0, 8.0))))
+        if v.lower == -math.inf:
+            rows.append(Constraint(f"{v.name}_lo", terms, SENSE_GE,
+                                   coef * anchor - reach - float(rng.uniform(1.0, 8.0))))
+    return rows
+
+
+def _solve(prep, *args, **kwargs):
+    """prep.solve, or None where it refuses a column its rows cannot box."""
+    try:
+        return prep.solve(*args, **kwargs)
+    except ModelError as exc:
+        assert "its rows imply none" in str(exc)
+        return None
+
+
+def _highs_problem(model):
+    """`model` as scipy's linprog takes it: its cost vector and the rest of
+    the arguments."""
     idx = model.variable_index()
     c = np.zeros(len(idx))
     for name, coef in model.objective_terms:
@@ -605,34 +696,35 @@ def _highs(model):
     bounds = [(None if v.lower == -math.inf else v.lower,
                None if v.upper == math.inf else v.upper)
               for v in model.variables]
-    return linprog(
-        c, A_ub=np.array(a_ub) if a_ub else None,
+    return c, dict(
+        A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(a_eq) if a_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
         bounds=bounds, method="highs")
 
 
+def _highs(model):
+    """scipy's HiGHS on `model`."""
+    from scipy.optimize import linprog
+    c, problem = _highs_problem(model)
+    return linprog(c, **problem)
+
+
 def _check_against_highs(mine, model, trial):
+    """Check `mine` against HiGHS; return its status, or "refused" for
+    None (see _solve)."""
+    if mine is None:
+        return "refused"
     ref = _highs(model)
     if mine.status == "optimal":
         assert ref.status == 0, f"trial {trial}: scipy disagrees ({ref.status})"
         assert mine.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-7), \
             f"trial {trial}"
-    elif mine.status == "unbounded":
-        # HiGHS presolve may report 2 (infeasible) for feasible-but-
-        # unbounded instances; probe feasibility before trusting it
-        feas = _highs(replace_objective(model))
-        assert ref.status == 3 or feas.status == 0, f"trial {trial}"
     else:
         feas = _highs(replace_objective(model))
         assert feas.status == 2, f"trial {trial}: scipy found a point"
-
-
-def _phase2_after_unshifted_dual_optima(outcomes):
-    """The steps phase 2 took after each dual optimum reached without a
-    cost shift; on the true costs such a point is already optimal."""
-    return [o["phase2"] for o in outcomes if o["dual"] == "optimal" and not o["shifted"]]
+    return mine.status
 
 
 def test_randomized_against_scipy(monkeypatch):
@@ -642,19 +734,21 @@ def test_randomized_against_scipy(monkeypatch):
     # a separate stream, so the base instances do not depend on the overrides
     override_rng = np.random.default_rng(7)
     perturb_rng = np.random.default_rng(13)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    resolved = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    carried = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
+    resolved = {"optimal": 0, "infeasible": 0}
+    # a perturbed compile may add terms that undo a boxing row, and so be
+    # refused, which is counted apart
+    carried = {"optimal": 0, "infeasible": 0, "refused": 0}
     replaced = 0  # cross-compile starts that replaced a basic column in place
     # what the dual returned for the live re-solves, and how many cold
-    # solves and live re-solves shifted a cost
+    # solves and live re-solves flipped columns to the bounds their rows imply
     live_paths = {}
-    shifted = {"cold": 0, "live": 0}
+    flipped = {"cold": 0, "live": 0}
     for trial in range(150):
         model = _random_lp(rng)
         prep = PreparedLp(model)
         mine = prep.solve()
-        shifted["cold"] += outcomes[-1]["shifted"]
+        flipped["cold"] += bool(outcomes[-1]["implied"])
         statuses[mine.status] += 1
         _check_against_highs(mine, model, trial)
         # re-solve through the same compiled LP with some bounds replaced,
@@ -671,15 +765,14 @@ def test_randomized_against_scipy(monkeypatch):
         portable = mine.tableau.copy()
         live = prep.solve(bound_overrides=overrides, start=mine.tableau)
         live_paths[outcomes[-1]["dual"]] = live_paths.get(outcomes[-1]["dual"], 0) + 1
-        shifted["live"] += outcomes[-1]["shifted"]
+        flipped["live"] += bool(outcomes[-1]["implied"])
         _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         # a copy of it starts another compile with other columns and
         # right-hand sides, as the next scenario of a sweep does
         columns, other = _perturbed(perturb_rng, model, mine.basis.columns)
-        cross = PreparedLp(other).solve(start=portable)
-        carried[cross.status] += 1
-        _check_against_highs(cross, other, f"{trial} cross {columns}")
-        replaced += cross.refactorizations == 0 and any(
+        cross = _solve(PreparedLp(other), start=portable)
+        carried[_check_against_highs(cross, other, f"{trial} cross {columns}")] += 1
+        replaced += cross is not None and cross.refactorizations == 0 and any(
             j in mine.basis.columns for j in columns)
         # and back: the original bounds from the overridden solve's basis
         _check_against_highs(prep.solve(start=again.basis), model, f"{trial} back")
@@ -691,23 +784,22 @@ def test_randomized_against_scipy(monkeypatch):
     # the generator must exercise every outcome for this test to mean much
     assert min(statuses.values()) >= 5, statuses
     assert min(resolved.values()) >= 5, resolved
-    assert min(carried.values()) >= 5, carried
+    assert min(carried[k] for k in ("optimal", "infeasible")) >= 5, carried
+    assert carried["refused"] <= 15, carried
     assert replaced >= 20, replaced
     # the dual reaches both verdicts, and starts that are not dual feasible
-    # shift costs
+    # flip columns to the bounds their rows imply
     assert min(live_paths.get(k, 0) for k in ("optimal", "infeasible")) >= 20, live_paths
-    assert min(shifted.values()) >= 20, shifted
-    unshifted = _phase2_after_unshifted_dual_optima(outcomes)
-    assert len(unshifted) >= 100 and not any(unshifted), unshifted
+    assert min(flipped.values()) >= 20, flipped
 
 
 def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
     # each random LP is re-solved with some bounds changed, from its own
     # final tableau and from the slack basis, with a cutoff below, at and
     # above the optimum; a solve that is not cut off must end where the
-    # solve without one does. Most slack-basis starts shift costs, and a
-    # shifted objective bounds nothing, so a cutoff checked under shifted
-    # costs would cut off solves whose optimum lies below it
+    # solve without one does. Most slack-basis starts flip columns to the
+    # bounds their rows imply, which cut off no feasible point, so each
+    # dual point still bounds the optimum
     rng = np.random.default_rng(31)
     override_rng = np.random.default_rng(37)
     cut = {"live": 0, "cold": 0}
@@ -743,7 +835,7 @@ def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
 def _random_node_lp(rng):
     """A random LP whose columns are mostly boxed in [0, 1], as a binary's
     relaxation is, with rows that mostly cap them, so that its optima often
-    have fractional boxed columns."""
+    have fractional boxed columns; rows box the other columns."""
     n = int(rng.integers(4, 10))
     variables = []
     for j in range(n):
@@ -760,7 +852,7 @@ def _random_node_lp(rng):
         sense = (SENSE_LE, SENSE_LE, SENSE_GE, SENSE_EQ)[int(rng.integers(0, 4))]
         rows.append(Constraint(f"r{i}", terms, sense, float(rng.uniform(0.5, 4))))
     objective = tuple((f"x{j}", float(rng.uniform(-2, 1))) for j in range(n))
-    return lp(variables, rows, objective)
+    return lp(variables, rows + _boxing_rows(rng, variables), objective)
 
 
 def test_branching_penalties_bound_the_children_from_below():
@@ -771,7 +863,7 @@ def test_branching_penalties_bound_the_children_from_below():
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(43)
     pairs = tight = 0
-    for trial in range(450):
+    for trial in range(550):
         model = _random_node_lp(rng)
         boxed = [v.name for v in model.variables if (v.lower, v.upper) == (0.0, 1.0)]
         overrides = {name: (value, value) for name in boxed if rng.random() < 0.25
@@ -801,13 +893,12 @@ def test_dual_under_blands_rule_from_its_first_step(monkeypatch):
     # with no steps allowed without a rise, every dual step follows Bland's
     # rule: the lowest violated basic column leaves and the exact ratio
     # test picks the entering column, ties to the lowest index. Its answers
-    # must still match HiGHS, and its unshifted optima need no phase-2 step
+    # must still match HiGHS
     pytest.importorskip("scipy.optimize")
-    monkeypatch.setattr(tepkit.simplex, "_DUAL_BLAND_AFTER", 0)
-    outcomes = _recording_dual(monkeypatch)
+    monkeypatch.setattr(tepkit.simplex, "_BLAND_STALLS", 0)
     rng = np.random.default_rng(2024)
     override_rng = np.random.default_rng(7)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
     for trial in range(150):
         model = _random_lp(rng)
         prep = PreparedLp(model)
@@ -819,8 +910,6 @@ def test_dual_under_blands_rule_from_its_first_step(monkeypatch):
         statuses[mine.status] += 1
         statuses[live.status] += 1
     assert min(statuses.values()) >= 5, statuses
-    unshifted = _phase2_after_unshifted_dual_optima(outcomes)
-    assert len(unshifted) >= 50 and not any(unshifted), unshifted
 
 
 def _random_overrides(rng, model):
@@ -868,3 +957,53 @@ def with_bounds(model, overrides):
 
 def replace_objective(model):
     return dataclasses.replace(model, objective_terms=())
+
+
+def _implied_bounds_hold(model):
+    """Whether the bounds that the rows of `model` imply under its own
+    bounds contain each column's least and greatest value over its
+    feasible set, by HiGHS, within the primal tolerance; a slack column
+    s_i = b_i - a_i*x is ranged through its row. None when HiGHS finds the
+    model infeasible. Also asserts that the rows box every column."""
+    prep = PreparedLp(model)
+    n, cols = prep.n, prep.n + prep.m
+    run = _SimplexRun(prep, prep._lower.copy(), prep._upper.copy(), None, None)
+    bounds = run._implied_bounds()
+    if _highs(replace_objective(model)).status == 2:
+        return None
+    assert bounds is not None, "the implied bounds cross on a feasible LP"
+    lower, upper = bounds
+    assert np.isfinite(lower).all() and np.isfinite(upper).all()
+    from scipy.optimize import linprog
+    _, problem = _highs_problem(model)
+    tol = prep._primal_tol
+    for j in range(cols):
+        # column j's value is offset + weights*x
+        if j < n:
+            offset, weights = 0.0, np.eye(n)[j]
+        else:
+            offset, weights = prep._b[j - n], -prep._a[j - n, :n]
+        least, most = linprog(weights, **problem), linprog(-weights, **problem)
+        assert least.status == most.status == 0
+        if not (lower[j] <= offset + least.fun + tol
+                and upper[j] >= offset - most.fun - tol):
+            return False
+    return True
+
+
+def test_implied_bounds_contain_every_feasible_point():
+    # on random LPs that their rows box, and on two TEP models, the bounds
+    # the rows imply cut off no feasible point: each column's least and
+    # greatest feasible value lie within them
+    pytest.importorskip("scipy.optimize")
+    from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
+    from tepkit.milp import TepSkeleton
+    from tepkit.scenario import ScenarioCode, realize_scenario
+    rng = np.random.default_rng(59)
+    held = [_implied_bounds_hold(_random_lp(rng)) for _ in range(30)]
+    assert held.count(True) >= 15 and False not in held, held
+    for net, code in ((builtin_garver(), "H,L"),
+                      (synthesize_grid(SynthesisConfig(n_buses=24, n_regions=4, seed=1,
+                                                       demand_total_mw=720.0)), "H,L,H,L")):
+        model = TepSkeleton(net, 8760.0).model(realize_scenario(ScenarioCode.parse(code), net))
+        assert _implied_bounds_hold(model), code

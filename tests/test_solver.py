@@ -16,6 +16,7 @@ from tepkit.model import (
     SENSE_LE,
     Constraint,
     Model,
+    ModelError,
     Variable,
 )
 from tepkit.scenario import ScenarioCode, realize_scenario
@@ -108,16 +109,19 @@ def test_infeasible_milp():
 
 
 def test_unbounded_milp():
-    m = milp(
-        [Variable("x", CONTINUOUS, 0.0, math.inf),
-         Variable("y", BINARY, 0.0, 1.0)],
-        [Constraint("c", (("x", 1.0), ("y", -1.0)), SENSE_GE, 0.0)],
-        [("x", -1.0)],
-    )
-    sol = solve_milp(m)
-    assert sol.status == "unbounded"
-    ref = brute_force_solve(m)
-    assert ref.status == "unbounded"
+    # x gains by rising and has no upper bound, and its row only bounds it
+    # below: the dual simplex has no bound to flip it to, so every solve entry
+    # point refuses the model, as it does the LP and rowless forms of it
+    x = Variable("x", CONTINUOUS, 0.0, math.inf)
+    for m in (
+        milp([x, Variable("y", BINARY, 0.0, 1.0)],
+             [Constraint("c", (("x", 1.0), ("y", -1.0)), SENSE_GE, 0.0)], [("x", -1.0)]),
+        milp([x], [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0)], [("x", -1.0)]),
+        milp([x], [], [("x", -1.0)]),
+    ):
+        for solve in (lambda m: PreparedLp(m).solve(), solve_milp, solve_lp, brute_force_solve):
+            with pytest.raises(ModelError, match="variable 'x' needs finite bounds"):
+                solve(m)
 
 
 def test_time_limit_after_the_root_reports_its_bound(monkeypatch):
@@ -128,8 +132,19 @@ def test_time_limit_after_the_root_reports_its_bound(monkeypatch):
         [("a", -1.1), ("b", -1.0)],
     )
     full = solve_milp(m)
-    tick_clock(monkeypatch)
-    # on the ticking clock a 4 s limit expires once the root LP is solved
+    # the clock passes the limit when the root LP's solve returns
+    now = [0.0]
+    fake = types.SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(tepkit.simplex, "time", fake)
+    monkeypatch.setattr(tepkit.solver, "time", fake)
+    solve = PreparedLp.solve
+
+    def expiring(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        now[0] += 5.0
+        return result
+
+    monkeypatch.setattr(PreparedLp, "solve", expiring)
     sol = solve_milp(m, SolveOptions(time_limit_s=4.0))
     assert sol.status == "time_limit"
     assert sol.stats["nodes"] == 1
@@ -451,7 +466,6 @@ def test_brute_force_no_binaries_falls_back_to_lp():
     for upper, floor, status, objective in (
         (2.0, 0.0, "optimal", -2.0),
         (2.0, 3.0, "infeasible", None),
-        (math.inf, 0.0, "unbounded", None),
     ):
         m = milp([Variable("x", CONTINUOUS, 0.0, upper)],
                  [Constraint("floor", (("x", 1.0),), SENSE_GE, floor)], [("x", -1.0)])
