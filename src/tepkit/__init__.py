@@ -60,7 +60,6 @@ from .model import (
 from .milp import (
     TepSkeleton,
     VariableMap,
-    big_m,
     build_tep_model,
 )
 from .mps import MpsFormatError, export_lp, export_mps, import_mps
@@ -72,8 +71,6 @@ from .solver import (
     brute_force_solve,
     check_solution,
     format_solution,
-    parse_solution,
-    solve_lp,
     solve_milp,
     solve_sweep,
 )

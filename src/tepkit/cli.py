@@ -12,13 +12,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import click
 
 from .milp import TepSkeleton
-from .model import Model, model_stats
+from .model import Model, ModelError, model_stats
 from .mps import export_lp, export_mps
 from .network import (
     ABSOLUTE_ZERO_F,
@@ -368,43 +367,21 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
 # sweep
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepReportRow:
-    """One scenario's outcome in the report table.
-
-    Cost columns are microdollar-quantized decimals so the printed identities
-    total_exp_cost = new_line_cost + cap_exp_cost and
-    total_cost = total_exp_cost + gen_cost hold exactly.
-    """
-
-    scenario: str
-    status: str
-    new_lines_built: int | None
-    cap_exp_built: int | None
-    new_line_cost: Decimal | None
-    cap_exp_cost: Decimal | None
-    total_exp_cost: Decimal | None
-    gen_cost: Decimal | None
-    total_cost: Decimal | None
-
-    def csv_cells(self) -> list[str]:
-        cells = [self.scenario]
-        for value in (self.new_lines_built, self.cap_exp_built,
-                      self.new_line_cost, self.cap_exp_cost,
-                      self.total_exp_cost, self.gen_cost, self.total_cost):
-            cells.append("" if value is None else str(value))
-        return cells
-
-
 def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode,
-               result: Solution | SimplexError | SolverError) -> SweepReportRow:
-    """One scenario's report row from its solve_sweep result: its Solution,
-    or the engine error that ended its solve (reported on stderr)."""
+               result: Solution | SimplexError | SolverError | ModelError
+               ) -> tuple[str, tuple | None]:
+    """One scenario's status and report values from its solve_sweep result:
+    its Solution, or the error that ended its solve (reported on stderr).
+    The values, None without a point, are the lines built and expanded,
+    then new_line_cost, cap_exp_cost, total_exp_cost, gen_cost and
+    total_cost as microdollar-quantized decimals, so that the printed
+    identities total_exp_cost = new_line_cost + cap_exp_cost and
+    total_cost = total_exp_cost + gen_cost hold exactly."""
     if isinstance(result, Exception):
         click.echo(f"error: scenario {code}: {result}", err=True)
-        return SweepReportRow(str(code), "error", *[None] * 7)
+        return "error", None
     if not result.values:
-        return SweepReportRow(str(code), result.status, *[None] * 7)
+        return result.status, None
 
     net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours
     built, expanded = skeleton.plan(result.values)
@@ -416,13 +393,8 @@ def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode,
     ) * sigma_hours
     gen_cost = _micro(gen_mwh_cost)
     total_exp = new_line_cost + cap_exp_cost
-    return SweepReportRow(
-        scenario=str(code), status=result.status,
-        new_lines_built=len(built), cap_exp_built=len(expanded),
-        new_line_cost=new_line_cost, cap_exp_cost=cap_exp_cost,
-        total_exp_cost=total_exp, gen_cost=gen_cost,
-        total_cost=total_exp + gen_cost,
-    )
+    return result.status, (len(built), len(expanded), new_line_cost, cap_exp_cost,
+                           total_exp, gen_cost, total_exp + gen_cost)
 
 
 @main.command("sweep")
@@ -469,7 +441,7 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
                 _fail(f"scenario {code}: {exc}")
             yield model
 
-    rows = [_sweep_row(skeleton, code, result)
+    rows = [(code, *_sweep_row(skeleton, code, result))
             for code, result in zip(codes, solve_sweep(models(), options))]
 
     try:
@@ -478,8 +450,8 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
                 fh.write(line + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow(row.csv_cells())
+            for code, _, values in rows:
+                writer.writerow((code, *(values or (None,) * 7)))
     except OSError as exc:
         _fail(str(exc))
 
@@ -489,20 +461,15 @@ def cmd_sweep(network_path: str, config_path: str | None, sigma_hours: float,
     titles = ("scenario", "lines built", "cap exp", "new line cost",
               "cap exp cost", "total exp cost", "gen cost", "total cost")
     click.echo("  ".join(t.ljust(w) for t, w in zip(titles, widths)))
-    for row in rows:
-        if row.new_line_cost is None:
-            cells = (row.scenario, "-", "-", "-", "-", "-", "-",
-                     f"({row.status})")
+    for code, status, values in rows:
+        if values is None:
+            cells = (str(code), "-", "-", "-", "-", "-", "-", f"({status})")
         else:
-            cells = (
-                row.scenario, str(row.new_lines_built), str(row.cap_exp_built),
-                _money(row.new_line_cost), _money(row.cap_exp_cost),
-                _money(row.total_exp_cost), _money(row.gen_cost),
-                _money(row.total_cost),
-            )
+            built, expanded, *costs = values
+            cells = (str(code), str(built), str(expanded), *map(_money, costs))
         click.echo("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     click.echo(f"wrote report to {out_path}")
-    statuses = {row.status for row in rows}
+    statuses = {status for _, status, _ in rows}
     if "error" in statuses:
         raise SystemExit(2)
     raise SystemExit(0 if statuses == {"optimal"} else 1)

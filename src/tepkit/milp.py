@@ -47,7 +47,6 @@ __all__ = [
     "TepSkeleton",
     "VariableMap",
     "build_tep_model",
-    "big_m",
 ]
 
 
@@ -75,19 +74,6 @@ class VariableMap:
 
     def expand(self, line_id: int) -> str:
         return f"z{line_id}"
-
-
-def big_m(line, net: Network) -> float:
-    """Disjunctive constant for a candidate's angle-flow coupling.
-
-    When the candidate is unbuilt its flow is forced to zero, so the
-    coupling residual is exactly -(theta_i - theta_j), which the
-    angle-difference limits already confine to [-max_angle, max_angle].
-    The network angle bound is therefore valid and the smallest constant
-    that works."""
-    if line.kind != LINE_CANDIDATE:
-        raise ValueError(f"line {line.id} is not a candidate")
-    return net.max_angle_rad
 
 
 def _line_eta(regions: tuple[int, int], params: ScenarioParams) -> float:
@@ -187,9 +173,13 @@ class TepSkeleton:
                 )
             )
 
-        # big-M coupling on candidates, slack when unbuilt
+        # big-M coupling on candidates, slack when unbuilt. An unbuilt
+        # candidate's flow is forced to zero, so its coupling residual is
+        # exactly -(theta_i - theta_j), which the angle-difference limits
+        # confine to [-theta_max, theta_max]: theta_max is a valid M, and the
+        # smallest that works
+        m = theta_max * big_m_scale
         for line in candidates:
-            m = big_m(line, net) * big_m_scale
             flow = vmap.flow_candidate(line.id)
             y = vmap.build(line.id)
             th_i = vmap.angle(line.from_bus)

@@ -322,12 +322,12 @@ def export_lp(model: Model) -> str:
     check_model(model)
     _check_names(model)
 
-    def term_str(terms, lead: bool) -> str:
+    def term_str(terms) -> str:
         if not terms:
-            return "0" if lead else ""
+            return "0"
         parts: list[str] = []
         for i, (var, coef) in enumerate(terms):
-            if i == 0 and lead:
+            if i == 0:
                 parts.append(f"{_fmt(coef)} {var}")
             elif coef >= 0.0:
                 parts.append(f"+ {_fmt(coef)} {var}")
@@ -336,7 +336,7 @@ def export_lp(model: Model) -> str:
         return " ".join(parts)
 
     out = [f"\\ model {model.name}", "Minimize"]
-    obj = term_str(model.objective_terms, lead=True)
+    obj = term_str(model.objective_terms)
     if model.objective_constant != 0.0:
         sign = "+" if model.objective_constant >= 0.0 else "-"
         obj += f" {sign} {_fmt(abs(model.objective_constant))}"
@@ -344,7 +344,7 @@ def export_lp(model: Model) -> str:
     out.append("Subject To")
     sense_str = {SENSE_LE: "<=", SENSE_EQ: "=", SENSE_GE: ">="}
     for con in model.constraints:
-        body = term_str(con.terms, lead=True)
+        body = term_str(con.terms)
         out.append(f" {con.name}: {body} {sense_str[con.sense]} {_fmt(con.rhs)}")
     out.append("Bounds")
     for v in model.variables:

@@ -16,14 +16,14 @@ its rows imply: Savelsbergh's activity-based tightening (ORSA J. Comput.
 Koberstein's artificial bounding with bounds that cut off no feasible
 point, so c'x at each dual point bounds the optimum from below, and a
 solve given a cutoff stops once that objective exceeds it. Implied bounds
-that cross prove the LP infeasible; a column they leave unboxed is
-refused with ModelError. Each step takes the basic variable with the
-largest bound violation out at that bound and picks the entering column
-by Harris's two-pass ratio test (Math. Prog. 5, 1973), preferring the
-largest pivot among near ties. A dual whose objective has
-not risen in as many steps as the LP has columns goes on under Bland's
-rule: the lowest violated basic column leaves, and the exact ratio test
-picks the entering column, ties to the lowest index.
+that cross prove the LP infeasible; a column whose flip needs a bound
+they leave infinite is refused with ModelError. Each step takes the
+basic variable with the largest bound violation out at that bound and
+picks the entering column by Harris's two-pass ratio test (Math. Prog. 5,
+1973), preferring the largest pivot among near ties. A dual whose
+objective has not risen in as many steps as the LP has columns goes on
+under Bland's rule: the lowest violated basic column leaves, and the
+exact ratio test picks the entering column, ties to the lowest index.
 
 An optimal solve's live tableau also bounds, with no LP, each child
 that fixes one of its fractional basic binaries (`branch_bounds`):
@@ -277,10 +277,10 @@ class PreparedLp:
         `time.monotonic()` passes `deadline`, the solve stops with status
         time_limit. Each point of the dual simplex bounds the optimum from
         below: once that bound, the objective recomputed from the point,
-        exceeds `cutoff`, the solve stops with status cutoff. A solve that
-        returns another status may still end above `cutoff`. Raises
-        ModelError when a column that must move has no finite bounds and
-        its rows imply none."""
+        exceeds `cutoff`, the solve stops with status cutoff. So an optimal
+        solve's objective, checked on the point it returns, is at most
+        `cutoff`. Raises ModelError when a column must flip to a bound that
+        is infinite and its rows imply no finite one."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -551,18 +551,20 @@ class _SimplexRun:
         """The reduced costs, made dual feasible: each column that would
         gain by entering (beyond dtol) flips to the bound it gains towards,
         once a column without both bounds has the ones its rows imply. None
-        when those bounds cross; ModelError for a column they do not box. A
-        NaN reduced cost is left as it is; its column never enters."""
+        when those bounds cross; ModelError for a column whose bound it
+        flips to stays infinite. A NaN reduced cost is left as it is; its
+        column never enters."""
         z = self._reduced_costs()
         wrong = (self._gains(z) > self.dtol).nonzero()[0]
-        unboxed = wrong[~self._boxed(wrong)]
+        unboxed = wrong[~(np.isfinite(self.lower[wrong]) & np.isfinite(self.upper[wrong]))]
         if unboxed.size:
             implied = self._implied_bounds()
             if implied is None:
                 return None
             self.lower[unboxed] = implied[0][unboxed]
             self.upper[unboxed] = implied[1][unboxed]
-            refused = unboxed[~self._boxed(unboxed)]
+            target = np.where(z[unboxed] < 0.0, self.upper[unboxed], self.lower[unboxed])
+            refused = unboxed[np.isinf(target)]
             if refused.size:
                 j, n = refused[0], self.prep.n
                 name = (f"variable {self.prep.names[j]!r}" if j < n
@@ -576,9 +578,6 @@ class _SimplexRun:
         if unboxed.size:  # a free column that flipped is free no longer
             self.free = (self.status == _AT_FREE).nonzero()[0]
         return z
-
-    def _boxed(self, columns: np.ndarray) -> np.ndarray:
-        return np.isfinite(self.lower[columns]) & np.isfinite(self.upper[columns])
 
     def _implied_bounds(self):
         """Lower and upper bounds on every column, implied by the rows

@@ -12,9 +12,9 @@ import heapq
 import math
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .model import BINARY, CONTINUOUS, Model, SENSE_EQ, SENSE_GE, SENSE_LE
+from .model import BINARY, Model, ModelError, SENSE_EQ, SENSE_GE, SENSE_LE
 from .simplex import (
     Basis,
     PreparedLp,
@@ -147,18 +147,6 @@ def _stats(nodes: int, iterations: int, refactorizations: int, started: float,
             **extra}
 
 
-def solve_lp(model: Model, options: SolveOptions | None = None) -> Solution:
-    """Solve the continuous relaxation (binaries become their [0, 1] box)
-    as a search with nothing to branch on: one node, its LP."""
-    relaxed = replace(
-        model,
-        variables=tuple(
-            v if v.kind != BINARY else replace(v, kind=CONTINUOUS) for v in model.variables
-        ),
-    )
-    return solve_milp(relaxed, options)
-
-
 class _StopSearch(Exception):
     """The search reached its time limit while the node with this bound
     was open."""
@@ -268,10 +256,8 @@ class _BranchAndBound:
                 raise _StopSearch(bound)
             if result.status in (STATUS_INFEASIBLE, STATUS_CUTOFF):
                 return
-            objective = result.objective
+            objective = result.objective  # at most the cutoff: PreparedLp.solve
             bound = max(bound, objective)
-            if cutoff is not None and objective > cutoff:
-                return
             branch_name = self._most_fractional(result.values)
             if branch_name is None:
                 self._offer_incumbent(objective, result.values)
@@ -368,20 +354,21 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
 
 
 def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
-                ) -> Iterator[Solution | SimplexError | SolverError]:
+                ) -> Iterator[Solution | SimplexError | SolverError | ModelError]:
     """solve_milp over models in order, such as the scenarios of one
-    network, yielding each verified Solution or the engine error that ended
-    its solve. Each root LP continues on the previous search's root tableau,
+    network, yielding each verified Solution or the error that ended its
+    solve: an engine error, or the ModelError of a model the engine
+    refuses. Each root LP continues on the previous search's root tableau,
     with its compile derived from the one it carries, where the two models
     have the same variable and row names; it starts from the slack basis
-    after an engine error or where the names differ."""
+    after an error or where the names differ."""
     root = None
     for model in models:
-        search = _BranchAndBound(model, options or SolveOptions(), root)
         try:
+            search = _BranchAndBound(model, options or SolveOptions(), root)
             result = _verified(model, search.run())
             root = search.root_tableau
-        except (SimplexError, SolverError) as exc:
+        except (SimplexError, SolverError, ModelError) as exc:
             result, root = exc, None
         yield result
 
@@ -437,20 +424,3 @@ def format_solution(solution: Solution) -> str:
     for name in sorted(solution.values):
         lines.append(f"{name} {solution.values[name]!r}")
     return "\n".join(lines) + "\n"
-
-
-def parse_solution(text: str) -> dict[str, float]:
-    """Read `variable value` lines; blank lines and `#` comments are skipped."""
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'variable value', got {raw!r}")
-        try:
-            values[parts[0]] = float(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad numeric value {parts[1]!r}") from exc
-    return values

@@ -32,7 +32,8 @@ from tepkit.scenario import (
     enumerate_scenarios,
     realize_scenario,
 )
-from tepkit.solver import brute_force_solve, check_solution, solve_lp, solve_milp
+from tepkit.simplex import PreparedLp
+from tepkit.solver import brute_force_solve, check_solution, solve_milp
 from tepkit import thermal
 
 # Frozen regression values: bundled 6-bus system, sigma_hours = 8760.0
@@ -137,8 +138,8 @@ def test_criterion_2_big_m_validity(oracle_study):
         rec = by_label[label]
         inflated, _ = build_tep_model(rec["net"], rec["params"], SIGMA_HOURS,
                                       big_m_scale=2.0)
-        root = solve_lp(rec["model"])
-        root_inflated = solve_lp(inflated)
+        root = PreparedLp(rec["model"]).solve()
+        root_inflated = PreparedLp(inflated).solve()
         sol = solve_milp(inflated)
         scale = max(1.0, abs(rec["sol"].objective))
         ok = ok and sol.status == "optimal"

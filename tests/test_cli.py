@@ -17,6 +17,7 @@ import tepkit.solver
 from tepkit.cli import main
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import build_tep_model
+from tepkit.model import ModelError
 from tepkit.network import to_document
 from tepkit.scenario import (
     DemandElasticityConfig,
@@ -28,7 +29,7 @@ from tepkit.solver import (
     CheckReport,
     SolveOptions,
     check_solution,
-    parse_solution,
+    format_solution,
     solve_milp,
     solve_sweep,
 )
@@ -270,8 +271,8 @@ def test_solve_matches_library(garver_doc, tmp_path):
     expected = solve_milp(model)
     assert float(lines["objective"]) == pytest.approx(expected.objective,
                                                       rel=1e-12)
-    values = parse_solution(sol_path.read_text())
-    report = check_solution(model, values)
+    assert sol_path.read_text() == format_solution(expected)
+    report = check_solution(model, expected.values)
     assert report.ok
     assert report.objective == pytest.approx(expected.objective, rel=1e-12)
 
@@ -325,6 +326,12 @@ GARVER_SWEEP_ROWS = [
 ]
 
 
+# SHA-256 of the console output of the default Garver sweep, less its two
+# lines that name a path (# network=..., wrote report to ...), each line
+# ending in "\n": the header comments and the table in billions
+GARVER_SWEEP_TABLE_SHA256 = "157a060a52cba02f3e7d997ac5eb17d95dcc7d780a1c00d6bd4632787bc4e302"
+
+
 def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
     # byte-for-byte at the default --sigma-hours, so that a change in how
     # the scenarios are solved (such as warm starts) cannot move a plan or
@@ -334,6 +341,9 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
     assert result.exit_code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[1:] == GARVER_SWEEP_ROWS
+    table = "".join(line + "\n" for line in result.output.splitlines()
+                    if not line.startswith(("# network=", "wrote report to")))
+    assert hashlib.sha256(table.encode()).hexdigest() == GARVER_SWEEP_TABLE_SHA256
 
 
 # Each Garver scenario's (nodes, simplex iterations) and objective repr at
@@ -471,24 +481,26 @@ def test_solve_engine_failure_is_one_line_and_exit_2(garver_doc, monkeypatch):
 
 def test_sweep_engine_failure_keeps_other_rows(garver_doc, tmp_path,
                                                monkeypatch):
+    # an engine error, or a model the engine refuses, ends its scenario only
     search = tepkit.solver._BranchAndBound.run
+    for error in (SimplexError("basis matrix became singular"),
+                  ModelError("variable 'x' needs finite bounds")):
+        def fails_on_lh(self):
+            if self.prep.model.name == "tepLH":
+                raise error
+            return search(self)
 
-    def fails_on_lh(self):
-        if self.prep.model.name == "tepLH":
-            raise SimplexError("basis matrix became singular")
-        return search(self)
-
-    monkeypatch.setattr(tepkit.solver._BranchAndBound, "run", fails_on_lh)
-    out = tmp_path / "sweep.csv"
-    result = run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
-                 "--out", str(out))
-    assert result.exit_code == 2
-    assert "error: scenario L,H: basis matrix became singular" in result.output
-    assert "(error)" in result.output
-    rows = sweep_rows(out)
-    assert [r[0] for r in rows] == ["L,L", "L,H", "H,L", "H,H"]
-    assert rows[1] == ["L,H", "", "", "", "", "", "", ""]
-    assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
+        monkeypatch.setattr(tepkit.solver._BranchAndBound, "run", fails_on_lh)
+        out = tmp_path / "sweep.csv"
+        result = run("sweep", "--network", garver_doc, "--sigma-hours", "1.0",
+                     "--out", str(out))
+        assert result.exit_code == 2
+        assert f"error: scenario L,H: {error}" in result.output
+        assert "(error)" in result.output
+        rows = sweep_rows(out)
+        assert [r[0] for r in rows] == ["L,L", "L,H", "H,L", "H,H"]
+        assert rows[1] == ["L,H", "", "", "", "", "", "", ""]
+        assert all(Decimal(r[-1]) > 0 for r in rows if r[0] != "L,H")
 
 
 def test_sweep_failure_after_the_solve_starts_the_next_scenario_afresh(

@@ -7,7 +7,7 @@ import pytest
 
 import tepkit.milp
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
-from tepkit.milp import TepSkeleton, big_m, build_tep_model
+from tepkit.milp import TepSkeleton, build_tep_model
 from tepkit.model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE
 from tepkit.mps import export_lp, export_mps
 from tepkit.network import LINE_EXISTING, DRAKE_ACSR, Line, to_document
@@ -156,14 +156,6 @@ def test_cost_scaling_preserves_the_argmin():
     assert b.objective == pytest.approx(1000.0 * a.objective, rel=1e-9)
     for nm in ("y3", "y4", "z1"):
         assert round(a.values[nm]) == round(b.values[nm])
-
-
-def test_big_m_helper():
-    net = three_bus_net()
-    lines = {l.id: l for l in net.lines}
-    assert big_m(lines[4], net) == net.max_angle_rad
-    with pytest.raises(ValueError, match="not a candidate"):
-        big_m(lines[1], net)
 
 
 def test_build_rejects_bad_inputs():

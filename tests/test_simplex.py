@@ -108,6 +108,17 @@ def test_unbounded_detection():
         PreparedLp(m).solve()
 
 
+def test_a_column_flips_to_the_one_bound_its_rows_imply():
+    # x is free; its row implies a bound on the side its cost pushes it to
+    # and none on the other, and the flip needs only the first
+    for sense, rhs, cost in ((SENSE_GE, 1.0, 1.0), (SENSE_LE, 3.0, -1.0)):
+        m = lp([Variable("x", CONTINUOUS)], [Constraint("c", (("x", 1.0),), sense, rhs)],
+               [("x", cost)])
+        r = PreparedLp(m).solve()
+        assert r.status == "optimal"
+        assert r.values["x"] == rhs and r.objective == cost * rhs
+
+
 def test_no_constraints_bound_assignment():
     m = lp(
         [Variable("x", CONTINUOUS, -1.0, 4.0), Variable("y", CONTINUOUS, 0.0, 2.0),
@@ -401,6 +412,34 @@ def test_uncertified_dual_dead_end_on_a_feasible_lp_is_not_declared_infeasible()
     result = prep.solve(start=start)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(2.0, abs=1e-12)
+
+
+def test_dual_dead_end_on_a_fresh_factorization_is_judged_by_its_violation(monkeypatch):
+    # x in [0, 1] must reach 1 + 5e-8: entering x overshoots its upper bound
+    # by 5e-8, and no column can bring it back. The certificate's excess,
+    # 5e-8, is under the primal tolerance, so the dead end refactorizes and
+    # meets itself again on the fresh factorization. A violation that small
+    # is an optimum; an LP whose certificate fails though its violation is
+    # large is infeasible.
+    checks = []
+    real = _SimplexRun._infeasibility_certified
+
+    def recording(run, push):
+        checks.append(real(run, push))
+        return checks[-1]
+
+    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", recording)
+    m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)],
+           [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0 + 5e-8)], [])
+    r = PreparedLp(m).solve()
+    assert r.status == "optimal" and r.refactorizations == 1
+    assert r.values["x"] == pytest.approx(1.0 + 5e-8, abs=1e-15)
+    assert checks == [False, False]
+    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", lambda run, push: False)
+    m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)],
+           [Constraint("c", (("x", 1.0),), SENSE_GE, 2.0)], [("x", 1.0)])
+    r = PreparedLp(m).solve()
+    assert r.status == "infeasible" and r.refactorizations == 1
 
 
 def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch):

@@ -28,8 +28,6 @@ from tepkit.solver import (
     brute_force_solve,
     check_solution,
     format_solution,
-    parse_solution,
-    solve_lp,
     solve_milp,
     solve_sweep,
 )
@@ -72,14 +70,15 @@ def test_brute_force_matches_knapsack():
 
 def test_relaxation_bounds_the_milp():
     m = knapsack()
-    lp = solve_lp(m)
+    lp = PreparedLp(m).solve()
     sol = solve_milp(m)
     assert lp.status == "optimal"
     assert lp.objective <= sol.objective + 1e-9 * max(1.0, abs(sol.objective))
 
 
 def test_solve_lp_relaxes_binaries():
-    lp = solve_lp(knapsack())
+    # the compiled LP relaxes each binary to its [0, 1] box
+    lp = PreparedLp(knapsack()).solve()
     # fractional knapsack fills the residual capacity with b
     assert lp.objective == pytest.approx(-17.0 - 13.0 * 0.0, abs=2.0)
     assert 0.0 <= lp.values["b"] <= 1.0
@@ -119,7 +118,7 @@ def test_unbounded_milp():
         milp([x], [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0)], [("x", -1.0)]),
         milp([x], [], [("x", -1.0)]),
     ):
-        for solve in (lambda m: PreparedLp(m).solve(), solve_milp, solve_lp, brute_force_solve):
+        for solve in (lambda m: PreparedLp(m).solve(), solve_milp, brute_force_solve):
             with pytest.raises(ModelError, match="variable 'x' needs finite bounds"):
                 solve(m)
 
@@ -183,16 +182,16 @@ def tick_clock(monkeypatch):
 
 def test_time_limit_holds_inside_the_root_lp(monkeypatch):
     model = garver_model()
-    root = solve_lp(model)
-    assert root.stats["simplex_iterations"] >= 30
+    root = PreparedLp(model).solve()
+    assert root.iterations >= 30
     tick_clock(monkeypatch)
     sol = solve_milp(model, SolveOptions(time_limit_s=5.0))
     assert sol.status == "time_limit"
     assert sol.stats["nodes"] == 1  # the interrupted root counts as a node
     assert sol.stats["simplex_iterations"] <= 5
     assert sol.objective is None and sol.best_bound is None
-    lp = solve_lp(model, SolveOptions(time_limit_s=5.0))
-    assert lp.status == "time_limit" and lp.stats["simplex_iterations"] <= 5
+    lp = PreparedLp(model).solve(deadline=tepkit.simplex.time.monotonic() + 5.0)
+    assert lp.status == "time_limit" and lp.iterations <= 5
 
 
 def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
@@ -300,6 +299,21 @@ def test_sweep_yields_an_engine_error_in_place_and_starts_the_next_model_afresh(
             == {k: cold.stats[k] for k in ("nodes", "simplex_iterations", "refactorizations")})
 
 
+def test_sweep_yields_a_refused_model_in_place_and_starts_the_next_model_afresh(monkeypatch):
+    # in the second model x gains by rising and nothing bounds it above, so
+    # the engine refuses it; the third model starts from the slack basis
+    row = Constraint("c", (("x", 1.0),), SENSE_GE, 1.0)
+    bounded = milp([Variable("x", CONTINUOUS, 0.0, 2.0)], [row], [("x", -1.0)])
+    refused = milp([Variable("x", CONTINUOUS, 0.0, math.inf)], [row], [("x", -1.0)])
+    starts = _recording_starts(monkeypatch)
+    first, error, third = solve_sweep([bounded, refused, bounded])
+    assert first.objective == third.objective == -2.0
+    assert isinstance(error, ModelError)
+    assert str(error).startswith("variable 'x' needs finite bounds")
+    roots = [start for overrides, start in starts if not overrides]
+    assert roots[0] is None and isinstance(roots[1], Tableau) and roots[2] is None
+
+
 def test_sweep_starts_a_model_with_other_names_from_the_slack_basis(monkeypatch):
     # the second model's compile cannot be derived from the first's, and
     # the first's root tableau cannot start it: it is solved as cold
@@ -325,7 +339,7 @@ def test_dive_children_and_gray_code_steps_skip_the_refactorization():
     assert sol.stats["nodes"] + sol.stats["closed_nodes"] == 51
     assert sol.stats["refactorizations"] == 0
     # the slack start needs no LAPACK call
-    assert solve_lp(garver_model("H,H")).stats["refactorizations"] == 0
+    assert PreparedLp(garver_model("H,H")).solve().refactorizations == 0
     # nor do the knapsack's Gray-code steps, its 3 infeasible ones included
     oracle = brute_force_solve(knapsack())
     assert oracle.stats["nodes"] - oracle.stats["feasible_assignments"] == 3
@@ -469,7 +483,7 @@ def test_brute_force_no_binaries_falls_back_to_lp():
     ):
         m = milp([Variable("x", CONTINUOUS, 0.0, upper)],
                  [Constraint("floor", (("x", 1.0),), SENSE_GE, floor)], [("x", -1.0)])
-        for solve in (solve_milp, solve_lp, brute_force_solve):
+        for solve in (solve_milp, brute_force_solve):
             sol = solve(m)
             assert sol.status == status, (solve, status)
             if objective is None:
@@ -627,20 +641,11 @@ def test_check_solution_verdicts_match_the_scaled_formula_at_the_boundary(feas_t
 
 def test_solution_file_round_trip():
     sol = solve_milp(knapsack())
-    text = format_solution(sol)
-    assert text.startswith("# status optimal")
-    parsed = parse_solution(text)
-    assert parsed == sol.values
-    report = check_solution(knapsack(), parsed)
-    assert report.ok
-
-
-def test_parse_solution_errors():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_solution("# fine\nx 1 2\n")
-    with pytest.raises(ValueError, match="line 1"):
-        parse_solution("x notanumber\n")
-    assert parse_solution("\n# only comments\n") == {}
+    assert format_solution(sol) == (
+        "# status optimal\n# objective -17.0\n# best_bound -17.0\n"
+        "a 1.0\nb 0.0\nc 1.0\n")
+    assert sol.values == {"a": 1.0, "b": 0.0, "c": 1.0}
+    assert check_solution(knapsack(), sol.values).ok
 
 
 def test_solve_options_validation():
