@@ -38,7 +38,9 @@ parent's, a sibling left open a copy of it, a brute-force assignment the
 previous one's. Only bounds differ, so the solve continues on that B^-1*A
 in place, with x_B = B^-1*(b - A_N*x_N) from its slack block, B^-1. Each
 nonbasic column keeps its bound status where the new bounds allow it, and
-the dual repairs any basic variable the new bounds put out of range.
+the dual repairs any basic variable the new bounds put out of range. A
+dive child goes further and continues its parent's solve, adopting its
+state and the reduced costs `branch_bounds` formed (see _continue).
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -67,8 +69,11 @@ restarts the solve from the slack basis.
 
 Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
-must satisfy Ax = b and the bounds, and y = c_B*B^-1 must price every
-column with the sign its bound status needs (weak duality). An
+must satisfy Ax = b, and y = c_B*B^-1 must price every column with the
+sign its bound status needs (weak duality). Its bounds need no test: the
+dual stops optimal only once no basic value violates its bounds by more
+than _PRIMAL_TOL, or at a dead end on a fresh factorization, which is
+trusted and never certified. An
 infeasibility verdict needs a Farkas certificate: at a dual dead end,
 where no entering column can repair the leaving row r, y = +-e_r*B^-1
 must show that no point within the bounds reaches y*b (Maros 2003). A
@@ -106,6 +111,10 @@ _BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
+# the ufunc reductions behind ndarray.min/any/all, called without their wrapper
+_min = np.minimum.reduce
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -316,19 +325,21 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     cost. The reduced costs are dual feasible at an optimum, so every dual
     point of the child, the one after that step among them, bounds its
     optimum from below. A child with no candidate column gets no bound
-    (-inf)."""
+    (-inf). The reduced costs are kept for the dive child's solve."""
     run = result.tableau._run
     if run is None:
         raise ValueError("the tableau was taken over by another solve")
     row = int((run.basis == run.prep.var_index[name]).argmax())
-    z = run._reduced_costs()
+    z = run.priced = run._reduced_costs()
+    # _entering's slopes for both children (the 0-child's binary leaves above)
+    slope = run._gains(np.multiply.outer((-1.0, 1.0), run.tableau[row]))
+    candidate = (slope > _PIVOT_TOL) & np.isfinite(z)
+    ratio = np.divide(np.maximum(-run._gains(z), 0.0), slope,
+                      out=np.full(slope.shape, math.inf), where=candidate)
+    step = _min(ratio, axis=1)
     f = result.values[name]
-    bounds = []
-    for above, delta in ((True, f), (False, 1.0 - f)):
-        candidates, slope, slack = run._dual_slopes(row, above, z)
-        bounds.append(result.objective + delta * float((slack / slope).min())
-                      if candidates.size else -math.inf)
-    return bounds[0], bounds[1]
+    return tuple(result.objective + delta * float(t) if _any(has) else -math.inf
+                 for delta, t, has in zip((f, 1.0 - f), step, candidate))
 
 
 def _primal_tol(b: np.ndarray) -> float:
@@ -373,6 +384,7 @@ class _SimplexRun:
         self.pivots_since_refactor = 0
         self.refactorizations = 0
         self.fresh = False  # the tableau is a factorization no pivot has touched
+        self.priced = None  # reduced costs of the tableau as it stands, or None
 
     # -- setup ------------------------------------------------------------
 
@@ -382,33 +394,36 @@ class _SimplexRun:
         column keeps its bound where that bound is finite, else takes the
         other finite bound, else sits free at zero. A basis is refactorized;
         a taken-over tableau, its changed columns replaced, gives
-        x_B = B^-1*(b - A_N*x_N) directly."""
+        x_B = B^-1*(b - A_N*x_N) directly. A live tableau of this compile
+        continues the solve that left it (_continue) where it can."""
+        parent = start._run if isinstance(start, Tableau) and start.prep is self.prep else None
         if isinstance(start, Tableau):
             self.tableau, basis, status, self.pivots_since_refactor = start._take(self.prep)
         else:
             basis = np.array(start.columns, dtype=np.intp)
             status = np.frombuffer(start.status, dtype=np.int8)
-        has_lo = np.isfinite(self.lower)
-        has_up = np.isfinite(self.upper)
-        want_up = ((status == _AT_UPPER) & has_up) | ~has_lo
-        self.status = np.where(
-            want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER
-        ).astype(np.int8)
-        self.basis = basis
-        self.status[self.basis] = _BASIC
-        # the value of each nonbasic column (0 for a basic one), kept by
-        # _set_nonbasic and _pivot
-        self.x_nonbasic = np.where(self.status == _AT_LOWER, self.lower,
-                                   np.where(self.status == _AT_UPPER, self.upper, 0.0))
-        # the bounds of the basic variables, in row order
-        self.lo_b = self.lower[self.basis]
-        self.up_b = self.upper[self.basis]
-        # the pricing sign of each column: the reduced cost z_j times gain_j
-        # is what entering j gains (-1 at lower, +1 at upper, 0 when basic or
-        # fixed); a nonbasic free column gains |z_j|
-        self.gain = _GAIN[self.status]
-        self.gain[self.fixed] = 0.0
-        self.free = (self.status == _AT_FREE).nonzero()[0]
+        if parent is None or not self._continue(parent):
+            has_lo = np.isfinite(self.lower)
+            has_up = np.isfinite(self.upper)
+            want_up = ((status == _AT_UPPER) & has_up) | ~has_lo
+            self.status = np.where(
+                want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER
+            ).astype(np.int8)
+            self.basis = basis
+            self.status[self.basis] = _BASIC
+            # the value of each nonbasic column (0 for a basic one), kept by
+            # _set_nonbasic and _pivot
+            self.x_nonbasic = np.where(self.status == _AT_LOWER, self.lower,
+                                       np.where(self.status == _AT_UPPER, self.upper, 0.0))
+            # the bounds of the basic variables, in row order
+            self.lo_b = self.lower[self.basis]
+            self.up_b = self.upper[self.basis]
+            # the pricing sign of each column: the reduced cost z_j times
+            # gain_j is what entering j gains (-1 at lower, +1 at upper, 0
+            # when basic or fixed); a nonbasic free column gains |z_j|
+            self.gain = _GAIN[self.status]
+            self.gain[self.fixed] = 0.0
+            self.free = (self.status == _AT_FREE).nonzero()[0]
         if isinstance(start, Tableau) and (
                 start.prep is self.prep or self._replace_columns(start.prep._a)):
             residual = self.b - self.a @ self.x_nonbasic
@@ -416,13 +431,33 @@ class _SimplexRun:
         else:
             self._refactorize()
 
+    def _continue(self, parent: _SimplexRun) -> bool:
+        """Adopt the column statuses, nonbasic values, pricing signs, free
+        list and basic bounds (rewriting the rows of basic columns whose
+        bounds differ here) of `parent`, the solve that left this tableau,
+        and the reduced costs branch_bounds formed from it: the state a
+        full load would rebuild, bit for bit. False, adopting nothing, when
+        a nonbasic column's bounds differ (such as bounds its rows implied
+        in the parent)."""
+        moved = (self.lower != parent.lower) | (self.upper != parent.upper)
+        if _any(moved & (parent.status != _BASIC)):
+            return False
+        self.basis, self.status = parent.basis, parent.status
+        self.x_nonbasic, self.gain, self.free = parent.x_nonbasic, parent.gain, parent.free
+        self.lo_b, self.up_b = parent.lo_b, parent.up_b
+        rows = moved[self.basis].nonzero()[0]
+        self.lo_b[rows] = self.lower[self.basis[rows]]
+        self.up_b[rows] = self.upper[self.basis[rows]]
+        self.priced = parent.priced
+        return True
+
     def _replace_columns(self, old_a: np.ndarray) -> bool:
         """Carry a tableau of another compile's columns `old_a` over to this
         LP's: each changed column j becomes B^-1*a'_j, and a basic one is
         pivoted back into its own row, replacing a_j by a'_j in the basis.
         False when such a pivot vanishes (the new basis is singular or
         nearly so); the tableau is then left to a refactorization."""
-        changed = np.flatnonzero((self.a != old_a).any(axis=0))
+        changed = np.flatnonzero(_any(self.a != old_a, axis=0))
         self.tableau[:, changed] = self.tableau[:, self.prep.n:] @ self.a[:, changed]
         row_of = np.full(self.cols, -1)
         row_of[self.basis] = np.arange(self.m)
@@ -459,7 +494,7 @@ class _SimplexRun:
         solve from the slack basis."""
         n = self.prep.n
         residual = self.b - self.a @ self.x_nonbasic
-        if (self.status[n:] == _BASIC).all():
+        if _all(self.status[n:] == _BASIC):
             rows = self.basis - n
             self.tableau = self.a[rows]
             self.x_basic = residual[rows]
@@ -493,7 +528,7 @@ class _SimplexRun:
         or |z_j| for a free column (0 for a basic or fixed one)."""
         score = self.gain * z
         if self.free.size:
-            score[self.free] = np.abs(z[self.free])
+            score[..., self.free] = np.abs(z[..., self.free])
         return score
 
     def _set_nonbasic(self, j: int, at: int) -> None:
@@ -520,7 +555,7 @@ class _SimplexRun:
         self.up_b[row] = self.upper[q]
         self.x_basic[row] = new_value
         z -= z[q] * piv_row
-        z[self.basis] = 0.0
+        z[q] = 0.0  # every other basic column keeps its 0: its piv_row entry is 0
 
     def _eliminate(self, row: int, q: int) -> np.ndarray:
         """Make column q the unit column of `row` with one rank-1 update of
@@ -529,12 +564,9 @@ class _SimplexRun:
         most a tenth of the pivot row is, only those columns."""
         piv_row = self.tableau[row] / self.tableau[row, q]
         col = self.tableau[:, q]  # read in full before the update writes
-        rows = col.nonzero()[0]
-        if 2 * rows.size > self.m:
-            rows = slice(None)
-        cols = piv_row.nonzero()[0]
-        if 10 * cols.size > self.cols:
-            cols = slice(None)
+        rows = slice(None) if 2 * np.count_nonzero(col) > self.m else col.nonzero()[0]
+        cols = (slice(None) if 10 * np.count_nonzero(piv_row) > self.cols
+                else piv_row.nonzero()[0])
         if isinstance(rows, slice) or isinstance(cols, slice):
             block = rows, cols
         else:
@@ -554,8 +586,12 @@ class _SimplexRun:
         when those bounds cross; ModelError for a column whose bound it
         flips to stays infinite. A NaN reduced cost is left as it is; its
         column never enters."""
-        z = self._reduced_costs()
+        z, self.priced = self.priced, None
+        if z is None:
+            z = self._reduced_costs()
         wrong = (self._gains(z) > self.dtol).nonzero()[0]
+        if not wrong.size:
+            return z
         unboxed = wrong[~(np.isfinite(self.lower[wrong]) & np.isfinite(self.upper[wrong]))]
         if unboxed.size:
             implied = self._implied_bounds()
@@ -601,37 +637,31 @@ class _SimplexRun:
             b = self.b[rows]
             np.maximum.at(lower, cols, (b - np.where(pos, rest_most, rest_least)) / coef)
             np.minimum.at(upper, cols, (b - np.where(pos, rest_least, rest_most)) / coef)
-            if (lower > upper).any():
+            if _any(lower > upper):
                 return None
             if np.isinf(lower).sum() + np.isinf(upper).sum() == infinite:
                 return lower, upper
 
-    def _dual_slopes(self, row: int, above: bool, z: np.ndarray):
-        """The columns whose move brings the basic variable of `row` back
-        to the bound it violates (its upper one when `above`), with each
-        one's slope and slack: a dual step t lowers the slack (how far its
-        reduced cost in `z` is from gaining; a free column has none) by
-        t*slope, where slope is |alpha_rj|. A NaN reduced cost is no
-        candidate."""
-        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
-        candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
-        return candidates, slope[candidates], np.maximum(-self._gains(z)[candidates], 0.0)
-
     def _entering(self, row: int, above: bool, z: np.ndarray, bland: bool) -> int | None:
         """The entering column for the basic variable of `row` leaving at
-        the bound it violates, or None when no column's move brings it
-        back (see _dual_slopes). Harris's first pass finds the longest step
-        that leaves no slack below -dtol; the second takes, among the
-        columns whose slack runs out within it, the largest |alpha_rj|.
-        Under Bland's rule the shortest step wins, ties to the lowest
-        column."""
-        candidates, slope, slack = self._dual_slopes(row, above, z)
+        the bound it violates (its upper one when `above`), or None when no
+        column's move brings it back. Each candidate's slack (how far its
+        reduced cost in `z` is from gaining; a free column has none) falls
+        by t*|alpha_rj| in a dual step t; a NaN reduced cost is no
+        candidate. Harris's first pass finds the longest step that leaves
+        no slack below -dtol; the second takes, among the columns whose
+        slack runs out within it, the largest |alpha_rj|. Under Bland's
+        rule the shortest step wins, ties to the lowest column."""
+        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
+        candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
         if not candidates.size:
             return None
+        slope = slope[candidates]
+        slack = np.maximum(-self._gains(z)[candidates], 0.0)
         if bland:
             ratio = slack / slope
-            return int(candidates[(ratio <= ratio.min() + _RATIO_TIE).argmax()])
-        longest = ((slack + self.dtol) / slope).min()
+            return int(candidates[(ratio <= _min(ratio) + _RATIO_TIE).argmax()])
+        longest = _min((slack + self.dtol) / slope)
         within = slack / slope <= longest
         return int(candidates[np.where(within, slope, -1.0).argmax()])
 
@@ -662,14 +692,17 @@ class _SimplexRun:
             else:
                 stalled += 1
             bland = stalled >= _BLAND_STALLS * self.cols
-            violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
-            violated = violation > _PRIMAL_TOL
-            if not violated.any():
+            if not self.m:
                 return STATUS_OPTIMAL
-            if bland:
-                row = int(np.where(violated, self.basis, self.cols).argmin())
-            else:
-                row = int(np.where(violated, violation, 0.0).argmax())
+            violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
+            row = int(violation.argmax())
+            # the largest violation leaves, unless within tolerance or NaN
+            if bland or not violation[row] > _PRIMAL_TOL:
+                violated = violation > _PRIMAL_TOL
+                if not _any(violated):
+                    return STATUS_OPTIMAL
+                row = int(np.where(violated, self.basis, self.cols).argmin() if bland
+                          else np.where(violated, violation, 0.0).argmax())
             above = bool(self.x_basic[row] > self.up_b[row])
             q = self._entering(row, above, z, bland)
             if q is None:
@@ -695,26 +728,25 @@ class _SimplexRun:
 
     def _certified(self, x: np.ndarray) -> bool:
         """Whether the current point `x` is optimal on the original rows,
-        however far the tableau has drifted: x meets Ax = b and the bounds,
-        and the duals y = c_B*B^-1 (the tableau's slack block) give every
-        basic column a zero reduced cost and every nonbasic one the sign its
-        bound status needs; a non-finite x or reduced cost fails. O(m*(n+m))."""
-        if not np.isfinite(x).all():
+        however far the tableau has drifted: x meets Ax = b, and the duals
+        y = c_B*B^-1 (the tableau's slack block) give every basic column a
+        zero reduced cost and every nonbasic one the sign its bound status
+        needs; a non-finite x or reduced cost fails. x is within its bounds:
+        _run_dual found no violation above _PRIMAL_TOL. O(m*(n+m))."""
+        if not _all(np.isfinite(x)):
             return False
-        if self.m and float(np.max(np.abs(self.a @ x - self.b))) > self.primal_tol:
-            return False
-        if self._total_violation() > self.primal_tol:
+        if self.m and float(np.maximum.reduce(np.abs(self.a @ x - self.b))) > self.primal_tol:
             return False
         cost = self.prep._cost
         y = cost[self.basis] @ self.tableau[:, self.prep.n:]
         d = cost - y @ self.a
-        if not np.isfinite(d).all():
+        if not _all(np.isfinite(d)):
             return False
         # what entering each nonbasic column would gain, as in pricing; a
         # fixed nonbasic column may not move, and a basic one must price at 0
         score = self._gains(d)
         score[self.basis] = np.abs(d[self.basis])
-        return not (score > self.dtol).any()
+        return not _any(score > self.dtol)
 
     def _infeasibility_certified(self, push: np.ndarray) -> bool:
         """Whether the original rows prove the LP infeasible (a Farkas

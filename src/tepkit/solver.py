@@ -183,7 +183,7 @@ class _BranchAndBound:
         # open nodes: (bound, push order, fixings, own bound, start): the
         # bound is the parent's and orders the search, the own bound is the
         # node's branching penalty, and the start is a copy of the parent's
-        # final tableau, or its final basis past the budget
+        # final tableau, or its final basis past the budget or the cutoff
         self.heap: list[tuple[float, int, _Fixings, float, Basis | Tableau]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
@@ -233,9 +233,10 @@ class _BranchAndBound:
         rounded child, pushing the sibling, until the dive dies or yields an
         incumbent. The rounded child continues on its parent's live tableau;
         the sibling stores a copy of it while the open nodes' tableaux stay
-        within _OPEN_TABLEAU_BYTES, and the parent's final basis after. A
-        node whose own bound, its branching penalty, exceeds the cutoff is
-        closed without an LP."""
+        within _OPEN_TABLEAU_BYTES, and the parent's final basis after or
+        when its own bound already exceeds the cutoff. A node whose own
+        bound, its branching penalty, exceeds the cutoff is closed without
+        an LP."""
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _StopSearch(bound)
@@ -268,7 +269,10 @@ class _BranchAndBound:
                 self.root_tableau = result.tableau.copy()
             sibling = result.basis
             size = result.tableau.matrix.nbytes
-            if self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
+            # the cutoff only falls, so a sibling its own bound already puts
+            # past it is closed when popped, and its start is never read
+            dominated = cutoff is not None and child_bounds[1 - preferred] > cutoff
+            if not dominated and self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
                 sibling = result.tableau.copy()
                 self.tableau_bytes += size
             self._push(bound, fixings + ((branch_name, 1 - preferred),),
@@ -334,12 +338,13 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     parent's live tableau and a node taken from the open list on a copy of
     its parent's final tableau, so neither refactorizes. The open nodes'
     copies are capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node
-    pushed past that starts from its parent's final basis instead. Once
-    there is an incumbent, each node's LP is solved with the cutoff
-    incumbent + _tie_tol(incumbent): every point of its dual simplex bounds
-    its optimum, so the LP stops, and the node is pruned, once one exceeds
-    the cutoff. A node within the tie tolerance is still solved, so a
-    lexicographically smaller tie can still win.
+    pushed past that, or past the cutoff by its own bound (below), keeps
+    its parent's final basis instead. Once there is an incumbent, each
+    node's LP is solved with the cutoff incumbent + _tie_tol(incumbent):
+    every point of its dual simplex bounds its optimum, so the LP stops,
+    and the node is pruned, once one exceeds the cutoff. A node within the
+    tie tolerance is still solved, so a lexicographically smaller tie can
+    still win.
 
     When a node branches, both children get their own bound from its
     final tableau, before the dive child takes it over: Driebeek's penalty

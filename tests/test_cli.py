@@ -24,7 +24,7 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import _AT_UPPER, PreparedLp, SimplexError, Tableau, _SimplexRun
+from tepkit.simplex import _AT_UPPER, _BASIC, PreparedLp, SimplexError, Tableau, _SimplexRun
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -454,6 +454,84 @@ def test_nodes_closed_by_their_penalty_are_the_one_step_cutoffs(
                          if status == "cutoff" and iterations == 1) == one_step
     # every other LP keeps its place, its outcome and its iterations
     assert [lp for lp in open_lps if lp != ("cutoff", 1)] == lps
+
+
+def _sweep_lp_log(doc, out, reference=None):
+    """Run `sweep` on `doc`; return its data rows and the (status,
+    iterations, refactorizations, objective repr) of every LP solve. With a
+    `reference` log, stop at the first LP that differs from it."""
+    lps = []
+    solve = PreparedLp.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        lp = (result.status, result.iterations, result.refactorizations, repr(result.objective))
+        if reference is not None:
+            assert lp == reference[len(lps)], f"LP {len(lps)} differs"
+        lps.append(lp)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PreparedLp, "solve", recording)
+        assert run("sweep", "--network", doc, "--out", str(out)).exit_code == 0
+    return [l for l in out.read_text().splitlines() if not l.startswith("#")], lps
+
+
+@pytest.mark.parametrize("network, continued, held", [("garver", 81, [(103, ["bmu8"])]),
+                                                      ("w2", 0, [])])
+def test_a_dive_child_continues_its_parent_bit_for_bit(
+        network, continued, held, garver_doc, tmp_path, monkeypatch):
+    # a start from a live tableau of the same compile (a dive child's)
+    # continues the solve that left it, with the reduced costs that
+    # branch_bounds formed, unless a nonbasic column's bounds differ from
+    # that solve's: in Garver, the child of the H,H root (LP 103), whose
+    # parent holds the bound its row implied on the slack of bmu8 (see
+    # test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies).
+    # Loaded in full instead, every LP and every row stay as they are
+    if network == "garver":
+        doc = garver_doc
+    else:
+        doc = tmp_path / "w2.json"
+        doc.write_text(json.dumps(to_document(synthesize_grid(SynthesisConfig(
+            n_buses=24, n_regions=4, seed=1, demand_total_mw=720.0)))))
+        doc = str(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SimplexRun, "_continue", lambda run, parent: False)
+        full_rows, full_lps = _sweep_lp_log(doc, tmp_path / "full.csv")
+    live, calls = [], []
+    load, resume = _SimplexRun._load, _SimplexRun._continue
+
+    def recording_load(run, start):
+        if isinstance(start, Tableau) and start._run is not None and start.prep is run.prep:
+            live.append(start)
+        load(run, start)
+
+    def recording_continue(run, parent):
+        # the nonbasic columns whose bounds differ from the parent's
+        moved = (run.lower != parent.lower) | (run.upper != parent.upper)
+        names = run.prep.names + run.prep.rows  # a slack goes by its row's name
+        other = [names[j] for j in np.flatnonzero(moved & (parent.status != _BASIC))]
+        took = resume(run, parent)
+        calls.append((len(solved), other, took))
+        return took
+
+    solved = []  # the LPs solved so far
+    solve = PreparedLp.solve
+
+    def counting(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        solved.append(result)
+        return result
+
+    monkeypatch.setattr(_SimplexRun, "_load", recording_load)
+    monkeypatch.setattr(_SimplexRun, "_continue", recording_continue)
+    monkeypatch.setattr(PreparedLp, "solve", counting)
+    rows, shipped_lps = _sweep_lp_log(doc, tmp_path / "shipped.csv", full_lps)
+    assert shipped_lps == full_lps and rows == full_rows
+    assert len(calls) == len(live)
+    assert [(lp, names) for lp, names, took in calls if not took] == held
+    assert all(took == (not names) for _, names, took in calls)
+    assert sum(took for *_, took in calls) == continued
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):

@@ -252,19 +252,24 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     assert first.objective == second.objective == 2.0
     # a branching root's dive child takes the live one: the root keeps a
     # copy, which the next model's root takes over; every other copy is an
-    # open sibling's
+    # open sibling's, unless its own bound already exceeds the cutoff when
+    # it is pushed: such a sibling is closed when popped, and keeps a basis
     pushes = []
     push = tepkit.solver._BranchAndBound._push
 
-    def recording_push(self, bound, fixings, *rest):
-        pushes.append(fixings)
-        push(self, bound, fixings, *rest)
+    def recording_push(self, bound, fixings, own_bound, start):
+        incumbent = self.incumbent_obj
+        dominated = (incumbent is not None
+                     and own_bound > incumbent + tepkit.solver._tie_tol(incumbent))
+        pushes.append((dominated, isinstance(start, Tableau)))
+        push(self, bound, fixings, own_bound, start)
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording_push)
     del starts[:]
     low, high = solve_sweep([garver_model("L,L"), garver_model("H,H")])
     assert low.stats["nodes"] > 1 and high.stats["nodes"] > 1
-    assert len(copies) == len(pushes) + 2
+    assert (True, False) in pushes and (True, True) not in pushes
+    assert len(copies) == sum(not dominated for dominated, _ in pushes) + 2
     live_root, kept = copies[0]
     assert live_root.matrix is None  # taken by the dive child
     roots = [start for overrides, start in starts if not overrides]
