@@ -55,15 +55,22 @@ class ModelError(ValueError):
 
 def check_terms(con: Constraint, names) -> None:
     """Raise ModelError unless every term of the row references one of
-    `names`, the declared variables."""
-    for var, _ in con.terms:
+    `names`, the declared variables, and its coefficients and right-hand
+    side are finite."""
+    for var, coef in con.terms:
         if var not in names:
             raise ModelError(f"constraint {con.name!r} references unknown variable {var!r}")
+        if not math.isfinite(coef):
+            raise ModelError(f"constraint {con.name!r}: coefficient {coef} of {var!r}")
+    if not math.isfinite(con.rhs):
+        raise ModelError(f"constraint {con.name!r}: right-hand side {con.rhs}")
 
 
 def check_model(model: Model) -> None:
     """Raise ModelError unless names are unique, every term references a
-    declared variable, and binaries have [0, 1] bounds."""
+    declared variable, bounds are ordered and not NaN, binaries have [0, 1]
+    bounds, and every coefficient, right-hand side and objective term,
+    the constant too, is finite."""
     names = set()
     for v in model.variables:
         if v.name in names:
@@ -73,8 +80,8 @@ def check_model(model: Model) -> None:
             raise ModelError(f"variable {v.name!r}: unknown kind {v.kind!r}")
         if v.kind == BINARY and (v.lower, v.upper) != (0.0, 1.0):
             raise ModelError(f"binary variable {v.name!r} must have bounds [0, 1]")
-        if v.lower > v.upper:
-            raise ModelError(f"variable {v.name!r}: lower bound exceeds upper bound")
+        if not v.lower <= v.upper:  # written so that NaN fails it
+            raise ModelError(f"variable {v.name!r}: lower bound exceeds upper bound, or is NaN")
 
     row_names = set()
     for c in model.constraints:
@@ -84,9 +91,13 @@ def check_model(model: Model) -> None:
         if c.sense not in (SENSE_LE, SENSE_EQ, SENSE_GE):
             raise ModelError(f"constraint {c.name!r}: unknown sense {c.sense!r}")
         check_terms(c, names)
-    for var, _ in model.objective_terms:
+    for var, coef in model.objective_terms:
         if var not in names:
             raise ModelError(f"objective references unknown variable {var!r}")
+        if not math.isfinite(coef):
+            raise ModelError(f"objective: coefficient {coef} of {var!r}")
+    if not math.isfinite(model.objective_constant):
+        raise ModelError(f"objective: constant {model.objective_constant}")
 
 
 def term_map(terms: tuple[tuple[str, float], ...]) -> dict[str, float]:

@@ -136,9 +136,12 @@ def export_mps(model: Model) -> str:
 
 def _parse_value(token: str, lineno: int) -> float:
     try:
-        return float(token)
-    except ValueError as exc:
-        raise MpsFormatError(f"line {lineno}: bad numeric value {token!r}") from exc
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise MpsFormatError(f"line {lineno}: bad numeric value {token!r}")
+    return value
 
 
 def import_mps(text: str) -> Model:

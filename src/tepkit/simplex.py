@@ -25,22 +25,21 @@ objective has not risen in as many steps as the LP has columns goes on
 under Bland's rule: the lowest violated basic column leaves, and the
 exact ratio test picks the entering column, ties to the lowest index.
 
-An optimal solve's live tableau also bounds, with no LP, each child
+An optimal solve's final tableau also bounds, with no LP, each child
 that fixes one of its fractional basic binaries (`branch_bounds`):
 Driebeek's penalty, the objective after the first step of that child's
 dual simplex.
 
 A solve starts from a basis (the slack basis by default, or the final
 basis of a related LP, such as an open branch-and-bound node past the
-search's budget for stored tableaux) or takes over the final tableau of
-an earlier solve of the same compile, live or copied: a dive child its
-parent's, a sibling left open a copy of it, a brute-force assignment the
-previous one's. Only bounds differ, so the solve continues on that B^-1*A
-in place, with x_B = B^-1*(b - A_N*x_N) from its slack block, B^-1. Each
-nonbasic column keeps its bound status where the new bounds allow it, and
-the dual repairs any basic variable the new bounds put out of range. A
-dive child goes further and continues its parent's solve, adopting its
-state and the reduced costs `branch_bounds` formed (see _continue).
+search's budget for stored tableaux) or continues an earlier solve, from
+its final Tableau or a copy: a dive child its parent's, a sibling left
+open a copy, a sweep's root the previous root's, a brute-force
+assignment the previous one's. It adopts that solve's B^-1*A and state,
+and settles again only the columns whose bounds differ, by the rule a
+basis start applies to every nonbasic column (_continue): x_B =
+B^-1*(b - A_N*x_N) comes from the slack block, B^-1, and the dual
+repairs any basic variable the new bounds put out of range.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -98,7 +97,7 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _AT_FREE = 2
 _BASIC = 3
-# the pricing sign of each state (see _SimplexRun._load); free columns are
+# the pricing sign of each state (see Tableau._settle); free columns are
 # priced apart
 _GAIN = np.array([-1.0, 1.0, 0.0, 0.0])
 
@@ -131,51 +130,12 @@ class Basis:
     """A simplex basis: the basic column of each row and the bound status of
     every column (structurals, then one slack per row). It holds no
     factorization, so it is cheap to keep for many open nodes: an open
-    node keeps one once the search's budget for stored tableaux is spent,
-    and a start from it costs one LAPACK factorization."""
+    node keeps one once the search's budget for stored tableaux is spent.
+    A start from it derives every column outside its basis (_settle) and
+    costs one LAPACK factorization."""
 
     columns: tuple[int, ...]
     status: bytes
-
-
-class Tableau:
-    """A solve's final B^-1*A (`matrix`, m x (n+m)) with its basis and
-    column statuses. It starts a solve of any compile with the same variable
-    and row names: of its own PreparedLp it replaces the refactorization, of
-    another its changed columns are replaced first. That solve continues on
-    these arrays in place, so a Tableau serves as a start once only (`copy`
-    gives another)."""
-
-    def __init__(self, prep: PreparedLp, matrix, columns, status, pivots: int,
-                 run: _SimplexRun | None = None):
-        self.prep = prep
-        self.matrix = matrix
-        self._columns = columns
-        self._status = status
-        self._pivots = pivots  # rank-1 updates since the last refactorization
-        self._run = run  # the solve that left it, until a solve takes it over
-
-    def copy(self) -> Tableau:
-        """An independent copy, a start of its own."""
-        if self.matrix is None:
-            raise ValueError("start tableau was already used")
-        return Tableau(self.prep, self.matrix.copy(), self._columns.copy(),
-                       self._status.copy(), self._pivots)
-
-    def fits(self, prep: PreparedLp) -> bool:
-        """Whether this tableau can start a solve of `prep`: one with the
-        same variable and row names."""
-        return prep is self.prep or (prep.names == self.prep.names
-                                     and prep.rows == self.prep.rows)
-
-    def _take(self, prep: PreparedLp):
-        if not self.fits(prep):
-            raise ValueError("start tableau belongs to an LP with other variables or rows")
-        if self.matrix is None:
-            raise ValueError("start tableau was already used")
-        state = (self.matrix, self._columns, self._status, self._pivots)
-        self.matrix = self._columns = self._status = self._run = None
-        return state
 
 
 @dataclass(frozen=True)
@@ -186,7 +146,7 @@ class LpResult:
     iterations: int
     basis: Basis  # the final basis, whatever the status
     refactorizations: int  # LAPACK factorizations of the basis matrix
-    # the final tableau, a one-use start for the next solve of this LP
+    # the solve itself, a one-use start that the next solve continues
     tableau: Tableau = field(compare=False, repr=False)
 
 
@@ -281,7 +241,7 @@ class PreparedLp:
         """Solve under the model's bounds with `bound_overrides` applied,
         starting from `start`: a basis (the slack basis by default) or the
         final tableau of an earlier solve of a compile with the same
-        variable and row names, which the solve takes over. A start whose
+        variable and row names, which the solve continues. A start whose
         basis matrix is singular here falls back to the slack basis. When
         `time.monotonic()` passes `deadline`, the solve stops with status
         time_limit. Each point of the dual simplex bounds the optimum from
@@ -289,7 +249,8 @@ class PreparedLp:
         exceeds `cutoff`, the solve stops with status cutoff. So an optimal
         solve's objective, checked on the point it returns, is at most
         `cutoff`. Raises ModelError when a column must flip to a bound that
-        is infinite and its rows imply no finite one."""
+        is infinite and its rows imply no finite one, and ValueError for an
+        override of an unknown variable or whose bounds fail lower <= upper."""
         if start is None:
             start = self.slack_basis
         elif isinstance(start, Basis) and (
@@ -299,23 +260,21 @@ class PreparedLp:
                 f"columns; this LP has {self.m} and {self.n + self.m}")
         lower = self._lower.copy()
         upper = self._upper.copy()
-        if bound_overrides:
-            for name, (lo, up) in bound_overrides.items():
-                j = self.var_index[name]
-                lower[j] = lo
-                upper[j] = up
-                if lo > up:
-                    raise ValueError(f"override for {name!r} has lower > upper")
-        run = _SimplexRun(self, lower, upper, deadline, cutoff)
-        return run.solve(start)
+        for name, (lo, up) in (bound_overrides or {}).items():
+            j = self.var_index.get(name)
+            if j is None:
+                raise ValueError(f"override for unknown variable {name!r}")
+            if not lo <= up:  # written so that NaN fails it
+                raise ValueError(f"override for {name!r} has lower > upper or a NaN bound")
+            lower[j], upper[j] = lo, up
+        return Tableau(self, lower, upper, deadline, cutoff).solve(start)
 
 
 def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     """Lower bounds on the optima of the two children of `result`, an
     optimal solve whose basic binary `name` has the fractional value f: the
     child that fixes `name` to 0, then the one that fixes it to 1. Read
-    from `result`'s live tableau, so call this before a solve takes it
-    over.
+    from `result.tableau`, so call this before a solve continues it.
 
     Each bound is Driebeek's penalty (Management Science 12, 1966): the
     objective after the dual simplex's first step in that child, the
@@ -325,16 +284,17 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     cost. The reduced costs are dual feasible at an optimum, so every dual
     point of the child, the one after that step among them, bounds its
     optimum from below. A child with no candidate column gets no bound
-    (-inf). The reduced costs are kept for the dive child's solve."""
-    run = result.tableau._run
-    if run is None:
-        raise ValueError("the tableau was taken over by another solve")
-    row = int((run.basis == run.prep.var_index[name]).argmax())
-    z = run.priced = run._reduced_costs()
+    (-inf). The reduced costs are kept on the tableau: a solve that
+    continues it, or a copy of it, starts from them."""
+    tableau = result.tableau
+    if tableau.matrix is None:
+        raise ValueError("the tableau was continued by another solve")
+    row = int((tableau.basis == tableau.prep.var_index[name]).argmax())
+    z = tableau.priced = tableau._reduced_costs()
     # _entering's slopes for both children (the 0-child's binary leaves above)
-    slope = run._gains(np.multiply.outer((-1.0, 1.0), run.tableau[row]))
+    slope = tableau._gains(np.multiply.outer((-1.0, 1.0), tableau.matrix[row]))
     candidate = (slope > _PIVOT_TOL) & np.isfinite(z)
-    ratio = np.divide(np.maximum(-run._gains(z), 0.0), slope,
+    ratio = np.divide(np.maximum(-tableau._gains(z), 0.0), slope,
                       out=np.full(slope.shape, math.inf), where=candidate)
     step = _min(ratio, axis=1)
     f = result.values[name]
@@ -366,105 +326,129 @@ def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, in
     b[i] = con.rhs
 
 
-class _SimplexRun:
+class Tableau:
+    """One solve of a PreparedLp under one set of bounds and, once it has
+    finished, its final tableau (`LpResult.tableau`): B^-1*A (`matrix`,
+    m x (n+m)) with the basis, column statuses and the rest of the dual's
+    state. It starts a solve of any compile with the same variable and row
+    names, which continues it in place (_continue), so it serves as a start
+    once only (`copy` gives another)."""
+
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
-        self.prep = prep
-        self.m = prep.m
-        self.cols = prep.n + prep.m
-        self.a = prep._a
-        self.b = prep._b
-        self.lower = lower
-        self.upper = upper
+        self.prep, self.a, self.b = prep, prep._a, prep._b
+        self.m, self.cols = prep.m, prep.n + prep.m
+        self.lower, self.upper = lower, upper
         self.fixed = upper - lower <= 0.0
-        self.primal_tol = prep._primal_tol
-        self.dtol = prep._dtol
-        self.deadline = deadline
-        self.cutoff = cutoff
-        self.iterations = 0
-        self.pivots_since_refactor = 0
-        self.refactorizations = 0
+        self.primal_tol, self.dtol = prep._primal_tol, prep._dtol
+        self.deadline, self.cutoff = deadline, cutoff
+        self.iterations = self.pivots_since_refactor = self.refactorizations = 0
         self.fresh = False  # the tableau is a factorization no pivot has touched
         self.priced = None  # reduced costs of the tableau as it stands, or None
+
+    def copy(self) -> Tableau:
+        """An independent start. The arrays a continuing solve writes in
+        place are duplicated; the rest (the bounds, `fixed`, `free`,
+        `x_basic`) is shared, since that solve replaces it."""
+        if self.matrix is None:
+            raise ValueError("start tableau was already used")
+        twin = object.__new__(Tableau)
+        twin.__dict__.update(self.__dict__)
+        for name in ("matrix", "basis", "status", "x_nonbasic", "gain", "lo_b", "up_b"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin.priced = None if self.priced is None else self.priced.copy()
+        return twin
+
+    def fits(self, prep: PreparedLp) -> bool:
+        """Whether this tableau can start a solve of `prep`: one with the
+        same variable and row names."""
+        return prep is self.prep or (prep.names == self.prep.names
+                                     and prep.rows == self.prep.rows)
 
     # -- setup ------------------------------------------------------------
 
     def _load(self, start: Basis | Tableau) -> None:
         """Take the start's basis, whether or not each basic value lies
-        within its bounds (the dual repairs the ones that do not). A nonbasic
-        column keeps its bound where that bound is finite, else takes the
-        other finite bound, else sits free at zero. A basis is refactorized;
-        a taken-over tableau, its changed columns replaced, gives
-        x_B = B^-1*(b - A_N*x_N) directly. A live tableau of this compile
-        continues the solve that left it (_continue) where it can."""
-        parent = start._run if isinstance(start, Tableau) and start.prep is self.prep else None
+        within its bounds (the dual repairs the ones that do not). A Basis
+        marks its columns basic and settles every other column (_settle),
+        and is refactorized. A Tableau is continued (_continue), its
+        changed columns replaced when it is another compile's, and gives
+        x_B = B^-1*(b - A_N*x_N) directly."""
         if isinstance(start, Tableau):
-            self.tableau, basis, status, self.pivots_since_refactor = start._take(self.prep)
+            self._continue(start)
+            if start.prep is self.prep or self._replace_columns(start.prep._a):
+                residual = self.b - self.a @ self.x_nonbasic
+                self.x_basic = self.matrix[:, self.prep.n:] @ residual
+                return
         else:
-            basis = np.array(start.columns, dtype=np.intp)
-            status = np.frombuffer(start.status, dtype=np.int8)
-        if parent is None or not self._continue(parent):
-            has_lo = np.isfinite(self.lower)
-            has_up = np.isfinite(self.upper)
-            want_up = ((status == _AT_UPPER) & has_up) | ~has_lo
-            self.status = np.where(
-                want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER
-            ).astype(np.int8)
-            self.basis = basis
+            self.basis = np.array(start.columns, dtype=np.intp)
+            self.status = np.frombuffer(start.status, dtype=np.int8).copy()
             self.status[self.basis] = _BASIC
-            # the value of each nonbasic column (0 for a basic one), kept by
-            # _set_nonbasic and _pivot
-            self.x_nonbasic = np.where(self.status == _AT_LOWER, self.lower,
-                                       np.where(self.status == _AT_UPPER, self.upper, 0.0))
+            self.x_nonbasic, self.gain = np.zeros(self.cols), np.zeros(self.cols)
+            self._settle(np.bincount(self.basis, minlength=self.cols) == 0)  # the rest
             # the bounds of the basic variables, in row order
-            self.lo_b = self.lower[self.basis]
-            self.up_b = self.upper[self.basis]
-            # the pricing sign of each column: the reduced cost z_j times
-            # gain_j is what entering j gains (-1 at lower, +1 at upper, 0
-            # when basic or fixed); a nonbasic free column gains |z_j|
-            self.gain = _GAIN[self.status]
-            self.gain[self.fixed] = 0.0
-            self.free = (self.status == _AT_FREE).nonzero()[0]
-        if isinstance(start, Tableau) and (
-                start.prep is self.prep or self._replace_columns(start.prep._a)):
-            residual = self.b - self.a @ self.x_nonbasic
-            self.x_basic = self.tableau[:, self.prep.n:] @ residual
-        else:
-            self._refactorize()
+            self.lo_b, self.up_b = self.lower[self.basis], self.upper[self.basis]
+        self._refactorize()
 
-    def _continue(self, parent: _SimplexRun) -> bool:
-        """Adopt the column statuses, nonbasic values, pricing signs, free
-        list and basic bounds (rewriting the rows of basic columns whose
-        bounds differ here) of `parent`, the solve that left this tableau,
-        and the reduced costs branch_bounds formed from it: the state a
-        full load would rebuild, bit for bit. False, adopting nothing, when
-        a nonbasic column's bounds differ (such as bounds its rows implied
-        in the parent)."""
-        moved = (self.lower != parent.lower) | (self.upper != parent.upper)
-        if _any(moved & (parent.status != _BASIC)):
-            return False
-        self.basis, self.status = parent.basis, parent.status
-        self.x_nonbasic, self.gain, self.free = parent.x_nonbasic, parent.gain, parent.free
-        self.lo_b, self.up_b = parent.lo_b, parent.up_b
+    def _settle(self, columns) -> None:
+        """Put the nonbasic `columns` (a mask or indices) at a bound:
+        each keeps the bound its status names where that bound is finite,
+        else takes the other finite bound, else sits free at zero. Sets
+        their statuses, values and pricing signs: the reduced cost z_j times
+        gain_j is what entering j gains (-1 at lower, +1 at upper, 0 when
+        free or fixed; a free column gains |z_j|), kept by _set_nonbasic
+        and _pivot. Lists the free columns again."""
+        lo, up = self.lower[columns], self.upper[columns]
+        has_up = np.isfinite(up)
+        want_up = ((self.status[columns] == _AT_UPPER) & has_up) | ~np.isfinite(lo)
+        at = np.where(want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER)
+        self.status[columns] = at
+        self.x_nonbasic[columns] = np.where(at == _AT_LOWER, lo,
+                                            np.where(at == _AT_UPPER, up, 0.0))
+        self.gain[columns] = np.where(self.fixed[columns], 0.0, _GAIN[at])
+        self.free = (self.status == _AT_FREE).nonzero()[0]
+
+    def _continue(self, start: Tableau) -> None:
+        """Continue `start`, the solve that left this tableau: adopt its
+        B^-1*A, basis, column statuses, nonbasic values, pricing signs and
+        basic bounds, and the reduced costs branch_bounds formed from it.
+        Only the columns whose bounds differ here change: a nonbasic one is
+        settled again (_settle), and a basic one's row takes its new
+        bounds. Every other nonbasic column sits where _settle would put
+        it, so this is the state a Basis start with the same basis and
+        statuses derives, bit for bit."""
+        if not start.fits(self.prep):
+            raise ValueError("start tableau belongs to an LP with other variables or rows")
+        if start.matrix is None:
+            raise ValueError("start tableau was already used")
+        self.matrix, start.matrix = start.matrix, None
+        self.basis, self.status, self.x_nonbasic = start.basis, start.status, start.x_nonbasic
+        self.gain, self.lo_b, self.up_b = start.gain, start.lo_b, start.up_b
+        self.priced, self.pivots_since_refactor = start.priced, start.pivots_since_refactor
+        moved = (self.lower != start.lower) | (self.upper != start.upper)
+        unsettled = np.flatnonzero(moved & (self.status != _BASIC))
+        self.free = start.free
+        if unsettled.size:
+            self._settle(unsettled)
         rows = moved[self.basis].nonzero()[0]
         self.lo_b[rows] = self.lower[self.basis[rows]]
         self.up_b[rows] = self.upper[self.basis[rows]]
-        self.priced = parent.priced
-        return True
 
     def _replace_columns(self, old_a: np.ndarray) -> bool:
         """Carry a tableau of another compile's columns `old_a` over to this
         LP's: each changed column j becomes B^-1*a'_j, and a basic one is
         pivoted back into its own row, replacing a_j by a'_j in the basis.
         False when such a pivot vanishes (the new basis is singular or
-        nearly so); the tableau is then left to a refactorization."""
+        nearly so); the tableau is then left to a refactorization. The
+        reduced costs branch_bounds formed are dropped."""
+        self.priced = None
         changed = np.flatnonzero(_any(self.a != old_a, axis=0))
-        self.tableau[:, changed] = self.tableau[:, self.prep.n:] @ self.a[:, changed]
+        self.matrix[:, changed] = self.matrix[:, self.prep.n:] @ self.a[:, changed]
         row_of = np.full(self.cols, -1)
         row_of[self.basis] = np.arange(self.m)
         for j in changed:
             row = row_of[j]
             if row >= 0:
-                if abs(self.tableau[row, j]) <= _PIVOT_TOL:
+                if abs(self.matrix[row, j]) <= _PIVOT_TOL:
                     return False
                 self._eliminate(row, j)
         return True
@@ -496,7 +480,7 @@ class _SimplexRun:
         residual = self.b - self.a @ self.x_nonbasic
         if _all(self.status[n:] == _BASIC):
             rows = self.basis - n
-            self.tableau = self.a[rows]
+            self.matrix = self.a[rows]
             self.x_basic = residual[rows]
         else:
             nonbasic = np.flatnonzero(self.status != _BASIC)
@@ -507,9 +491,9 @@ class _SimplexRun:
             except np.linalg.LinAlgError:  # B = I never is singular
                 self._load(self.prep.slack_basis)
                 return
-            self.tableau = np.zeros((self.m, self.cols))
-            self.tableau[:, nonbasic] = solved[:, :-1]
-            self.tableau[np.arange(self.m), self.basis] = 1.0
+            self.matrix = np.zeros((self.m, self.cols))
+            self.matrix[:, nonbasic] = solved[:, :-1]
+            self.matrix[np.arange(self.m), self.basis] = 1.0
             self.x_basic = solved[:, -1].copy()
             self.refactorizations += 1
         self.pivots_since_refactor = 0
@@ -517,7 +501,7 @@ class _SimplexRun:
 
     def _reduced_costs(self) -> np.ndarray:
         cost = self.prep._cost
-        z = cost - cost[self.basis] @ self.tableau
+        z = cost - cost[self.basis] @ self.matrix
         z[self.basis] = 0.0
         return z
 
@@ -541,7 +525,7 @@ class _SimplexRun:
         """Move q by `change` and swap it into the basis at `row`, and update
         the reduced costs `z` for the new basis."""
         new_value = self.x_nonbasic[q] + change
-        self.x_basic -= change * self.tableau[:, q]
+        self.x_basic -= change * self.matrix[:, q]
         self._set_nonbasic(self.basis[row], leaves_at)
         piv_row = self._eliminate(row, q)
 
@@ -562,8 +546,8 @@ class _SimplexRun:
         the tableau; return the scaled pivot row. Where at most half of the
         pivot column is nonzero, only those rows are updated, and where at
         most a tenth of the pivot row is, only those columns."""
-        piv_row = self.tableau[row] / self.tableau[row, q]
-        col = self.tableau[:, q]  # read in full before the update writes
+        piv_row = self.matrix[row] / self.matrix[row, q]
+        col = self.matrix[:, q]  # read in full before the update writes
         rows = slice(None) if 2 * np.count_nonzero(col) > self.m else col.nonzero()[0]
         cols = (slice(None) if 10 * np.count_nonzero(piv_row) > self.cols
                 else piv_row.nonzero()[0])
@@ -571,8 +555,8 @@ class _SimplexRun:
             block = rows, cols
         else:
             block = np.ix_(rows, cols)
-        self.tableau[block] -= np.multiply.outer(col[rows], piv_row[cols])
-        self.tableau[row] = piv_row
+        self.matrix[block] -= np.multiply.outer(col[rows], piv_row[cols])
+        self.matrix[row] = piv_row
         self.pivots_since_refactor += 1
         self.fresh = False
         return piv_row
@@ -610,7 +594,7 @@ class _SimplexRun:
         for j in wrong:
             was = self.x_nonbasic[j]
             self._set_nonbasic(j, _AT_UPPER if z[j] < 0.0 else _AT_LOWER)
-            self.x_basic -= (self.x_nonbasic[j] - was) * self.tableau[:, j]
+            self.x_basic -= (self.x_nonbasic[j] - was) * self.matrix[:, j]
         if unboxed.size:  # a free column that flipped is free no longer
             self.free = (self.status == _AT_FREE).nonzero()[0]
         return z
@@ -652,7 +636,7 @@ class _SimplexRun:
         no slack below -dtol; the second takes, among the columns whose
         slack runs out within it, the largest |alpha_rj|. Under Bland's
         rule the shortest step wins, ties to the lowest column."""
-        slope = self._gains(-self.tableau[row] if above else self.tableau[row])
+        slope = self._gains(-self.matrix[row] if above else self.matrix[row])
         candidates = ((slope > _PIVOT_TOL) & np.isfinite(z)).nonzero()[0]
         if not candidates.size:
             return None
@@ -717,7 +701,7 @@ class _SimplexRun:
                 z = None
                 continue
             target = self.up_b[row] if above else self.lo_b[row]
-            change = (self.x_basic[row] - target) / self.tableau[row, q]
+            change = (self.x_basic[row] - target) / self.matrix[row, q]
             if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
                 z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step
             self.iterations += 1
@@ -738,7 +722,7 @@ class _SimplexRun:
         if self.m and float(np.maximum.reduce(np.abs(self.a @ x - self.b))) > self.primal_tol:
             return False
         cost = self.prep._cost
-        y = cost[self.basis] @ self.tableau[:, self.prep.n:]
+        y = cost[self.basis] @ self.matrix[:, self.prep.n:]
         d = cost - y @ self.a
         if not _all(np.isfinite(d)):
             return False
@@ -756,7 +740,7 @@ class _SimplexRun:
         g*x the bounds allow exceeds y*b by more than the primal tolerance.
         A component with |g_j| no larger than _FARKAS_TOL counts as zero; a
         NaN fails. O(m*(n+m))."""
-        y = push @ self.tableau[:, self.prep.n:]
+        y = push @ self.matrix[:, self.prep.n:]
         g = y @ self.a
         up = g > _FARKAS_TOL
         down = g < -_FARKAS_TOL
@@ -783,10 +767,8 @@ class _SimplexRun:
 
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
         basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
-        live = Tableau(self.prep, self.tableau, self.basis, self.status,
-                       self.pivots_since_refactor, self)
         return LpResult(status, objective, values, self.iterations, basis,
-                        self.refactorizations, live)
+                        self.refactorizations, self)
 
     def _objective(self, x: np.ndarray) -> float:
         return float(self.prep._cost @ x) + self.prep.model.objective_constant

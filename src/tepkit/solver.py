@@ -183,7 +183,8 @@ class _BranchAndBound:
         # open nodes: (bound, push order, fixings, own bound, start): the
         # bound is the parent's and orders the search, the own bound is the
         # node's branching penalty, and the start is a copy of the parent's
-        # final tableau, or its final basis past the budget or the cutoff
+        # final tableau, which the node's solve continues, or its final
+        # basis past the budget or the cutoff
         self.heap: list[tuple[float, int, _Fixings, float, Basis | Tableau]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
@@ -231,12 +232,12 @@ class _BranchAndBound:
               start: Basis | Tableau | None) -> None:
         """Solve the node from `start`, then plunge depth-first on the
         rounded child, pushing the sibling, until the dive dies or yields an
-        incumbent. The rounded child continues on its parent's live tableau;
-        the sibling stores a copy of it while the open nodes' tableaux stay
-        within _OPEN_TABLEAU_BYTES, and the parent's final basis after or
-        when its own bound already exceeds the cutoff. A node whose own
-        bound, its branching penalty, exceeds the cutoff is closed without
-        an LP."""
+        incumbent. The rounded child continues its parent's solve; the
+        sibling stores a copy of its final tableau while the open nodes'
+        tableaux stay within _OPEN_TABLEAU_BYTES, and the parent's final
+        basis after or when its own bound already exceeds the cutoff. A
+        node whose own bound, its branching penalty, exceeds the cutoff is
+        closed without an LP."""
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _StopSearch(bound)
@@ -334,12 +335,13 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     brute_force_solve's, but a tied optimum the search never reaches is not
     considered, so the vector can differ from the oracle's.
 
-    The root LP starts from the slack basis. A dive child continues on its
-    parent's live tableau and a node taken from the open list on a copy of
-    its parent's final tableau, so neither refactorizes. The open nodes'
-    copies are capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node
-    pushed past that, or past the cutoff by its own bound (below), keeps
-    its parent's final basis instead. Once there is an incumbent, each
+    The root LP starts from the slack basis. A dive child continues its
+    parent's solve and a node taken from the open list a copy of it, with
+    the reduced costs the parent's branching formed, so neither
+    refactorizes or prices its start again. The open nodes' copies are
+    capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
+    that, or past the cutoff by its own bound (below), keeps its parent's
+    final basis instead. Once there is an incumbent, each
     node's LP is solved with the cutoff incumbent + _tie_tol(incumbent):
     every point of its dual simplex bounds its optimum, so the LP stops,
     and the node is pruned, once one exceeds the cutoff. A node within the
@@ -347,7 +349,7 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     still win.
 
     When a node branches, both children get their own bound from its
-    final tableau, before the dive child takes it over: Driebeek's penalty
+    final tableau, before the dive child continues it: Driebeek's penalty
     (tepkit.simplex.branch_bounds). The open list still orders nodes by the
     parent's bound. A child whose own bound exceeds the cutoff when it is
     reached is closed without its LP, which could only have pruned it, so
@@ -363,10 +365,10 @@ def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
     """solve_milp over models in order, such as the scenarios of one
     network, yielding each verified Solution or the error that ended its
     solve: an engine error, or the ModelError of a model the engine
-    refuses. Each root LP continues on the previous search's root tableau,
-    with its compile derived from the one it carries, where the two models
-    have the same variable and row names; it starts from the slack basis
-    after an error or where the names differ."""
+    refuses. Each root LP continues the previous search's root solve, with
+    its compile derived from that one's, where the two models have the
+    same variable and row names; it starts from the slack basis after an
+    error or where the names differ."""
     root = None
     for model in models:
         try:
@@ -380,8 +382,8 @@ def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
 
 def brute_force_solve(model: Model) -> Solution:
     """Enumerate every binary assignment in Gray-code order, so that each
-    differs from the one before in one binary and its LP continues on the
-    previous LP's live tableau, and keep the best; exact ties go to the
+    differs from the one before in one binary and its LP continues the
+    previous LP's solve, and keep the best; exact ties go to the
     lexicographically smallest assignment. Verification oracle only."""
     binaries = [v.name for v in model.binaries()]
     k = len(binaries)

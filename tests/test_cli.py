@@ -24,7 +24,7 @@ from tepkit.scenario import (
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import _AT_UPPER, _BASIC, PreparedLp, SimplexError, Tableau, _SimplexRun
+from tepkit.simplex import _AT_UPPER, PreparedLp, SimplexError, Tableau
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -397,7 +397,7 @@ def test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies(
     # its row implies and flips to it. No other LP of the sweep needs an
     # implied bound, and the plans and report rows are the pinned ones
     solves, flips = [], []
-    solve, dual_costs = _SimplexRun.solve, _SimplexRun._dual_costs
+    solve, dual_costs = Tableau.solve, Tableau._dual_costs
 
     def counting(run, start):
         solves.append(run)
@@ -411,8 +411,8 @@ def test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies(
                           run.status[j] == _AT_UPPER and run.x_nonbasic[j] == run.upper[j]))
         return z
 
-    monkeypatch.setattr(_SimplexRun, "solve", counting)
-    monkeypatch.setattr(_SimplexRun, "_dual_costs", recording)
+    monkeypatch.setattr(Tableau, "solve", counting)
+    monkeypatch.setattr(Tableau, "_dual_costs", recording)
     rows, results, lps = _sweep_with_lp_log(garver_doc, tmp_path / "sweep.csv")
     hl_root = sum(sol.stats["nodes"] for sol in results[:2])
     hh_root = hl_root + results[2].stats["nodes"]
@@ -477,17 +477,16 @@ def _sweep_lp_log(doc, out, reference=None):
     return [l for l in out.read_text().splitlines() if not l.startswith("#")], lps
 
 
-@pytest.mark.parametrize("network, continued, held", [("garver", 81, [(103, ["bmu8"])]),
-                                                      ("w2", 0, [])])
-def test_a_dive_child_continues_its_parent_bit_for_bit(
-        network, continued, held, garver_doc, tmp_path, monkeypatch):
-    # a start from a live tableau of the same compile (a dive child's)
-    # continues the solve that left it, with the reduced costs that
-    # branch_bounds formed, unless a nonbasic column's bounds differ from
-    # that solve's: in Garver, the child of the H,H root (LP 103), whose
-    # parent holds the bound its row implied on the slack of bmu8 (see
-    # test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies).
-    # Loaded in full instead, every LP and every row stay as they are
+@pytest.mark.parametrize("network, continued, lps", [("garver", 132, 133), ("w2", 15, 16)])
+def test_every_tableau_start_continues_its_solve_bit_for_bit(
+        network, continued, lps, garver_doc, tmp_path, monkeypatch):
+    # every start from a tableau (a dive child's, a sibling's copy, the next
+    # scenario's root) continues the solve that left it: it adopts that
+    # solve's state and the reduced costs branch_bounds formed, and settles
+    # again only the columns whose bounds moved. Derived instead as a Basis
+    # start is, every column outside the basis settled and the reduced
+    # costs formed anew, every LP and every row stay as they are. Only the
+    # sweep's first root starts from the slack basis
     if network == "garver":
         doc = garver_doc
     else:
@@ -495,43 +494,35 @@ def test_a_dive_child_continues_its_parent_bit_for_bit(
         doc.write_text(json.dumps(to_document(synthesize_grid(SynthesisConfig(
             n_buses=24, n_regions=4, seed=1, demand_total_mw=720.0)))))
         doc = str(doc)
+    resume = Tableau._continue
+
+    def derived(t, start):
+        resume(t, start)
+        t._settle(np.setdiff1d(np.arange(t.cols), t.basis))
+        t.lo_b, t.up_b = t.lower[t.basis], t.upper[t.basis]
+        t.priced = None
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_SimplexRun, "_continue", lambda run, parent: False)
+        mp.setattr(Tableau, "_continue", derived)
         full_rows, full_lps = _sweep_lp_log(doc, tmp_path / "full.csv")
-    live, calls = [], []
-    load, resume = _SimplexRun._load, _SimplexRun._continue
+    starts, calls = [], []
+    load = Tableau._load
 
-    def recording_load(run, start):
-        if isinstance(start, Tableau) and start._run is not None and start.prep is run.prep:
-            live.append(start)
-        load(run, start)
+    def recording_load(t, start):
+        starts.append(isinstance(start, Tableau))
+        load(t, start)
 
-    def recording_continue(run, parent):
-        # the nonbasic columns whose bounds differ from the parent's
-        moved = (run.lower != parent.lower) | (run.upper != parent.upper)
-        names = run.prep.names + run.prep.rows  # a slack goes by its row's name
-        other = [names[j] for j in np.flatnonzero(moved & (parent.status != _BASIC))]
-        took = resume(run, parent)
-        calls.append((len(solved), other, took))
-        return took
+    def recording_continue(t, start):
+        calls.append(start)
+        resume(t, start)
 
-    solved = []  # the LPs solved so far
-    solve = PreparedLp.solve
-
-    def counting(self, *args, **kwargs):
-        result = solve(self, *args, **kwargs)
-        solved.append(result)
-        return result
-
-    monkeypatch.setattr(_SimplexRun, "_load", recording_load)
-    monkeypatch.setattr(_SimplexRun, "_continue", recording_continue)
-    monkeypatch.setattr(PreparedLp, "solve", counting)
+    monkeypatch.setattr(Tableau, "_load", recording_load)
+    monkeypatch.setattr(Tableau, "_continue", recording_continue)
     rows, shipped_lps = _sweep_lp_log(doc, tmp_path / "shipped.csv", full_lps)
     assert shipped_lps == full_lps and rows == full_rows
-    assert len(calls) == len(live)
-    assert [(lp, names) for lp, names, took in calls if not took] == held
-    assert all(took == (not names) for _, names, took in calls)
-    assert sum(took for *_, took in calls) == continued
+    assert len(shipped_lps) == len(starts) == lps
+    assert len(calls) == sum(starts) == continued
+    assert starts[0] is False
 
 
 def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):

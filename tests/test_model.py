@@ -92,6 +92,27 @@ def test_check_model_rejects_bad_sense_and_kind():
         check_model(bad_bounds)
 
 
+def test_check_model_refuses_nan_bounds_and_non_finite_entries():
+    m = small_model()
+    x, y = m.variables
+    c1, c2 = m.constraints
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ModelError, match="'x': lower bound exceeds upper bound, or is NaN"):
+            check_model(Model(m.name, (Variable("x", CONTINUOUS, lower, upper), y),
+                              m.constraints, m.objective_terms))
+    for bad in (math.nan, math.inf):
+        rows = (Constraint("c1", (("x", bad), ("y", -2.0)), SENSE_LE, 4.0), c2)
+        with pytest.raises(ModelError, match="'c1': coefficient .* of 'x'"):
+            check_model(Model(m.name, m.variables, rows, m.objective_terms))
+        rows = (c1, Constraint("c2", (("x", 1.0),), SENSE_GE, -bad))
+        with pytest.raises(ModelError, match="'c2': right-hand side"):
+            check_model(Model(m.name, m.variables, rows, m.objective_terms))
+        with pytest.raises(ModelError, match="objective: coefficient .* of 'y'"):
+            check_model(Model(m.name, m.variables, m.constraints, (("x", 3.0), ("y", bad))))
+        with pytest.raises(ModelError, match="objective: constant"):
+            check_model(Model(m.name, m.variables, m.constraints, m.objective_terms, bad))
+
+
 def test_variable_index_and_binaries():
     m = small_model()
     assert m.variable_index() == {"x": 0, "y": 1}

@@ -236,6 +236,19 @@ def test_reader_rejects_malformed_input(text, message):
         import_mps(text)
 
 
+@pytest.mark.parametrize("line, old, new", [
+    (7, "c         1.5\nRHS", "c         nan\nRHS"),
+    (9, "c         1.5\nBOUNDS", "c         NaN\nBOUNDS"),
+    (11, "x         2.0", "x         nan"),
+], ids=["coefficient", "rhs", "bound"])
+def test_reader_refuses_nan_naming_its_line(line, old, new):
+    # a NaN upper bound once read back as a model solve_milp called optimal
+    text = TINY_MPS.replace(old, new)
+    assert text != TINY_MPS
+    with pytest.raises(MpsFormatError, match=f"line {line}: bad numeric value"):
+        import_mps(text)
+
+
 def test_reader_rejects_non_binary_integer_bounds():
     text = (
         "NAME x\nROWS\n N  COST\nCOLUMNS\n"

@@ -16,7 +16,7 @@ from tepkit.model import (
     Variable,
 )
 import tepkit.simplex
-from tepkit.simplex import PreparedLp, SimplexError, Tableau, _SimplexRun, branch_bounds
+from tepkit.simplex import PreparedLp, SimplexError, Tableau, branch_bounds
 
 
 def lp(variables, constraints, objective, constant=0.0, name="lp"):
@@ -255,13 +255,13 @@ def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "solve", singular_once)
     restarted = []
-    load = _SimplexRun._load
+    load = Tableau._load
 
     def recording(run, start):
         restarted.append(start is prep.slack_basis)
         load(run, start)
 
-    monkeypatch.setattr(_SimplexRun, "_load", recording)
+    monkeypatch.setattr(Tableau, "_load", recording)
     result = prep.solve()
     assert restarted == [True, True]  # the start, then the restart
     assert result.status == "optimal"
@@ -327,7 +327,7 @@ def _recording_dual(monkeypatch):
     them, or None where those bounds cross."""
     solves = []
     real_solve, real_dual, real_costs = (
-        _SimplexRun.solve, _SimplexRun._run_dual, _SimplexRun._dual_costs)
+        Tableau.solve, Tableau._run_dual, Tableau._dual_costs)
 
     def solve(run, start):
         solves.append({"implied": []})
@@ -347,7 +347,7 @@ def _recording_dual(monkeypatch):
         return z
 
     for name, fn in (("solve", solve), ("_run_dual", dual), ("_dual_costs", costs)):
-        monkeypatch.setattr(_SimplexRun, name, fn)
+        monkeypatch.setattr(Tableau, name, fn)
     return solves
 
 
@@ -355,13 +355,13 @@ def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
     # the dual dead-ends on a tableau that pivots have touched; the Farkas
     # certificate on the original rows proves the verdict, so no LAPACK call
     verdicts = []
-    real = _SimplexRun._infeasibility_certified
+    real = Tableau._infeasibility_certified
 
     def recording(run, push):
         verdicts.append((np.count_nonzero(push), real(run, push)))
         return verdicts[-1][1]
 
-    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", recording)
+    monkeypatch.setattr(Tableau, "_infeasibility_certified", recording)
     outcomes = _recording_dual(monkeypatch)
     model = dense_lp()
     prep = PreparedLp(model)
@@ -422,20 +422,20 @@ def test_dual_dead_end_on_a_fresh_factorization_is_judged_by_its_violation(monke
     # is an optimum; an LP whose certificate fails though its violation is
     # large is infeasible.
     checks = []
-    real = _SimplexRun._infeasibility_certified
+    real = Tableau._infeasibility_certified
 
     def recording(run, push):
         checks.append(real(run, push))
         return checks[-1]
 
-    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", recording)
+    monkeypatch.setattr(Tableau, "_infeasibility_certified", recording)
     m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)],
            [Constraint("c", (("x", 1.0),), SENSE_GE, 1.0 + 5e-8)], [])
     r = PreparedLp(m).solve()
     assert r.status == "optimal" and r.refactorizations == 1
     assert r.values["x"] == pytest.approx(1.0 + 5e-8, abs=1e-15)
     assert checks == [False, False]
-    monkeypatch.setattr(_SimplexRun, "_infeasibility_certified", lambda run, push: False)
+    monkeypatch.setattr(Tableau, "_infeasibility_certified", lambda run, push: False)
     m = lp([Variable("x", CONTINUOUS, 0.0, 1.0)],
            [Constraint("c", (("x", 1.0),), SENSE_GE, 2.0)], [("x", 1.0)])
     r = PreparedLp(m).solve()
@@ -458,14 +458,14 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch
     start = base.tableau
     start.matrix[:, np.setdiff1d(np.arange(22), base.basis.columns)] = 0.0
     runs = []
-    real = _SimplexRun._run_dual
+    real = Tableau._run_dual
 
     def recording(run):
         before, violation = run.iterations, run._total_violation()
         runs.append((real(run), run.iterations - before, violation > run.primal_tol))
         return runs[-1][0]
 
-    monkeypatch.setattr(_SimplexRun, "_run_dual", recording)
+    monkeypatch.setattr(Tableau, "_run_dual", recording)
     damaged = prep.solve(bound_overrides=squeezed, start=start)
     assert [(status, steps > 0, violated) for status, steps, violated in runs] == [
         ("optimal", False, False), ("optimal", True, True)]
@@ -536,6 +536,44 @@ def test_tableau_copy_starts_another_compile_of_the_same_names():
         copy.copy()
 
 
+_CONTINUED = ("matrix", "basis", "status", "x_nonbasic", "gain", "lo_b", "up_b", "priced")
+
+
+def test_a_tableau_copy_is_independent_of_the_solve_that_continues_its_original():
+    # the Garver L,H root branches; its dive child continues the root's
+    # tableau in place, then the sibling starts from a copy taken before.
+    # It must end as the sibling started from a copy of an untouched solve
+    # of the same root does: same result and same final arrays, bit for bit
+    from tepkit.instance import builtin_garver
+    from tepkit.milp import TepSkeleton
+    from tepkit.scenario import ScenarioCode, realize_scenario
+    net = builtin_garver()
+    model = TepSkeleton(net, 8760.0).model(realize_scenario(ScenarioCode.parse("L,H"), net))
+    prep = PreparedLp(model)
+
+    def branched():
+        root = prep.solve()
+        name = max((v.name for v in model.binaries()),
+                   key=lambda b: abs(root.values[b] - round(root.values[b])))
+        branch_bounds(root, name)  # forms the reduced costs the children take
+        return root, name
+
+    root, name = branched()
+    f = root.values[name]
+    assert 1e-6 < f < 1.0 - 1e-6 and root.tableau.priced is not None
+    child, sibling = ({name: (v, v)} for v in (float(round(f)), float(1 - round(f))))
+    copy = root.tableau.copy()
+    assert all(getattr(copy, a) is not getattr(root.tableau, a) for a in _CONTINUED)
+    dive = prep.solve(child, start=root.tableau)
+    assert dive.iterations > 0
+    after = prep.solve(sibling, start=copy)
+    untouched = prep.solve(sibling, start=branched()[0].tableau.copy())
+    assert after == untouched
+    assert repr(after.objective) == repr(untouched.objective)
+    for a in _CONTINUED[:-1]:
+        assert np.array_equal(getattr(after.tableau, a), getattr(untouched.tableau, a)), a
+
+
 def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatch):
     scipy_opt = pytest.importorskip("scipy.optimize")
     first = PreparedLp(_pair_lp((2.0, 1.0))).solve()
@@ -543,13 +581,13 @@ def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatc
     # here: the replacement pivot is 0 and the start refactorizes it, which
     # fails, so the solve starts over from the slack basis
     refactorized = []
-    real = _SimplexRun._refactorize
+    real = Tableau._refactorize
 
     def recording(run):
         refactorized.append(sorted(run.basis.tolist()))
         real(run)
 
-    monkeypatch.setattr(_SimplexRun, "_refactorize", recording)
+    monkeypatch.setattr(Tableau, "_refactorize", recording)
     singular = _pair_lp((1.0, 2.0))
     result = PreparedLp(singular).solve(start=first.tableau.copy())
     assert result.status == "optimal"
@@ -637,6 +675,25 @@ def test_derived_row_with_an_unknown_variable_is_refused():
         base.derive(bad)
     with pytest.raises(ModelError, match=message):
         PreparedLp(bad)
+
+
+def test_derived_row_with_a_non_finite_entry_is_refused():
+    base_model = dense_lp()
+    base = PreparedLp(base_model)
+    row = base_model.constraints[2]
+    for bad in (dataclasses.replace(row, rhs=math.nan),
+                dataclasses.replace(row, terms=row.terms[:-1] + (("x11", math.inf),))):
+        with pytest.raises(ModelError, match=f"constraint {row.name!r}: "):
+            base.derive(_with_row(base_model, 2, bad))
+
+
+def test_bound_overrides_refuse_a_nan_bound_and_an_unknown_name():
+    prep = PreparedLp(dense_lp())
+    for lo, up in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="override for 'x0' has lower > upper"):
+            prep.solve(bound_overrides={"x0": (lo, up)})
+    with pytest.raises(ValueError, match="override for unknown variable 'ghost'"):
+        prep.solve(bound_overrides={"ghost": (0.0, 1.0)})
 
 
 def test_degenerate_rhs_zero():
@@ -1006,7 +1063,7 @@ def _implied_bounds_hold(model):
     model infeasible. Also asserts that the rows box every column."""
     prep = PreparedLp(model)
     n, cols = prep.n, prep.n + prep.m
-    run = _SimplexRun(prep, prep._lower.copy(), prep._upper.copy(), None, None)
+    run = Tableau(prep, prep._lower.copy(), prep._upper.copy(), None, None)
     bounds = run._implied_bounds()
     if _highs(replace_objective(model)).status == 2:
         return None
