@@ -150,7 +150,7 @@ def cmd_derate(t_base_f: float, t_future_f: float,
     limit_c = cond.max_conductor_temp_c
     if not t_future_c < limit_c:
         _fail(f"--t-future-f {t_future_f!r} F must be below the conductor limit "
-              f"{_c_to_f(limit_c)!r} F")
+              f"{round(_c_to_f(limit_c), 6)!r} F")
     try:
         eta = thermal.derating_factor(cond, t_base_c, t_future_c)
     except thermal.ThermalDomainError as exc:

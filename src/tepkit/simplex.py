@@ -35,11 +35,11 @@ basis of a related LP, such as an open branch-and-bound node past the
 search's budget for stored tableaux) or continues an earlier solve, from
 its final Tableau or a copy: a dive child its parent's, a sibling left
 open a copy, a sweep's root the previous root's, a brute-force
-assignment the previous one's. It adopts that solve's B^-1*A and state,
-and settles again only the columns whose bounds differ, by the rule a
-basis start applies to every nonbasic column (_continue): x_B =
-B^-1*(b - A_N*x_N) comes from the slack block, B^-1, and the dual
-repairs any basic variable the new bounds put out of range.
+assignment the previous one's. One path reads every start (_load): it
+adopts the start's basis and statuses, and a Tableau's B^-1*A and state,
+and settles again each column whose bounds differ from the start's final
+bounds (every column of a basis). A continued solve takes x_B =
+B^-1*(b - A_N*x_N) from the slack block, B^-1; a basis is refactorized.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -110,6 +110,8 @@ _BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
+# what a Tableau start hands on to the solve that continues it (Tableau._load)
+_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "lo_b", "up_b", "free", "priced")
 # the ufunc reductions behind ndarray.min/any/all, called without their wrapper
 _min = np.minimum.reduce
 _any = np.logical_or.reduce
@@ -250,14 +252,10 @@ class PreparedLp:
         solve's objective, checked on the point it returns, is at most
         `cutoff`. Raises ModelError when a column must flip to a bound that
         is infinite and its rows imply no finite one, and ValueError for an
-        override of an unknown variable or whose bounds fail lower <= upper."""
+        override of an unknown variable or whose bounds fail lower <= upper,
+        and for a start that does not fit this LP or was already used."""
         if start is None:
             start = self.slack_basis
-        elif isinstance(start, Basis) and (
-                len(start.columns) != self.m or len(start.status) != self.n + self.m):
-            raise ValueError(
-                f"start basis has {len(start.columns)} rows and {len(start.status)} "
-                f"columns; this LP has {self.m} and {self.n + self.m}")
         lower = self._lower.copy()
         upper = self._upper.copy()
         for name, (lo, up) in (bound_overrides or {}).items():
@@ -274,7 +272,8 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     """Lower bounds on the optima of the two children of `result`, an
     optimal solve whose basic binary `name` has the fractional value f: the
     child that fixes `name` to 0, then the one that fixes it to 1. Read
-    from `result.tableau`, so call this before a solve continues it.
+    from `result.tableau`, so call this before a solve continues it;
+    ValueError where `name` is not basic there.
 
     Each bound is Driebeek's penalty (Management Science 12, 1966): the
     objective after the dual simplex's first step in that child, the
@@ -289,7 +288,10 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     tableau = result.tableau
     if tableau.matrix is None:
         raise ValueError("the tableau was continued by another solve")
-    row = int((tableau.basis == tableau.prep.var_index[name]).argmax())
+    rows = (tableau.basis == tableau.prep.var_index[name]).nonzero()[0]
+    if not rows.size:
+        raise ValueError(f"{name!r} is not basic in the tableau")
+    row = int(rows[0])
     z = tableau.priced = tableau._reduced_costs()
     # _entering's slopes for both children (the 0-child's binary leaves above)
     slope = tableau._gains(np.multiply.outer((-1.0, 1.0), tableau.matrix[row]))
@@ -331,7 +333,7 @@ class Tableau:
     finished, its final tableau (`LpResult.tableau`): B^-1*A (`matrix`,
     m x (n+m)) with the basis, column statuses and the rest of the dual's
     state. It starts a solve of any compile with the same variable and row
-    names, which continues it in place (_continue), so it serves as a start
+    names, which continues it in place (_load), so it serves as a start
     once only (`copy` gives another)."""
 
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
@@ -346,16 +348,16 @@ class Tableau:
         self.priced = None  # reduced costs of the tableau as it stands, or None
 
     def copy(self) -> Tableau:
-        """An independent start. The arrays a continuing solve writes in
-        place are duplicated; the rest (the bounds, `fixed`, `free`,
-        `x_basic`) is shared, since that solve replaces it."""
+        """An independent start. The arrays a continuing solve takes over
+        (_HANDED_ON) are duplicated; the rest (the bounds, `fixed`,
+        `x_basic`) is shared, since that solve does not write it."""
         if self.matrix is None:
             raise ValueError("start tableau was already used")
         twin = object.__new__(Tableau)
         twin.__dict__.update(self.__dict__)
-        for name in ("matrix", "basis", "status", "x_nonbasic", "gain", "lo_b", "up_b"):
-            setattr(twin, name, getattr(self, name).copy())
-        twin.priced = None if self.priced is None else self.priced.copy()
+        for name in _HANDED_ON:
+            value = getattr(self, name)
+            setattr(twin, name, None if value is None else value.copy())
         return twin
 
     def fits(self, prep: PreparedLp) -> bool:
@@ -367,30 +369,53 @@ class Tableau:
     # -- setup ------------------------------------------------------------
 
     def _load(self, start: Basis | Tableau) -> None:
-        """Take the start's basis, whether or not each basic value lies
-        within its bounds (the dual repairs the ones that do not). A Basis
-        marks its columns basic and settles every other column (_settle),
-        and is refactorized. A Tableau is continued (_continue), its
-        changed columns replaced when it is another compile's, and gives
-        x_B = B^-1*(b - A_N*x_N) directly."""
+        """Check `start` and adopt its basis, whether or not each basic value
+        lies within its bounds (the dual repairs the ones that do not), and
+        from a Tableau the rest of its state (_HANDED_ON) and pivot count.
+        Each column whose bounds differ from the start's final bounds, every
+        column for a Basis, is settled again: a nonbasic one by _settle, and
+        a basic one's row takes its bounds. A Tableau of this compile, or of
+        another once its changed columns are replaced, gives x_B =
+        B^-1*(b - A_N*x_N) directly; otherwise the basis is refactorized."""
         if isinstance(start, Tableau):
-            self._continue(start)
-            if start.prep is self.prep or self._replace_columns(start.prep._a):
-                residual = self.b - self.a @ self.x_nonbasic
-                self.x_basic = self.matrix[:, self.prep.n:] @ residual
-                return
+            if not start.fits(self.prep):
+                raise ValueError("start tableau belongs to an LP with other variables or rows")
+            if start.matrix is None:
+                raise ValueError("start tableau was already used")
+            for name in _HANDED_ON:
+                setattr(self, name, getattr(start, name))
+            start.matrix = None
+            self.pivots_since_refactor = start.pivots_since_refactor
+            moved = (self.lower != start.lower) | (self.upper != start.upper)
         else:
             self.basis = np.array(start.columns, dtype=np.intp)
+            if len(self.basis) != self.m or len(start.status) != self.cols:
+                raise ValueError(f"start basis has {self.basis.size} rows and {len(start.status)} "
+                                 f"columns; this LP has {self.m} and {self.cols}")
+            if not _all((self.basis >= 0) & (self.basis < self.cols)):
+                raise ValueError(f"start basis has a column outside 0 to {self.cols - 1}")
+            # only `columns` is basic; the statuses say which others sit at upper
             self.status = np.frombuffer(start.status, dtype=np.int8).copy()
+            self.status[self.status == _BASIC] = _AT_LOWER
             self.status[self.basis] = _BASIC
             self.x_nonbasic, self.gain = np.zeros(self.cols), np.zeros(self.cols)
-            self._settle(np.bincount(self.basis, minlength=self.cols) == 0)  # the rest
-            # the bounds of the basic variables, in row order
-            self.lo_b, self.up_b = self.lower[self.basis], self.upper[self.basis]
-        self._refactorize()
+            self.lo_b, self.up_b = np.empty(self.m), np.empty(self.m)
+            self.free = np.flatnonzero(self.status == _AT_FREE)
+            moved = np.ones(self.cols, dtype=bool)  # a Basis has settled no column
+        unsettled = np.flatnonzero(moved & (self.status != _BASIC))
+        if unsettled.size:
+            self._settle(unsettled)
+        rows = moved[self.basis].nonzero()[0]
+        self.lo_b[rows] = self.lower[self.basis[rows]]
+        self.up_b[rows] = self.upper[self.basis[rows]]
+        if isinstance(start, Tableau) and (start.prep is self.prep
+                                           or self._replace_columns(start.prep._a)):
+            self.x_basic = self.matrix[:, self.prep.n:] @ (self.b - self.a @ self.x_nonbasic)
+        else:
+            self._refactorize()
 
     def _settle(self, columns) -> None:
-        """Put the nonbasic `columns` (a mask or indices) at a bound:
+        """Put the nonbasic `columns` (indices) at a bound:
         each keeps the bound its status names where that bound is finite,
         else takes the other finite bound, else sits free at zero. Sets
         their statuses, values and pricing signs: the reduced cost z_j times
@@ -406,32 +431,6 @@ class Tableau:
                                             np.where(at == _AT_UPPER, up, 0.0))
         self.gain[columns] = np.where(self.fixed[columns], 0.0, _GAIN[at])
         self.free = (self.status == _AT_FREE).nonzero()[0]
-
-    def _continue(self, start: Tableau) -> None:
-        """Continue `start`, the solve that left this tableau: adopt its
-        B^-1*A, basis, column statuses, nonbasic values, pricing signs and
-        basic bounds, and the reduced costs branch_bounds formed from it.
-        Only the columns whose bounds differ here change: a nonbasic one is
-        settled again (_settle), and a basic one's row takes its new
-        bounds. Every other nonbasic column sits where _settle would put
-        it, so this is the state a Basis start with the same basis and
-        statuses derives, bit for bit."""
-        if not start.fits(self.prep):
-            raise ValueError("start tableau belongs to an LP with other variables or rows")
-        if start.matrix is None:
-            raise ValueError("start tableau was already used")
-        self.matrix, start.matrix = start.matrix, None
-        self.basis, self.status, self.x_nonbasic = start.basis, start.status, start.x_nonbasic
-        self.gain, self.lo_b, self.up_b = start.gain, start.lo_b, start.up_b
-        self.priced, self.pivots_since_refactor = start.priced, start.pivots_since_refactor
-        moved = (self.lower != start.lower) | (self.upper != start.upper)
-        unsettled = np.flatnonzero(moved & (self.status != _BASIC))
-        self.free = start.free
-        if unsettled.size:
-            self._settle(unsettled)
-        rows = moved[self.basis].nonzero()[0]
-        self.lo_b[rows] = self.lower[self.basis[rows]]
-        self.up_b[rows] = self.upper[self.basis[rows]]
 
     def _replace_columns(self, old_a: np.ndarray) -> bool:
         """Carry a tableau of another compile's columns `old_a` over to this

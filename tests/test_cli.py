@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,13 +19,13 @@ from tepkit.cli import main
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import build_tep_model
 from tepkit.model import ModelError
-from tepkit.network import to_document
+from tepkit.network import conductor, to_document
 from tepkit.scenario import (
     DemandElasticityConfig,
     ScenarioCode,
     realize_scenario,
 )
-from tepkit.simplex import _AT_UPPER, PreparedLp, SimplexError, Tableau
+from tepkit.simplex import _AT_UPPER, _BASIC, PreparedLp, SimplexError, Tableau
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -135,6 +136,24 @@ def test_derate_rejects_an_ambient_the_conductor_cannot_be_rated_at(base, future
     result = run("derate", "--t-base-f", base, "--t-future-f", future)
     assert result.exit_code == 1
     assert result.output == line
+
+
+def test_derate_rounds_the_conductor_limit_as_a_scenario_does(tmp_path):
+    # 80.7 C is 177.26000000000002 F in binary arithmetic; both messages
+    # quote it as 177.26 F
+    cond = tmp_path / "cond.json"
+    cond.write_text(json.dumps({"max_conductor_temp_c": 80.7}))
+    result = run("derate", "--t-base-f", "90", "--t-future-f", "190",
+                 "--conductor-json", str(cond))
+    assert result.exit_code == 1
+    assert result.output == ("error: --t-future-f 190.0 F must be below the conductor "
+                             "limit 177.26 F\n")
+    net = builtin_garver()
+    hot = dataclasses.replace(net, regions=tuple(
+        dataclasses.replace(r, base_peak_temp_f=185.0) for r in net.regions))
+    with pytest.raises(ValueError, match=r"must be below the conductor limit 177\.26 F$"):
+        realize_scenario(ScenarioCode.parse("L,L"), hot, conductors={
+            r.id: conductor({"max_conductor_temp_c": 80.7}, "conductor") for r in net.regions})
 
 
 def test_derate_without_headroom_names_the_option_in_f(tmp_path):
@@ -484,9 +503,10 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
     # scenario's root) continues the solve that left it: it adopts that
     # solve's state and the reduced costs branch_bounds formed, and settles
     # again only the columns whose bounds moved. Derived instead as a Basis
-    # start is, every column outside the basis settled and the reduced
-    # costs formed anew, every LP and every row stay as they are. Only the
-    # sweep's first root starts from the slack basis
+    # start is, every column outside the basis settled, every basic row
+    # given its bounds and the reduced costs formed anew, every LP and every
+    # row stay as they are. Only the sweep's first root starts from the
+    # slack basis
     if network == "garver":
         doc = garver_doc
     else:
@@ -494,34 +514,32 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
         doc.write_text(json.dumps(to_document(synthesize_grid(SynthesisConfig(
             n_buses=24, n_regions=4, seed=1, demand_total_mw=720.0)))))
         doc = str(doc)
-    resume = Tableau._continue
-
-    def derived(t, start):
-        resume(t, start)
-        t._settle(np.setdiff1d(np.arange(t.cols), t.basis))
-        t.lo_b, t.up_b = t.lower[t.basis], t.upper[t.basis]
-        t.priced = None
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Tableau, "_continue", derived)
-        full_rows, full_lps = _sweep_lp_log(doc, tmp_path / "full.csv")
-    starts, calls = [], []
     load = Tableau._load
 
-    def recording_load(t, start):
+    def derived(t, start):
+        if isinstance(start, Tableau):
+            # settle the start under this solve's bounds as a Basis start
+            # is settled; _load then finds no column whose bounds moved
+            start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
+            start._settle(np.flatnonzero(start.status != _BASIC))
+            start.lo_b, start.up_b = t.lower[start.basis], t.upper[start.basis]
+            start.priced = None
+        load(t, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tableau, "_load", derived)
+        full_rows, full_lps = _sweep_lp_log(doc, tmp_path / "full.csv")
+    starts = []
+
+    def recording(t, start):
         starts.append(isinstance(start, Tableau))
         load(t, start)
 
-    def recording_continue(t, start):
-        calls.append(start)
-        resume(t, start)
-
-    monkeypatch.setattr(Tableau, "_load", recording_load)
-    monkeypatch.setattr(Tableau, "_continue", recording_continue)
+    monkeypatch.setattr(Tableau, "_load", recording)
     rows, shipped_lps = _sweep_lp_log(doc, tmp_path / "shipped.csv", full_lps)
     assert shipped_lps == full_lps and rows == full_rows
     assert len(shipped_lps) == len(starts) == lps
-    assert len(calls) == sum(starts) == continued
+    assert sum(starts) == continued
     assert starts[0] is False
 
 
