@@ -320,7 +320,7 @@ def cmd_build(network_path: str, config_path: str | None, sigma_hours: float,
 @click.option("--scenario", "scenario_code", required=True,
               help='Scenario code, e.g. "H,L".')
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False),
-              help="Also write the solution vector to this file.")
+              help="Also write the solution, whatever its status, to this file.")
 def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
               gap: float, time_limit: float | None, scenario_code: str,
               out_path: str | None) -> None:
@@ -353,13 +353,13 @@ def cmd_solve(network_path: str, config_path: str | None, sigma_hours: float,
         built, expanded = skeleton.plan(sol.values)
         click.echo(f"built lines     {[l.id for l in built] or 'none'}")
         click.echo(f"expanded lines  {[l.id for l in expanded] or 'none'}")
-        if out_path is not None:
-            try:
-                with open(out_path, "w", encoding="utf-8") as fh:
-                    fh.write(format_solution(sol))
-            except OSError as exc:
-                _fail(str(exc))
-            click.echo(f"wrote solution to {out_path}")
+    if out_path is not None:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(format_solution(sol))
+        except OSError as exc:
+            _fail(str(exc))
+        click.echo(f"wrote solution to {out_path}")
     raise SystemExit(0 if sol.status == "optimal" else 1)
 
 

@@ -30,16 +30,16 @@ that fixes one of its fractional basic binaries (`branch_bounds`):
 Driebeek's penalty, the objective after the first step of that child's
 dual simplex.
 
-A solve starts from a basis (the slack basis by default, or the final
-basis of a related LP, such as an open branch-and-bound node past the
-search's budget for stored tableaux) or continues an earlier solve, from
-its final Tableau or a copy: a dive child its parent's, a sibling left
-open a copy, a sweep's root the previous root's, a brute-force
-assignment the previous one's. One path reads every start (_load): it
-adopts the start's basis and statuses, and a Tableau's B^-1*A and state,
-and settles again each column whose bounds differ from the start's final
-bounds (every column of a basis). A continued solve takes x_B =
-B^-1*(b - A_N*x_N) from the slack block, B^-1; a basis is refactorized.
+Every start is a Tableau, which the solve continues: by default the
+slack basis, else an earlier solve's final Tableau or a copy of it: a
+dive child its parent's, a sibling left open a copy, a sweep's root the
+previous root's, a brute-force assignment the previous one's. A copy may
+leave out B^-1*A (`basis_copy`), as an open branch-and-bound node past
+the search's budget for stored tableaux does. One path reads every start
+(_load): it adopts the start's basis, statuses and state, and settles
+again each column whose bounds differ from the start's final bounds. A
+start with B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack block,
+B^-1; one without is refactorized.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -60,7 +60,7 @@ it from the new columns.
 The tableau B^-1*A is kept dense and updated by rank-1 pivots, which
 touch only the pivot's nonzero rows and columns where these are few
 (`_eliminate`). It is refactorized from the original columns when a
-start gives only a basis (or a column replacement fails) and every 128
+start carries no B^-1*A (or a column replacement fails) and every 128
 pivots (column replacements count). A basis of slacks alone, such as
 the default start, is B = I up to the order of its rows and loads as A
 itself, without LAPACK. A refactorization that finds the basis singular
@@ -128,25 +128,11 @@ class SimplexError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Basis:
-    """A simplex basis: the basic column of each row and the bound status of
-    every column (structurals, then one slack per row). It holds no
-    factorization, so it is cheap to keep for many open nodes: an open
-    node keeps one once the search's budget for stored tableaux is spent.
-    A start from it derives every column outside its basis (_settle) and
-    costs one LAPACK factorization."""
-
-    columns: tuple[int, ...]
-    status: bytes
-
-
-@dataclass(frozen=True)
 class LpResult:
     status: str
     objective: float | None
     values: dict[str, float]
     iterations: int
-    basis: Basis  # the final basis, whatever the status
     refactorizations: int  # LAPACK factorizations of the basis matrix
     # the solve itself, a one-use start that the next solve continues
     tableau: Tableau = field(compare=False, repr=False)
@@ -197,9 +183,6 @@ class PreparedLp:
         self._primal_tol = _primal_tol(b)
         # the pricing tolerance of the dual's reduced costs and certificate
         self._dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
-        status = np.full(cols, _AT_LOWER, dtype=np.int8)
-        status[n:] = _BASIC
-        self.slack_basis = Basis(tuple(range(n, cols)), status.tobytes())
 
     def derive(self, model: Model) -> PreparedLp:
         """Compile `model` from this compile. Where `model` shares this
@@ -236,26 +219,24 @@ class PreparedLp:
         self,
         bound_overrides: dict[str, tuple[float, float]] | None = None,
         *,
-        start: Basis | Tableau | None = None,
+        start: Tableau | None = None,
         deadline: float | None = None,
         cutoff: float | None = None,
     ) -> LpResult:
         """Solve under the model's bounds with `bound_overrides` applied,
-        starting from `start`: a basis (the slack basis by default) or the
-        final tableau of an earlier solve of a compile with the same
-        variable and row names, which the solve continues. A start whose
-        basis matrix is singular here falls back to the slack basis. When
-        `time.monotonic()` passes `deadline`, the solve stops with status
-        time_limit. Each point of the dual simplex bounds the optimum from
-        below: once that bound, the objective recomputed from the point,
-        exceeds `cutoff`, the solve stops with status cutoff. So an optimal
-        solve's objective, checked on the point it returns, is at most
-        `cutoff`. Raises ModelError when a column must flip to a bound that
-        is infinite and its rows imply no finite one, and ValueError for an
-        override of an unknown variable or whose bounds fail lower <= upper,
-        and for a start that does not fit this LP or was already used."""
-        if start is None:
-            start = self.slack_basis
+        continuing `start`: the slack basis by default, or the final
+        tableau of an earlier solve of a compile with the same variable and
+        row names, or a copy of it. A start whose basis matrix is singular
+        here falls back to the slack basis. When `time.monotonic()` passes
+        `deadline`, the solve stops with status time_limit. Each point of
+        the dual simplex bounds the optimum from below: once that bound, the
+        objective recomputed from the point, exceeds `cutoff`, the solve
+        stops with status cutoff. So an optimal solve's objective, checked
+        on the point it returns, is at most `cutoff`. Raises ModelError when
+        a column must flip to a bound that is infinite and its rows imply no
+        finite one, and ValueError for an override of an unknown variable or
+        whose bounds fail lower <= upper, and for a start that does not fit
+        this LP or was already used."""
         lower = self._lower.copy()
         upper = self._upper.copy()
         for name, (lo, up) in (bound_overrides or {}).items():
@@ -265,7 +246,8 @@ class PreparedLp:
             if not lo <= up:  # written so that NaN fails it
                 raise ValueError(f"override for {name!r} has lower > upper or a NaN bound")
             lower[j], upper[j] = lo, up
-        return Tableau(self, lower, upper, deadline, cutoff).solve(start)
+        tableau = Tableau(self, lower, upper, deadline, cutoff)
+        return tableau.solve(tableau._slack_start() if start is None else start)
 
 
 def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
@@ -286,7 +268,7 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     (-inf). The reduced costs are kept on the tableau: a solve that
     continues it, or a copy of it, starts from them."""
     tableau = result.tableau
-    if tableau.matrix is None:
+    if tableau.basis is None:
         raise ValueError("the tableau was continued by another solve")
     rows = (tableau.basis == tableau.prep.var_index[name]).nonzero()[0]
     if not rows.size:
@@ -334,7 +316,9 @@ class Tableau:
     m x (n+m)) with the basis, column statuses and the rest of the dual's
     state. It starts a solve of any compile with the same variable and row
     names, which continues it in place (_load), so it serves as a start
-    once only (`copy` gives another)."""
+    once only (`copy` gives another, and `basis_copy` one without
+    B^-1*A): a start that has served keeps none of the arrays it handed
+    on, and has no basis."""
 
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
         self.prep, self.a, self.b = prep, prep._a, prep._b
@@ -351,7 +335,7 @@ class Tableau:
         """An independent start. The arrays a continuing solve takes over
         (_HANDED_ON) are duplicated; the rest (the bounds, `fixed`,
         `x_basic`) is shared, since that solve does not write it."""
-        if self.matrix is None:
+        if self.basis is None:
             raise ValueError("start tableau was already used")
         twin = object.__new__(Tableau)
         twin.__dict__.update(self.__dict__)
@@ -359,6 +343,14 @@ class Tableau:
             value = getattr(self, name)
             setattr(twin, name, None if value is None else value.copy())
         return twin
+
+    def basis_copy(self) -> Tableau:
+        """A copy without B^-1*A and the reduced costs, cheap to keep for
+        many open nodes: the solve it starts refactorizes its basis."""
+        bare = object.__new__(Tableau)
+        bare.__dict__.update(self.__dict__)
+        bare.matrix = bare.priced = None
+        return bare.copy()
 
     def fits(self, prep: PreparedLp) -> bool:
         """Whether this tableau can start a solve of `prep`: one with the
@@ -368,48 +360,49 @@ class Tableau:
 
     # -- setup ------------------------------------------------------------
 
-    def _load(self, start: Basis | Tableau) -> None:
+    def _slack_start(self) -> Tableau:
+        """The slack basis as a start without B^-1*A, settled under this
+        solve's bounds: each slack basic in its own row, and every
+        structural column at a bound (_settle), its lower one where that is
+        finite."""
+        n = self.prep.n
+        start = object.__new__(Tableau)
+        start.__dict__.update(self.__dict__)
+        start.basis = np.arange(n, self.cols)
+        start.status = np.full(self.cols, _AT_LOWER, dtype=np.int8)
+        start.status[n:] = _BASIC
+        start.x_nonbasic, start.gain = np.zeros(self.cols), np.zeros(self.cols)
+        start.lo_b, start.up_b = self.lower[n:].copy(), self.upper[n:].copy()
+        start.matrix = start.priced = None
+        start._settle(np.arange(n))
+        return start
+
+    def _load(self, start: Tableau) -> None:
         """Check `start` and adopt its basis, whether or not each basic value
-        lies within its bounds (the dual repairs the ones that do not), and
-        from a Tableau the rest of its state (_HANDED_ON) and pivot count.
-        Each column whose bounds differ from the start's final bounds, every
-        column for a Basis, is settled again: a nonbasic one by _settle, and
-        a basic one's row takes its bounds. A Tableau of this compile, or of
-        another once its changed columns are replaced, gives x_B =
-        B^-1*(b - A_N*x_N) directly; otherwise the basis is refactorized."""
-        if isinstance(start, Tableau):
-            if not start.fits(self.prep):
-                raise ValueError("start tableau belongs to an LP with other variables or rows")
-            if start.matrix is None:
-                raise ValueError("start tableau was already used")
-            for name in _HANDED_ON:
-                setattr(self, name, getattr(start, name))
-            start.matrix = None
-            self.pivots_since_refactor = start.pivots_since_refactor
-            moved = (self.lower != start.lower) | (self.upper != start.upper)
-        else:
-            self.basis = np.array(start.columns, dtype=np.intp)
-            if len(self.basis) != self.m or len(start.status) != self.cols:
-                raise ValueError(f"start basis has {self.basis.size} rows and {len(start.status)} "
-                                 f"columns; this LP has {self.m} and {self.cols}")
-            if not _all((self.basis >= 0) & (self.basis < self.cols)):
-                raise ValueError(f"start basis has a column outside 0 to {self.cols - 1}")
-            # only `columns` is basic; the statuses say which others sit at upper
-            self.status = np.frombuffer(start.status, dtype=np.int8).copy()
-            self.status[self.status == _BASIC] = _AT_LOWER
-            self.status[self.basis] = _BASIC
-            self.x_nonbasic, self.gain = np.zeros(self.cols), np.zeros(self.cols)
-            self.lo_b, self.up_b = np.empty(self.m), np.empty(self.m)
-            self.free = np.flatnonzero(self.status == _AT_FREE)
-            moved = np.ones(self.cols, dtype=bool)  # a Basis has settled no column
+        lies within its bounds (the dual repairs the ones that do not), the
+        rest of its state (_HANDED_ON) and its pivot count. Each column
+        whose bounds differ from the start's final bounds is settled again:
+        a nonbasic one by _settle, and a basic one's row takes its bounds. A
+        start with B^-1*A, of this compile or of another once its changed
+        columns are replaced, gives x_B = B^-1*(b - A_N*x_N) directly;
+        otherwise the basis is refactorized."""
+        if not start.fits(self.prep):
+            raise ValueError("start tableau belongs to an LP with other variables or rows")
+        if start.basis is None:
+            raise ValueError("start tableau was already used")
+        for name in _HANDED_ON:  # the start keeps none of what it hands on
+            setattr(self, name, getattr(start, name))
+            setattr(start, name, None)
+        self.pivots_since_refactor = start.pivots_since_refactor
+        moved = (self.lower != start.lower) | (self.upper != start.upper)
         unsettled = np.flatnonzero(moved & (self.status != _BASIC))
         if unsettled.size:
             self._settle(unsettled)
         rows = moved[self.basis].nonzero()[0]
         self.lo_b[rows] = self.lower[self.basis[rows]]
         self.up_b[rows] = self.upper[self.basis[rows]]
-        if isinstance(start, Tableau) and (start.prep is self.prep
-                                           or self._replace_columns(start.prep._a)):
+        if self.matrix is not None and (start.prep is self.prep
+                                        or self._replace_columns(start.prep._a)):
             self.x_basic = self.matrix[:, self.prep.n:] @ (self.b - self.a @ self.x_nonbasic)
         else:
             self._refactorize()
@@ -488,7 +481,7 @@ class Tableau:
                     self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
                 )
             except np.linalg.LinAlgError:  # B = I never is singular
-                self._load(self.prep.slack_basis)
+                self._load(self._slack_start())
                 return
             self.matrix = np.zeros((self.m, self.cols))
             self.matrix[:, nonbasic] = solved[:, :-1]
@@ -748,7 +741,7 @@ class Tableau:
 
     # -- driver -----------------------------------------------------------
 
-    def solve(self, start: Basis | Tableau) -> LpResult:
+    def solve(self, start: Tableau) -> LpResult:
         """Run the dual; an optimum on a tableau pivots have touched must pass
         its certificate, or the dual runs again on a refactorization."""
         self._load(start)
@@ -765,9 +758,7 @@ class Tableau:
         return self._result(STATUS_OPTIMAL, self._objective(x), values)
 
     def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
-        basis = Basis(tuple(self.basis.tolist()), self.status.tobytes())
-        return LpResult(status, objective, values, self.iterations, basis,
-                        self.refactorizations, self)
+        return LpResult(status, objective, values, self.iterations, self.refactorizations, self)
 
     def _objective(self, x: np.ndarray) -> float:
         return float(self.prep._cost @ x) + self.prep.model.objective_constant

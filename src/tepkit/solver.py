@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .model import BINARY, Model, ModelError, SENSE_EQ, SENSE_GE, SENSE_LE
 from .simplex import (
-    Basis,
     PreparedLp,
     STATUS_CUTOFF,
     STATUS_INFEASIBLE,
@@ -31,7 +30,7 @@ _INT_TOL = 1e-6
 _VERIFY_TOL = 1e-5
 _BRUTE_FORCE_MAX_BINARIES = 24
 # the most bytes of B^-1*A the open nodes of one search may hold; a sibling
-# pushed past it stores only its parent's final basis
+# pushed past it keeps a copy of its parent's solve without B^-1*A
 _OPEN_TABLEAU_BYTES = 64 << 20
 
 
@@ -183,9 +182,9 @@ class _BranchAndBound:
         # open nodes: (bound, push order, fixings, own bound, start): the
         # bound is the parent's and orders the search, the own bound is the
         # node's branching penalty, and the start is a copy of the parent's
-        # final tableau, which the node's solve continues, or its final
-        # basis past the budget or the cutoff
-        self.heap: list[tuple[float, int, _Fixings, float, Basis | Tableau]] = []
+        # final tableau, which the node's solve continues, without B^-1*A
+        # past the budget or the cutoff
+        self.heap: list[tuple[float, int, _Fixings, float, Tableau]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
         self.root_tableau: Tableau | None = None
@@ -205,7 +204,7 @@ class _BranchAndBound:
     # -- bookkeeping --------------------------------------------------------
 
     def _push(self, bound: float, fixings: _Fixings, own_bound: float,
-              start: Basis | Tableau) -> None:
+              start: Tableau) -> None:
         heapq.heappush(self.heap, (bound, self.push_count, fixings, own_bound, start))
         self.push_count += 1
 
@@ -229,13 +228,13 @@ class _BranchAndBound:
     # -- search -------------------------------------------------------------
 
     def _dive(self, fixings: _Fixings, bound: float, own_bound: float,
-              start: Basis | Tableau | None) -> None:
+              start: Tableau | None) -> None:
         """Solve the node from `start`, then plunge depth-first on the
         rounded child, pushing the sibling, until the dive dies or yields an
         incumbent. The rounded child continues its parent's solve; the
         sibling stores a copy of its final tableau while the open nodes'
-        tableaux stay within _OPEN_TABLEAU_BYTES, and the parent's final
-        basis after or when its own bound already exceeds the cutoff. A
+        tableaux stay within _OPEN_TABLEAU_BYTES, and one without B^-1*A
+        after or when its own bound already exceeds the cutoff. A
         node whose own bound, its branching penalty, exceeds the cutoff is
         closed without an LP."""
         while True:
@@ -268,7 +267,6 @@ class _BranchAndBound:
             child_bounds = branch_bounds(result, branch_name)
             if not fixings:
                 self.root_tableau = result.tableau.copy()
-            sibling = result.basis
             size = result.tableau.matrix.nbytes
             # the cutoff only falls, so a sibling its own bound already puts
             # past it is closed when popped, and its start is never read
@@ -276,6 +274,8 @@ class _BranchAndBound:
             if not dominated and self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
                 sibling = result.tableau.copy()
                 self.tableau_bytes += size
+            else:
+                sibling = result.tableau.basis_copy()
             self._push(bound, fixings + ((branch_name, 1 - preferred),),
                        child_bounds[1 - preferred], sibling)
             fixings = fixings + ((branch_name, preferred),)
@@ -288,7 +288,7 @@ class _BranchAndBound:
             self._dive((), -math.inf, -math.inf, self.root_start)
             while self.heap:
                 bound, _, fixings, own_bound, start = heapq.heappop(self.heap)
-                if isinstance(start, Tableau):
+                if start.matrix is not None:
                     self.tableau_bytes -= start.matrix.nbytes
                 if self.incumbent_obj is not None:
                     tol = _tie_tol(self.incumbent_obj)
@@ -340,13 +340,13 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     the reduced costs the parent's branching formed, so neither
     refactorizes or prices its start again. The open nodes' copies are
     capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
-    that, or past the cutoff by its own bound (below), keeps its parent's
-    final basis instead. Once there is an incumbent, each
-    node's LP is solved with the cutoff incumbent + _tie_tol(incumbent):
-    every point of its dual simplex bounds its optimum, so the LP stops,
-    and the node is pruned, once one exceeds the cutoff. A node within the
-    tie tolerance is still solved, so a lexicographically smaller tie can
-    still win.
+    that, or past the cutoff by its own bound (below), keeps a copy
+    without B^-1*A instead, which its LP refactorizes. Once there is an
+    incumbent, each node's LP is solved with the cutoff incumbent +
+    _tie_tol(incumbent): every point of its dual simplex bounds its
+    optimum, so the LP stops, and the node is pruned, once one exceeds the
+    cutoff. A node within the tie tolerance is still solved, so a
+    lexicographically smaller tie can still win.
 
     When a node branches, both children get their own bound from its
     final tableau, before the dive child continues it: Driebeek's penalty

@@ -306,6 +306,28 @@ def test_solve_exit_code_tracks_status(tight_doc):
     assert "status     infeasible" in bad.output
 
 
+@pytest.mark.parametrize("extra, status", [
+    (["--scenarios", None], "infeasible"),
+    (["--time-limit", "0.0005"], "time_limit"),
+])
+def test_solve_out_is_written_for_a_search_without_a_point(garver_doc, tmp_path, extra, status):
+    # demand this elastic outgrows every plan; a stale file at --out is
+    # replaced by the search's status line, as for any other status
+    config = tmp_path / "elastic.json"
+    config.write_text(json.dumps({"elasticity": {"gamma_low": 1.0, "gamma_high": 40.0}}))
+    sol_path = tmp_path / "plan.sol"
+    sol_path.write_text("stale\n")
+    extra = [str(config) if arg is None else arg for arg in extra]
+    result = run("solve", "--network", garver_doc, "--scenario", "H,H", *extra,
+                 "--out", str(sol_path))
+    assert result.exit_code == 1
+    assert f"status     {status}" in result.output
+    assert f"wrote solution to {sol_path}" in result.output
+    assert sol_path.read_text().splitlines()[0] == f"# status {status}"
+    if status == "infeasible":
+        assert sol_path.read_text() == "# status infeasible\n"
+
+
 def sweep_rows(path):
     body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     rows = list(csv.reader(body))
@@ -499,14 +521,14 @@ def _sweep_lp_log(doc, out, reference=None):
 @pytest.mark.parametrize("network, continued, lps", [("garver", 132, 133), ("w2", 15, 16)])
 def test_every_tableau_start_continues_its_solve_bit_for_bit(
         network, continued, lps, garver_doc, tmp_path, monkeypatch):
-    # every start from a tableau (a dive child's, a sibling's copy, the next
+    # every start with B^-1*A (a dive child's, a sibling's copy, the next
     # scenario's root) continues the solve that left it: it adopts that
     # solve's state and the reduced costs branch_bounds formed, and settles
-    # again only the columns whose bounds moved. Derived instead as a Basis
-    # start is, every column outside the basis settled, every basic row
-    # given its bounds and the reduced costs formed anew, every LP and every
-    # row stay as they are. Only the sweep's first root starts from the
-    # slack basis
+    # again only the columns whose bounds moved. Derived instead under the
+    # solve's own bounds, every column outside the basis settled, every
+    # basic row given its bounds and the reduced costs formed anew, every
+    # LP and every row stay as they are. Only the sweep's first root starts
+    # from the slack basis, without B^-1*A
     if network == "garver":
         doc = garver_doc
     else:
@@ -517,13 +539,12 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
     load = Tableau._load
 
     def derived(t, start):
-        if isinstance(start, Tableau):
-            # settle the start under this solve's bounds as a Basis start
-            # is settled; _load then finds no column whose bounds moved
-            start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
-            start._settle(np.flatnonzero(start.status != _BASIC))
-            start.lo_b, start.up_b = t.lower[start.basis], t.upper[start.basis]
-            start.priced = None
+        # settle the start under this solve's bounds in full, as the slack
+        # start is settled; _load then finds no column whose bounds moved
+        start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
+        start._settle(np.flatnonzero(start.status != _BASIC))
+        start.lo_b, start.up_b = t.lower[start.basis], t.upper[start.basis]
+        start.priced = None
         load(t, start)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -532,7 +553,7 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
     starts = []
 
     def recording(t, start):
-        starts.append(isinstance(start, Tableau))
+        starts.append(start.matrix is not None)
         load(t, start)
 
     monkeypatch.setattr(Tableau, "_load", recording)
@@ -689,7 +710,14 @@ def test_sweep_builds_validates_and_compiles_its_model_once(tmp_path, monkeypatc
 
     monkeypatch.setattr(tepkit.milp, "validate", counting("validate", tepkit.milp.validate))
     monkeypatch.setattr(PreparedLp, "__init__", counting("compile", PreparedLp.__init__))
-    monkeypatch.setattr(Tableau, "copy", counting("copy", Tableau.copy))
+    real_copy = Tableau.copy
+
+    def copy(tableau):  # counts the copies that carry B^-1*A
+        twin = real_copy(tableau)
+        counts["copy"] += twin.matrix is not None
+        return twin
+
+    monkeypatch.setattr(Tableau, "copy", copy)
     out = tmp_path / "sweep.csv"
     result = run("sweep", "--network", str(doc), "--out", str(out))
     assert result.exit_code == 0

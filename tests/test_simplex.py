@@ -213,33 +213,8 @@ def test_start_of_wrong_size_raises():
                          Variable("y", CONTINUOUS, 0.0, 1.0)],
                         [Constraint("c", (("x", 1.0), ("y", 1.0)), SENSE_LE, 1.0)],
                         [("x", -1.0)]))
-    with pytest.raises(ValueError, match="start basis"):
-        big.solve(start=small.solve().basis)
-    # small's columns are 0 (x) and 1 (the slack); column 7 used to end in a
-    # bare IndexError, and column -1 in numpy's bincount error
-    for column in (7, -1, 2):
-        start = tepkit.simplex.Basis((column,), small.slack_basis.status)
-        with pytest.raises(ValueError, match="start basis has a column outside 0 to 1"):
-            small.solve(start=start)
-
-
-def test_singular_start_falls_back_to_slack_basis():
-    # x and y have identical columns, so a basis holding both is singular
-    m = lp(
-        [Variable("x", CONTINUOUS, 0.0, 3.0), Variable("y", CONTINUOUS, 0.0, 3.0),
-         Variable("z", CONTINUOUS, 0.0, 3.0)],
-        [Constraint("a", (("x", 1.0), ("y", 1.0), ("z", 1.0)), SENSE_LE, 4.0),
-         Constraint("b", (("x", 2.0), ("y", 2.0), ("z", -1.0)), SENSE_LE, 2.0)],
-        [("x", -1.0), ("y", -2.0), ("z", -1.0)],
-    )
-    prep = PreparedLp(m)
-    singular = dataclasses.replace(prep.slack_basis, columns=(0, 1))
-    cold = prep.solve()
-    assert cold.status == "optimal"
-    assert prep.solve(start=singular) == cold
-    # a basis of slacks only, but one of them twice, is singular as well
-    repeated = dataclasses.replace(prep.slack_basis, columns=(3, 3))
-    assert prep.solve(start=repeated) == cold
+    with pytest.raises(ValueError, match="start tableau belongs to an LP with other"):
+        big.solve(start=small.solve().tableau)
 
 
 def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch):
@@ -264,12 +239,13 @@ def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch)
     load = Tableau._load
 
     def recording(run, start):
-        restarted.append(start is prep.slack_basis)
+        restarted.append((start.matrix is None, start.basis.tolist()))
         load(run, start)
 
     monkeypatch.setattr(Tableau, "_load", recording)
     result = prep.solve()
-    assert restarted == [True, True]  # the start, then the restart
+    slack = (True, list(range(prep.n, prep.n + prep.m)))
+    assert restarted == [slack, slack]  # the start, then the restart
     assert result.status == "optimal"
     assert result.refactorizations == len(calls) - 1 >= 1  # the failed one not counted
     assert result.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -283,8 +259,9 @@ def test_deadline_stops_the_solve():
     stopped = prep.solve(deadline=time.monotonic() - 1.0)
     assert stopped.status == "time_limit"
     assert stopped.iterations == 0 and stopped.objective is None
-    # the basis it stopped at is a valid start
-    assert prep.solve(start=stopped.basis).status == "optimal"
+    # the basis it stopped at is a valid start, without B^-1*A as with it
+    assert prep.solve(start=stopped.tableau.basis_copy()).status == "optimal"
+    assert prep.solve(start=stopped.tableau).status == "optimal"
 
 
 def test_tableau_start_skips_the_refactorization_once():
@@ -455,7 +432,7 @@ def test_uncertified_dual_dead_end_on_a_feasible_lp_is_not_declared_infeasible()
            [("x", 1.0), ("y", 1.0)])
     prep = PreparedLp(m)
     pinned = prep.solve(bound_overrides={"x": (1.0, 1.0), "y": (1.0, 1.0)})
-    assert pinned.status == "optimal" and pinned.basis == prep.slack_basis
+    assert pinned.status == "optimal" and pinned.tableau.basis.tolist() == [2]
     start = pinned.tableau
     start.matrix[:, :2] = 0.0
     result = prep.solve(start=start)
@@ -499,13 +476,13 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch
     # again from there
     prep = PreparedLp(dense_lp())
     base = prep.solve()
-    basic = [j for j in base.basis.columns if j < 12 and base.values[f"x{j}"] > 1e-6]
+    basic = [j for j in base.tableau.basis if j < 12 and base.values[f"x{j}"] > 1e-6]
     assert basic
     squeezed = {f"x{j}": (0.0, 0.0) for j in basic}
     cold = prep.solve(bound_overrides=squeezed)
     assert cold.status == "optimal"
     start = base.tableau
-    start.matrix[:, np.setdiff1d(np.arange(22), base.basis.columns)] = 0.0
+    start.matrix[:, np.setdiff1d(np.arange(22), start.basis)] = 0.0
     runs = []
     real = Tableau._run_dual
 
@@ -561,7 +538,7 @@ def _pair_lp(y_column, rhs=4.0):
 def test_tableau_copy_starts_another_compile_of_the_same_names():
     base = PreparedLp(_pair_lp((2.0, 1.0)))
     first = base.solve()
-    assert first.basis.columns in ((0, 1), (1, 0))
+    assert sorted(first.tableau.basis) == [0, 1]
     # only the right-hand sides differ: no column to replace, no LAPACK call
     moved = PreparedLp(_pair_lp((2.0, 1.0), rhs=5.0))
     result = moved.solve(start=first.tableau.copy())
@@ -900,15 +877,17 @@ def test_randomized_against_scipy(monkeypatch):
         _check_against_highs(mine, model, trial)
         # re-solve through the same compiled LP with some bounds replaced,
         # as branch and bound does at every node: cold, and from the base
-        # solve's final basis, as a child node starts from its parent's
+        # solve's final basis, as a node past the search's tableau budget
+        # starts from its parent's
         overrides = _random_overrides(override_rng, model)
         again = prep.solve(bound_overrides=overrides)
         resolved[again.status] += 1
         _check_against_highs(again, with_bounds(model, overrides), f"{trial} {overrides}")
-        warm = prep.solve(bound_overrides=overrides, start=mine.basis)
+        warm = prep.solve(bound_overrides=overrides, start=mine.tableau.basis_copy())
         _check_against_highs(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
         # and from the base solve's live tableau, as a dive child continues:
         # after an optimal base solve, a dual start
+        basis, resting = mine.tableau.basis.tolist(), mine.tableau.basis_copy()
         portable = mine.tableau.copy()
         live = prep.solve(bound_overrides=overrides, start=mine.tableau)
         live_paths[outcomes[-1]["dual"]] = live_paths.get(outcomes[-1]["dual"], 0) + 1
@@ -916,16 +895,17 @@ def test_randomized_against_scipy(monkeypatch):
         _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         # a copy of it starts another compile with other columns and
         # right-hand sides, as the next scenario of a sweep does
-        columns, other = _perturbed(perturb_rng, model, mine.basis.columns)
+        columns, other = _perturbed(perturb_rng, model, basis)
         cross = _solve(PreparedLp(other), start=portable)
         carried[_check_against_highs(cross, other, f"{trial} cross {columns}")] += 1
         replaced += cross is not None and cross.refactorizations == 0 and any(
-            j in mine.basis.columns for j in columns)
+            j in basis for j in columns)
         # and back: the original bounds from the overridden solve's basis
-        _check_against_highs(prep.solve(start=again.basis), model, f"{trial} back")
+        _check_against_highs(prep.solve(start=again.tableau.basis_copy()), model,
+                             f"{trial} back")
         if mine.status == "optimal":
             # an optimal basis under unchanged bounds needs no pivot
-            same = prep.solve(start=mine.basis)
+            same = prep.solve(start=resting)
             assert same.iterations == 0, f"trial {trial}"
             assert same.objective == pytest.approx(mine.objective, rel=1e-12, abs=1e-12)
     # the generator must exercise every outcome for this test to mean much
@@ -1048,9 +1028,21 @@ def test_branch_bounds_refuses_a_column_that_is_not_basic():
         realize_scenario(ScenarioCode.parse("H,H"), net)))
     root = prep.solve()
     for name in ("y14", "z3"):
-        assert prep.var_index[name] not in root.basis.columns
+        assert prep.var_index[name] not in root.tableau.basis
         with pytest.raises(ValueError, match=f"'{name}' is not basic in the tableau"):
             branch_bounds(root, name)
+
+
+def test_branch_bounds_refuses_a_tableau_another_solve_has_continued():
+    # x and y are basic at (4/3, 4/3); once a child's solve continues the
+    # tableau, the tableau is that solve's, and its bounds are no longer
+    # the parent's
+    prep = PreparedLp(_pair_lp((2.0, 1.0)))
+    parent = prep.solve()
+    assert branch_bounds(parent, "x")[0] > parent.objective
+    prep.solve({"x": (1.0, 1.0)}, start=parent.tableau)
+    with pytest.raises(ValueError, match="the tableau was continued by another solve"):
+        branch_bounds(parent, "x")
 
 
 def test_dual_under_blands_rule_from_its_first_step(monkeypatch):

@@ -20,7 +20,7 @@ from tepkit.model import (
     Variable,
 )
 from tepkit.scenario import ScenarioCode, realize_scenario
-from tepkit.simplex import Basis, PreparedLp, Tableau
+from tepkit.simplex import PreparedLp, Tableau
 from tepkit.solver import (
     CheckReport,
     SolveOptions,
@@ -238,7 +238,8 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
 
     def recording(tableau):
         copy = real(tableau)
-        copies.append((tableau, copy))
+        if copy.matrix is not None:  # basis_copy() copies one without
+            copies.append((tableau, copy))
         return copy
 
     monkeypatch.setattr(Tableau, "copy", recording)
@@ -253,7 +254,8 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     # a branching root's dive child takes the live one: the root keeps a
     # copy, which the next model's root takes over; every other copy is an
     # open sibling's, unless its own bound already exceeds the cutoff when
-    # it is pushed: such a sibling is closed when popped, and keeps a basis
+    # it is pushed: such a sibling is closed when popped, and keeps a copy
+    # without B^-1*A
     pushes = []
     push = tepkit.solver._BranchAndBound._push
 
@@ -261,7 +263,7 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
         incumbent = self.incumbent_obj
         dominated = (incumbent is not None
                      and own_bound > incumbent + tepkit.solver._tie_tol(incumbent))
-        pushes.append((dominated, isinstance(start, Tableau)))
+        pushes.append((dominated, start.matrix is not None))
         push(self, bound, fixings, own_bound, start)
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording_push)
@@ -271,7 +273,7 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     assert (True, False) in pushes and (True, True) not in pushes
     assert len(copies) == sum(not dominated for dominated, _ in pushes) + 2
     live_root, kept = copies[0]
-    assert live_root.matrix is None  # taken by the dive child
+    assert live_root.basis is None  # taken by the dive child
     roots = [start for overrides, start in starts if not overrides]
     assert roots == [None, kept]
     cold = solve_milp(garver_model("H,H"))
@@ -369,16 +371,27 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
     model = garver_model("H,H")
     default = solve_milp(model)
     monkeypatch.setattr(tepkit.solver, "_OPEN_TABLEAU_BYTES", 0)
-    starts = _recording_starts(monkeypatch)
+    bare = []  # per LP, whether its start carries no B^-1*A, read before the solve
+    solve = PreparedLp.solve
+
+    def recording(self, bound_overrides=None, *, start=None, **kwargs):
+        bare.append(start is not None and start.matrix is None)
+        return solve(self, bound_overrides, start=start, **kwargs)
+
+    monkeypatch.setattr(PreparedLp, "solve", recording)
     sol = solve_milp(model)
     assert sol.stats["nodes"] == default.stats["nodes"]
     assert sol.objective == pytest.approx(default.objective, rel=1e-12)
     assert sol.values == pytest.approx(default.values, abs=1e-9)
-    # every node taken from the open list starts from a Basis and costs one
-    # LAPACK factorization; the root and the dive children cost none
-    popped = sum(isinstance(start, Basis) for _, start in starts)
-    assert popped > 0
-    assert sol.stats["refactorizations"] == popped
+    assert ({k: sol.stats[k] for k in ("nodes", "closed_nodes", "simplex_iterations",
+                                       "refactorizations")}
+            == {"nodes": 31, "closed_nodes": 20, "simplex_iterations": 123,
+                "refactorizations": 12})
+    assert repr(sol.objective) == "245424473.6914409"
+    # every node taken from the open list starts from a copy of its
+    # parent's solve without B^-1*A and costs one LAPACK factorization; the
+    # root and the dive children cost none
+    assert sol.stats["refactorizations"] == sum(bare) == 12
 
 
 def test_open_tableaux_stay_within_their_budget(monkeypatch):
@@ -391,14 +404,15 @@ def test_open_tableaux_stay_within_their_budget(monkeypatch):
 
     def recording(self, bound, fixings, *rest):
         push(self, bound, fixings, *rest)
-        held.append((sum(s.matrix.nbytes for *_, s in self.heap if isinstance(s, Tableau)),
-                     self.tableau_bytes, isinstance(rest[-1], Tableau)))
+        held.append((sum(s.matrix.nbytes for *_, s in self.heap if s.matrix is not None),
+                     self.tableau_bytes, rest[-1].matrix is not None))
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording)
     sol = solve_milp(model)
     assert max(stored for stored, _, _ in held) == budget
     assert all(stored == counted for stored, counted, _ in held)
-    # past the budget a sibling stores its basis, which is refactorized
+    # past the budget a sibling stores a copy without B^-1*A, which is
+    # refactorized
     assert not all(tableau for _, _, tableau in held)
     assert 0 < sol.stats["refactorizations"]
     assert sol.stats["nodes"] == default.stats["nodes"]
