@@ -20,7 +20,6 @@ from .milp import TepSkeleton
 from .model import Model, ModelError, model_stats
 from .mps import export_lp, export_mps
 from .network import (
-    ABSOLUTE_ZERO_F,
     DRAKE_ACSR,
     Network,
     NetworkError,
@@ -33,10 +32,10 @@ from .scenario import (
     ScenarioCode,
     ScenarioConfig,
     DemandElasticityConfig,
-    _c_to_f,
-    _f_to_c,
     enumerate_scenarios,
+    f_to_c,
     load_scenario_config,
+    rated_eta,
     realize_scenario,
 )
 from .simplex import SimplexError
@@ -140,24 +139,16 @@ def cmd_derate(t_base_f: float, t_future_f: float,
     for flag, value in (("--t-base-f", t_base_f), ("--t-future-f", t_future_f)):
         if math.isnan(value):
             _fail(f"{flag} is NaN; it must be a temperature in degrees F")
-    # the library's range checks, made first on its Celsius values and
-    # reported in the options as typed
-    t_base_c, t_future_c = _f_to_c(t_base_f), _f_to_c(t_future_f)
+    # the library's range checks, made on its Celsius values and reported
+    # in the options as typed
+    t_base_c, t_future_c = f_to_c(t_base_f), f_to_c(t_future_f)
     if t_future_c < t_base_c:
         _fail(f"--t-future-f {t_future_f!r} F must be >= --t-base-f {t_base_f!r} F")
-    if not t_base_c > _f_to_c(ABSOLUTE_ZERO_F):
-        _fail(f"--t-base-f {t_base_f!r} F must be above absolute zero ({ABSOLUTE_ZERO_F} F)")
-    limit_c = cond.max_conductor_temp_c
-    if not t_future_c < limit_c:
-        _fail(f"--t-future-f {t_future_f!r} F must be below the conductor limit "
-              f"{round(_c_to_f(limit_c), 6)!r} F")
     try:
-        eta = thermal.derating_factor(cond, t_base_c, t_future_c)
-    except thermal.ThermalDomainError as exc:
-        # derating_factor tries the future ambient first, and headroom only
-        # falls as the ambient rises: the future is the one left without
-        _fail(f"--t-future-f {t_future_f!r} F leaves the conductor no thermal headroom: "
-              f"{exc.shortfall}")
+        eta = rated_eta(cond, t_base_c, t_future_c,
+                        f"--t-base-f {t_base_f!r}", f"--t-future-f {t_future_f!r}")
+    except ValueError as exc:
+        _fail(str(exc))
     click.echo(f"derating factor eta = {eta!r}")
 
 

@@ -9,8 +9,6 @@ conductor: derating uses one representative conductor per region, the
 config.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math

@@ -15,13 +15,13 @@ import re
 from dataclasses import dataclass
 
 from . import thermal
-from .network import ABSOLUTE_ZERO_F, ConductorParams, DRAKE_ACSR, Network, Region, conductor, decode
+from .network import ABSOLUTE_ZERO_F, ConductorParams, DRAKE_ACSR, Network, conductor, decode
 
 MARK_LOW = "L"
 MARK_HIGH = "H"
 
 
-def _f_to_c(t_f: float) -> float:
+def f_to_c(t_f: float) -> float:
     return (t_f - 32.0) * 5.0 / 9.0
 
 
@@ -102,9 +102,24 @@ def enumerate_scenarios(num_regions: int) -> list[ScenarioCode]:
             for marks in itertools.product((MARK_LOW, MARK_HIGH), repeat=num_regions)]
 
 
-def _peak(region: Region, increase_f: float) -> str:
-    peak_f = round(region.base_peak_temp_f + increase_f, 6)
-    return f"region {region.id}: peak ambient {peak_f!r} F"
+def rated_eta(cond: ConductorParams, t_base_c: float, t_future_c: float,
+              base: str, future: str) -> float:
+    """The capacity multiplier of `cond` from ambient t_base_c to t_future_c
+    (C), after the thermal model's checks, made here so that each error
+    names its ambient by `base` or `future`, a label ending in its value in
+    F, such as "--t-future-f 200.0" or "region 2: peak ambient 172.6"."""
+    if not t_base_c > f_to_c(ABSOLUTE_ZERO_F):
+        raise ValueError(f"{base} F must be above absolute zero ({ABSOLUTE_ZERO_F} F)")
+    if not t_future_c < cond.max_conductor_temp_c:
+        raise ValueError(f"{future} F must be below the conductor limit "
+                         f"{round(_c_to_f(cond.max_conductor_temp_c), 6)!r} F")
+    try:
+        return thermal.derating_factor(cond, t_base_c, t_future_c)
+    except thermal.ThermalDomainError as exc:
+        # derating_factor tries the future ambient first, and headroom only
+        # falls as the ambient rises: the future is the one left without
+        raise ValueError(f"{future} F leaves the conductor no thermal headroom: "
+                         f"{exc.shortfall}") from None
 
 
 def realize_scenario(
@@ -139,21 +154,12 @@ def realize_scenario(
         else:
             increase_f = region.projected_increase_low_f
             gamma = elasticity.gamma_low
-        cond = conductors.get(region.id, DRAKE_ACSR)
-        t_base_c = _f_to_c(region.base_peak_temp_f)
-        t_future_c = t_base_c + _delta_f_to_c(increase_f)
-        # the thermal model's checks, made here to name the region in F
-        if not t_base_c > _f_to_c(ABSOLUTE_ZERO_F):
-            raise ValueError(f"region {region.id}: base_peak_temp_f {region.base_peak_temp_f!r} F "
-                             f"must be above absolute zero ({ABSOLUTE_ZERO_F} F)")
-        if not t_future_c < cond.max_conductor_temp_c:
-            raise ValueError(f"{_peak(region, increase_f)} must be below the conductor limit "
-                             f"{round(_c_to_f(cond.max_conductor_temp_c), 6)!r} F")
-        try:
-            eta = thermal.derating_factor(cond, t_base_c, t_future_c)
-        except thermal.ThermalDomainError as exc:
-            raise ValueError(f"{_peak(region, increase_f)} leaves the conductor no thermal "
-                             f"headroom: {exc.shortfall}") from None
+        t_base_c = f_to_c(region.base_peak_temp_f)
+        eta = rated_eta(conductors.get(region.id, DRAKE_ACSR), t_base_c,
+                        t_base_c + _delta_f_to_c(increase_f),
+                        f"region {region.id}: base_peak_temp_f {region.base_peak_temp_f!r}",
+                        f"region {region.id}: peak ambient "
+                        f"{round(region.base_peak_temp_f + increase_f, 6)!r}")
         by_region[region.id] = RegionParams(eta=eta, gamma=gamma)
     return ScenarioParams(code, by_region)
 

@@ -37,9 +37,10 @@ previous root's, a brute-force assignment the previous one's. A copy may
 leave out B^-1*A (`basis_copy`), as an open branch-and-bound node past
 the search's budget for stored tableaux does. One path reads every start
 (_load): it adopts the start's basis, statuses and state, and settles
-again each column whose bounds differ from the start's final bounds. A
-start with B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack block,
-B^-1; one without is refactorized.
+again each nonbasic column whose bounds differ from the start's final
+bounds (the dual reads the basic ones through the basis). A start with
+B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack block, B^-1; one
+without is refactorized.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -110,8 +111,9 @@ _BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
 _REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
-# what a Tableau start hands on to the solve that continues it (Tableau._load)
-_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "lo_b", "up_b", "free", "priced")
+# what a Tableau start hands on to the solve that continues it (Tableau._load),
+# which reads the basic columns' bounds from its own through the basis
+_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "free", "priced")
 # the ufunc reductions behind ndarray.min/any/all, called without their wrapper
 _min = np.minimum.reduce
 _any = np.logical_or.reduce
@@ -314,11 +316,12 @@ class Tableau:
     """One solve of a PreparedLp under one set of bounds and, once it has
     finished, its final tableau (`LpResult.tableau`): B^-1*A (`matrix`,
     m x (n+m)) with the basis, column statuses and the rest of the dual's
-    state. It starts a solve of any compile with the same variable and row
-    names, which continues it in place (_load), so it serves as a start
-    once only (`copy` gives another, and `basis_copy` one without
-    B^-1*A): a start that has served keeps none of the arrays it handed
-    on, and has no basis."""
+    state; the basic columns' bounds are read through the basis. It
+    starts a solve of any compile with the same variable and row names,
+    which continues it in place (_load), so it serves as a start once
+    only (`copy` gives another, and `basis_copy` one without B^-1*A): a
+    start that has served keeps none of the arrays it handed on, and has
+    no basis."""
 
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
         self.prep, self.a, self.b = prep, prep._a, prep._b
@@ -372,7 +375,6 @@ class Tableau:
         start.status = np.full(self.cols, _AT_LOWER, dtype=np.int8)
         start.status[n:] = _BASIC
         start.x_nonbasic, start.gain = np.zeros(self.cols), np.zeros(self.cols)
-        start.lo_b, start.up_b = self.lower[n:].copy(), self.upper[n:].copy()
         start.matrix = start.priced = None
         start._settle(np.arange(n))
         return start
@@ -380,9 +382,9 @@ class Tableau:
     def _load(self, start: Tableau) -> None:
         """Check `start` and adopt its basis, whether or not each basic value
         lies within its bounds (the dual repairs the ones that do not), the
-        rest of its state (_HANDED_ON) and its pivot count. Each column
-        whose bounds differ from the start's final bounds is settled again:
-        a nonbasic one by _settle, and a basic one's row takes its bounds. A
+        rest of its state (_HANDED_ON) and its pivot count. Each nonbasic
+        column whose bounds differ from the start's final bounds is settled
+        again (_settle); the dual reads a basic one's from this solve's. A
         start with B^-1*A, of this compile or of another once its changed
         columns are replaced, gives x_B = B^-1*(b - A_N*x_N) directly;
         otherwise the basis is refactorized."""
@@ -398,9 +400,6 @@ class Tableau:
         unsettled = np.flatnonzero(moved & (self.status != _BASIC))
         if unsettled.size:
             self._settle(unsettled)
-        rows = moved[self.basis].nonzero()[0]
-        self.lo_b[rows] = self.lower[self.basis[rows]]
-        self.up_b[rows] = self.upper[self.basis[rows]]
         if self.matrix is not None and (start.prep is self.prep
                                         or self._replace_columns(start.prep._a)):
             self.x_basic = self.matrix[:, self.prep.n:] @ (self.b - self.a @ self.x_nonbasic)
@@ -454,8 +453,8 @@ class Tableau:
 
     def _total_violation(self) -> float:
         """How far the basic variables lie outside their bounds, in sum."""
-        shortfall = self.lo_b - self.x_basic
-        excess = self.x_basic - self.up_b
+        shortfall = self.lower[self.basis] - self.x_basic
+        excess = self.x_basic - self.upper[self.basis]
         return float(shortfall[shortfall > _PRIMAL_TOL].sum()
                      + excess[excess > _PRIMAL_TOL].sum())
 
@@ -515,7 +514,8 @@ class Tableau:
 
     def _pivot(self, q: int, row: int, change: float, z, leaves_at):
         """Move q by `change` and swap it into the basis at `row`, and update
-        the reduced costs `z` for the new basis."""
+        the reduced costs `z` for the new basis. The row takes q's bounds
+        with it: the dual reads a row's bounds through `basis`."""
         new_value = self.x_nonbasic[q] + change
         self.x_basic -= change * self.matrix[:, q]
         self._set_nonbasic(self.basis[row], leaves_at)
@@ -527,8 +527,6 @@ class Tableau:
         self.status[q] = _BASIC
         self.x_nonbasic[q] = 0.0
         self.gain[q] = 0.0
-        self.lo_b[row] = self.lower[q]
-        self.up_b[row] = self.upper[q]
         self.x_basic[row] = new_value
         z -= z[q] * piv_row
         z[q] = 0.0  # every other basic column keeps its 0: its piv_row entry is 0
@@ -670,7 +668,8 @@ class Tableau:
             bland = stalled >= _BLAND_STALLS * self.cols
             if not self.m:
                 return STATUS_OPTIMAL
-            violation = np.maximum(self.lo_b - self.x_basic, self.x_basic - self.up_b)
+            lo, up = self.lower[self.basis], self.upper[self.basis]
+            violation = np.maximum(lo - self.x_basic, self.x_basic - up)
             row = int(violation.argmax())
             # the largest violation leaves, unless within tolerance or NaN
             if bland or not violation[row] > _PRIMAL_TOL:
@@ -679,7 +678,7 @@ class Tableau:
                     return STATUS_OPTIMAL
                 row = int(np.where(violated, self.basis, self.cols).argmin() if bland
                           else np.where(violated, violation, 0.0).argmax())
-            above = bool(self.x_basic[row] > self.up_b[row])
+            above = bool(self.x_basic[row] > up[row])
             q = self._entering(row, above, z, bland)
             if q is None:
                 push = np.zeros(self.m)
@@ -692,7 +691,7 @@ class Tableau:
                 self._refactorize()
                 z = None
                 continue
-            target = self.up_b[row] if above else self.lo_b[row]
+            target = up[row] if above else lo[row]
             change = (self.x_basic[row] - target) / self.matrix[row, q]
             if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
                 z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step

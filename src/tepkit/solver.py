@@ -183,8 +183,8 @@ class _BranchAndBound:
         # bound is the parent's and orders the search, the own bound is the
         # node's branching penalty, and the start is a copy of the parent's
         # final tableau, which the node's solve continues, without B^-1*A
-        # past the budget or the cutoff
-        self.heap: list[tuple[float, int, _Fixings, float, Tableau]] = []
+        # past the budget, or None past the cutoff
+        self.heap: list[tuple[float, int, _Fixings, float, Tableau | None]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
         self.root_tableau: Tableau | None = None
@@ -204,7 +204,7 @@ class _BranchAndBound:
     # -- bookkeeping --------------------------------------------------------
 
     def _push(self, bound: float, fixings: _Fixings, own_bound: float,
-              start: Tableau) -> None:
+              start: Tableau | None) -> None:
         heapq.heappush(self.heap, (bound, self.push_count, fixings, own_bound, start))
         self.push_count += 1
 
@@ -234,9 +234,9 @@ class _BranchAndBound:
         incumbent. The rounded child continues its parent's solve; the
         sibling stores a copy of its final tableau while the open nodes'
         tableaux stay within _OPEN_TABLEAU_BYTES, and one without B^-1*A
-        after or when its own bound already exceeds the cutoff. A
-        node whose own bound, its branching penalty, exceeds the cutoff is
-        closed without an LP."""
+        after. A node whose own bound, its branching penalty, exceeds the
+        cutoff is closed without an LP; the cutoff only falls, so a sibling
+        whose own bound already exceeds it is pushed with no start."""
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _StopSearch(bound)
@@ -267,17 +267,16 @@ class _BranchAndBound:
             child_bounds = branch_bounds(result, branch_name)
             if not fixings:
                 self.root_tableau = result.tableau.copy()
+            sibling_bound = child_bounds[1 - preferred]
             size = result.tableau.matrix.nbytes
-            # the cutoff only falls, so a sibling its own bound already puts
-            # past it is closed when popped, and its start is never read
-            dominated = cutoff is not None and child_bounds[1 - preferred] > cutoff
-            if not dominated and self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
+            if cutoff is not None and sibling_bound > cutoff:
+                sibling = None  # closed when popped
+            elif self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
                 sibling = result.tableau.copy()
                 self.tableau_bytes += size
             else:
                 sibling = result.tableau.basis_copy()
-            self._push(bound, fixings + ((branch_name, 1 - preferred),),
-                       child_bounds[1 - preferred], sibling)
+            self._push(bound, fixings + ((branch_name, 1 - preferred),), sibling_bound, sibling)
             fixings = fixings + ((branch_name, preferred),)
             own_bound = child_bounds[preferred]
             start = result.tableau
@@ -288,7 +287,7 @@ class _BranchAndBound:
             self._dive((), -math.inf, -math.inf, self.root_start)
             while self.heap:
                 bound, _, fixings, own_bound, start = heapq.heappop(self.heap)
-                if start.matrix is not None:
+                if start is not None and start.matrix is not None:
                     self.tableau_bytes -= start.matrix.nbytes
                 if self.incumbent_obj is not None:
                     tol = _tie_tol(self.incumbent_obj)
@@ -340,8 +339,8 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     the reduced costs the parent's branching formed, so neither
     refactorizes or prices its start again. The open nodes' copies are
     capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
-    that, or past the cutoff by its own bound (below), keeps a copy
-    without B^-1*A instead, which its LP refactorizes. Once there is an
+    that keeps a copy without B^-1*A instead, which its LP refactorizes,
+    and one past the cutoff by its own bound (below) none. Once there is an
     incumbent, each node's LP is solved with the cutoff incumbent +
     _tie_tol(incumbent): every point of its dual simplex bounds its
     optimum, so the LP stops, and the node is pruned, once one exceeds the

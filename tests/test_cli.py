@@ -1,6 +1,8 @@
+import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -123,6 +125,17 @@ def test_derate_out_of_range_is_one_line_and_exit_1(future, line):
     result = run("derate", "--t-base-f", "90", "--t-future-f", future)
     assert result.exit_code == 1
     assert result.output == line
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # what the commands share with the library, such as the ambient checks
+    # of `derate` and of a scenario, is public there
+    tree = ast.parse(inspect.getsource(tepkit.cli))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("tepkit"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 @pytest.mark.parametrize("base, future, line", [
@@ -543,7 +556,6 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
         # start is settled; _load then finds no column whose bounds moved
         start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
         start._settle(np.flatnonzero(start.status != _BASIC))
-        start.lo_b, start.up_b = t.lower[start.basis], t.upper[start.basis]
         start.priced = None
         load(t, start)
 

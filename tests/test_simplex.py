@@ -338,9 +338,9 @@ def _checking_settled(monkeypatch):
     """After every solve, settle every nonbasic column of a copy of its
     finished tableau again, under that tableau's own final bounds: the
     statuses, nonbasic values, pricing signs and free list must keep every
-    bit, and each basic row must hold its column's bounds. This is what a
-    continued start rests on (Tableau._load settles again only the columns
-    whose bounds moved). Returns the statuses of the solves checked."""
+    bit. This is what a continued start rests on (Tableau._load settles
+    again only the columns whose bounds moved). Returns the statuses of the
+    solves checked."""
     checked = []
     solve = Tableau.solve
 
@@ -351,8 +351,6 @@ def _checking_settled(monkeypatch):
         for a in ("status", "x_nonbasic", "gain", "free"):
             was, now = getattr(run, a), getattr(twin, a)
             assert was.dtype == now.dtype and was.tobytes() == now.tobytes(), a
-        assert run.lo_b.tobytes() == run.lower[run.basis].tobytes()
-        assert run.up_b.tobytes() == run.upper[run.basis].tobytes()
         checked.append(result.status)
         return result
 

@@ -7,7 +7,7 @@ import pytest
 import tepkit.simplex
 import tepkit.solver
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
-from tepkit.milp import build_tep_model
+from tepkit.milp import TepSkeleton, build_tep_model
 from tepkit.model import (
     BINARY,
     CONTINUOUS,
@@ -19,7 +19,7 @@ from tepkit.model import (
     ModelError,
     Variable,
 )
-from tepkit.scenario import ScenarioCode, realize_scenario
+from tepkit.scenario import ScenarioCode, enumerate_scenarios, realize_scenario
 from tepkit.simplex import PreparedLp, Tableau
 from tepkit.solver import (
     CheckReport,
@@ -254,8 +254,8 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
     # a branching root's dive child takes the live one: the root keeps a
     # copy, which the next model's root takes over; every other copy is an
     # open sibling's, unless its own bound already exceeds the cutoff when
-    # it is pushed: such a sibling is closed when popped, and keeps a copy
-    # without B^-1*A
+    # it is pushed: such a sibling is closed when popped, and is pushed
+    # with no start
     pushes = []
     push = tepkit.solver._BranchAndBound._push
 
@@ -263,14 +263,14 @@ def test_root_tableau_is_copied_only_when_the_root_branches(monkeypatch):
         incumbent = self.incumbent_obj
         dominated = (incumbent is not None
                      and own_bound > incumbent + tepkit.solver._tie_tol(incumbent))
-        pushes.append((dominated, start.matrix is not None))
+        pushes.append((dominated, None if start is None else start.matrix is not None))
         push(self, bound, fixings, own_bound, start)
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording_push)
     del starts[:]
     low, high = solve_sweep([garver_model("L,L"), garver_model("H,H")])
     assert low.stats["nodes"] > 1 and high.stats["nodes"] > 1
-    assert (True, False) in pushes and (True, True) not in pushes
+    assert (True, None) in pushes and set(pushes) <= {(True, None), (False, True)}
     assert len(copies) == sum(not dominated for dominated, _ in pushes) + 2
     live_root, kept = copies[0]
     assert live_root.basis is None  # taken by the dive child
@@ -404,8 +404,9 @@ def test_open_tableaux_stay_within_their_budget(monkeypatch):
 
     def recording(self, bound, fixings, *rest):
         push(self, bound, fixings, *rest)
-        held.append((sum(s.matrix.nbytes for *_, s in self.heap if s.matrix is not None),
-                     self.tableau_bytes, rest[-1].matrix is not None))
+        held.append((sum(s.matrix.nbytes for *_, s in self.heap
+                         if s is not None and s.matrix is not None),
+                     self.tableau_bytes, rest[-1] is not None and rest[-1].matrix is None))
 
     monkeypatch.setattr(tepkit.solver._BranchAndBound, "_push", recording)
     sol = solve_milp(model)
@@ -413,12 +414,30 @@ def test_open_tableaux_stay_within_their_budget(monkeypatch):
     assert all(stored == counted for stored, counted, _ in held)
     # past the budget a sibling stores a copy without B^-1*A, which is
     # refactorized
-    assert not all(tableau for _, _, tableau in held)
+    assert any(bare for _, _, bare in held)
     assert 0 < sol.stats["refactorizations"]
     assert sol.stats["nodes"] == default.stats["nodes"]
     assert sol.objective == pytest.approx(default.objective, rel=1e-12)
     plan = [v.name for v in model.binaries()]
     assert [round(sol.values[n]) for n in plan] == [round(default.values[n]) for n in plan]
+
+
+def test_a_sibling_past_the_cutoff_is_pushed_without_a_start(monkeypatch):
+    # within the default budget every open node holds a full copy of its
+    # parent's solve, except one whose own bound already exceeds the
+    # cutoff: that one holds nothing, so a Garver sweep makes no copy
+    # without B^-1*A (38 when such a sibling kept one), and every search
+    # keeps its LP solves and closed nodes
+    calls = []
+    basis_copy = Tableau.basis_copy
+    monkeypatch.setattr(Tableau, "basis_copy", lambda t: calls.append(t) or basis_copy(t))
+    net = builtin_garver()
+    skeleton = TepSkeleton(net, 8760.0)
+    sweep = solve_sweep(skeleton.model(realize_scenario(code, net))
+                        for code in enumerate_scenarios(2))
+    assert [(s.stats["nodes"], s.stats["closed_nodes"]) for s in sweep] == [
+        (42, 13), (26, 11), (34, 13), (31, 20)]
+    assert calls == []
 
 
 def test_gap_limit_is_reported_as_optimal_within_gap():
