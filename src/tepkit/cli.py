@@ -363,7 +363,8 @@ def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode,
                ) -> tuple[str, tuple | None]:
     """One scenario's status and report values from its solve_sweep result:
     its Solution, or the error that ended its solve (reported on stderr).
-    The values, None without a point, are the lines built and expanded,
+    The values, None unless the scenario is optimal (a time-limited one's
+    incumbent is not its answer), are the lines built and expanded,
     then new_line_cost, cap_exp_cost, total_exp_cost, gen_cost and
     total_cost as microdollar-quantized decimals, so that the printed
     identities total_exp_cost = new_line_cost + cap_exp_cost and
@@ -371,7 +372,7 @@ def _sweep_row(skeleton: TepSkeleton, code: ScenarioCode,
     if isinstance(result, Exception):
         click.echo(f"error: scenario {code}: {result}", err=True)
         return "error", None
-    if not result.values:
+    if result.status != "optimal":
         return result.status, None
 
     net, vmap, sigma_hours = skeleton.net, skeleton.vmap, skeleton.sigma_hours

@@ -65,11 +65,14 @@ def disaggregate_load(total_mw: float, weights) -> list[float]:
     the quantized total exactly.  Remainder ties go to the lowest index.
     Arithmetic is exact (rationals) so the split is fully deterministic.
     """
-    if not total_mw > 0:
-        raise ValueError("total_mw must be > 0")
-    w = [Fraction(float(x)) for x in weights]
+    if not 0 < total_mw < math.inf:  # written so that NaN fails it
+        raise ValueError(f"total_mw must be finite and > 0, got {total_mw!r}")
+    w = [float(x) for x in weights]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
+    if not all(map(math.isfinite, w)):
+        raise ValueError("weights must be finite")
+    w = [Fraction(x) for x in w]
     total_w = sum(w)
     if total_w <= 0:
         raise ValueError("weights must not all be zero")
@@ -202,8 +205,9 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.n_buses <= 0 or self.n_regions <= 0:
             raise ValueError("n_buses and n_regions must be positive")
-        if not self.demand_total_mw > 0:
-            raise ValueError("demand_total_mw must be > 0")
+        if not 0 < self.demand_total_mw < math.inf:
+            raise ValueError(f"demand_total_mw must be finite and > 0, "
+                             f"got {self.demand_total_mw!r}")
 
 
 def _distance(coords: np.ndarray, a: int, b: int) -> float:
@@ -408,7 +412,10 @@ def csv_to_document(
     substations' population weights; otherwise demands are zero.  All buses
     land in a single placeholder region (edit the document to refine).  The
     result is a document for ``load_network``, which performs validation.
+    ``total_demand_mw`` must be finite.
     """
+    if not math.isfinite(total_demand_mw):
+        raise ValueError(f"total_demand_mw must be finite, got {total_demand_mw!r}")
     subs = _read_rows(substations_csv, ("id", "lat", "lon", "population_weight"),
                       "substation")
     if not subs:

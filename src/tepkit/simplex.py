@@ -98,8 +98,8 @@ _AT_LOWER = 0
 _AT_UPPER = 1
 _AT_FREE = 2
 _BASIC = 3
-# the pricing sign of each state (see Tableau._settle); free columns are
-# priced apart
+# the pricing sign of each state (see Tableau._settle); a free column
+# gains |z_j| (Tableau._gains)
 _GAIN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 _FEAS_TOL = 1e-7
@@ -113,7 +113,7 @@ _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 # what a Tableau start hands on to the solve that continues it (Tableau._load),
 # which reads the basic columns' bounds from its own through the basis
-_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "free", "priced")
+_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "free")
 # the ufunc reductions behind ndarray.min/any/all, called without their wrapper
 _min = np.minimum.reduce
 _any = np.logical_or.reduce
@@ -267,8 +267,7 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     cost. The reduced costs are dual feasible at an optimum, so every dual
     point of the child, the one after that step among them, bounds its
     optimum from below. A child with no candidate column gets no bound
-    (-inf). The reduced costs are kept on the tableau: a solve that
-    continues it, or a copy of it, starts from them."""
+    (-inf). The tableau is only read."""
     tableau = result.tableau
     if tableau.basis is None:
         raise ValueError("the tableau was continued by another solve")
@@ -276,7 +275,7 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     if not rows.size:
         raise ValueError(f"{name!r} is not basic in the tableau")
     row = int(rows[0])
-    z = tableau.priced = tableau._reduced_costs()
+    z = tableau._reduced_costs()
     # _entering's slopes for both children (the 0-child's binary leaves above)
     slope = tableau._gains(np.multiply.outer((-1.0, 1.0), tableau.matrix[row]))
     candidate = (slope > _PIVOT_TOL) & np.isfinite(z)
@@ -332,7 +331,6 @@ class Tableau:
         self.deadline, self.cutoff = deadline, cutoff
         self.iterations = self.pivots_since_refactor = self.refactorizations = 0
         self.fresh = False  # the tableau is a factorization no pivot has touched
-        self.priced = None  # reduced costs of the tableau as it stands, or None
 
     def copy(self) -> Tableau:
         """An independent start. The arrays a continuing solve takes over
@@ -348,11 +346,11 @@ class Tableau:
         return twin
 
     def basis_copy(self) -> Tableau:
-        """A copy without B^-1*A and the reduced costs, cheap to keep for
-        many open nodes: the solve it starts refactorizes its basis."""
+        """A copy without B^-1*A, cheap to keep for many open nodes: the
+        solve it starts refactorizes its basis."""
         bare = object.__new__(Tableau)
         bare.__dict__.update(self.__dict__)
-        bare.matrix = bare.priced = None
+        bare.matrix = None
         return bare.copy()
 
     def fits(self, prep: PreparedLp) -> bool:
@@ -375,7 +373,7 @@ class Tableau:
         start.status = np.full(self.cols, _AT_LOWER, dtype=np.int8)
         start.status[n:] = _BASIC
         start.x_nonbasic, start.gain = np.zeros(self.cols), np.zeros(self.cols)
-        start.matrix = start.priced = None
+        start.matrix = None
         start._settle(np.arange(n))
         return start
 
@@ -429,9 +427,7 @@ class Tableau:
         LP's: each changed column j becomes B^-1*a'_j, and a basic one is
         pivoted back into its own row, replacing a_j by a'_j in the basis.
         False when such a pivot vanishes (the new basis is singular or
-        nearly so); the tableau is then left to a refactorization. The
-        reduced costs branch_bounds formed are dropped."""
-        self.priced = None
+        nearly so); the tableau is then left to a refactorization."""
         changed = np.flatnonzero(_any(self.a != old_a, axis=0))
         self.matrix[:, changed] = self.matrix[:, self.prep.n:] @ self.a[:, changed]
         row_of = np.full(self.cols, -1)
@@ -450,13 +446,6 @@ class Tableau:
         x = self.x_nonbasic.copy()
         x[self.basis] = self.x_basic
         return x
-
-    def _total_violation(self) -> float:
-        """How far the basic variables lie outside their bounds, in sum."""
-        shortfall = self.lower[self.basis] - self.x_basic
-        excess = self.x_basic - self.upper[self.basis]
-        return float(shortfall[shortfall > _PRIMAL_TOL].sum()
-                     + excess[excess > _PRIMAL_TOL].sum())
 
     # -- linear algebra ---------------------------------------------------
 
@@ -560,9 +549,7 @@ class Tableau:
         when those bounds cross; ModelError for a column whose bound it
         flips to stays infinite. A NaN reduced cost is left as it is; its
         column never enters."""
-        z, self.priced = self.priced, None
-        if z is None:
-            z = self._reduced_costs()
+        z = self._reduced_costs()
         wrong = (self._gains(z) > self.dtol).nonzero()[0]
         if not wrong.size:
             return z
@@ -686,8 +673,8 @@ class Tableau:
                 if self._infeasibility_certified(push):
                     return STATUS_INFEASIBLE
                 if self.fresh:  # a fresh factorization is trusted
-                    return (STATUS_INFEASIBLE if self._total_violation() > self.primal_tol
-                            else STATUS_OPTIMAL)
+                    total = violation[violation > _PRIMAL_TOL].sum()
+                    return STATUS_INFEASIBLE if total > self.primal_tol else STATUS_OPTIMAL
                 self._refactorize()
                 z = None
                 continue

@@ -335,9 +335,8 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     considered, so the vector can differ from the oracle's.
 
     The root LP starts from the slack basis. A dive child continues its
-    parent's solve and a node taken from the open list a copy of it, with
-    the reduced costs the parent's branching formed, so neither
-    refactorizes or prices its start again. The open nodes' copies are
+    parent's solve and a node taken from the open list a copy of it, so
+    neither refactorizes its start. The open nodes' copies are
     capped at _OPEN_TABLEAU_BYTES (64 MiB) per search; a node pushed past
     that keeps a copy without B^-1*A instead, which its LP refactorizes,
     and one past the cutoff by its own bound (below) none. Once there is an

@@ -536,11 +536,10 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
         network, continued, lps, garver_doc, tmp_path, monkeypatch):
     # every start with B^-1*A (a dive child's, a sibling's copy, the next
     # scenario's root) continues the solve that left it: it adopts that
-    # solve's state and the reduced costs branch_bounds formed, and settles
-    # again only the columns whose bounds moved. Derived instead under the
-    # solve's own bounds, every column outside the basis settled, every
-    # basic row given its bounds and the reduced costs formed anew, every
-    # LP and every row stay as they are. Only the sweep's first root starts
+    # solve's state and settles again only the columns whose bounds moved.
+    # Derived instead under the solve's own bounds, every column outside
+    # the basis settled and every basic row given its bounds, every LP and
+    # every row stay as they are. Only the sweep's first root starts
     # from the slack basis, without B^-1*A
     if network == "garver":
         doc = garver_doc
@@ -556,7 +555,6 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
         # start is settled; _load then finds no column whose bounds moved
         start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
         start._settle(np.flatnonzero(start.status != _BASIC))
-        start.priced = None
         load(t, start)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -587,6 +585,23 @@ def test_sweep_flags_non_optimal_rows(tight_doc, tmp_path):
     assert Decimal(rows[0][-1]) > 0
     assert rows[1] == ["H", "", "", "", "", "", "", ""]
     assert "(infeasible)" in result.output
+
+
+def test_sweep_row_of_a_time_limited_scenario_is_empty(garver_doc, tmp_path, monkeypatch):
+    # a time-limited search keeps its incumbent as a point, but that point
+    # is not the scenario's answer: its row used to print its costs as if
+    # they were proven. The optimal rows keep their bytes
+    def limited(models, options=None):  # L,H, the second scenario, ran out of time
+        for i, result in enumerate(solve_sweep(models, options)):
+            yield dataclasses.replace(result, status="time_limit") if i == 1 else result
+
+    monkeypatch.setattr(tepkit.cli, "solve_sweep", limited)
+    out = tmp_path / "sweep.csv"
+    result = run("sweep", "--network", garver_doc, "--out", str(out))
+    assert result.exit_code == 1
+    assert "(time_limit)" in result.output
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[1:] == [GARVER_SWEEP_ROWS[0], '"L,H",,,,,,,', *GARVER_SWEEP_ROWS[2:]]
 
 
 def test_solve_engine_failure_is_one_line_and_exit_2(garver_doc, monkeypatch):

@@ -71,6 +71,13 @@ def test_disaggregate_rejects_bad_input():
         disaggregate_load(10.0, (1, -1))
     with pytest.raises(ValueError, match="all be zero"):
         disaggregate_load(10.0, (0, 0.0))
+    # each non-finite input used to end in Fraction's OverflowError or ValueError
+    for total in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^total_mw must be finite and > 0, got {total}$"):
+            disaggregate_load(total, (1, 2))
+    for weights in ((1, math.inf), (math.nan, 1)):
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            disaggregate_load(10.0, weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +162,10 @@ def test_synthesis_rejects_bad_config():
                                         demand_total_mw=10.0))
     with pytest.raises(ValueError, match="demand_total_mw"):
         SynthesisConfig(n_buses=4, n_regions=2, seed=1, demand_total_mw=0.0)
+    # an infinite total used to pass the config and overflow in synthesize_grid
+    for demand in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^demand_total_mw must be finite and > 0, got {demand}$"):
+            SynthesisConfig(n_buses=4, n_regions=2, seed=1, demand_total_mw=demand)
     with pytest.raises(ValueError, match="thresholds"):
         CandidateRules(high_gen_mw=0.0)
     with pytest.raises(ValueError, match="degree_max"):
@@ -260,3 +271,7 @@ def test_csv_to_document_rejects_bad_input():
             SUBS_CSV, PLANTS_CSV,
             "from_bus,to_bus,voltage_kv,capacity_mw\n1,9,138,100\n",
             total_demand_mw=100.0)
+    # a NaN total used to build a network with zero demand, and inf to overflow
+    for demand in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^total_demand_mw must be finite, got {demand}$"):
+            csv_to_document(SUBS_CSV, PLANTS_CSV, total_demand_mw=demand)

@@ -485,7 +485,9 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch
     real = Tableau._run_dual
 
     def recording(run):
-        before, violation = run.iterations, run._total_violation()
+        x = run.x_basic
+        excess = np.maximum(run.lower[run.basis] - x, x - run.upper[run.basis])
+        before, violation = run.iterations, excess[excess > tepkit.simplex._PRIMAL_TOL].sum()
         runs.append((real(run), run.iterations - before, violation > run.primal_tol))
         return runs[-1][0]
 
@@ -579,12 +581,12 @@ def test_a_tableau_copy_is_independent_of_the_solve_that_continues_its_original(
         root = prep.solve()
         name = max((v.name for v in model.binaries()),
                    key=lambda b: abs(root.values[b] - round(root.values[b])))
-        branch_bounds(root, name)  # forms the reduced costs the children take
+        branch_bounds(root, name)
         return root, name
 
     root, name = branched()
     f = root.values[name]
-    assert 1e-6 < f < 1.0 - 1e-6 and root.tableau.priced is not None
+    assert 1e-6 < f < 1.0 - 1e-6
     child, sibling = ({name: (v, v)} for v in (float(round(f)), float(1 - round(f))))
     copy = root.tableau.copy()
     assert all(getattr(copy, a) is not getattr(root.tableau, a) for a in _CONTINUED)
@@ -595,8 +597,7 @@ def test_a_tableau_copy_is_independent_of_the_solve_that_continues_its_original(
     assert after == untouched
     assert repr(after.objective) == repr(untouched.objective)
     for a in _CONTINUED:
-        if a != "priced":
-            assert np.array_equal(getattr(after.tableau, a), getattr(untouched.tableau, a)), a
+        assert np.array_equal(getattr(after.tableau, a), getattr(untouched.tableau, a)), a
 
 
 def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatch):
@@ -1013,6 +1014,31 @@ def test_branching_penalties_bound_the_children_from_below():
                 tight += abs(bound - optimum) <= tol
     assert pairs >= 200, pairs
     assert tight >= pairs, (tight, pairs)
+
+
+def test_branch_bounds_only_reads_its_tableau():
+    # the bounds of the Garver L,H root's children leave every attribute of
+    # the root's solve as it was: its arrays bit for bit, the rest by value
+    from tepkit.instance import builtin_garver
+    from tepkit.milp import TepSkeleton
+    from tepkit.scenario import ScenarioCode, realize_scenario
+    net = builtin_garver()
+    model = TepSkeleton(net, 8760.0).model(realize_scenario(ScenarioCode.parse("L,H"), net))
+    root = PreparedLp(model).solve()
+    fractional = [b.name for b in model.binaries() if 1e-6 < root.values[b.name] % 1.0 < 1 - 1e-6]
+    assert fractional
+    tableau = root.tableau
+    before = {a: v.copy() if isinstance(v, np.ndarray) else v for a, v in vars(tableau).items()}
+    for name in fractional:
+        branch_bounds(root, name)
+    assert vars(tableau).keys() == before.keys()
+    for a, value in vars(tableau).items():
+        was = before[a]
+        if isinstance(value, np.ndarray) or isinstance(was, np.ndarray):
+            assert type(value) is type(was) and value.dtype == was.dtype, a
+            assert np.array_equal(value, was), a
+        else:
+            assert value is was or value == was, a
 
 
 def test_branch_bounds_refuses_a_column_that_is_not_basic():
