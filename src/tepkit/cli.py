@@ -63,6 +63,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def _load_net(path: str) -> Network:
@@ -289,9 +291,9 @@ def cmd_build(network_path: str, config_path: str | None, sigma_hours: float,
     try:
         code = ScenarioCode.parse(scenario_code)
         model = _scenario_model(TepSkeleton(net, sigma_hours), code, config)
-    except ValueError as exc:
+        text = export_mps(model) if fmt == "mps" else export_lp(model)
+    except ValueError as exc:  # ModelError too: the exports check the model
         _fail(str(exc))
-    text = export_mps(model) if fmt == "mps" else export_lp(model)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

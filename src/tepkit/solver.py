@@ -146,14 +146,6 @@ def _stats(nodes: int, iterations: int, refactorizations: int, started: float,
             **extra}
 
 
-class _StopSearch(Exception):
-    """The search reached its time limit while the node with this bound
-    was open."""
-
-    def __init__(self, bound: float):
-        self.bound = bound
-
-
 _Fixings = tuple[tuple[str, int], ...]
 
 
@@ -183,7 +175,8 @@ class _BranchAndBound:
         # bound is the parent's and orders the search, the own bound is the
         # node's branching penalty, and the start is a copy of the parent's
         # final tableau, which the node's solve continues, without B^-1*A
-        # past the budget, or None past the cutoff
+        # past the budget, or None past the cutoff and for the node the time
+        # limit interrupted; the nodes left here give best_bound
         self.heap: list[tuple[float, int, _Fixings, float, Tableau | None]] = []
         self.push_count = 0
         self.tableau_bytes = 0  # held by the open nodes' tableaux
@@ -198,8 +191,6 @@ class _BranchAndBound:
         self.start = time.monotonic()
         self.deadline = (None if options.time_limit_s is None
                          else self.start + options.time_limit_s)
-        self.stop_bound: float | None = None
-        self.interrupted_bound = math.inf
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -227,24 +218,31 @@ class _BranchAndBound:
 
     # -- search -------------------------------------------------------------
 
-    def _dive(self, fixings: _Fixings, bound: float, own_bound: float,
-              start: Tableau | None) -> None:
-        """Solve the node from `start`, then plunge depth-first on the
-        rounded child, pushing the sibling, until the dive dies or yields an
-        incumbent. The rounded child continues its parent's solve; the
-        sibling stores a copy of its final tableau while the open nodes'
-        tableaux stay within _OPEN_TABLEAU_BYTES, and one without B^-1*A
-        after. A node whose own bound, its branching penalty, exceeds the
-        cutoff is closed without an LP; the cutoff only falls, so a sibling
-        whose own bound already exceeds it is pushed with no start."""
+    def run(self) -> Solution:
+        """Solve the next node, the rounded child of the node that just
+        branched, else the best open node, until the open list is empty or
+        the incumbent settles it; solve_milp describes each node's start
+        and when it is closed without an LP. When the time limit passes,
+        before a node's LP or inside it, the node goes back on the open
+        list with its bound and no start."""
+        node = ((), -math.inf, -math.inf, self.root_start)
         while True:
+            if node is None:  # the dive ended: the best open node is next
+                if self._settled():
+                    return self._finish(STATUS_OPTIMAL)
+                bound, _, fixings, own_bound, start = heapq.heappop(self.heap)
+                if start is not None and start.matrix is not None:
+                    self.tableau_bytes -= start.matrix.nbytes
+            else:
+                fixings, bound, own_bound, start = node
+                node = None
             if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _StopSearch(bound)
+                break
             cutoff = (None if self.incumbent_obj is None
                       else self.incumbent_obj + _tie_tol(self.incumbent_obj))
             if cutoff is not None and own_bound > cutoff:
                 self.closed += 1
-                return
+                continue
             overrides = {name: (float(v), float(v)) for name, v in fixings}
             result = self.prep.solve(overrides, start=start, deadline=self.deadline,
                                      cutoff=cutoff)
@@ -254,15 +252,15 @@ class _BranchAndBound:
             if not fixings:  # copied below if a dive child takes it
                 self.root_tableau = result.tableau
             if result.status == STATUS_TIME_LIMIT:
-                raise _StopSearch(bound)
+                break
             if result.status in (STATUS_INFEASIBLE, STATUS_CUTOFF):
-                return
+                continue
             objective = result.objective  # at most the cutoff: PreparedLp.solve
             bound = max(bound, objective)
             branch_name = self._most_fractional(result.values)
             if branch_name is None:
                 self._offer_incumbent(objective, result.values)
-                return
+                continue
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
             child_bounds = branch_bounds(result, branch_name)
             if not fixings:
@@ -277,52 +275,39 @@ class _BranchAndBound:
             else:
                 sibling = result.tableau.basis_copy()
             self._push(bound, fixings + ((branch_name, 1 - preferred),), sibling_bound, sibling)
-            fixings = fixings + ((branch_name, preferred),)
-            own_bound = child_bounds[preferred]
-            start = result.tableau
+            node = (fixings + ((branch_name, preferred),), bound, child_bounds[preferred],
+                    result.tableau)
+        self._push(bound, fixings, own_bound, None)
+        return self._finish(STATUS_TIME_LIMIT)
 
-    def run(self) -> Solution:
-        status = STATUS_OPTIMAL
-        try:
-            self._dive((), -math.inf, -math.inf, self.root_start)
-            while self.heap:
-                bound, _, fixings, own_bound, start = heapq.heappop(self.heap)
-                if start is not None and start.matrix is not None:
-                    self.tableau_bytes -= start.matrix.nbytes
-                if self.incumbent_obj is not None:
-                    tol = _tie_tol(self.incumbent_obj)
-                    if bound > self.incumbent_obj + tol:
-                        break  # best-bound order: every open node is worse
-                    gap_abs = self.options.rel_gap_tol * max(1.0, abs(self.incumbent_obj))
-                    if bound < self.incumbent_obj - tol and self.incumbent_obj - bound <= gap_abs:
-                        # remaining improvement is inside the accepted gap;
-                        # exact ties are never abandoned this way
-                        self.stop_bound = bound
-                        break
-                self._dive(fixings, bound, own_bound, start)
-        except _StopSearch as stop:
-            status = STATUS_TIME_LIMIT
-            self.interrupted_bound = stop.bound
-        return self._finish(status)
-
-    def _open_bound(self) -> float:
-        """Lowest bound over the open nodes, the interrupted one included."""
-        return min([entry[0] for entry in self.heap] + [self.interrupted_bound])
+    def _settled(self) -> bool:
+        """Whether no open node is left to solve: the open list is empty,
+        or its best bound, read without popping it, exceeds the incumbent
+        (best-bound order: every open node is worse) or falls short of it
+        by at most the accepted gap; exact ties are never abandoned."""
+        if not self.heap:
+            return True
+        if self.incumbent_obj is None:
+            return False
+        bound = self.heap[0][0]
+        tol = _tie_tol(self.incumbent_obj)
+        gap_abs = self.options.rel_gap_tol * max(1.0, abs(self.incumbent_obj))
+        return bound > self.incumbent_obj + tol or (
+            bound < self.incumbent_obj - tol and self.incumbent_obj - bound <= gap_abs)
 
     def _finish(self, status: str) -> Solution:
+        """The search's Solution; best_bound is the lowest of the incumbent
+        and the open nodes' bounds, None where that is not finite: no node
+        is left open, or the root's LP has not finished."""
         stats = _stats(self.nodes, self.iterations, self.refactorizations, self.start,
                        closed_nodes=self.closed)
-        if self.incumbent_obj is None:
-            if status == STATUS_OPTIMAL:
-                return Solution(STATUS_INFEASIBLE, None, None, {}, stats)
-            open_bound = self._open_bound()
-            # the root has no bound until its LP is solved
-            best_bound = open_bound if math.isfinite(open_bound) else None
-        elif status == STATUS_OPTIMAL:
-            best_bound = self.stop_bound if self.stop_bound is not None else self.incumbent_obj
-        else:
-            best_bound = min(self.incumbent_obj, self._open_bound())
-        return Solution(status, self.incumbent_obj, best_bound, self.incumbent_values, stats)
+        if self.incumbent_obj is None and status == STATUS_OPTIMAL:
+            status = STATUS_INFEASIBLE
+        incumbent = [] if self.incumbent_obj is None else [self.incumbent_obj]
+        best_bound = min(incumbent + [entry[0] for entry in self.heap], default=math.inf)
+        return Solution(status, self.incumbent_obj,
+                        best_bound if math.isfinite(best_bound) else None,
+                        self.incumbent_values, stats)
 
 
 def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
@@ -353,7 +338,11 @@ def solve_milp(model: Model, options: SolveOptions | None = None) -> Solution:
     reached is closed without its LP, which could only have pruned it, so
     the nodes, incumbents and every other LP stay as they were.
     stats["nodes"] counts the LP solves and stats["closed_nodes"] the
-    nodes closed this way."""
+    nodes closed this way.
+
+    best_bound is the lowest of the incumbent and the bounds of the nodes
+    left open, including the one the time limit interrupted, or None until
+    the root LP has finished (and for an infeasible model)."""
     solution = _BranchAndBound(model, options or SolveOptions()).run()
     return _verified(model, solution)
 

@@ -286,6 +286,40 @@ def test_build_rejects_bad_scenario_code(garver_doc, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_build_model_error_is_one_line_and_exit_1(garver_doc, tmp_path, fmt):
+    # sigma_hours * cost * base overflows to inf: the export's model check
+    # refuses the objective, and build names it in one line, as solve does
+    out = tmp_path / f"big.{fmt}"
+    for command in (["build", "--format", fmt, "--out", str(out)], ["solve"]):
+        result = run(*command, "--network", garver_doc, "--scenario", "L,L",
+                     "--sigma-hours", "1e308")
+        assert result.exit_code == 1, command
+        assert result.output == "error: objective: coefficient inf of 'g1'\n", command
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    "validate --network BAD",
+    "build --network BAD --scenario H,L --out OUT",
+    "solve --network BAD --scenario H,L",
+    "sweep --network BAD --out OUT",
+    "fit --temps BAD",
+    "derate --t-base-f 90 --t-future-f 100 --conductor-json BAD",
+    "solve --network NET --scenario H,L --scenarios BAD",
+])
+def test_a_file_that_is_not_utf8_is_one_line_naming_it_and_exit_1(garver_doc, tmp_path, args):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff")  # never UTF-8
+    out = tmp_path / "out"
+    paths = {"BAD": str(bad), "NET": garver_doc, "OUT": str(out)}
+    result = run(*(paths.get(arg, arg) for arg in args.split()))
+    assert result.exit_code == 1
+    assert result.output == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff "
+                             "in position 0: invalid start byte\n")
+    assert not out.exists()
+
+
 def test_solve_matches_library(garver_doc, tmp_path):
     sol_path = tmp_path / "plan.sol"
     result = run("solve", "--network", garver_doc, "--scenario", "L,L",

@@ -166,13 +166,13 @@ def garver_model(code="H,H"):
     return build_tep_model(net, realize_scenario(ScenarioCode.parse(code), net), 8760.0)[0]
 
 
-def tick_clock(monkeypatch):
+def tick_clock(monkeypatch, step=1.0):
     """Replace the solver's and the simplex's clock with one that advances
-    one second per reading, so a time limit falls at a fixed step."""
+    `step` seconds per reading, so a time limit falls at a fixed step."""
     now = [0.0]
 
     def monotonic():
-        now[0] += 1.0
+        now[0] += step
         return now[0]
 
     fake = types.SimpleNamespace(monotonic=monotonic)
@@ -192,6 +192,50 @@ def test_time_limit_holds_inside_the_root_lp(monkeypatch):
     assert sol.objective is None and sol.best_bound is None
     lp = PreparedLp(model).solve(deadline=tepkit.simplex.time.monotonic() + 5.0)
     assert lp.status == "time_limit" and lp.iterations <= 5
+
+
+def _stop(sol):
+    return (sol.status, repr(sol.best_bound), sol.stats["nodes"],
+            sol.stats["closed_nodes"], sol.stats["simplex_iterations"])
+
+
+# Where a search stops, as (status, best_bound repr, LP solves, closed nodes,
+# iterations), under a clock that advances 1 ms per reading: for each (time
+# limit, rel_gap_tol), Garver H,H's search, then the Garver sweep's scenario
+# by scenario. The limits stop before the root LP, inside it, mid-search
+# before an incumbent (the sweep's later scenarios) and after one; the last
+# case stops at the gap.
+SEARCH_STOPS = [
+    (0.5e-3, 1e-6, ("time_limit", "None", 0, 0, 0),
+     [("time_limit", "None", 0, 0, 0)] * 4),
+    (3e-3, 1e-6, ("time_limit", "None", 1, 0, 2),
+     [("time_limit", "None", 1, 0, 2)] + [("time_limit", "None", 1, 0, 1)] * 3),
+    (30e-3, 1e-6, ("time_limit", "None", 1, 0, 28),
+     [("time_limit", "None", 1, 0, 28),
+      ("time_limit", "222987694.1371612", 4, 0, 21),
+      ("time_limit", "219697872.44645357", 5, 0, 20),
+      ("time_limit", "228056320.35632384", 5, 0, 20)]),
+    (0.1, 1e-6, ("time_limit", "233482770.96490043", 12, 1, 75),
+     [("time_limit", "218779853.49173123", 15, 0, 69),
+      ("time_limit", "229542876.099051", 19, 2, 59),
+      ("time_limit", "225579036.33904415", 19, 1, 61),
+      ("time_limit", "234984336.54512793", 18, 4, 60)]),
+    (None, 0.05, ("optimal", "233421979.19615698", 9, 1, 66),
+     [("optimal", "218744706.91419727", 12, 0, 62),
+      ("optimal", "229749538.10868204", 24, 3, 72),
+      ("optimal", "225782523.84937963", 23, 2, 72),
+      ("optimal", "233421979.19615704", 9, 1, 33)]),
+]
+
+
+@pytest.mark.parametrize("limit, gap, hh, sweep", SEARCH_STOPS)
+def test_where_a_search_stops_is_pinned(monkeypatch, limit, gap, hh, sweep):
+    options = SolveOptions(rel_gap_tol=gap, time_limit_s=limit)
+    models = [garver_model(str(code)) for code in enumerate_scenarios(2)]
+    tick_clock(monkeypatch, 1e-3)
+    assert _stop(solve_milp(models[-1], options)) == hh
+    tick_clock(monkeypatch, 1e-3)
+    assert [_stop(sol) for sol in solve_sweep(models, options)] == sweep
 
 
 def test_time_limit_mid_search_keeps_a_valid_bound(monkeypatch):
