@@ -273,8 +273,8 @@ def synthesize_grid(cfg: SynthesisConfig) -> Network:
                          if expandable else 0.0),
         ))
 
-    # generators: ~n/3 sites, capacities scaled to the headroom target
-    n_gens = max(2, math.ceil(n / 3))
+    # generators: ~n/3 sites (two where n allows), scaled to the headroom target
+    n_gens = min(n, max(2, math.ceil(n / 3)))
     gen_buses = [int(i) + 1 for i in rng.permutation(n)[:n_gens]]
     props = rng.uniform(0.5, 1.5, size=n_gens)
     props = props / props.sum()

@@ -30,17 +30,17 @@ that fixes one of its fractional basic binaries (`branch_bounds`):
 Driebeek's penalty, the objective after the first step of that child's
 dual simplex.
 
-Every start is a Tableau, which the solve continues: by default the
-slack basis, else an earlier solve's final Tableau or a copy of it: a
-dive child its parent's, a sibling left open a copy, a sweep's root the
-previous root's, a brute-force assignment the previous one's. A copy may
-leave out B^-1*A (`basis_copy`), as an open branch-and-bound node past
-the search's budget for stored tableaux does. One path reads every start
-(_load): it adopts the start's basis, statuses and state, and settles
-again each nonbasic column whose bounds differ from the start's final
-bounds (the dual reads the basic ones through the basis). A start with
-B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack block, B^-1; one
-without is refactorized.
+Every solve is a Tableau, its own result, and every start is one, which
+the solve continues: by default the slack basis, else an earlier solve or
+a copy of it: a dive child its parent's, a sibling left open a copy, a
+sweep's root the previous root's, a brute-force assignment the previous
+one's. A copy may leave out B^-1*A (`basis_copy`), as an open node of the
+search past its budget for stored tableaux does. One path reads every
+start (_load): it adopts the start's basis, column states and the rest of
+its state, and settles again each nonbasic column whose bounds differ
+from the start's final bounds (the dual reads the basic ones through the
+basis). A start with B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack
+block, B^-1; one without is refactorized.
 
 A model is compiled once to dense arrays (PreparedLp). A model that
 shares an earlier compile's variables and objective by identity, and
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,7 +112,7 @@ _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 # what a Tableau start hands on to the solve that continues it (Tableau._load),
 # which reads the basic columns' bounds from its own through the basis
-_HANDED_ON = ("matrix", "basis", "status", "x_nonbasic", "gain", "free")
+_HANDED_ON = ("matrix", "basis", "state", "x_nonbasic", "gain", "free")
 # the ufunc reductions behind ndarray.min/any/all, called without their wrapper
 _min = np.minimum.reduce
 _any = np.logical_or.reduce
@@ -127,17 +126,6 @@ STATUS_CUTOFF = "cutoff"
 
 class SimplexError(RuntimeError):
     """A solve passed the iteration limit."""
-
-
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    objective: float | None
-    values: dict[str, float]
-    iterations: int
-    refactorizations: int  # LAPACK factorizations of the basis matrix
-    # the solve itself, a one-use start that the next solve continues
-    tableau: Tableau = field(compare=False, repr=False)
 
 
 class PreparedLp:
@@ -184,7 +172,7 @@ class PreparedLp:
         self._cost = cost
         self._primal_tol = _primal_tol(b)
         # the pricing tolerance of the dual's reduced costs and certificate
-        self._dtol = 1e-9 * max(1.0, float(np.max(np.abs(cost))))
+        self._dtol = 1e-9 * float(np.max(np.abs(cost), initial=1.0))
 
     def derive(self, model: Model) -> PreparedLp:
         """Compile `model` from this compile. Where `model` shares this
@@ -224,7 +212,7 @@ class PreparedLp:
         start: Tableau | None = None,
         deadline: float | None = None,
         cutoff: float | None = None,
-    ) -> LpResult:
+    ) -> Tableau:
         """Solve under the model's bounds with `bound_overrides` applied,
         continuing `start`: the slack basis by default, or the final
         tableau of an earlier solve of a compile with the same variable and
@@ -252,12 +240,11 @@ class PreparedLp:
         return tableau.solve(tableau._slack_start() if start is None else start)
 
 
-def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
-    """Lower bounds on the optima of the two children of `result`, an
+def branch_bounds(tableau: Tableau, name: str) -> tuple[float, float]:
+    """Lower bounds on the optima of the two children of `tableau`, an
     optimal solve whose basic binary `name` has the fractional value f: the
-    child that fixes `name` to 0, then the one that fixes it to 1. Read
-    from `result.tableau`, so call this before a solve continues it;
-    ValueError where `name` is not basic there.
+    child that fixes `name` to 0, then the one that fixes it to 1. Call this
+    before a solve continues it; ValueError where `name` is not basic.
 
     Each bound is Driebeek's penalty (Management Science 12, 1966): the
     objective after the dual simplex's first step in that child, the
@@ -268,7 +255,6 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     point of the child, the one after that step among them, bounds its
     optimum from below. A child with no candidate column gets no bound
     (-inf). The tableau is only read."""
-    tableau = result.tableau
     if tableau.basis is None:
         raise ValueError("the tableau was continued by another solve")
     rows = (tableau.basis == tableau.prep.var_index[name]).nonzero()[0]
@@ -282,15 +268,15 @@ def branch_bounds(result: LpResult, name: str) -> tuple[float, float]:
     ratio = np.divide(np.maximum(-tableau._gains(z), 0.0), slope,
                       out=np.full(slope.shape, math.inf), where=candidate)
     step = _min(ratio, axis=1)
-    f = result.values[name]
-    return tuple(result.objective + delta * float(t) if _any(has) else -math.inf
+    f = tableau.values[name]
+    return tuple(tableau.objective + delta * float(t) if _any(has) else -math.inf
                  for delta, t, has in zip((f, 1.0 - f), step, candidate))
 
 
 def _primal_tol(b: np.ndarray) -> float:
     """The primal tolerance of the infeasibility verdict and the
     certificates, scaled by the largest right-hand side."""
-    return _FEAS_TOL * (max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0)
+    return _FEAS_TOL * float(np.max(np.abs(b), initial=1.0))
 
 
 def _rest(terms: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
@@ -312,15 +298,15 @@ def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, in
 
 
 class Tableau:
-    """One solve of a PreparedLp under one set of bounds and, once it has
-    finished, its final tableau (`LpResult.tableau`): B^-1*A (`matrix`,
-    m x (n+m)) with the basis, column statuses and the rest of the dual's
-    state; the basic columns' bounds are read through the basis. It
-    starts a solve of any compile with the same variable and row names,
-    which continues it in place (_load), so it serves as a start once
+    """One solve of a PreparedLp under one set of bounds, and once finished
+    its result: `status`, an optimum's `objective` and `values` (else None
+    and {}), `iterations`, LAPACK `refactorizations`, and the final tableau:
+    B^-1*A (`matrix`, m x (n+m)) with the basis, column states and the rest
+    of the dual's state; the basic columns' bounds are read through the
+    basis. It starts a solve of any compile with the same variable and row
+    names, which continues it in place (_load), so it serves as a start once
     only (`copy` gives another, and `basis_copy` one without B^-1*A): a
-    start that has served keeps none of the arrays it handed on, and has
-    no basis."""
+    start that has served keeps none of the arrays it handed on, nor a basis."""
 
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
         self.prep, self.a, self.b = prep, prep._a, prep._b
@@ -335,11 +321,12 @@ class Tableau:
     def copy(self) -> Tableau:
         """An independent start. The arrays a continuing solve takes over
         (_HANDED_ON) are duplicated; the rest (the bounds, `fixed`,
-        `x_basic`) is shared, since that solve does not write it."""
+        `x_basic`) is shared, since that solve does not write it, except
+        `values`: a start needs no point, so an open node keeps none alive."""
         if self.basis is None:
             raise ValueError("start tableau was already used")
         twin = object.__new__(Tableau)
-        twin.__dict__.update(self.__dict__)
+        twin.__dict__.update(self.__dict__, values={})
         for name in _HANDED_ON:
             value = getattr(self, name)
             setattr(twin, name, None if value is None else value.copy())
@@ -370,8 +357,8 @@ class Tableau:
         start = object.__new__(Tableau)
         start.__dict__.update(self.__dict__)
         start.basis = np.arange(n, self.cols)
-        start.status = np.full(self.cols, _AT_LOWER, dtype=np.int8)
-        start.status[n:] = _BASIC
+        start.state = np.full(self.cols, _AT_LOWER, dtype=np.int8)
+        start.state[n:] = _BASIC
         start.x_nonbasic, start.gain = np.zeros(self.cols), np.zeros(self.cols)
         start.matrix = None
         start._settle(np.arange(n))
@@ -395,7 +382,7 @@ class Tableau:
             setattr(start, name, None)
         self.pivots_since_refactor = start.pivots_since_refactor
         moved = (self.lower != start.lower) | (self.upper != start.upper)
-        unsettled = np.flatnonzero(moved & (self.status != _BASIC))
+        unsettled = np.flatnonzero(moved & (self.state != _BASIC))
         if unsettled.size:
             self._settle(unsettled)
         if self.matrix is not None and (start.prep is self.prep
@@ -414,13 +401,13 @@ class Tableau:
         and _pivot. Lists the free columns again."""
         lo, up = self.lower[columns], self.upper[columns]
         has_up = np.isfinite(up)
-        want_up = ((self.status[columns] == _AT_UPPER) & has_up) | ~np.isfinite(lo)
+        want_up = ((self.state[columns] == _AT_UPPER) & has_up) | ~np.isfinite(lo)
         at = np.where(want_up, np.where(has_up, _AT_UPPER, _AT_FREE), _AT_LOWER)
-        self.status[columns] = at
+        self.state[columns] = at
         self.x_nonbasic[columns] = np.where(at == _AT_LOWER, lo,
                                             np.where(at == _AT_UPPER, up, 0.0))
         self.gain[columns] = np.where(self.fixed[columns], 0.0, _GAIN[at])
-        self.free = (self.status == _AT_FREE).nonzero()[0]
+        self.free = (self.state == _AT_FREE).nonzero()[0]
 
     def _replace_columns(self, old_a: np.ndarray) -> bool:
         """Carry a tableau of another compile's columns `old_a` over to this
@@ -458,12 +445,12 @@ class Tableau:
         solve from the slack basis."""
         n = self.prep.n
         residual = self.b - self.a @ self.x_nonbasic
-        if _all(self.status[n:] == _BASIC):
+        if _all(self.state[n:] == _BASIC):
             rows = self.basis - n
             self.matrix = self.a[rows]
             self.x_basic = residual[rows]
         else:
-            nonbasic = np.flatnonzero(self.status != _BASIC)
+            nonbasic = np.flatnonzero(self.state != _BASIC)
             try:
                 solved = np.linalg.solve(
                     self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
@@ -496,7 +483,7 @@ class Tableau:
         return score
 
     def _set_nonbasic(self, j: int, at: int) -> None:
-        self.status[j] = at
+        self.state[j] = at
         self.x_nonbasic[j] = self.upper[j] if at == _AT_UPPER else self.lower[j]
         if not self.fixed[j]:
             self.gain[j] = 1.0 if at == _AT_UPPER else -1.0
@@ -510,10 +497,10 @@ class Tableau:
         self._set_nonbasic(self.basis[row], leaves_at)
         piv_row = self._eliminate(row, q)
 
-        if self.status[q] == _AT_FREE:
+        if self.state[q] == _AT_FREE:
             self.free = self.free[self.free != q]
         self.basis[row] = q
-        self.status[q] = _BASIC
+        self.state[q] = _BASIC
         self.x_nonbasic[q] = 0.0
         self.gain[q] = 0.0
         self.x_basic[row] = new_value
@@ -573,7 +560,7 @@ class Tableau:
             self._set_nonbasic(j, _AT_UPPER if z[j] < 0.0 else _AT_LOWER)
             self.x_basic -= (self.x_nonbasic[j] - was) * self.matrix[:, j]
         if unboxed.size:  # a free column that flipped is free no longer
-            self.free = (self.status == _AT_FREE).nonzero()[0]
+            self.free = (self.state == _AT_FREE).nonzero()[0]
         return z
 
     def _implied_bounds(self):
@@ -680,7 +667,7 @@ class Tableau:
                 continue
             target = up[row] if above else lo[row]
             change = (self.x_basic[row] - target) / self.matrix[row, q]
-            if self.status[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
+            if self.state[q] == _AT_FREE or self.gain[q] * z[q] > 0.0:
                 z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step
             self.iterations += 1
             self._pivot(q, row, change, z, _AT_UPPER if above else _AT_LOWER)
@@ -727,24 +714,24 @@ class Tableau:
 
     # -- driver -----------------------------------------------------------
 
-    def solve(self, start: Tableau) -> LpResult:
-        """Run the dual; an optimum on a tableau pivots have touched must pass
-        its certificate, or the dual runs again on a refactorization."""
+    def solve(self, start: Tableau) -> Tableau:
+        """Run the dual and return this solve, its verdict set; an optimum on
+        a tableau pivots have touched must pass its certificate, or the dual
+        runs again on a refactorization."""
         self._load(start)
+        self.objective, self.values = None, {}
         for retry in range(_OPTIMALITY_RETRIES + 1):
-            status = self._run_dual()
-            if status != STATUS_OPTIMAL:
-                return self._result(status, None, {})
+            self.status = self._run_dual()
+            if self.status != STATUS_OPTIMAL:
+                return self
             x = self._point()
             # a fresh factorization is trusted
             if self.fresh or retry == _OPTIMALITY_RETRIES or self._certified(x):
                 break
             self._refactorize()
-        values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
-        return self._result(STATUS_OPTIMAL, self._objective(x), values)
-
-    def _result(self, status: str, objective: float | None, values: dict) -> LpResult:
-        return LpResult(status, objective, values, self.iterations, self.refactorizations, self)
+        self.objective = self._objective(x)
+        self.values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
+        return self
 
     def _objective(self, x: np.ndarray) -> float:
         return float(self.prep._cost @ x) + self.prep.model.objective_constant

@@ -250,7 +250,7 @@ class _BranchAndBound:
             self.iterations += result.iterations
             self.refactorizations += result.refactorizations
             if not fixings:  # copied below if a dive child takes it
-                self.root_tableau = result.tableau
+                self.root_tableau = result
             if result.status == STATUS_TIME_LIMIT:
                 break
             if result.status in (STATUS_INFEASIBLE, STATUS_CUTOFF):
@@ -264,19 +264,18 @@ class _BranchAndBound:
             preferred = 1 if result.values[branch_name] >= 0.5 else 0
             child_bounds = branch_bounds(result, branch_name)
             if not fixings:
-                self.root_tableau = result.tableau.copy()
+                self.root_tableau = result.copy()
             sibling_bound = child_bounds[1 - preferred]
-            size = result.tableau.matrix.nbytes
+            size = result.matrix.nbytes
             if cutoff is not None and sibling_bound > cutoff:
                 sibling = None  # closed when popped
             elif self.tableau_bytes + size <= _OPEN_TABLEAU_BYTES:
-                sibling = result.tableau.copy()
+                sibling = result.copy()
                 self.tableau_bytes += size
             else:
-                sibling = result.tableau.basis_copy()
+                sibling = result.basis_copy()
             self._push(bound, fixings + ((branch_name, 1 - preferred),), sibling_bound, sibling)
-            node = (fixings + ((branch_name, preferred),), bound, child_bounds[preferred],
-                    result.tableau)
+            node = (fixings + ((branch_name, preferred),), bound, child_bounds[preferred], result)
         self._push(bound, fixings, own_bound, None)
         return self._finish(STATUS_TIME_LIMIT)
 
@@ -384,13 +383,12 @@ def brute_force_solve(model: Model) -> Solution:
     iterations = 0
     refactorizations = 0
     feasible = 0
-    tableau: Tableau | None = None
+    result: Tableau | None = None
     for i in range(1 << k):
         gray = i ^ (i >> 1)
         bits = tuple((gray >> (k - 1 - j)) & 1 for j in range(k))
         overrides = {name: (float(b), float(b)) for name, b in zip(binaries, bits)}
-        result = prep.solve(overrides, start=tableau)
-        tableau = result.tableau
+        result = prep.solve(overrides, start=result)
         iterations += result.iterations
         refactorizations += result.refactorizations
         if result.status != STATUS_OPTIMAL:

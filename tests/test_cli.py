@@ -496,7 +496,7 @@ def test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies(
         z = dual_costs(run)
         for j in np.flatnonzero(unboxed & np.isfinite(run.lower) & np.isfinite(run.upper)):
             flips.append((len(solves) - 1, run.prep.rows[j - run.prep.n],
-                          run.status[j] == _AT_UPPER and run.x_nonbasic[j] == run.upper[j]))
+                          run.state[j] == _AT_UPPER and run.x_nonbasic[j] == run.upper[j]))
         return z
 
     monkeypatch.setattr(Tableau, "solve", counting)
@@ -588,7 +588,7 @@ def test_every_tableau_start_continues_its_solve_bit_for_bit(
         # settle the start under this solve's bounds in full, as the slack
         # start is settled; _load then finds no column whose bounds moved
         start.lower, start.upper, start.fixed = t.lower, t.upper, t.fixed
-        start._settle(np.flatnonzero(start.status != _BASIC))
+        start._settle(np.flatnonzero(start.state != _BASIC))
         load(t, start)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tepkit.instance import (
+    HEADROOM,
     CandidateRules,
     SynthesisConfig,
     builtin_garver,
@@ -116,6 +117,21 @@ def test_synthesis_is_deterministic_and_valid():
     assert total_cap >= 1.2 * 480.0 - 1e-6
     assert all(l.build_cost > 0 for l in net.candidate_lines())
     assert all(l.expand_cost > 0 for l in net.expandable_lines())
+
+
+@pytest.mark.parametrize("n_buses", [1, 2, 3, 4, 7])
+def test_synthesis_capacity_is_headroom_times_demand_on_any_size(n_buses):
+    # one bus used to get max(2, ceil(n/3)) = 2 generator sites: its one
+    # generator got the share of a capacity split over two, 67.3 MW for
+    # 100 MW of demand, and every scenario was infeasible
+    from tepkit.solver import solve_milp
+
+    net = synthesize_grid(SynthesisConfig(n_buses, 1, 0, 100.0))
+    assert validate(net) == []
+    assert len({g.bus_id for g in net.generators}) == len(net.generators) <= n_buses
+    assert sum(g.capacity_mw for g in net.generators) >= HEADROOM * 100.0
+    model, _ = build_tep_model(net, unit_params(net), 1.0)
+    assert solve_milp(model).status == "optimal"
 
 
 def test_synthesis_backbone_is_connected():

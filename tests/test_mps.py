@@ -79,30 +79,40 @@ def test_round_trip_preserves_the_model():
     assert b.objective == pytest.approx(a.objective, rel=1e-12)
 
 
+# every bound shape the writers tell apart, and an objective constant
+SHAPES = Model(
+    name="shapes",
+    variables=(
+        Variable("free", CONTINUOUS, -math.inf, math.inf),
+        Variable("lowneg", CONTINUOUS, -3.5, math.inf),
+        Variable("low2", CONTINUOUS, 2.0, math.inf),
+        Variable("upper5", CONTINUOUS, -math.inf, 5.0),
+        Variable("upneg", CONTINUOUS, -math.inf, -3.0),
+        Variable("boxed", CONTINUOUS, 1.25, 7.5),
+        Variable("fixed", CONTINUOUS, 2.0, 2.0),
+        Variable("plain", CONTINUOUS, 0.0, math.inf),
+        Variable("b", BINARY, 0.0, 1.0),
+    ),
+    constraints=(
+        Constraint("r1", (("free", 1.0), ("boxed", -2.0)), SENSE_GE, -4.0),
+        Constraint("r2", (("lowneg", 1.0), ("b", 3.0)), SENSE_EQ, 0.5),
+        Constraint("r3", (("low2", 1.0), ("upper5", 1.0), ("upneg", -1.0)), SENSE_LE, 9.0),
+    ),
+    objective_terms=(("free", 1.0), ("fixed", -1.0), ("b", 2.5)),
+    objective_constant=12.75,
+)
+
+
 def test_round_trip_bound_shapes_and_constant():
-    model = Model(
-        name="shapes",
-        variables=(
-            Variable("free", CONTINUOUS, -math.inf, math.inf),
-            Variable("lowneg", CONTINUOUS, -3.5, math.inf),
-            Variable("boxed", CONTINUOUS, 1.25, 7.5),
-            Variable("fixed", CONTINUOUS, 2.0, 2.0),
-            Variable("plain", CONTINUOUS, 0.0, math.inf),
-            Variable("b", BINARY, 0.0, 1.0),
-        ),
-        constraints=(
-            Constraint("r1", (("free", 1.0), ("boxed", -2.0)), SENSE_GE, -4.0),
-            Constraint("r2", (("lowneg", 1.0), ("b", 3.0)), SENSE_EQ, 0.5),
-        ),
-        objective_terms=(("free", 1.0), ("fixed", -1.0), ("b", 2.5)),
-        objective_constant=12.75,
-    )
-    back = import_mps(export_mps(model))
-    assert models_equivalent(model, back, tol=1e-12)
+    back = import_mps(export_mps(SHAPES))
+    assert models_equivalent(SHAPES, back, tol=1e-12)
     assert back.objective_constant == 12.75
     shapes = {v.name: (v.lower, v.upper) for v in back.variables}
     assert shapes["free"] == (-math.inf, math.inf)
     assert shapes["lowneg"] == (-3.5, math.inf)
+    assert shapes["low2"] == (2.0, math.inf)
+    assert shapes["upper5"] == (-math.inf, 5.0)
+    assert shapes["upneg"] == (-math.inf, -3.0)
     assert shapes["fixed"] == (2.0, 2.0)
     assert shapes["plain"] == (0.0, math.inf)
 
@@ -280,3 +290,9 @@ def test_export_lp_layout():
     assert " y" in lines
     assert lines[-1] == "End"
     assert export_lp(model) == text
+    bounds = export_lp(SHAPES).split("Bounds\n")[1].split("Binaries")[0].splitlines()
+    assert bounds == [" free free", " lowneg >= -3.5", " low2 >= 2.0", " -inf <= upper5 <= 5.0",
+                      " -inf <= upneg <= -3.0", " 1.25 <= boxed <= 7.5", " fixed = 2.0"]
+    flat = Model(name="flat", variables=(Variable("x", CONTINUOUS, 0.0, 1.0),),
+                 constraints=(), objective_terms=())
+    assert export_lp(flat).splitlines()[1:3] == ["Minimize", " obj: 0"]

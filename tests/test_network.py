@@ -13,12 +13,13 @@ from tepkit.network import (
     Network,
     Region,
     ValidationError,
+    conductor,
     load_network,
     parse_document,
     to_document,
     validate,
 )
-from conftest import two_bus_net
+from conftest import three_bus_net, two_bus_net
 
 
 def test_accessors(garver):
@@ -191,3 +192,64 @@ def test_load_network_surfaces_violations():
         load_network(json.dumps(to_document(broken)))
     assert any("generator" in v for v in err.value.violations)
 
+
+
+@pytest.mark.parametrize("read, path, value, errors", [
+    ("network", ("buses",), [], [
+        "network: at least one bus is required",
+        "generator 1: bus_id 1 is not a declared bus",
+        "generator 2: bus_id 3 is not a declared bus",
+        "line 1: from_bus 1 is not a declared bus",
+        "line 1: to_bus 2 is not a declared bus",
+        "line 2: from_bus 2 is not a declared bus",
+        "line 2: to_bus 3 is not a declared bus",
+        "line 3: from_bus 2 is not a declared bus",
+        "line 3: to_bus 3 is not a declared bus",
+        "line 4: from_bus 1 is not a declared bus",
+        "line 4: to_bus 3 is not a declared bus"]),
+    ("network", ("regions", 0, "projected_increase_low_f"), -1.0,
+     ["region 1: projected_increase_low_f must be >= 0"]),
+    ("network", ("regions", 0, "projected_increase_high_f"), 1.0,
+     ["region 1: projected_increase_high_f must be >= projected_increase_low_f"]),
+    ("network", ("buses", 1, "demand_mw"), -5.0, ["bus 2: demand_mw must be >= 0 (got -5.0)"]),
+    ("network", ("buses", 0, "population_weight"), -0.5,
+     ["bus 1: population_weight must be >= 0"]),
+    ("network", ("generators", 0, "capacity_mw"), -1.0,
+     ["generator 1: capacity_mw must be >= 0"]),
+    ("network", ("generators", 1, "cost_per_mwh"), -1.0,
+     ["generator 2: cost_per_mwh must be >= 0"]),
+    ("network", ("lines", 0, "to_bus"), 9, ["line 1: to_bus 9 is not a declared bus"]),
+    ("network", ("lines", 0, "kind"), "planned",
+     ["line 1: kind must be 'existing' or 'candidate' (got 'planned')"]),
+    ("network", ("lines", 0, "expansion_capacity_mw"), 0.0,
+     ["line 1: expandable line needs expansion_capacity_mw > 0"]),
+    ("network", ("lines", 2, "build_cost"), -1.0, ["line 3: build_cost must be >= 0"]),
+    ("network", ("lines", 1, "expand_cost"), -1.0, ["line 2: expand_cost must be >= 0"]),
+    ("network", ("buses", 0), [], ["buses[0] must be an object, got list"]),
+    ("network", ("lines", 0, "expandable"), 1, ["lines[0] field 'expandable' must be a boolean"]),
+    ("network", ("generators",), {}, ["top-level field 'generators' must be an array"]),
+    ("conductor", ("absorptivity",), 1.5,
+     ["conductor: conductor.absorptivity must be in (0, 1] (got 1.5)"]),
+    ("conductor", ("solar_radiation",), -1.0,
+     ["conductor: conductor.solar_radiation must be >= 0 (got -1.0)"]),
+])
+def test_each_rule_reports_its_exact_message(read, path, value, errors):
+    # one field changed at a time, in a valid network document or in an
+    # empty conductor object (every field at DRAKE_ACSR's value)
+    doc = to_document(three_bus_net()) if read == "network" else {}
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    try:
+        if read == "network":
+            load_network(json.dumps(doc))
+        else:
+            conductor(doc, "conductor")
+    except ValidationError as err:
+        assert err.violations == errors
+    except DocumentError as err:
+        assert [str(err)] == errors
+    else:
+        pytest.fail("no violation reported")

@@ -214,7 +214,7 @@ def test_start_of_wrong_size_raises():
                         [Constraint("c", (("x", 1.0), ("y", 1.0)), SENSE_LE, 1.0)],
                         [("x", -1.0)]))
     with pytest.raises(ValueError, match="start tableau belongs to an LP with other"):
-        big.solve(start=small.solve().tableau)
+        big.solve(start=small.solve())
 
 
 def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch):
@@ -260,8 +260,8 @@ def test_deadline_stops_the_solve():
     assert stopped.status == "time_limit"
     assert stopped.iterations == 0 and stopped.objective is None
     # the basis it stopped at is a valid start, without B^-1*A as with it
-    assert prep.solve(start=stopped.tableau.basis_copy()).status == "optimal"
-    assert prep.solve(start=stopped.tableau).status == "optimal"
+    assert prep.solve(start=stopped.basis_copy()).status == "optimal"
+    assert prep.solve(start=stopped).status == "optimal"
 
 
 def test_tableau_start_skips_the_refactorization_once():
@@ -271,15 +271,15 @@ def test_tableau_start_skips_the_refactorization_once():
     assert base.status == "optimal" and base.refactorizations == 0
     squeezed = {"x0": (0.0, 1.0), "x3": (2.0, 2.0)}
     cold = prep.solve(bound_overrides=squeezed)
-    live = prep.solve(bound_overrides=squeezed, start=base.tableau)
+    live = prep.solve(bound_overrides=squeezed, start=base)
     assert live.refactorizations == 0
     assert live.objective == pytest.approx(cold.objective, rel=1e-12)
     with pytest.raises(ValueError, match="already used"):
-        prep.solve(start=base.tableau)
+        prep.solve(start=base)
     # an infeasibility verdict on a drifted tableau is certified on the
     # original rows, without a refactorization
     impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
-    dead = prep.solve(bound_overrides=impossible, start=live.tableau)
+    dead = prep.solve(bound_overrides=impossible, start=live)
     assert dead.status == "infeasible" and dead.refactorizations == 0
 
 
@@ -290,7 +290,7 @@ def test_drifted_tableau_start_still_reaches_the_optimum():
     cold = prep.solve()
     rng = np.random.default_rng(11)
     for damage in ("drift", "nan"):
-        start = prep.solve().tableau
+        start = prep.solve()
         if damage == "drift":
             start.matrix += rng.uniform(-1e-6, 1e-6, start.matrix.shape)
         else:
@@ -337,7 +337,7 @@ def _recording_dual(monkeypatch):
 def _checking_settled(monkeypatch):
     """After every solve, settle every nonbasic column of a copy of its
     finished tableau again, under that tableau's own final bounds: the
-    statuses, nonbasic values, pricing signs and free list must keep every
+    column states, nonbasic values, pricing signs and free list must keep every
     bit. This is what a continued start rests on (Tableau._load settles
     again only the columns whose bounds moved). Returns the statuses of the
     solves checked."""
@@ -346,9 +346,9 @@ def _checking_settled(monkeypatch):
 
     def checking(run, start):
         result = solve(run, start)
-        twin = result.tableau.copy()
-        twin._settle(np.flatnonzero(twin.status != tepkit.simplex._BASIC))
-        for a in ("status", "x_nonbasic", "gain", "free"):
+        twin = result.copy()
+        twin._settle(np.flatnonzero(twin.state != tepkit.simplex._BASIC))
+        for a in ("state", "x_nonbasic", "gain", "free"):
             was, now = getattr(run, a), getattr(twin, a)
             assert was.dtype == now.dtype and was.tobytes() == now.tobytes(), a
         checked.append(result.status)
@@ -392,8 +392,8 @@ def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
     impossible = {f"x{j}": (10.0, 10.0) for j in range(12)}
     # fixing bounds keeps an optimal tableau dual feasible: the dual's dead
     # end is certified with push = +-e_r for its leaving row
-    for start in (prep.solve().tableau,
-                  prep.solve(bound_overrides={"x0": (0.0, 1.0)}).tableau):
+    for start in (prep.solve(),
+                  prep.solve(bound_overrides={"x0": (0.0, 1.0)})):
         verdicts.clear()
         dead = prep.solve(bound_overrides=impossible, start=start)
         assert dead.status == "infeasible"
@@ -406,13 +406,13 @@ def test_infeasibility_is_certified_without_a_refactorization(monkeypatch):
     opposite = PreparedLp(dataclasses.replace(
         model, objective_terms=tuple((name, -coef) for name, coef in model.objective_terms)))
     verdicts.clear()
-    dead = opposite.solve(bound_overrides=impossible, start=prep.solve().tableau)
+    dead = opposite.solve(bound_overrides=impossible, start=prep.solve())
     assert dead.status == "infeasible"
     assert outcomes[-1] == {"dual": "infeasible", "implied": [None]}
     assert dead.refactorizations == dead.iterations == 0 and verdicts == []
     # without the fixings the same start flips those slacks to their
     # implied bounds, and the dual goes on from there
-    flipped = opposite.solve(start=prep.solve().tableau)
+    flipped = opposite.solve(start=prep.solve())
     assert flipped.status == "optimal" and outcomes[-1]["implied"][0] > 0
     assert flipped.objective == pytest.approx(opposite.solve().objective, rel=1e-12)
     # the verdict a fresh start reaches
@@ -430,8 +430,8 @@ def test_uncertified_dual_dead_end_on_a_feasible_lp_is_not_declared_infeasible()
            [("x", 1.0), ("y", 1.0)])
     prep = PreparedLp(m)
     pinned = prep.solve(bound_overrides={"x": (1.0, 1.0), "y": (1.0, 1.0)})
-    assert pinned.status == "optimal" and pinned.tableau.basis.tolist() == [2]
-    start = pinned.tableau
+    assert pinned.status == "optimal" and pinned.basis.tolist() == [2]
+    start = pinned
     start.matrix[:, :2] = 0.0
     result = prep.solve(start=start)
     assert result.status == "optimal"
@@ -474,12 +474,12 @@ def test_refactorized_point_outside_its_bounds_goes_back_to_the_dual(monkeypatch
     # again from there
     prep = PreparedLp(dense_lp())
     base = prep.solve()
-    basic = [j for j in base.tableau.basis if j < 12 and base.values[f"x{j}"] > 1e-6]
+    basic = [j for j in base.basis if j < 12 and base.values[f"x{j}"] > 1e-6]
     assert basic
     squeezed = {f"x{j}": (0.0, 0.0) for j in basic}
     cold = prep.solve(bound_overrides=squeezed)
     assert cold.status == "optimal"
-    start = base.tableau
+    start = base
     start.matrix[:, np.setdiff1d(np.arange(22), start.basis)] = 0.0
     runs = []
     real = Tableau._run_dual
@@ -515,7 +515,7 @@ def test_nan_reduced_cost_never_enters():
     prep = PreparedLp(m)
     base = prep.solve(bound_overrides={"y": (0.0, 0.0)})
     assert base.objective == pytest.approx(-3.0)
-    start = base.tableau
+    start = base
     start.matrix[:, 0] = math.nan
     result = prep.solve(start=start)
     assert result.status == "optimal"
@@ -538,15 +538,15 @@ def _pair_lp(y_column, rhs=4.0):
 def test_tableau_copy_starts_another_compile_of_the_same_names():
     base = PreparedLp(_pair_lp((2.0, 1.0)))
     first = base.solve()
-    assert sorted(first.tableau.basis) == [0, 1]
+    assert sorted(first.basis) == [0, 1]
     # only the right-hand sides differ: no column to replace, no LAPACK call
     moved = PreparedLp(_pair_lp((2.0, 1.0), rhs=5.0))
-    result = moved.solve(start=first.tableau.copy())
+    result = moved.solve(start=first.copy())
     assert result.refactorizations == 0
     assert result.objective == pytest.approx(moved.solve().objective, rel=1e-12)
     # y's column changes while y is basic: one column replacement, no LAPACK
     turned = PreparedLp(_pair_lp((3.0, 1.0)))
-    result = turned.solve(start=first.tableau.copy())
+    result = turned.solve(start=first.copy())
     assert result.refactorizations == 0
     assert result.objective == pytest.approx(turned.solve().objective, rel=1e-12)
     # a tableau needs the same names
@@ -554,8 +554,8 @@ def test_tableau_copy_starts_another_compile_of_the_same_names():
     renamed = PreparedLp(dataclasses.replace(plain, constraints=tuple(
         dataclasses.replace(c, name=c.name.upper()) for c in plain.constraints)))
     with pytest.raises(ValueError, match="other variables or rows"):
-        renamed.solve(start=first.tableau.copy())
-    copy = first.tableau.copy()
+        renamed.solve(start=first.copy())
+    copy = first.copy()
     assert isinstance(copy, Tableau)
     moved.solve(start=copy)
     with pytest.raises(ValueError, match="already used"):
@@ -588,16 +588,18 @@ def test_a_tableau_copy_is_independent_of_the_solve_that_continues_its_original(
     f = root.values[name]
     assert 1e-6 < f < 1.0 - 1e-6
     child, sibling = ({name: (v, v)} for v in (float(round(f)), float(1 - round(f))))
-    copy = root.tableau.copy()
-    assert all(getattr(copy, a) is not getattr(root.tableau, a) for a in _CONTINUED)
-    dive = prep.solve(child, start=root.tableau)
+    copy = root.copy()
+    assert all(getattr(copy, a) is not getattr(root, a) for a in _CONTINUED)
+    assert copy.values == {} and root.values[name] == f  # a start carries no point
+    dive = prep.solve(child, start=root)
     assert dive.iterations > 0
     after = prep.solve(sibling, start=copy)
-    untouched = prep.solve(sibling, start=branched()[0].tableau.copy())
-    assert after == untouched
+    untouched = prep.solve(sibling, start=branched()[0].copy())
+    for a in ("status", "objective", "values", "iterations", "refactorizations"):
+        assert getattr(after, a) == getattr(untouched, a), a
     assert repr(after.objective) == repr(untouched.objective)
     for a in _CONTINUED:
-        assert np.array_equal(getattr(after.tableau, a), getattr(untouched.tableau, a)), a
+        assert np.array_equal(getattr(after, a), getattr(untouched, a)), a
 
 
 def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatch):
@@ -615,7 +617,7 @@ def test_vanishing_column_replacement_falls_back_to_a_refactorization(monkeypatc
 
     monkeypatch.setattr(Tableau, "_refactorize", recording)
     singular = _pair_lp((1.0, 2.0))
-    result = PreparedLp(singular).solve(start=first.tableau.copy())
+    result = PreparedLp(singular).solve(start=first.copy())
     assert result.status == "optimal"
     assert refactorized[:2] == [[0, 1], [2, 3]]
     assert result.refactorizations == 0  # a failed LAPACK call is not counted
@@ -882,13 +884,13 @@ def test_randomized_against_scipy(monkeypatch):
         again = prep.solve(bound_overrides=overrides)
         resolved[again.status] += 1
         _check_against_highs(again, with_bounds(model, overrides), f"{trial} {overrides}")
-        warm = prep.solve(bound_overrides=overrides, start=mine.tableau.basis_copy())
+        warm = prep.solve(bound_overrides=overrides, start=mine.basis_copy())
         _check_against_highs(warm, with_bounds(model, overrides), f"{trial} warm {overrides}")
         # and from the base solve's live tableau, as a dive child continues:
         # after an optimal base solve, a dual start
-        basis, resting = mine.tableau.basis.tolist(), mine.tableau.basis_copy()
-        portable = mine.tableau.copy()
-        live = prep.solve(bound_overrides=overrides, start=mine.tableau)
+        basis, resting = mine.basis.tolist(), mine.basis_copy()
+        portable = mine.copy()
+        live = prep.solve(bound_overrides=overrides, start=mine)
         live_paths[outcomes[-1]["dual"]] = live_paths.get(outcomes[-1]["dual"], 0) + 1
         flipped["live"] += bool(outcomes[-1]["implied"])
         _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
@@ -900,7 +902,7 @@ def test_randomized_against_scipy(monkeypatch):
         replaced += cross is not None and cross.refactorizations == 0 and any(
             j in basis for j in columns)
         # and back: the original bounds from the overridden solve's basis
-        _check_against_highs(prep.solve(start=again.tableau.basis_copy()), model,
+        _check_against_highs(prep.solve(start=again.basis_copy()), model,
                              f"{trial} back")
         if mine.status == "optimal":
             # an optimal basis under unchanged bounds needs no pivot
@@ -938,7 +940,7 @@ def test_cutoff_stops_only_a_solve_whose_optimum_exceeds_it():
         overrides = _random_overrides(override_rng, model)
         for kind in cut:
             def start():
-                return base.tableau.copy() if kind == "live" else None
+                return base.copy() if kind == "live" else None
 
             full = prep.solve(bound_overrides=overrides, start=start())
             if full.status not in ("optimal", "infeasible"):
@@ -1027,12 +1029,12 @@ def test_branch_bounds_only_reads_its_tableau():
     root = PreparedLp(model).solve()
     fractional = [b.name for b in model.binaries() if 1e-6 < root.values[b.name] % 1.0 < 1 - 1e-6]
     assert fractional
-    tableau = root.tableau
-    before = {a: v.copy() if isinstance(v, np.ndarray) else v for a, v in vars(tableau).items()}
+    before = {a: v.copy() if isinstance(v, (np.ndarray, dict)) else v
+              for a, v in vars(root).items()}
     for name in fractional:
         branch_bounds(root, name)
-    assert vars(tableau).keys() == before.keys()
-    for a, value in vars(tableau).items():
+    assert vars(root).keys() == before.keys()
+    for a, value in vars(root).items():
         was = before[a]
         if isinstance(value, np.ndarray) or isinstance(was, np.ndarray):
             assert type(value) is type(was) and value.dtype == was.dtype, a
@@ -1052,7 +1054,7 @@ def test_branch_bounds_refuses_a_column_that_is_not_basic():
         realize_scenario(ScenarioCode.parse("H,H"), net)))
     root = prep.solve()
     for name in ("y14", "z3"):
-        assert prep.var_index[name] not in root.tableau.basis
+        assert prep.var_index[name] not in root.basis
         with pytest.raises(ValueError, match=f"'{name}' is not basic in the tableau"):
             branch_bounds(root, name)
 
@@ -1064,7 +1066,7 @@ def test_branch_bounds_refuses_a_tableau_another_solve_has_continued():
     prep = PreparedLp(_pair_lp((2.0, 1.0)))
     parent = prep.solve()
     assert branch_bounds(parent, "x")[0] > parent.objective
-    prep.solve({"x": (1.0, 1.0)}, start=parent.tableau)
+    prep.solve({"x": (1.0, 1.0)}, start=parent)
     with pytest.raises(ValueError, match="the tableau was continued by another solve"):
         branch_bounds(parent, "x")
 
@@ -1085,7 +1087,7 @@ def test_dual_under_blands_rule_from_its_first_step(monkeypatch):
         mine = prep.solve()
         _check_against_highs(mine, model, trial)
         overrides = _random_overrides(override_rng, model)
-        live = prep.solve(bound_overrides=overrides, start=mine.tableau)
+        live = prep.solve(bound_overrides=overrides, start=mine)
         _check_against_highs(live, with_bounds(model, overrides), f"{trial} live {overrides}")
         statuses[mine.status] += 1
         statuses[live.status] += 1

@@ -441,7 +441,7 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
 def test_open_tableaux_stay_within_their_budget(monkeypatch):
     model = garver_model("H,H")
     default = solve_milp(model)
-    budget = 2 * PreparedLp(model).solve().tableau.matrix.nbytes  # two tableaux
+    budget = 2 * PreparedLp(model).solve().matrix.nbytes  # two tableaux
     monkeypatch.setattr(tepkit.solver, "_OPEN_TABLEAU_BYTES", budget)
     held = []
     push = tepkit.solver._BranchAndBound._push
@@ -573,6 +573,34 @@ def test_brute_force_no_binaries_falls_back_to_lp():
             else:
                 assert sol.objective == pytest.approx(objective)
             assert sol.stats["nodes"] == 1, (solve, status)
+
+
+def test_an_empty_model_is_optimal_at_its_objective_constant():
+    # no variable and no row: the pricing tolerance used to take numpy's
+    # maximum of the empty cost vector, and every driver failed there
+    m = milp([], [], [], constant=5.0, name="empty")
+    for solve in (solve_milp, brute_force_solve):
+        sol = solve(m)
+        assert (sol.status, sol.objective, sol.values) == ("optimal", 5.0, {}), solve
+
+
+def test_an_engine_objective_the_checker_does_not_reproduce_is_an_error(monkeypatch):
+    # the engine reports its objective 1.0 too high: on every LP, then only
+    # on the LPs of a sweep's second scenario, which the re-evaluation
+    # catches in that scenario's place
+    real = Tableau._objective
+    monkeypatch.setattr(Tableau, "_objective", lambda run, x: real(run, x) + 1.0)
+    with pytest.raises(SolverError) as info:
+        solve_milp(knapsack())
+    assert str(info.value) == "objective mismatch: engine -16.0, re-evaluated -17.0"
+    models = [garver_model(code) for code in ("L,L", "L,H", "H,H")]
+    monkeypatch.setattr(Tableau, "_objective", lambda run, x: real(run, x) + (
+        1.0 if run.prep.model is models[1] else 0.0))
+    first, error, third = solve_sweep(models)
+    assert isinstance(error, SolverError)
+    assert str(error).startswith("objective mismatch: engine ")
+    assert first.objective == solve_milp(models[0]).objective
+    assert third.objective == solve_milp(models[2]).objective
 
 
 def test_determinism():
