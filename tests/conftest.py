@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+from tepkit.model import BINARY, SENSE_GE, SENSE_LE
 from tepkit.network import (
     LINE_CANDIDATE,
     LINE_EXISTING,
@@ -57,3 +61,24 @@ def unit_params(net: Network, eta: float = 1.0, gamma: float = 1.0) -> ScenarioP
         by_region={r.id: RegionParams(eta=eta, gamma=gamma)
                    for r in net.regions},
     )
+
+
+def highs_milp(model, **options):
+    """scipy's HiGHS on `model`, read from its own rows and columns (not
+    from a compile), with `options`; the objective constant is not added."""
+    from scipy import optimize
+    index = model.variable_index()
+    cost = np.zeros(len(index))
+    for name, coef in model.objective_terms:
+        cost[index[name]] += coef
+    a = np.zeros((len(model.constraints), len(index)))
+    for i, con in enumerate(model.constraints):
+        for name, coef in con.terms:
+            a[i, index[name]] += coef
+    lo = [-math.inf if c.sense == SENSE_LE else c.rhs for c in model.constraints]
+    up = [math.inf if c.sense == SENSE_GE else c.rhs for c in model.constraints]
+    return optimize.milp(
+        cost, constraints=optimize.LinearConstraint(a, lo, up) if len(a) else None,
+        bounds=optimize.Bounds([v.lower for v in model.variables],
+                               [v.upper for v in model.variables]),
+        integrality=[v.kind == BINARY for v in model.variables], options=options)
