@@ -117,6 +117,7 @@ _HANDED_ON = ("matrix", "basis", "state", "x_nonbasic", "gain", "free")
 _min = np.minimum.reduce
 _any = np.logical_or.reduce
 _all = np.logical_and.reduce
+_add = np.add.reduce
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -130,7 +131,12 @@ class SimplexError(RuntimeError):
 
 class PreparedLp:
     """A model compiled to numeric arrays, solvable many times over with
-    different variable bounds (the branch-and-bound hot path)."""
+    different variable bounds (the branch-and-bound hot path). The arrays
+    are the presolved LP of the module docstring: `n` columns, the model's
+    columns `kept`, and `m` rows, each standing for the model row
+    `kept_rows` names and the rows merged into it, with one slack each.
+    `plan` says which columns go, through which rows, and which rows
+    merge; `_a0` and `_b0` keep the model's own rows."""
 
     def __init__(self, model: Model):
         check_model(model)
@@ -138,41 +144,119 @@ class PreparedLp:
         self.names = [v.name for v in model.variables]
         self.rows = [c.name for c in model.constraints]
         self.var_index = model.variable_index()
-        n = len(model.variables)
-        m = len(model.constraints)
-        self.n = n
-        self.m = m
-        cols = n + m  # structurals, then one slack per row
-
-        a = np.zeros((m, cols))
-        b = np.zeros(m)
-        lower = np.full(cols, -math.inf)
-        upper = np.full(cols, math.inf)
-        for j, v in enumerate(model.variables):
-            lower[j] = v.lower
-            upper[j] = v.upper
+        n, m = len(self.names), len(self.rows)
+        a, b = np.zeros((m, n)), np.zeros(m)
+        slack_lo, slack_up = np.zeros(m), np.zeros(m)  # each row's slack range, by its sense
         for i, con in enumerate(model.constraints):
             _read_row(a, b, i, con, self.var_index)
-            s = n + i
-            a[i, s] = 1.0
             if con.sense == SENSE_LE:
-                lower[s], upper[s] = 0.0, math.inf
+                slack_up[i] = math.inf
             elif con.sense == SENSE_GE:
-                lower[s], upper[s] = -math.inf, 0.0
-            else:
-                lower[s], upper[s] = 0.0, 0.0
-        cost = np.zeros(cols)
+                slack_lo[i] = -math.inf
+        lower = np.array([v.lower for v in model.variables], dtype=float)
+        upper = np.array([v.upper for v in model.variables], dtype=float)
+        cost = np.zeros(n)
         for name, coef in model.objective_terms:
             cost[self.var_index[name]] += coef
-
-        self._a = a
-        self._b = b
-        self._lower = lower
-        self._upper = upper
-        self._cost = cost
-        self._primal_tol = _primal_tol(b)
+        self._a0, self._b0 = a, b
         # the pricing tolerance of the dual's reduced costs and certificate
         self._dtol = 1e-9 * float(np.max(np.abs(cost), initial=1.0))
+
+        free = (lower == -math.inf) & (upper == math.inf) & (cost == 0.0)
+        gone, used = _substitutions(a, free, (slack_lo == 0.0) & (slack_up == 0.0))
+        self._gone, self._used = gone, used
+        kept, rest = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+        kept[gone], rest[used] = False, False
+        self.kept = kept = np.flatnonzero(kept)
+        rest = np.flatnonzero(rest)
+        n = self.n = len(kept)
+        self.column = {self.names[j]: k for k, j in enumerate(kept.tolist())}
+        # x_gone = T*x_kept + b_used/pivot, from the rows that hold them; a
+        # row that stays gains w times each of those rows, so its kept
+        # columns gain `fill` and its right-hand side w*b_used
+        self._pivot = a[used, gone]
+        self._t = -a[used][:, kept] / self._pivot[:, None]
+        w = -a[rest][:, gone] / self._pivot
+        self._fill = np.zeros((m, n))  # by model row, 0 in a used one
+        self._fill[rest] = w @ a[used][:, kept]
+        a1 = a[rest][:, kept] + self._fill[rest]
+        # a derived model may change an entry only on a kept column of a row
+        # that stays, where the used rows add nothing (derive)
+        self._frozen = np.ones((m, len(self.names)), dtype=bool)
+        self._frozen[:, kept] = self._fill != 0.0
+        self._frozen[used] = True
+
+        # classes of exactly parallel rows, equal once each is scaled by its
+        # first nonzero (an empty row by 1), each led by its lowest row: of
+        # the rows with equal keys, those equal to the lowest, then the same
+        # among the others. A row may change (`free`) where the signs of its
+        # scaled row are its own: no row can become its parallel
+        r = len(rest)
+        padded = np.column_stack((a1, np.ones(r)))
+        scale = padded[np.arange(r), (padded != 0.0).argmax(axis=1)]
+        scaled = a1 / scale[:, None] + 0.0  # no -0.0
+        weights = np.sqrt(np.arange(2.0, n + 2.0))
+        key, rep, todo = (scaled * weights).sum(axis=1), np.empty(r, dtype=int), np.arange(r)
+        while todo.size:
+            first = todo[_runs(key[todo])[1]]
+            same = _all(scaled[todo] == scaled[first], axis=1)
+            rep[todo[same]] = first[same]
+            todo = todo[~same]
+        self._free = np.zeros(m, dtype=bool)  # by model row
+        self._free[rest] = _runs((np.sign(scaled) * weights).sum(axis=1))[0]
+        # the rows of classes of more than one row, by class: each row's
+        # range for the slack s of its class's lowest row follows from its
+        # own slack, b - ratio*(b_lowest - s) (_ranges)
+        multi = np.flatnonzero(np.bincount(rep, minlength=r)[rep] > 1)
+        members = multi[np.argsort(rep[multi], kind="stable")]
+        self._lead = np.searchsorted(rep[members], rep[members])
+        self._starts = np.flatnonzero(_run_starts(rep[members]))
+        self._ratio = scale[members] / scale[rep[members]]
+        own_lo, own_up = slack_lo[rest], slack_up[rest]
+        ahead = self._ratio > 0.0
+        self._lo_side = np.where(ahead, own_lo[members], own_up[members])
+        self._up_side = np.where(ahead, own_up[members], own_lo[members])
+        self._member_rows, self._w_members = rest[members], w[members]
+        low, high = self._ranges()
+        crossed = self._crossed = ~(low <= high)
+        stand = rep == np.arange(r)
+        stand[members[crossed[np.cumsum(_run_starts(rep[members])) - 1]]] = True
+        rows = np.flatnonzero(stand)
+        self.m = len(rows)
+        self.kept_rows = rest[rows]
+        self._w_rows = w[rows]
+        self._row_of = np.full(m, -1)  # each model row's row here, once it stands
+        self._row_of[rest[rows]] = np.arange(self.m)
+        self._merged = np.flatnonzero(~crossed)
+        self._merged_at = n + self._row_of[rest[members[self._starts[self._merged]]]]
+        self.plan = tuple(x.tobytes() for x in (gone, used, rep, crossed))
+        self._a = np.zeros((self.m, n + self.m))  # structurals, then one slack per row
+        self._a[:, :n] = a1[rows]
+        self._a.reshape(-1)[n::n + self.m + 1] = 1.0
+        self._lower = np.concatenate((lower[kept], own_lo[rows]))
+        self._upper = np.concatenate((upper[kept], own_up[rows]))
+        self._cost = np.concatenate((cost[kept], np.zeros(self.m)))
+        self._numbers(low, high)
+
+    def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slack range of each class of parallel rows under the model's
+        right-hand sides, which cross where the class may not merge."""
+        b = self._b0[self._member_rows] + self._w_members @ self._b0[self._used]
+        offset = b - self._ratio * b[self._lead]
+        return (np.maximum.reduceat((self._lo_side - offset) / self._ratio, self._starts),
+                np.minimum.reduceat((self._up_side - offset) / self._ratio, self._starts))
+
+    def _numbers(self, low: np.ndarray, high: np.ndarray) -> None:
+        """The numbers the model's right-hand sides set: b, a merged row's
+        slack range (from `low` and `high`, _ranges), the primal tolerance
+        and x_gone's shift."""
+        self._b = self._b0[self.kept_rows] + self._w_rows @ self._b0[self._used]
+        if self._merged.size:
+            self._lower, self._upper = self._lower.copy(), self._upper.copy()
+            self._lower[self._merged_at] = low[self._merged]
+            self._upper[self._merged_at] = high[self._merged]
+        self._primal_tol = _primal_tol(self._b)
+        self._shift = self._b0[self._used] / self._pivot
 
     def derive(self, model: Model) -> PreparedLp:
         """Compile `model` from this compile. Where `model` shares this
@@ -180,12 +264,17 @@ class PreparedLp:
         rows, only the rows whose Constraint object differs are read again
         (such as the next scenario of a sweep); each must keep its row's
         name and sense, and is checked to reference declared variables
-        only. The bounds, costs and names are shared, and A and b equal a
-        fresh compile's bit for bit. Otherwise this is a fresh compile."""
+        only. The plan holds while those rows change no frozen entry (one
+        the substitutions read or add to), keep the sign of every entry,
+        change the coefficients only of free rows (which no row can become
+        parallel to), and no class's ranges cross that did not, or the
+        other way round; then only the numbers are recomputed, and every
+        array equals a fresh compile's bit for bit. Otherwise this is a
+        fresh compile."""
         old = self.model
         if (model.variables is not old.variables
                 or model.objective_terms is not old.objective_terms
-                or len(model.constraints) != self.m):
+                or len(model.constraints) != len(self.rows)):
             return PreparedLp(model)
         changed = [(i, con) for i, (con, was) in enumerate(zip(model.constraints, old.constraints))
                    if con is not was]
@@ -194,15 +283,28 @@ class PreparedLp:
             if con.name != was.name or con.sense != was.sense:
                 return PreparedLp(model)
             check_terms(con, self.var_index)
+        a, b = self._a0.copy(), self._b0.copy()
+        for i, con in changed:
+            a[i] = 0.0
+            _read_row(a, b, i, con, self.var_index)
+        rows = np.array([i for i, _ in changed], dtype=int)
+        was, now = self._a0[rows], a[rows]
+        differs = was != now
+        moved = rows[_any(differs, axis=1)]
+        if (differs & (self._frozen[rows] | (np.sign(was) != np.sign(now)))).any() \
+                or not _all(self._free[moved]):
+            return PreparedLp(model)
         derived = object.__new__(PreparedLp)
         derived.__dict__.update(self.__dict__)
-        derived.model = model
-        derived._a = a = self._a.copy()
-        derived._b = b = self._b.copy()
-        for i, con in changed:
-            a[i, :self.n] = 0.0
-            _read_row(a, b, i, con, self.var_index)
-        derived._primal_tol = _primal_tol(b)
+        derived.model, derived._a0, derived._b0 = model, a, b
+        low, high = derived._ranges()
+        if (~(low <= high) != self._crossed).any():
+            return PreparedLp(model)
+        if moved.size:
+            derived._a = self._a.copy()
+            derived._a[self._row_of[moved], :self.n] = \
+                a[moved][:, self.kept] + self._fill[moved]
+        derived._numbers(low, high)
         return derived
 
     def solve(
@@ -224,20 +326,29 @@ class PreparedLp:
         stops with status cutoff. So an optimal solve's objective, checked
         on the point it returns, is at most `cutoff`. Raises ModelError when
         a column must flip to a bound that is infinite and its rows imply no
-        finite one, and ValueError for an override of an unknown variable or
-        whose bounds fail lower <= upper, and for a start that does not fit
-        this LP or was already used."""
+        finite one, and ValueError for an override of an unknown or a
+        substituted variable or whose bounds fail lower <= upper, and for a
+        start that does not fit this LP or was already used."""
         lower = self._lower.copy()
         upper = self._upper.copy()
         for name, (lo, up) in (bound_overrides or {}).items():
-            j = self.var_index.get(name)
+            j = self.column.get(name)
             if j is None:
-                raise ValueError(f"override for unknown variable {name!r}")
+                kind = "substituted" if name in self.var_index else "unknown"
+                raise ValueError(f"override for {kind} variable {name!r}")
             if not lo <= up:  # written so that NaN fails it
                 raise ValueError(f"override for {name!r} has lower > upper or a NaN bound")
             lower[j], upper[j] = lo, up
         tableau = Tableau(self, lower, upper, deadline, cutoff)
         return tableau.solve(tableau._slack_start() if start is None else start)
+
+    def _values(self, x: np.ndarray) -> dict[str, float]:
+        """Every model variable's value, from the kept columns' `x`: a
+        substituted one's is read off the row that held it."""
+        full = np.empty(len(self.names))
+        full[self.kept] = x
+        full[self._gone] = self._t @ x + self._shift
+        return dict(zip(self.names, full.tolist()))
 
 
 def branch_bounds(tableau: Tableau, name: str) -> tuple[float, float]:
@@ -257,7 +368,7 @@ def branch_bounds(tableau: Tableau, name: str) -> tuple[float, float]:
     (-inf). The tableau is only read."""
     if tableau.basis is None:
         raise ValueError("the tableau was continued by another solve")
-    rows = (tableau.basis == tableau.prep.var_index[name]).nonzero()[0]
+    rows = (tableau.basis == tableau.prep.column[name]).nonzero()[0]
     if not rows.size:
         raise ValueError(f"{name!r} is not basic in the tableau")
     row = int(rows[0])
@@ -277,6 +388,51 @@ def _primal_tol(b: np.ndarray) -> float:
     """The primal tolerance of the infeasibility verdict and the
     certificates, scaled by the largest right-hand side."""
     return _FEAS_TOL * float(np.max(np.abs(b), initial=1.0))
+
+
+def _substitutions(a: np.ndarray, free: np.ndarray, equality: np.ndarray):
+    """The columns the presolve substitutes out and the rows that hold
+    them, in order: each `free` column, fewest nonzeros first (ties to the
+    lowest), goes through the first `equality` row of at most three terms
+    that holds it, none of whose columns has gone; that row's other columns
+    then stay."""
+    nonzero = a != 0.0
+    short = equality & (_add(nonzero, axis=1) <= 3)
+    rows, cols = np.nonzero(nonzero[short])
+    terms: dict[int, list[int]] = {}
+    holding: dict[int, list[int]] = {}
+    for r, j in zip(np.flatnonzero(short)[rows].tolist(), cols.tolist()):
+        terms.setdefault(r, []).append(j)
+        holding.setdefault(j, []).append(r)
+    candidates = np.flatnonzero(free & _any(nonzero[short], axis=0))
+    gone: dict[int, int] = {}
+    stay: set[int] = set()
+    for j in candidates[np.argsort(_add(nonzero, axis=0)[candidates], kind="stable")].tolist():
+        if j in stay:
+            continue
+        r = next((r for r in holding.get(j, ()) if gone.keys().isdisjoint(terms[r])), None)
+        if r is not None:
+            gone[j] = r
+            stay.update(terms[r])
+    return np.array(list(gone), dtype=int), np.array(list(gone.values()), dtype=int)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of `keys`: whether no other key equals it, and the lowest
+    index of a key equal to it."""
+    order = np.argsort(keys, kind="stable")
+    run = np.cumsum(_run_starts(keys[order])) - 1
+    lone, first = np.empty(len(keys), dtype=bool), np.empty(len(keys), dtype=int)
+    lone[order] = np.bincount(run)[run] == 1
+    first[order] = order[np.searchsorted(run, run)]
+    return lone, first
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted `values` starts a run of equal ones."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
 
 
 def _rest(terms: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
@@ -344,7 +500,8 @@ class Tableau:
         """Whether this tableau can start a solve of `prep`: one with the
         same variable and row names."""
         return prep is self.prep or (prep.names == self.prep.names
-                                     and prep.rows == self.prep.rows)
+                                     and prep.rows == self.prep.rows
+                                     and prep.plan == self.prep.plan)
 
     # -- setup ------------------------------------------------------------
 
@@ -550,9 +707,9 @@ class Tableau:
             target = np.where(z[unboxed] < 0.0, self.upper[unboxed], self.lower[unboxed])
             refused = unboxed[np.isinf(target)]
             if refused.size:
-                j, n = refused[0], self.prep.n
-                name = (f"variable {self.prep.names[j]!r}" if j < n
-                        else f"the slack of row {self.prep.rows[j - n]!r}")
+                j, prep = refused[0], self.prep
+                name = (f"variable {prep.names[prep.kept[j]]!r}" if j < prep.n
+                        else f"the slack of row {prep.rows[prep.kept_rows[j - prep.n]]!r}")
                 raise ModelError(f"{name} needs finite bounds to move in the dual "
                                  "simplex; it has an infinite one, and its rows imply none")
         for j in wrong:
@@ -730,7 +887,7 @@ class Tableau:
                 break
             self._refactorize()
         self.objective = self._objective(x)
-        self.values = dict(zip(self.prep.names, x[:self.prep.n].tolist()))
+        self.values = self.prep._values(x[:self.prep.n])
         return self
 
     def _objective(self, x: np.ndarray) -> float:

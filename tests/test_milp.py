@@ -222,7 +222,8 @@ def _sweep_grid(name):
 
 
 def _array_fields(prep):
-    return [prep._a, prep._b, prep._lower, prep._upper, prep._cost]
+    # the model's own rows, then the presolved LP the engine solves
+    return [prep._a0, prep._b0, prep._a, prep._b, prep._lower, prep._upper, prep._cost]
 
 
 @pytest.mark.parametrize("grid", ["garver", "synth-sweep", "w5", "conductor_overrides"])
@@ -264,7 +265,7 @@ def test_signed_zero_gamma_makes_its_own_rows():
     negative = unit_params(net, gamma=-0.0)
     derived = prep.derive(skeleton.model(negative))
     one_shot = PreparedLp(build_tep_model(net, negative, 1.0)[0])
-    assert np.signbit(one_shot._b[:3]).all()  # bal1-bal3
+    assert np.signbit(one_shot._b0[:3]).all()  # the model's rows bal1-bal3
     assert all(got.tobytes() == want.tobytes()
                for got, want in zip(_array_fields(derived), _array_fields(one_shot)))
 

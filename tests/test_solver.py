@@ -32,6 +32,8 @@ from tepkit.solver import (
     solve_sweep,
 )
 
+from conftest import highs_milp
+
 
 def milp(variables, constraints, objective, constant=0.0, name="m"):
     return Model(name=name, variables=tuple(variables),
@@ -211,20 +213,20 @@ SEARCH_STOPS = [
     (3e-3, 1e-6, ("time_limit", "None", 1, 0, 2),
      [("time_limit", "None", 1, 0, 2)] + [("time_limit", "None", 1, 0, 1)] * 3),
     (30e-3, 1e-6, ("time_limit", "None", 1, 0, 28),
-     [("time_limit", "None", 1, 0, 28),
-      ("time_limit", "222987694.1371612", 4, 0, 21),
-      ("time_limit", "219697872.44645357", 5, 0, 20),
-      ("time_limit", "228056320.35632384", 5, 0, 20)]),
-    (0.1, 1e-6, ("time_limit", "233482770.96490043", 12, 1, 75),
-     [("time_limit", "218779853.49173123", 15, 0, 69),
+     [("time_limit", "213299802.9674818", 1, 0, 27),
+      ("time_limit", "222987694.13716117", 5, 0, 19),
+      ("time_limit", "219697872.4464533", 5, 0, 20),
+      ("time_limit", "228056320.3563239", 5, 0, 20)]),
+    (0.1, 1e-6, ("time_limit", "234498672.03391844", 14, 2, 70),
+     [("time_limit", "218779853.4917314", 16, 0, 68),
       ("time_limit", "229542876.099051", 19, 2, 59),
-      ("time_limit", "225579036.33904415", 19, 1, 61),
-      ("time_limit", "234984336.54512793", 18, 4, 60)]),
-    (None, 0.05, ("optimal", "233421979.19615698", 9, 1, 66),
-     [("optimal", "218744706.91419727", 12, 0, 62),
-      ("optimal", "229749538.10868204", 24, 3, 72),
-      ("optimal", "225782523.84937963", 23, 2, 72),
-      ("optimal", "233421979.19615704", 9, 1, 33)]),
+      ("time_limit", "225455147.2168213", 19, 1, 61),
+      ("time_limit", "235225744.5046762", 18, 4, 59)]),
+    (None, 0.05, ("optimal", "233421979.19615704", 9, 1, 61),
+     [("optimal", "218744706.91419727", 12, 0, 59),
+      ("optimal", "229749538.10868204", 24, 3, 73),
+      ("optimal", "226164727.56483588", 24, 3, 82),
+      ("optimal", "233421979.19615668", 9, 1, 34)]),
 ]
 
 
@@ -429,7 +431,7 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
     assert sol.values == pytest.approx(default.values, abs=1e-9)
     assert ({k: sol.stats[k] for k in ("nodes", "closed_nodes", "simplex_iterations",
                                        "refactorizations")}
-            == {"nodes": 31, "closed_nodes": 20, "simplex_iterations": 123,
+            == {"nodes": 31, "closed_nodes": 20, "simplex_iterations": 116,
                 "refactorizations": 12})
     assert repr(sol.objective) == "245424473.6914409"
     # every node taken from the open list starts from a copy of its
@@ -480,7 +482,7 @@ def test_a_sibling_past_the_cutoff_is_pushed_without_a_start(monkeypatch):
     sweep = solve_sweep(skeleton.model(realize_scenario(code, net))
                         for code in enumerate_scenarios(2))
     assert [(s.stats["nodes"], s.stats["closed_nodes"]) for s in sweep] == [
-        (42, 13), (26, 11), (34, 13), (31, 20)]
+        (42, 13), (26, 11), (34, 14), (31, 20)]
     assert calls == []
 
 
@@ -774,22 +776,13 @@ def test_solve_options_validation():
                          [(20, 2, 2), (30, 3, 4), (40, 2, 5), (24, 2, 7)])
 def test_branch_and_bound_matches_highs_beyond_enumeration(n_buses, n_regions, seed, mark):
     # a second referee where brute force is out of reach: scipy's HiGHS
-    # solves the same rows, read from the compiled LP
-    scipy_opt = pytest.importorskip("scipy.optimize")
+    # solves the model's own rows, so that it referees the presolve too
+    pytest.importorskip("scipy.optimize")
     net = synthesize_grid(SynthesisConfig(n_buses=n_buses, n_regions=n_regions, seed=seed,
                                           demand_total_mw=40.0 * n_buses))
     code = ScenarioCode.parse(",".join([mark] * n_regions))
     model, _ = build_tep_model(net, realize_scenario(code, net), 8760.0)
-    prep = PreparedLp(model)
-    n = prep.n
-    # row i is a_i.x + s_i = b_i with its slack s_i in [lo_s, up_s]
-    b, lo_s, up_s = prep._b, prep._lower[n:], prep._upper[n:]
-    ref = scipy_opt.milp(
-        prep._cost[:n],
-        constraints=scipy_opt.LinearConstraint(prep._a[:, :n], b - up_s, b - lo_s),
-        bounds=scipy_opt.Bounds(prep._lower[:n], prep._upper[:n]),
-        integrality=[v.kind == BINARY for v in model.variables],
-        options={"mip_rel_gap": 1e-9})
+    ref = highs_milp(model, mip_rel_gap=1e-9)
     sol = solve_milp(model)
     assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
     if sol.status == "optimal":
