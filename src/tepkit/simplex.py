@@ -42,15 +42,23 @@ from the start's final bounds (the dual reads the basic ones through the
 basis). A start with B^-1*A gives x_B = B^-1*(b - A_N*x_N) from its slack
 block, B^-1; one without is refactorized.
 
-A model is compiled once to dense arrays (PreparedLp). A model that
-shares an earlier compile's variables and objective by identity, and
-differs in some of its rows, is compiled from that one (`derive`): A and
-b are copied, only the rows whose Constraint object differs are read
-again, and the result equals a fresh compile bit for bit.
+A model is compiled once to dense arrays (PreparedLp), as a presolved LP
+(Andersen & Andersen, Math. Prog. 71, 1995). Each free column without cost
+goes, fewest nonzeros first, through an equality row of at most three
+terms that holds it (in a TEP model, the existing lines' flows and their
+angle-flow rows); rows then exactly parallel merge into one row with a
+ranged slack, unless their ranges cross, so that a Farkas certificate
+still proves the LP infeasible. A solve's values are postsolved for every
+model variable. A model that shares an earlier compile's variables and
+objective by identity is compiled from it (`derive`): only the rows whose
+Constraint object differs are read again, the plan (which columns go,
+which rows merge) is kept while it holds, and the result equals a fresh
+compile bit for bit.
 
 A final tableau may also start a solve of another compile with the same
-variable and row names, such as the next scenario of a sweep, whose
-right-hand sides, bounds, costs and some columns of A differ. Each column
+variable and row names and the same plan, such as the next scenario of a
+sweep, whose right-hand sides, bounds, costs and some columns of A
+differ. Each column
 j whose entries differ is recomputed as B^-1*a'_j from the slack block; a
 basic one is then pivoted back into its own row, which replaces a_j by
 a'_j in the basis with one rank-1 update (a column replacement, Maros
@@ -163,12 +171,10 @@ class PreparedLp:
         self._dtol = 1e-9 * float(np.max(np.abs(cost), initial=1.0))
 
         free = (lower == -math.inf) & (upper == math.inf) & (cost == 0.0)
-        gone, used = _substitutions(a, free, (slack_lo == 0.0) & (slack_up == 0.0))
-        self._gone, self._used = gone, used
-        kept, rest = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-        kept[gone], rest[used] = False, False
-        self.kept = kept = np.flatnonzero(kept)
-        rest = np.flatnonzero(rest)
+        gone, used = self._gone, self._used = _substitutions(a, free, (slack_lo == 0.0)
+                                                             & (slack_up == 0.0))
+        self.kept = kept = np.delete(np.arange(n), gone)
+        rest = np.delete(np.arange(m), used)  # the rows that stay
         n = self.n = len(kept)
         self.column = {self.names[j]: k for k, j in enumerate(kept.tolist())}
         # x_gone = T*x_kept + b_used/pivot, from the rows that hold them; a
@@ -187,10 +193,9 @@ class PreparedLp:
         self._frozen[used] = True
 
         # classes of exactly parallel rows, equal once each is scaled by its
-        # first nonzero (an empty row by 1), each led by its lowest row: of
-        # the rows with equal keys, those equal to the lowest, then the same
-        # among the others. A row may change (`free`) where the signs of its
-        # scaled row are its own: no row can become its parallel
+        # first nonzero (an empty row by 1), each led by its lowest row. A
+        # row may change (`free`) where the signs of its scaled row are its
+        # own: no row can become its parallel
         r = len(rest)
         padded = np.column_stack((a1, np.ones(r)))
         scale = padded[np.arange(r), (padded != 0.0).argmax(axis=1)]
@@ -198,58 +203,56 @@ class PreparedLp:
         weights = np.sqrt(np.arange(2.0, n + 2.0))
         key, rep, todo = (scaled * weights).sum(axis=1), np.empty(r, dtype=int), np.arange(r)
         while todo.size:
-            first = todo[_runs(key[todo])[1]]
+            _, first, inverse = np.unique(key[todo], return_index=True, return_inverse=True)
+            first = todo[first[inverse]]
             same = _all(scaled[todo] == scaled[first], axis=1)
             rep[todo[same]] = first[same]
             todo = todo[~same]
+        _, inverse, count = np.unique((np.sign(scaled) * weights).sum(axis=1),
+                                      return_inverse=True, return_counts=True)
         self._free = np.zeros(m, dtype=bool)  # by model row
-        self._free[rest] = _runs((np.sign(scaled) * weights).sum(axis=1))[0]
+        self._free[rest] = count[inverse] == 1
         # the rows of classes of more than one row, by class: each row's
         # range for the slack s of its class's lowest row follows from its
         # own slack, b - ratio*(b_lowest - s) (_ranges)
         multi = np.flatnonzero(np.bincount(rep, minlength=r)[rep] > 1)
         members = multi[np.argsort(rep[multi], kind="stable")]
         self._lead = np.searchsorted(rep[members], rep[members])
-        self._starts = np.flatnonzero(_run_starts(rep[members]))
+        self._starts = np.flatnonzero(self._lead == np.arange(len(members)))
         self._ratio = scale[members] / scale[rep[members]]
-        own_lo, own_up = slack_lo[rest], slack_up[rest]
-        ahead = self._ratio > 0.0
-        self._lo_side = np.where(ahead, own_lo[members], own_up[members])
-        self._up_side = np.where(ahead, own_up[members], own_lo[members])
+        own = np.stack((slack_lo[rest], slack_up[rest]))
+        self._sides = np.where(self._ratio > 0.0, own[:, members], own[::-1, members])
         self._member_rows, self._w_members = rest[members], w[members]
         low, high = self._ranges()
         crossed = self._crossed = ~(low <= high)
         stand = rep == np.arange(r)
-        stand[members[crossed[np.cumsum(_run_starts(rep[members])) - 1]]] = True
+        stand[members[crossed[np.searchsorted(self._starts, self._lead)]]] = True
         rows = np.flatnonzero(stand)
         self.m = len(rows)
         self.kept_rows = rest[rows]
         self._w_rows = w[rows]
-        self._row_of = np.full(m, -1)  # each model row's row here, once it stands
-        self._row_of[rest[rows]] = np.arange(self.m)
         self._merged = np.flatnonzero(~crossed)
-        self._merged_at = n + self._row_of[rest[members[self._starts[self._merged]]]]
+        self._merged_at = n + np.searchsorted(rows, members[self._starts[self._merged]])
         self.plan = tuple(x.tobytes() for x in (gone, used, rep, crossed))
         self._a = np.zeros((self.m, n + self.m))  # structurals, then one slack per row
         self._a[:, :n] = a1[rows]
         self._a.reshape(-1)[n::n + self.m + 1] = 1.0
-        self._lower = np.concatenate((lower[kept], own_lo[rows]))
-        self._upper = np.concatenate((upper[kept], own_up[rows]))
+        self._lower = np.concatenate((lower[kept], own[0, rows]))
+        self._upper = np.concatenate((upper[kept], own[1, rows]))
         self._cost = np.concatenate((cost[kept], np.zeros(self.m)))
         self._numbers(low, high)
 
     def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The slack range of each class of parallel rows under the model's
-        right-hand sides, which cross where the class may not merge."""
+        """Each class of parallel rows' slack range, crossed where it may
+        not merge."""
         b = self._b0[self._member_rows] + self._w_members @ self._b0[self._used]
-        offset = b - self._ratio * b[self._lead]
-        return (np.maximum.reduceat((self._lo_side - offset) / self._ratio, self._starts),
-                np.minimum.reduceat((self._up_side - offset) / self._ratio, self._starts))
+        sides = (self._sides - (b - self._ratio * b[self._lead])) / self._ratio
+        return (np.maximum.reduceat(sides[0], self._starts),
+                np.minimum.reduceat(sides[1], self._starts))
 
     def _numbers(self, low: np.ndarray, high: np.ndarray) -> None:
-        """The numbers the model's right-hand sides set: b, a merged row's
-        slack range (from `low` and `high`, _ranges), the primal tolerance
-        and x_gone's shift."""
+        """The numbers the right-hand sides set: b, a merged row's range
+        (_ranges), the primal tolerance and x_gone's shift."""
         self._b = self._b0[self.kept_rows] + self._w_rows @ self._b0[self._used]
         if self._merged.size:
             self._lower, self._upper = self._lower.copy(), self._upper.copy()
@@ -264,13 +267,11 @@ class PreparedLp:
         rows, only the rows whose Constraint object differs are read again
         (such as the next scenario of a sweep); each must keep its row's
         name and sense, and is checked to reference declared variables
-        only. The plan holds while those rows change no frozen entry (one
-        the substitutions read or add to), keep the sign of every entry,
-        change the coefficients only of free rows (which no row can become
-        parallel to), and no class's ranges cross that did not, or the
-        other way round; then only the numbers are recomputed, and every
-        array equals a fresh compile's bit for bit. Otherwise this is a
-        fresh compile."""
+        only. The plan is kept, and only the numbers recomputed, while those
+        rows keep every entry's sign and each frozen entry (_frozen), only
+        `_free` rows change coefficients, and no class's ranges cross anew or
+        cease to; every array equals a fresh compile's bit for bit.
+        Otherwise this is a fresh compile."""
         old = self.model
         if (model.variables is not old.variables
                 or model.objective_terms is not old.objective_terms
@@ -302,7 +303,7 @@ class PreparedLp:
             return PreparedLp(model)
         if moved.size:
             derived._a = self._a.copy()
-            derived._a[self._row_of[moved], :self.n] = \
+            derived._a[np.searchsorted(self.kept_rows, moved), :self.n] = \
                 a[moved][:, self.kept] + self._fill[moved]
         derived._numbers(low, high)
         return derived
@@ -317,8 +318,8 @@ class PreparedLp:
     ) -> Tableau:
         """Solve under the model's bounds with `bound_overrides` applied,
         continuing `start`: the slack basis by default, or the final
-        tableau of an earlier solve of a compile with the same variable and
-        row names, or a copy of it. A start whose basis matrix is singular
+        tableau of an earlier solve of a compile it fits (Tableau.fits), or
+        a copy of it. A start whose basis matrix is singular
         here falls back to the slack basis. When `time.monotonic()` passes
         `deadline`, the solve stops with status time_limit. Each point of
         the dual simplex bounds the optimum from below: once that bound, the
@@ -417,24 +418,6 @@ def _substitutions(a: np.ndarray, free: np.ndarray, equality: np.ndarray):
     return np.array(list(gone), dtype=int), np.array(list(gone.values()), dtype=int)
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each of `keys`: whether no other key equals it, and the lowest
-    index of a key equal to it."""
-    order = np.argsort(keys, kind="stable")
-    run = np.cumsum(_run_starts(keys[order])) - 1
-    lone, first = np.empty(len(keys), dtype=bool), np.empty(len(keys), dtype=int)
-    lone[order] = np.bincount(run)[run] == 1
-    first[order] = order[np.searchsorted(run, run)]
-    return lone, first
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Whether each of the sorted `values` starts a run of equal ones."""
-    starts = np.ones(len(values), dtype=bool)
-    starts[1:] = values[1:] != values[:-1]
-    return starts
-
-
 def _rest(terms: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     """For each term, the sum of the other terms of its row (`terms` are
     finite or -inf, `rows` their rows): -inf where another term is."""
@@ -455,14 +438,15 @@ def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, in
 
 class Tableau:
     """One solve of a PreparedLp under one set of bounds, and once finished
-    its result: `status`, an optimum's `objective` and `values` (else None
-    and {}), `iterations`, LAPACK `refactorizations`, and the final tableau:
-    B^-1*A (`matrix`, m x (n+m)) with the basis, column states and the rest
-    of the dual's state; the basic columns' bounds are read through the
-    basis. It starts a solve of any compile with the same variable and row
-    names, which continues it in place (_load), so it serves as a start once
-    only (`copy` gives another, and `basis_copy` one without B^-1*A): a
-    start that has served keeps none of the arrays it handed on, nor a basis."""
+    its result: `status`, an optimum's `objective` and `values` (every model
+    variable's, else None and {}), `iterations`, LAPACK `refactorizations`,
+    and the final tableau: B^-1*A (`matrix`, m x (n+m) of the presolved LP)
+    with the basis, column states and the rest of the dual's state; the
+    basic columns' bounds are read through the basis. It starts a solve of
+    any compile it fits, which continues it in place (_load), so it serves
+    as a start once only (`copy` gives another, and `basis_copy` one
+    without B^-1*A): a start that has served keeps none of the arrays it
+    handed on, nor a basis."""
 
     def __init__(self, prep: PreparedLp, lower, upper, deadline, cutoff):
         self.prep, self.a, self.b = prep, prep._a, prep._b
@@ -498,7 +482,8 @@ class Tableau:
 
     def fits(self, prep: PreparedLp) -> bool:
         """Whether this tableau can start a solve of `prep`: one with the
-        same variable and row names."""
+        same variable and row names and the same presolve plan, so that
+        the two LPs have the same columns and rows."""
         return prep is self.prep or (prep.names == self.prep.names
                                      and prep.rows == self.prep.rows
                                      and prep.plan == self.prep.plan)

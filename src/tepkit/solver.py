@@ -166,7 +166,8 @@ class _BranchAndBound:
         self.options = options
         # a root start carries the compile of a model like this one, such as
         # the previous scenario of a sweep, to derive this one's from; a
-        # model with other names starts from the slack basis
+        # compile it does not fit (other names or plan) starts from the
+        # slack basis
         self.prep = PreparedLp(model) if root_start is None else root_start.prep.derive(model)
         self.root_start = (root_start if root_start is not None and root_start.fits(self.prep)
                            else None)
@@ -352,9 +353,9 @@ def solve_sweep(models: Iterable[Model], options: SolveOptions | None = None
     network, yielding each verified Solution or the error that ended its
     solve: an engine error, or the ModelError of a model the engine
     refuses. Each root LP continues the previous search's root solve, with
-    its compile derived from that one's, where the two models have the
-    same variable and row names; it starts from the slack basis after an
-    error or where the names differ."""
+    its compile derived from that one's, where the two compiles have the
+    same variable and row names and presolve plan (Tableau.fits); it
+    starts from the slack basis after an error or where they differ."""
     root = None
     for model in models:
         try:
