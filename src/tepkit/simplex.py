@@ -46,14 +46,15 @@ A model is compiled once to dense arrays (PreparedLp), as a presolved LP
 (Andersen & Andersen, Math. Prog. 71, 1995). Each free column without cost
 goes, fewest nonzeros first, through an equality row of at most three
 terms that holds it (in a TEP model, the existing lines' flows and their
-angle-flow rows); rows then exactly parallel merge into one row with a
-ranged slack, unless their ranges cross, so that a Farkas certificate
-still proves the LP infeasible. A solve's values are postsolved for every
-model variable. A model that shares an earlier compile's variables and
-objective by identity is compiled from it (`derive`): only the rows whose
-Constraint object differs are read again, the plan (which columns go,
-which rows merge) is kept while it holds, and the result equals a fresh
-compile bit for bit.
+angle-flow rows); rows then exactly parallel (equal byte for byte once
+scaled) merge into one row with a ranged slack, unless their ranges
+cross, so that a Farkas certificate still proves the LP infeasible. A
+solve's values are postsolved for every model variable. A model that
+shares an earlier compile's variables and objective by identity is
+compiled from it (`derive`): only the rows whose terms differ are read
+again, a row that keeps the earlier terms only sets its right-hand side,
+the plan (which columns go, which rows merge) is kept while it holds, and
+the result equals a fresh compile bit for bit.
 
 A final tableau may also start a solve of another compile with the same
 variable and row names and the same plan, such as the next scenario of a
@@ -144,7 +145,8 @@ class PreparedLp:
     columns `kept`, and `m` rows, each standing for the model row
     `kept_rows` names and the rows merged into it, with one slack each.
     `plan` says which columns go, through which rows, and which rows
-    merge; `_a0` and `_b0` keep the model's own rows."""
+    merge: each row that stays is in one class of exactly parallel rows,
+    a class of one too. `_a0` and `_b0` keep the model's own rows."""
 
     def __init__(self, model: Model):
         check_model(model)
@@ -153,10 +155,10 @@ class PreparedLp:
         self.rows = [c.name for c in model.constraints]
         self.var_index = model.variable_index()
         n, m = len(self.names), len(self.rows)
-        a, b = np.zeros((m, n)), np.zeros(m)
+        a, b = np.zeros((m, n)), np.array([con.rhs for con in model.constraints], dtype=float)
         slack_lo, slack_up = np.zeros(m), np.zeros(m)  # each row's slack range, by its sense
         for i, con in enumerate(model.constraints):
-            _read_row(a, b, i, con, self.var_index)
+            _read_row(a, i, con, self.var_index)
             if con.sense == SENSE_LE:
                 slack_up[i] = math.inf
             elif con.sense == SENSE_GE:
@@ -182,57 +184,51 @@ class PreparedLp:
         # columns gain `fill` and its right-hand side w*b_used
         self._pivot = a[used, gone]
         self._t = -a[used][:, kept] / self._pivot[:, None]
-        w = -a[rest][:, gone] / self._pivot
+        self._rest, self._w = rest, -a[rest][:, gone] / self._pivot
         self._fill = np.zeros((m, n))  # by model row, 0 in a used one
-        self._fill[rest] = w @ a[used][:, kept]
+        self._fill[rest] = self._w @ a[used][:, kept]
         a1 = a[rest][:, kept] + self._fill[rest]
         # a derived model may change an entry only on a kept column of a row
-        # that stays, where the used rows add nothing (derive)
+        # that stays, where the used rows add nothing, and in a row free to
+        # move (below; derive)
         self._frozen = np.ones((m, len(self.names)), dtype=bool)
         self._frozen[:, kept] = self._fill != 0.0
         self._frozen[used] = True
 
-        # classes of exactly parallel rows, equal once each is scaled by its
-        # first nonzero (an empty row by 1), each led by its lowest row. A
-        # row may change (`free`) where the signs of its scaled row are its
-        # own: no row can become its parallel
+        # classes of exactly parallel rows: rows equal byte for byte once
+        # each is scaled by its first nonzero (an empty row by 1) and given a
+        # zero column (np.unique finds no row of width 0), each led by its
+        # lowest row. A row is free to move where the signs of its scaled row
+        # are its own: no row can become its parallel
         r = len(rest)
         padded = np.column_stack((a1, np.ones(r)))
         scale = padded[np.arange(r), (padded != 0.0).argmax(axis=1)]
-        scaled = a1 / scale[:, None] + 0.0  # no -0.0
-        weights = np.sqrt(np.arange(2.0, n + 2.0))
-        key, rep, todo = (scaled * weights).sum(axis=1), np.empty(r, dtype=int), np.arange(r)
-        while todo.size:
-            _, first, inverse = np.unique(key[todo], return_index=True, return_inverse=True)
-            first = todo[first[inverse]]
-            same = _all(scaled[todo] == scaled[first], axis=1)
-            rep[todo[same]] = first[same]
-            todo = todo[~same]
-        _, inverse, count = np.unique((np.sign(scaled) * weights).sum(axis=1),
-                                      return_inverse=True, return_counts=True)
-        self._free = np.zeros(m, dtype=bool)  # by model row
-        self._free[rest] = count[inverse] == 1
-        # the rows of classes of more than one row, by class: each row's
-        # range for the slack s of its class's lowest row follows from its
-        # own slack, b - ratio*(b_lowest - s) (_ranges)
-        multi = np.flatnonzero(np.bincount(rep, minlength=r)[rep] > 1)
-        members = multi[np.argsort(rep[multi], kind="stable")]
-        self._lead = np.searchsorted(rep[members], rep[members])
-        self._starts = np.flatnonzero(self._lead == np.arange(len(members)))
-        self._ratio = scale[members] / scale[rep[members]]
+        scaled = np.column_stack((a1 / scale[:, None], np.zeros(r))) + 0.0  # no -0.0
+        key = scaled.view(np.dtype((np.void, 8 * (n + 1))))[:, 0]  # each row as one value
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rep = first[inverse]
+        signs = np.sign(scaled).astype(np.int8).view(np.dtype((np.void, n + 1)))[:, 0]
+        _, inverse, count = np.unique(signs, return_inverse=True, return_counts=True)
+        self._frozen[rest[count[inverse] > 1]] = True
+        # every row by class, a class of one too, and its class's lowest row
+        # (positions in `rest`): each row's range for the slack s of the
+        # lowest row follows from its own slack, b - ratio*(b_lowest - s),
+        # which a class of one keeps (_ranges)
+        order = self._order = np.argsort(rep, kind="stable")
+        lowest = self._lowest = rep[order]
+        self._starts = np.flatnonzero(lowest == order)
+        self._ratio = scale[order] / scale[lowest]
         own = np.stack((slack_lo[rest], slack_up[rest]))
-        self._sides = np.where(self._ratio > 0.0, own[:, members], own[::-1, members])
-        self._member_rows, self._w_members = rest[members], w[members]
+        self._sides = np.where(self._ratio > 0.0, own[:, order], own[::-1, order])
         low, high = self._ranges()
         crossed = self._crossed = ~(low <= high)
-        stand = rep == np.arange(r)
-        stand[members[crossed[np.searchsorted(self._starts, self._lead)]]] = True
-        rows = np.flatnonzero(stand)
+        # each class's lowest row stands, and every row of a crossed class
+        stand = (lowest == order) | np.repeat(crossed, np.diff(self._starts, append=r))
+        rows = np.sort(order[stand])
         self.m = len(rows)
         self.kept_rows = rest[rows]
-        self._w_rows = w[rows]
-        self._merged = np.flatnonzero(~crossed)
-        self._merged_at = n + np.searchsorted(rows, members[self._starts[self._merged]])
+        self._w_rows = self._w[rows]
+        self._merged_at = n + np.searchsorted(rows, order[self._starts[~crossed]])
         self.plan = tuple(x.tobytes() for x in (gone, used, rep, crossed))
         self._a = np.zeros((self.m, n + self.m))  # structurals, then one slack per row
         self._a[:, :n] = a1[rows]
@@ -245,55 +241,55 @@ class PreparedLp:
     def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """Each class of parallel rows' slack range, crossed where it may
         not merge."""
-        b = self._b0[self._member_rows] + self._w_members @ self._b0[self._used]
-        sides = (self._sides - (b - self._ratio * b[self._lead])) / self._ratio
+        b = self._b0[self._rest] + self._w @ self._b0[self._used]
+        sides = (self._sides - (b[self._order] - self._ratio * b[self._lowest])) / self._ratio
         return (np.maximum.reduceat(sides[0], self._starts),
                 np.minimum.reduceat(sides[1], self._starts))
 
     def _numbers(self, low: np.ndarray, high: np.ndarray) -> None:
-        """The numbers the right-hand sides set: b, a merged row's range
+        """The numbers the right-hand sides set: b, the merged rows' ranges
         (_ranges), the primal tolerance and x_gone's shift."""
         self._b = self._b0[self.kept_rows] + self._w_rows @ self._b0[self._used]
-        if self._merged.size:
+        if self.m < len(self._order):  # some rows merge
             self._lower, self._upper = self._lower.copy(), self._upper.copy()
-            self._lower[self._merged_at] = low[self._merged]
-            self._upper[self._merged_at] = high[self._merged]
+            self._lower[self._merged_at] = low[~self._crossed]
+            self._upper[self._merged_at] = high[~self._crossed]
         self._primal_tol = _primal_tol(self._b)
         self._shift = self._b0[self._used] / self._pivot
 
     def derive(self, model: Model) -> PreparedLp:
         """Compile `model` from this compile. Where `model` shares this
-        compile's variables and objective terms by identity and has as many
-        rows, only the rows whose Constraint object differs are read again
-        (such as the next scenario of a sweep); each must keep its row's
-        name and sense, and is checked to reference declared variables
-        only. The plan is kept, and only the numbers recomputed, while those
-        rows keep every entry's sign and each frozen entry (_frozen), only
-        `_free` rows change coefficients, and no class's ranges cross anew or
-        cease to; every array equals a fresh compile's bit for bit.
-        Otherwise this is a fresh compile."""
+        compile's variables and objective terms by identity, has as many rows
+        and a finite objective constant, each row whose Constraint object
+        differs (as in the next scenario of a sweep) must keep its name and
+        sense and is checked (check_terms); only those whose terms tuple
+        differs are read again, the others set their right-hand side. The
+        plan is kept, and only the numbers recomputed, while the rows read
+        keep every entry's sign and each frozen entry (_frozen), and no
+        class's ranges cross anew or cease to; every array equals a fresh
+        compile's bit for bit. Otherwise this is a fresh compile."""
         old = self.model
         if (model.variables is not old.variables
                 or model.objective_terms is not old.objective_terms
-                or len(model.constraints) != len(self.rows)):
+                or len(model.constraints) != len(self.rows)
+                or not math.isfinite(model.objective_constant)):
             return PreparedLp(model)
-        changed = [(i, con) for i, (con, was) in enumerate(zip(model.constraints, old.constraints))
-                   if con is not was]
-        for i, con in changed:
-            was = old.constraints[i]
-            if con.name != was.name or con.sense != was.sense:
-                return PreparedLp(model)
-            check_terms(con, self.var_index)
-        a, b = self._a0.copy(), self._b0.copy()
-        for i, con in changed:
-            a[i] = 0.0
-            _read_row(a, b, i, con, self.var_index)
-        rows = np.array([i for i, _ in changed], dtype=int)
+        a, b, read = self._a0.copy(), self._b0.copy(), []
+        for i, (con, was) in enumerate(zip(model.constraints, old.constraints)):
+            if con is not was:
+                if con.name != was.name or con.sense != was.sense:
+                    return PreparedLp(model)
+                check_terms(con, self.var_index)
+                if con.terms is not was.terms:
+                    a[i] = 0.0
+                    _read_row(a, i, con, self.var_index)
+                    read.append(i)
+                b[i] = con.rhs
+        rows = np.array(read, dtype=int)
         was, now = self._a0[rows], a[rows]
         differs = was != now
         moved = rows[_any(differs, axis=1)]
-        if (differs & (self._frozen[rows] | (np.sign(was) != np.sign(now)))).any() \
-                or not _all(self._free[moved]):
+        if (differs & (self._frozen[rows] | (np.sign(was) != np.sign(now)))).any():
             return PreparedLp(model)
         derived = object.__new__(PreparedLp)
         derived.__dict__.update(self.__dict__)
@@ -428,12 +424,10 @@ def _rest(terms: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
                     np.bincount(rows, values, m)[rows] - values, -math.inf)
 
 
-def _read_row(a: np.ndarray, b: np.ndarray, i: int, con, var_index: dict[str, int]) -> None:
-    """Add row i's terms into its zeroed structural entries of `a`, in term
-    order, and set its right-hand side."""
+def _read_row(a: np.ndarray, i: int, con, var_index: dict[str, int]) -> None:
+    """Add row i's terms into its zeroed entries of `a`, in term order."""
     for name, coef in con.terms:
         a[i, var_index[name]] += coef
-    b[i] = con.rhs
 
 
 class Tableau:

@@ -38,6 +38,7 @@ from tepkit.solver import (
 )
 
 from conftest import two_bus_net
+from test_ledger import GARVER_SWEEP_LEDGER, GARVER_SWEEP_OBJECTIVES, W2_SWEEP_LEDGER
 
 
 @pytest.fixture(scope="module")
@@ -434,28 +435,21 @@ def test_sweep_garver_report_rows_are_pinned(garver_doc, tmp_path):
     assert hashlib.sha256(table.encode()).hexdigest() == GARVER_SWEEP_TABLE_SHA256
 
 
-# Each Garver scenario's (nodes, simplex iterations) and objective repr at
-# the default options, scenario by scenario as the sweep hands the root
-# tableau on; nodes counts LP solves, so a node closed by its branching
-# penalty is not among them. They follow from every pivot the simplex
-# chooses, so a kernel rewrite that picks any other pivot, or rounds any
-# step differently, changes them.
-GARVER_SWEEP_PIVOTS = [
-    (42, 136, "227251333.4771197"),
-    (26, 76, "231318001.6796933"),
-    (34, 110, "230900302.75164795"),
-    (31, 88, "245424473.69144094"),
-]
-
-
 def test_sweep_garver_pivots_are_pinned(garver_doc, tmp_path, monkeypatch):
+    # each Garver scenario's nodes (the LP solves: a node closed by its
+    # branching penalty is not among them), simplex iterations, LAPACK
+    # refactorizations (none: every node starts from a tableau) and
+    # objective repr through the CLI at the default options, as the work
+    # ledger pins them. They follow from every pivot the simplex chooses,
+    # so a kernel rewrite that picks any other pivot, or rounds any step
+    # differently, changes them
     results = _recording_solve_sweep(monkeypatch)
     result = run("sweep", "--network", garver_doc, "--out", str(tmp_path / "sweep.csv"))
     assert result.exit_code == 0
-    assert [(sol.stats["nodes"], sol.stats["simplex_iterations"], repr(sol.objective))
-            for sol in results] == GARVER_SWEEP_PIVOTS
-    # every node starts from a tableau, so no LAPACK factorization is made
-    assert sum(sol.stats["refactorizations"] for sol in results) == 0
+    assert [(sol.stats["nodes"], sol.stats["simplex_iterations"], sol.stats["refactorizations"],
+             repr(sol.objective)) for sol in results] == [
+        (nodes, iterations, refactorizations, GARVER_SWEEP_OBJECTIVES[code])
+        for code, (nodes, _, iterations, refactorizations) in GARVER_SWEEP_LEDGER.items()]
 
 
 def _sweep_with_lp_log(doc, out):
@@ -514,7 +508,9 @@ def test_hand_over_roots_flip_a_slack_to_the_bound_its_row_implies(
     assert plans == [["y7", "y8", "y9", "z4", "z6"], ["y12", "y13", "y7", "y8", "z6"]]
 
 
-@pytest.mark.parametrize("network, one_step", [("garver", 58), ("w2", 0)])
+@pytest.mark.parametrize("network, one_step", [
+    (network, sum(closed for _, closed, *_ in ledger.values()))
+    for network, ledger in (("garver", GARVER_SWEEP_LEDGER), ("w2", W2_SWEEP_LEDGER))])
 def test_nodes_closed_by_their_penalty_are_the_one_step_cutoffs(
         network, one_step, garver_doc, tmp_path, monkeypatch):
     # a child closed by its branching penalty is one whose LP would have

@@ -23,6 +23,14 @@ GARVER_SWEEP_LEDGER = {
     "H,L": (34, 14, 110, 0),
     "H,H": (31, 20, 88, 0),
 }
+# each Garver scenario's objective repr: every pivot the simplex chooses
+# sets its last digits
+GARVER_SWEEP_OBJECTIVES = {
+    "L,L": "227251333.4771197",
+    "L,H": "231318001.6796933",
+    "H,L": "230900302.75164795",
+    "H,H": "245424473.69144094",
+}
 # W2: every scenario closes at its root; the first root starts from the
 # slack basis, each later one from the previous root
 W2_SWEEP_LEDGER = {
@@ -56,23 +64,28 @@ def w3_model():
 
 
 def _sweep_ledger(net):
+    """The sweep's ledger and each scenario's objective repr."""
     skeleton = TepSkeleton(net, 8760.0)
     codes = enumerate_scenarios(len(net.regions))
     models = [skeleton.model(realize_scenario(code, net)) for code in codes]
-    ledger = {}
+    ledger, objectives = {}, {}
     for code, sol in zip(codes, solve_sweep(models)):
         assert sol.status == "optimal", code
-        ledger[",".join(code.marks)] = (sol.stats["nodes"], sol.stats["closed_nodes"],
-                                        sol.stats["simplex_iterations"],
-                                        sol.stats["refactorizations"])
-    return ledger
+        mark = ",".join(code.marks)
+        ledger[mark] = (sol.stats["nodes"], sol.stats["closed_nodes"],
+                        sol.stats["simplex_iterations"], sol.stats["refactorizations"])
+        objectives[mark] = repr(sol.objective)
+    return ledger, objectives
 
 
 @pytest.mark.parametrize("network, pinned", [("garver", GARVER_SWEEP_LEDGER),
                                              ("w2", W2_SWEEP_LEDGER)])
 def test_sweep_work_is_pinned(network, pinned):
     net = builtin_garver() if network == "garver" else w2_network()
-    assert _sweep_ledger(net) == pinned
+    ledger, objectives = _sweep_ledger(net)
+    assert ledger == pinned
+    if network == "garver":
+        assert objectives == GARVER_SWEEP_OBJECTIVES
 
 
 def test_w3_work_plan_and_objective_are_pinned():

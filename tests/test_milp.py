@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tepkit.milp
+import tepkit.simplex
 from tepkit.instance import SynthesisConfig, builtin_garver, synthesize_grid
 from tepkit.milp import TepSkeleton, build_tep_model
 from tepkit.model import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE
@@ -255,6 +256,27 @@ def test_sweep_compiles_derive_bit_identical_arrays(grid, monkeypatch):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # signed zeros too
     assert len(full) == len(codes)  # the fresh ones: no derive fell back
+
+
+def test_sweep_derives_read_no_balance_row(monkeypatch):
+    # a balance row keeps its terms tuple from one scenario to the next and
+    # only its right-hand side moves with gamma, so the synth-sweep's
+    # derives set those and read only the capacity rows eta sets
+    net, _ = _sweep_grid("synth-sweep")
+    skeleton = TepSkeleton(net, 8760.0)
+    models = [skeleton.model(realize_scenario(code, net)) for code in enumerate_scenarios(4)]
+    prep = PreparedLp(models[0])
+    read = []
+    real = tepkit.simplex._read_row
+    monkeypatch.setattr(tepkit.simplex, "_read_row",
+                        lambda *args: read.append(args[-2].name) or real(*args))
+    balance_changed = 0
+    for previous, model in zip(models, models[1:]):
+        balance_changed += sum(con is not was and con.name.startswith("bal")
+                               for con, was in zip(model.constraints, previous.constraints))
+        prep = prep.derive(model)  # a fresh compile would read every row
+    assert balance_changed > 0
+    assert read and all(name.startswith(("ex", "cn")) for name in read)
 
 
 def test_signed_zero_gamma_makes_its_own_rows():

@@ -734,6 +734,35 @@ def test_derived_row_with_a_non_finite_entry_is_refused():
             base.derive(_with_row(base_model, 2, bad))
 
 
+def test_derived_model_with_a_constant_that_is_not_finite_is_refused():
+    # as a fresh compile refuses it (check_model), so does a derive, which
+    # otherwise reads no part of the objective
+    base_model = dense_lp()
+    base = PreparedLp(base_model)
+    for constant in (math.nan, math.inf, -math.inf):
+        bad = dataclasses.replace(base_model, objective_constant=constant)
+        with pytest.raises(ModelError, match=f"objective: constant {constant}"):
+            base.derive(bad)
+
+
+def test_a_row_whose_signs_no_other_row_shares_keeps_the_plan(monkeypatch):
+    # ra's scaled row is + on columns 2 and 7 and rb's + on column 23, so
+    # each row's signs are its own and a new coefficient of ra of the same
+    # sign keeps the plan; a sum of signs weighted sqrt(j + 2) on column j
+    # would give both rows 2 + 3 = 5 and take them for possible parallels
+    variables = [Variable(f"x{j}", CONTINUOUS, 0.0, 10.0) for j in range(30)]
+    ra = Constraint("ra", (("x2", 1.0), ("x7", 2.0)), SENSE_LE, 8.0)
+    rb = Constraint("rb", (("x23", 3.0),), SENSE_LE, 9.0)
+    everything = Constraint("all", tuple((v.name, 1.0) for v in variables), SENSE_LE, 100.0)
+    base_model = lp(variables, [ra, rb, everything], [(v.name, -1.0) for v in variables])
+    base = PreparedLp(base_model)
+    moved = _with_row(base_model, 0, dataclasses.replace(ra, terms=(("x2", 1.0), ("x7", 2.5))))
+    compiled = _full_compiles(monkeypatch)
+    derived = base.derive(moved)
+    assert compiled == []
+    assert _same_arrays(derived, PreparedLp(moved))
+
+
 def test_bound_overrides_refuse_a_nan_bound_and_an_unknown_name():
     prep = PreparedLp(dense_lp())
     for lo, up in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
@@ -1221,6 +1250,24 @@ def test_implied_bounds_contain_every_feasible_point():
                                                        demand_total_mw=720.0)), "H,L,H,L")):
         model = TepSkeleton(net, 8760.0).model(realize_scenario(ScenarioCode.parse(code), net))
         assert _implied_bounds_hold(model), code
+
+
+def test_every_column_substituted_out_leaves_rows_that_merge_or_cross():
+    # x is free and has no cost, so `fix` substitutes it out and the other
+    # rows keep no column: such rows are one class, which merges where
+    # their ranges meet (x <= 7 and x >= 1) and stays apart where they cross
+    # (x <= 4 and x >= 6), so that the dual proves that LP infeasible by its
+    # Farkas certificate
+    x = [Variable("x", CONTINUOUS)]
+    fix = Constraint("fix", (("x", 1.0),), SENSE_EQ, 5.0)
+    for (upper, lower), m, status in (((7.0, 1.0), 1, "optimal"), ((4.0, 6.0), 2, "infeasible")):
+        model = lp(x, [fix, Constraint("le", (("x", 1.0),), SENSE_LE, upper),
+                       Constraint("ge", (("x", 1.0),), SENSE_GE, lower)], [])
+        prep = PreparedLp(model)
+        assert (prep.n, prep.m, prep.kept_rows.tolist()) == (0, m, [1, 2][:m])
+        result = prep.solve()
+        assert result.status == status
+        assert result.values == ({"x": 5.0} if status == "optimal" else {})
 
 
 def _presolve_lp(rng):

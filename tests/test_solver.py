@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -33,6 +34,7 @@ from tepkit.solver import (
 )
 
 from conftest import highs_milp
+from test_ledger import GARVER_SWEEP_LEDGER
 
 
 def milp(variables, constraints, objective, constant=0.0, name="m"):
@@ -367,6 +369,22 @@ def test_sweep_yields_a_refused_model_in_place_and_starts_the_next_model_afresh(
     assert roots[0] is None and isinstance(roots[1], Tableau) and roots[2] is None
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf])
+def test_sweep_refuses_a_derived_model_whose_objective_constant_is_not_finite(constant):
+    # the second model shares the first's variables and objective terms, so
+    # its compile is derived from the first's; it is refused in its place
+    # as a fresh compile refuses it, and the third model solves
+    net = builtin_garver()
+    skeleton = TepSkeleton(net, 8760.0)
+    first_model, model = (skeleton.model(realize_scenario(ScenarioCode.parse(code), net))
+                          for code in ("L,L", "H,H"))
+    bad = dataclasses.replace(model, objective_constant=constant)
+    first, error, third = solve_sweep([first_model, bad, model])
+    assert first.status == third.status == "optimal"
+    assert isinstance(error, ModelError)
+    assert str(error) == f"objective: constant {constant}"
+
+
 def test_sweep_starts_a_model_with_other_names_from_the_slack_basis(monkeypatch):
     # the second model's compile cannot be derived from the first's, and
     # the first's root tableau cannot start it: it is solved as cold
@@ -473,7 +491,7 @@ def test_a_sibling_past_the_cutoff_is_pushed_without_a_start(monkeypatch):
     # parent's solve, except one whose own bound already exceeds the
     # cutoff: that one holds nothing, so a Garver sweep makes no copy
     # without B^-1*A (38 when such a sibling kept one), and every search
-    # keeps its LP solves and closed nodes
+    # keeps the LP solves and closed nodes of the work ledger
     calls = []
     basis_copy = Tableau.basis_copy
     monkeypatch.setattr(Tableau, "basis_copy", lambda t: calls.append(t) or basis_copy(t))
@@ -482,7 +500,7 @@ def test_a_sibling_past_the_cutoff_is_pushed_without_a_start(monkeypatch):
     sweep = solve_sweep(skeleton.model(realize_scenario(code, net))
                         for code in enumerate_scenarios(2))
     assert [(s.stats["nodes"], s.stats["closed_nodes"]) for s in sweep] == [
-        (42, 13), (26, 11), (34, 14), (31, 20)]
+        (nodes, closed) for nodes, closed, *_ in GARVER_SWEEP_LEDGER.values()]
     assert calls == []
 
 
