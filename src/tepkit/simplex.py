@@ -69,12 +69,12 @@ it from the new columns.
 
 The tableau B^-1*A is kept dense and updated by rank-1 pivots, which
 touch only the pivot's nonzero rows and columns where these are few
-(`_eliminate`). It is refactorized from the original columns when a
-start carries no B^-1*A (or a column replacement fails) and every 128
-pivots (column replacements count). A basis of slacks alone, such as
-the default start, is B = I up to the order of its rows and loads as A
-itself, without LAPACK. A refactorization that finds the basis singular
-restarts the solve from the slack basis.
+(`_eliminate`). It is refactorized from the original columns only on
+need: when a start carries no B^-1*A, when a column replacement's pivot
+vanishes, and when a verdict fails its certificate (below). A basis of
+slacks alone, such as the default start, is B = I up to the order of
+its rows and loads as A itself, without LAPACK. A refactorization that
+finds the basis singular restarts the solve from the slack basis.
 
 Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
@@ -116,7 +116,6 @@ _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _RATIO_TIE = 1e-12
 _BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
-_REFACTOR_EVERY = 128
 _OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 # what a Tableau start hands on to the solve that continues it (Tableau._load),
@@ -220,14 +219,13 @@ class PreparedLp:
         self._ratio = scale[order] / scale[lowest]
         own = np.stack((slack_lo[rest], slack_up[rest]))
         self._sides = np.where(self._ratio > 0.0, own[:, order], own[::-1, order])
-        low, high = self._ranges()
+        b, low, high = self._ranges()
         crossed = self._crossed = ~(low <= high)
         # each class's lowest row stands, and every row of a crossed class
         stand = (lowest == order) | np.repeat(crossed, np.diff(self._starts, append=r))
         rows = np.sort(order[stand])
         self.m = len(rows)
         self.kept_rows = rest[rows]
-        self._w_rows = self._w[rows]
         self._merged_at = n + np.searchsorted(rows, order[self._starts[~crossed]])
         self.plan = tuple(x.tobytes() for x in (gone, used, rep, crossed))
         self._a = np.zeros((self.m, n + self.m))  # structurals, then one slack per row
@@ -236,20 +234,20 @@ class PreparedLp:
         self._lower = np.concatenate((lower[kept], own[0, rows]))
         self._upper = np.concatenate((upper[kept], own[1, rows]))
         self._cost = np.concatenate((cost[kept], np.zeros(self.m)))
-        self._numbers(low, high)
+        self._numbers(b, low, high)
 
-    def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each class of parallel rows' slack range, crossed where it may
-        not merge."""
+    def _ranges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The right-hand sides b of the rows that remain, and each class
+        of parallel rows' slack range, crossed where it may not merge."""
         b = self._b0[self._rest] + self._w @ self._b0[self._used]
         sides = (self._sides - (b[self._order] - self._ratio * b[self._lowest])) / self._ratio
-        return (np.maximum.reduceat(sides[0], self._starts),
+        return (b, np.maximum.reduceat(sides[0], self._starts),
                 np.minimum.reduceat(sides[1], self._starts))
 
-    def _numbers(self, low: np.ndarray, high: np.ndarray) -> None:
-        """The numbers the right-hand sides set: b, the merged rows' ranges
-        (_ranges), the primal tolerance and x_gone's shift."""
-        self._b = self._b0[self.kept_rows] + self._w_rows @ self._b0[self._used]
+    def _numbers(self, b: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+        """The numbers the right-hand sides set, from _ranges: the standing
+        rows' b, the merged ranges, the primal tolerance and x_gone's shift."""
+        self._b = b[np.searchsorted(self._rest, self.kept_rows)]
         if self.m < len(self._order):  # some rows merge
             self._lower, self._upper = self._lower.copy(), self._upper.copy()
             self._lower[self._merged_at] = low[~self._crossed]
@@ -294,14 +292,14 @@ class PreparedLp:
         derived = object.__new__(PreparedLp)
         derived.__dict__.update(self.__dict__)
         derived.model, derived._a0, derived._b0 = model, a, b
-        low, high = derived._ranges()
+        rhs, low, high = derived._ranges()
         if (~(low <= high) != self._crossed).any():
             return PreparedLp(model)
         if moved.size:
             derived._a = self._a.copy()
             derived._a[np.searchsorted(self.kept_rows, moved), :self.n] = \
                 a[moved][:, self.kept] + self._fill[moved]
-        derived._numbers(low, high)
+        derived._numbers(rhs, low, high)
         return derived
 
     def solve(
@@ -449,7 +447,7 @@ class Tableau:
         self.fixed = upper - lower <= 0.0
         self.primal_tol, self.dtol = prep._primal_tol, prep._dtol
         self.deadline, self.cutoff = deadline, cutoff
-        self.iterations = self.pivots_since_refactor = self.refactorizations = 0
+        self.iterations = self.refactorizations = 0
         self.fresh = False  # the tableau is a factorization no pivot has touched
 
     def copy(self) -> Tableau:
@@ -502,13 +500,12 @@ class Tableau:
 
     def _load(self, start: Tableau) -> None:
         """Check `start` and adopt its basis, whether or not each basic value
-        lies within its bounds (the dual repairs the ones that do not), the
-        rest of its state (_HANDED_ON) and its pivot count. Each nonbasic
-        column whose bounds differ from the start's final bounds is settled
-        again (_settle); the dual reads a basic one's from this solve's. A
-        start with B^-1*A, of this compile or of another once its changed
-        columns are replaced, gives x_B = B^-1*(b - A_N*x_N) directly;
-        otherwise the basis is refactorized."""
+        lies within its bounds (the dual repairs the ones that do not), and the
+        rest of its state (_HANDED_ON). Each nonbasic column whose bounds differ
+        from the start's final bounds is settled again (_settle); the dual
+        reads a basic one's from this solve's. A start with B^-1*A, of this
+        compile or of another once its changed columns are replaced, gives
+        x_B = B^-1*(b - A_N*x_N) directly; otherwise the basis is refactorized."""
         if not start.fits(self.prep):
             raise ValueError("start tableau belongs to an LP with other variables or rows")
         if start.basis is None:
@@ -516,7 +513,6 @@ class Tableau:
         for name in _HANDED_ON:  # the start keeps none of what it hands on
             setattr(self, name, getattr(start, name))
             setattr(start, name, None)
-        self.pivots_since_refactor = start.pivots_since_refactor
         moved = (self.lower != start.lower) | (self.upper != start.upper)
         unsettled = np.flatnonzero(moved & (self.state != _BASIC))
         if unsettled.size:
@@ -599,7 +595,6 @@ class Tableau:
             self.matrix[np.arange(self.m), self.basis] = 1.0
             self.x_basic = solved[:, -1].copy()
             self.refactorizations += 1
-        self.pivots_since_refactor = 0
         self.fresh = True
 
     def _reduced_costs(self) -> np.ndarray:
@@ -659,7 +654,6 @@ class Tableau:
             block = np.ix_(rows, cols)
         self.matrix[block] -= np.multiply.outer(col[rows], piv_row[cols])
         self.matrix[row] = piv_row
-        self.pivots_since_refactor += 1
         self.fresh = False
         return piv_row
 
@@ -807,9 +801,6 @@ class Tableau:
                 z[q] = 0.0  # gains by at most dtol (Harris): a zero dual step
             self.iterations += 1
             self._pivot(q, row, change, z, _AT_UPPER if above else _AT_LOWER)
-            if self.pivots_since_refactor >= _REFACTOR_EVERY:
-                self._refactorize()
-                z = None
 
     def _certified(self, x: np.ndarray) -> bool:
         """Whether the current point `x` is optimal on the original rows,

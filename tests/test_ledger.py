@@ -40,9 +40,23 @@ W2_SWEEP_LEDGER = {
         "H,L,L,L", "H,L,L,H", "H,L,H,L", "H,L,H,H", "H,H,L,L", "H,H,L,H", "H,H,H,L")},
     "H,H,H,H": (1, 0, 1, 0),
 }
-# W3 H,H: (LP solves, nodes closed by their penalty). Its iterations
-# depend on the BLAS thread count, so they are not pinned
-W3_HH_LEDGER = (89, 31)
+# W3 H,H: (LP solves, nodes closed by their penalty, simplex iterations,
+# LAPACK refactorizations), and its objective repr; it makes no LAPACK
+# call, so both are the same under any BLAS thread count
+W3_HH_LEDGER = (89, 31, 406, 0)
+W3_HH_OBJECTIVE_REPR = "338946674.0158572"
+# W5 (synthesize_grid(36 buses, 6 regions, seed 5, 1800 MW)): its first
+# eight scenarios in sweep order, swept on their own, as in the full sweep
+W5_SLICE_LEDGER = {
+    "L,L,L,L,L,L": (30, 3, 178, 0),
+    "L,L,L,L,L,H": (25, 1, 95, 0),
+    "L,L,L,L,H,L": (31, 5, 91, 0),
+    "L,L,L,L,H,H": (24, 3, 103, 0),
+    "L,L,L,H,L,L": (27, 2, 97, 0),
+    "L,L,L,H,L,H": (24, 2, 108, 0),
+    "L,L,L,H,H,L": (25, 2, 104, 0),
+    "L,L,L,H,H,H": (21, 3, 80, 0),
+}
 # W3 H,H's optimum as scipy's HiGHS proves it (mip_rel_gap 1e-9), and the
 # lines built and expanded at the engine's optimum; CI checks the installed
 # `tepkit solve` against both
@@ -63,17 +77,28 @@ def w3_model():
     return skeleton, skeleton.model(realize_scenario(ScenarioCode.parse("H,H"), net))
 
 
-def _sweep_ledger(net):
-    """The sweep's ledger and each scenario's objective repr."""
+def w5_network():
+    return synthesize_grid(SynthesisConfig(n_buses=36, n_regions=6, seed=5,
+                                           demand_total_mw=1800.0))
+
+
+def _work(sol):
+    stats = sol.stats
+    return (stats["nodes"], stats["closed_nodes"], stats["simplex_iterations"],
+            stats["refactorizations"])
+
+
+def _sweep_ledger(net, scenarios=None):
+    """The ledger of a sweep over the first `scenarios` (all by default),
+    and each scenario's objective repr."""
     skeleton = TepSkeleton(net, 8760.0)
-    codes = enumerate_scenarios(len(net.regions))
+    codes = enumerate_scenarios(len(net.regions))[:scenarios]
     models = [skeleton.model(realize_scenario(code, net)) for code in codes]
     ledger, objectives = {}, {}
     for code, sol in zip(codes, solve_sweep(models)):
         assert sol.status == "optimal", code
         mark = ",".join(code.marks)
-        ledger[mark] = (sol.stats["nodes"], sol.stats["closed_nodes"],
-                        sol.stats["simplex_iterations"], sol.stats["refactorizations"])
+        ledger[mark] = _work(sol)
         objectives[mark] = repr(sol.objective)
     return ledger, objectives
 
@@ -88,11 +113,17 @@ def test_sweep_work_is_pinned(network, pinned):
         assert objectives == GARVER_SWEEP_OBJECTIVES
 
 
+def test_w5_slice_work_is_pinned():
+    ledger, _ = _sweep_ledger(w5_network(), len(W5_SLICE_LEDGER))
+    assert ledger == W5_SLICE_LEDGER
+
+
 def test_w3_work_plan_and_objective_are_pinned():
     skeleton, model = w3_model()
     sol = solve_milp(model)
     assert sol.status == "optimal"
-    assert (sol.stats["nodes"], sol.stats["closed_nodes"]) == W3_HH_LEDGER
+    assert _work(sol) == W3_HH_LEDGER
+    assert repr(sol.objective) == W3_HH_OBJECTIVE_REPR
     built, expanded = skeleton.plan(sol.values)
     assert [l.id for l in built] == W3_HH_BUILT
     assert [l.id for l in expanded] == W3_HH_EXPANDED

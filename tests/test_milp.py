@@ -279,6 +279,22 @@ def test_sweep_derives_read_no_balance_row(monkeypatch):
     assert read and all(name.startswith(("ex", "cn")) for name in read)
 
 
+def test_right_hand_sides_are_those_the_ranges_are_formed_from():
+    # b of the rows that stand is, bit for bit, the b over every remaining
+    # row that the merged rows' ranges are formed from
+    net, _ = _sweep_grid("synth-sweep")
+    skeleton = TepSkeleton(net, 8760.0)
+    prep = None
+    for code in enumerate_scenarios(4):
+        model = skeleton.model(realize_scenario(code, net))
+        fresh = PreparedLp(model)
+        prep = fresh if prep is None else prep.derive(model)
+        for compiled in (fresh, prep):
+            b = compiled._b0[compiled._rest] + compiled._w @ compiled._b0[compiled._used]
+            standing = b[np.searchsorted(compiled._rest, compiled.kept_rows)]
+            assert compiled._b.tobytes() == standing.tobytes(), code
+
+
 def test_signed_zero_gamma_makes_its_own_rows():
     # 0.0 == -0.0, but their balance right-hand sides differ in sign
     net = three_bus_net()

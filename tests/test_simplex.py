@@ -217,14 +217,22 @@ def test_start_of_wrong_size_raises():
         big.solve(start=small.solve())
 
 
-def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch):
-    # with a refresh after every other pivot, the first refresh's LAPACK
-    # solve finds the basis singular; the solve starts over from the slack
-    # basis, as a singular start does, and the later refreshes go through
+def test_a_singular_refactorization_restarts_the_solve_from_the_slack_basis(monkeypatch):
+    # the first two optima fail their certificate, so each refactorizes mid
+    # solve: the first LAPACK solve finds the basis singular, and the solve
+    # starts over from the slack basis, as a singular start does; the
+    # second goes through, and its fresh factorization is trusted
     prep = PreparedLp(dense_lp())
     cold = prep.solve()
     assert cold.iterations > 2
-    monkeypatch.setattr(tepkit.simplex, "_REFACTOR_EVERY", 2)
+    certified = Tableau._certified
+    checked = []
+
+    def failing_twice(run, x):
+        checked.append(len(checked))
+        return len(checked) > 2 and certified(run, x)
+
+    monkeypatch.setattr(Tableau, "_certified", failing_twice)
     solve = np.linalg.solve
     calls = []
 
@@ -246,8 +254,8 @@ def test_a_singular_refresh_restarts_the_solve_from_the_slack_basis(monkeypatch)
     result = prep.solve()
     slack = (True, list(range(prep.n, prep.n + prep.m)))
     assert restarted == [slack, slack]  # the start, then the restart
-    assert result.status == "optimal"
-    assert result.refactorizations == len(calls) - 1 >= 1  # the failed one not counted
+    assert result.status == "optimal" and len(checked) == 2
+    assert result.refactorizations == len(calls) - 1 == 1  # the failed one not counted
     assert result.objective == pytest.approx(cold.objective, rel=1e-12)
     for name, value in cold.values.items():
         assert result.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
