@@ -71,10 +71,10 @@ The tableau B^-1*A is kept dense and updated by rank-1 pivots, which
 touch only the pivot's nonzero rows and columns where these are few
 (`_eliminate`). It is refactorized from the original columns only on
 need: when a start carries no B^-1*A, when a column replacement's pivot
-vanishes, and when a verdict fails its certificate (below). A basis of
-slacks alone, such as the default start, is B = I up to the order of
-its rows and loads as A itself, without LAPACK. A refactorization that
-finds the basis singular restarts the solve from the slack basis.
+vanishes, and when a verdict fails its certificate (below). Basic slacks
+are unit columns, so LAPACK solves only the k x k block of the k basic
+structural columns (Suhl & Suhl, ORSA J. Comput. 2, 1990), none for the
+slack basis; a singular block restarts the solve from the slack basis.
 
 Neither verdict refactorizes; each is certified on the original rows
 instead, so accumulated drift cannot produce a false one. An optimum
@@ -82,13 +82,13 @@ must satisfy Ax = b, and y = c_B*B^-1 must price every column with the
 sign its bound status needs (weak duality). Its bounds need no test: the
 dual stops optimal only once no basic value violates its bounds by more
 than _PRIMAL_TOL, or at a dead end on a fresh factorization, which is
-trusted and never certified. An
-infeasibility verdict needs a Farkas certificate: at a dual dead end,
-where no entering column can repair the leaving row r, y = +-e_r*B^-1
-must show that no point within the bounds reaches y*b (Maros 2003). A
-failed certificate refactorizes, and the dual runs again. A dual dead
-end on a fresh factorization is infeasible when the total bound
-violation exceeds the primal tolerance, and optimal otherwise.
+trusted and never certified. An infeasibility verdict needs a Farkas
+certificate: at a dual dead end, where no entering column can repair the
+leaving row r, y = +-e_r*B^-1 must show that no point within the bounds
+reaches y*b (Maros 2003). A failed certificate refactorizes, and the
+dual runs again. A dual dead end on a fresh factorization is infeasible
+when the total bound violation exceeds the primal tolerance, and
+optimal otherwise.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ _PIVOT_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _RATIO_TIE = 1e-12
 _BLAND_STALLS = 1  # steps without a rise, per column, before Bland's rule
-_OPTIMALITY_RETRIES = 5
 _MAX_ITERATIONS = 20000  # per solve; past it the solve raises SimplexError
 # what a Tableau start hands on to the solve that continues it (Tableau._load),
 # which reads the basic columns' bounds from its own through the basis
@@ -569,31 +568,33 @@ class Tableau:
     # -- linear algebra ---------------------------------------------------
 
     def _refactorize(self) -> None:
-        """Recompute B^-1*A and the basic values from the original columns,
-        with one LAPACK solve on [A_N | b - A_N*x_N]; the basic columns of
-        B^-1*A are the identity. A basis made of all the slack columns is
-        the identity up to row order, so there B^-1*A is A with its rows
-        reordered and no LAPACK call is made. A singular basis restarts the
-        solve from the slack basis."""
+        """Recompute B^-1*A and x_B = B^-1*(b - A_N*x_N) from the original
+        columns through the basic slacks: with S the k basic structural
+        columns, each given one of the k rows R whose slack is nonbasic, and
+        T the rows whose slack is basic, B*X = Y splits into A[R,S]*X_S =
+        Y[R], one k x k LAPACK solve (counted), and X_T = Y[T] - A[T,S]*X_S.
+        The slack basis, k = 0, loads as A with its rows reordered. A
+        singular A[R,S], so a singular B, restarts from the slack basis."""
         n = self.prep.n
-        residual = self.b - self.a @ self.x_nonbasic
-        if _all(self.state[n:] == _BASIC):
-            rows = self.basis - n
-            self.matrix = self.a[rows]
-            self.x_basic = residual[rows]
-        else:
-            nonbasic = np.flatnonzero(self.state != _BASIC)
+        at_s = self.basis < n  # the tableau rows that S stands in; the others read T
+        rows = self.basis - n
+        rows[at_s] = np.flatnonzero(self.state[n:] != _BASIC)  # R
+        self.matrix, self.x_basic = self.a[rows], (self.b - self.a @ self.x_nonbasic)[rows]
+        if _any(at_s):
+            s, t = self.basis[at_s], ~at_s
+            nonbasic = np.flatnonzero(self.state != _BASIC)  # structural, then R's slacks
+            y, z = self.matrix[at_s], self.matrix[t]  # Y[R], Y[T]
             try:
-                solved = np.linalg.solve(
-                    self.a[:, self.basis], np.column_stack((self.a[:, nonbasic], residual))
-                )
-            except np.linalg.LinAlgError:  # B = I never is singular
+                x = np.linalg.solve(y[:, s], np.column_stack((y[:, nonbasic], self.x_basic[at_s])))
+            except np.linalg.LinAlgError:  # the slack basis never is singular
                 self._load(self._slack_start())
                 return
-            self.matrix = np.zeros((self.m, self.cols))
-            self.matrix[:, nonbasic] = solved[:, :-1]
-            self.matrix[np.arange(self.m), self.basis] = 1.0
-            self.x_basic = solved[:, -1].copy()
+            below = z[:, s] @ x  # A[T,S]*X_S on the nonbasic columns and x_B
+            y[:, nonbasic], y[:, s] = x[:, :-1], np.eye(len(s))  # T's slacks stay 0
+            z[:, nonbasic] -= below[:, :-1]
+            z[:, s] = 0.0
+            self.matrix[at_s], self.matrix[t] = y, z
+            self.x_basic[at_s], self.x_basic[t] = x[:, -1], self.x_basic[t] - below[:, -1]
             self.refactorizations += 1
         self.fresh = True
 
@@ -842,18 +843,17 @@ class Tableau:
     # -- driver -----------------------------------------------------------
 
     def solve(self, start: Tableau) -> Tableau:
-        """Run the dual and return this solve, its verdict set; an optimum on
-        a tableau pivots have touched must pass its certificate, or the dual
-        runs again on a refactorization."""
+        """Run the dual and return this solve, its verdict set. An optimum not
+        certified nor fresh reruns the dual on a refactorization; each rerun
+        stops fresh or pivots, so this ends in a verdict or SimplexError."""
         self._load(start)
         self.objective, self.values = None, {}
-        for retry in range(_OPTIMALITY_RETRIES + 1):
+        while True:
             self.status = self._run_dual()
             if self.status != STATUS_OPTIMAL:
                 return self
             x = self._point()
-            # a fresh factorization is trusted
-            if self.fresh or retry == _OPTIMALITY_RETRIES or self._certified(x):
+            if self.fresh or self._certified(x):
                 break
             self._refactorize()
         self.objective = self._objective(x)

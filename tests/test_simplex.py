@@ -261,6 +261,88 @@ def test_a_singular_refactorization_restarts_the_solve_from_the_slack_basis(monk
         assert result.values[name] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
+def _tableau_at(prep, basis, rng):
+    """A solve of `prep` at `basis` (a column per tableau row) with no
+    B^-1*A yet, every other column nonbasic at a random value."""
+    run = Tableau(prep, prep._lower.copy(), prep._upper.copy(), None, None)
+    run.basis = np.array(basis)
+    run.state = np.full(run.cols, tepkit.simplex._AT_LOWER, dtype=np.int8)
+    run.state[run.basis] = tepkit.simplex._BASIC
+    run.x_nonbasic = rng.uniform(-1.0, 1.0, run.cols)
+    run.x_nonbasic[run.basis] = 0.0
+    run.gain, run.free = np.zeros(run.cols), np.array([], dtype=int)
+    return run
+
+
+def test_refactorization_solves_through_the_basic_slacks():
+    # bases of k = 0..m structural columns and m - k slacks, in random
+    # order: the k x k solve through the basic slacks gives B^-1*A and
+    # x_B = B^-1*(b - A_N*x_N) as a solve with the whole basis matrix does,
+    # with exact unit columns in the basis; with k = 0 it is A with its
+    # rows reordered, bit for bit, and no refactorization is counted
+    rng = np.random.default_rng(17)
+    prep = PreparedLp(dense_lp())
+    m, n, a = prep.m, prep.n, prep._a
+    for k in range(m + 1):
+        for _ in range(4):
+            basis = rng.permutation(np.concatenate((rng.choice(n, k, replace=False),
+                                                    n + rng.choice(m, m - k, replace=False))))
+            run = _tableau_at(prep, basis, rng)
+            run._refactorize()
+            assert run.basis.tolist() == basis.tolist() and run.fresh
+            assert run.refactorizations == (k > 0)
+            assert np.array_equal(run.matrix[:, basis], np.eye(m))
+            residual = prep._b - a @ run.x_nonbasic
+            # the error a backward-stable solve may leave
+            tol = 1e-14 * np.linalg.cond(a[:, basis]) * max(1.0, float(np.abs(residual).max()))
+            np.testing.assert_allclose(run.matrix, np.linalg.solve(a[:, basis], a), rtol=0, atol=tol)
+            np.testing.assert_allclose(run.x_basic, np.linalg.solve(a[:, basis], residual),
+                                       rtol=0, atol=tol)
+            if not k:
+                assert run.matrix.tobytes() == a[basis - n].tobytes()
+                assert run.x_basic.tobytes() == residual[basis - n].tobytes()
+
+
+def test_a_singular_structural_block_restarts_from_the_slack_basis():
+    # x0 and x1 meet rows r0 and r1 alike, so with both basic and the
+    # slacks of r0 and r1 not, A[R,S] = [[1, 1], [1, 1]] and B are singular
+    m = lp([Variable(f"x{j}", CONTINUOUS, 0.0, 1.0) for j in range(3)],
+           [Constraint("r0", (("x0", 1.0), ("x1", 1.0), ("x2", 1.0)), SENSE_LE, 1.0),
+            Constraint("r1", (("x0", 1.0), ("x1", 1.0), ("x2", -1.0)), SENSE_LE, 2.0),
+            Constraint("r2", (("x0", 1.0), ("x1", 2.0)), SENSE_LE, 4.0)],
+           [("x0", -1.0), ("x1", -1.0)])
+    prep = PreparedLp(m)
+    assert (prep.n, prep.m) == (3, 3)
+    run = _tableau_at(prep, [0, 1, 5], np.random.default_rng(3))
+    run._refactorize()
+    slack = np.arange(3, 6)
+    assert run.basis.tolist() == slack.tolist() and run.fresh
+    assert run.refactorizations == 0
+    assert run.matrix.tobytes() == prep._a.tobytes()
+    assert run.x_basic.tolist() == (prep._b - prep._a @ run.x_nonbasic).tolist()
+
+
+def test_an_optimum_never_certified_ends_at_the_iteration_limit(monkeypatch):
+    # every certificate fails, and every run of the dual takes a step after
+    # its refactorization, so no optimum is certified or on a fresh
+    # factorization: the solve must neither return one nor loop for ever
+    monkeypatch.setattr(Tableau, "_certified", lambda run, x: False)
+    run_dual = Tableau._run_dual
+    runs = []
+
+    def stepping(run):
+        runs.append(run_dual(run))
+        run.iterations += 1  # the step, which leaves the factorization stale
+        run.fresh = False
+        return runs[-1]
+
+    monkeypatch.setattr(Tableau, "_run_dual", stepping)
+    monkeypatch.setattr(tepkit.simplex, "_MAX_ITERATIONS", 100)
+    with pytest.raises(SimplexError, match="iteration limit 100 exceeded"):
+        PreparedLp(dense_lp()).solve()
+    assert len(runs) > 6 and set(runs) == {"optimal"}
+
+
 def test_deadline_stops_the_solve():
     prep = PreparedLp(dense_lp())
     assert prep.solve(deadline=time.monotonic() + 60.0).status == "optimal"

@@ -449,7 +449,7 @@ def test_popped_nodes_fall_back_to_the_basis_without_a_tableau_budget(monkeypatc
     assert sol.values == pytest.approx(default.values, abs=1e-9)
     assert ({k: sol.stats[k] for k in ("nodes", "closed_nodes", "simplex_iterations",
                                        "refactorizations")}
-            == {"nodes": 31, "closed_nodes": 20, "simplex_iterations": 116,
+            == {"nodes": 31, "closed_nodes": 20, "simplex_iterations": 114,
                 "refactorizations": 12})
     assert repr(sol.objective) == "245424473.6914409"
     # every node taken from the open list starts from a copy of its
